@@ -1067,13 +1067,13 @@ def check_sections(
     """Per-section regression failures vs ``baseline``.
 
     Wall-clock comparisons across heterogeneous CI hosts are noisy, hence
-    the deliberately loose ``factor`` (2x) gate: it catches "the fast path
-    fell off", not single-digit-percent drift.  ``engine`` compares
-    events/sec per microbench; ``sweep`` compares warm points/sec per
-    slice; ``convoy`` and ``fig07`` compare events/sec per point at
-    ``gate_factor`` — only those two sections fail CI (see
-    :data:`GATED_SECTIONS`).  Sections missing from either side are
-    skipped.
+    deliberately loose factors: they catch "the fast path fell off", not
+    single-digit-percent drift.  Every section in :data:`GATED_SECTIONS`
+    compares events/sec per point at ``gate_factor``
+    (:data:`GATE_FACTOR`, 3x) and only those sections fail CI.  The
+    advisory ``engine`` (events/sec per microbench) and ``sweep`` (warm
+    points/sec per slice) sections are reported at ``factor`` (2x).
+    Sections missing from either side are skipped.
     """
     sections: dict[str, list[str]] = {}
     failures: list[str] = []
@@ -1272,7 +1272,10 @@ def main(argv=None) -> int:
         "--check",
         metavar="BASELINE",
         default=None,
-        help="compare against a baseline JSON; exit 1 on a >2x engine regression",
+        help=(
+            "compare against a baseline JSON; exit 1 on a "
+            f">{GATE_FACTOR:g}x regression in a gated section"
+        ),
     )
     parser.add_argument(
         "--compare",

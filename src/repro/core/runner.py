@@ -221,8 +221,8 @@ class NodePool:
     The reset contract (see DESIGN.md §5) guarantees that a leased node is
     indistinguishable from a fresh one for simulation purposes — the
     engine's clock/sequence stream, every lock and mailbox, the tracer, and
-    the address spaces (addresses restart at ``va_base``, recycled arrays
-    re-zeroed) all restart exactly as constructed — so pooled and fresh
+    the address spaces (addresses restart at ``va_base``, no bytes kept)
+    all restart exactly as constructed — so pooled and fresh
     execution produce bit-identical results
     (``tests/test_node_pool.py``).  A run that raises leaves arbitrary
     engine state behind, so the node is discarded, never re-pooled.

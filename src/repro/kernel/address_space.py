@@ -5,6 +5,11 @@ page-aligned at unique virtual addresses; the bytes are real (``np.uint8``),
 so a CMA transfer physically moves data and every collective's result can be
 checked against MPI semantics after a timed run.
 
+Storage is lazy: a buffer is only an address range until something reads
+its bytes.  Every byte access in the kernel and MPI layers is gated on the
+node's ``verify`` flag, so an unverified (timing-only) run's buffers stay
+address ranges and never allocate or fault in a page.
+
 Address resolution is intentionally strict: an iovec that touches memory
 outside any allocated buffer faults with ``EFAULT``, exactly the behaviour
 tests rely on to catch mis-computed offsets in collective algorithms.
@@ -29,24 +34,21 @@ _VA_STRIDE = 0x0000_1000_0000
 class Buffer:
     """A page-aligned allocation in one process's address space."""
 
-    __slots__ = ("space", "addr", "nbytes", "data", "name")
+    __slots__ = ("space", "addr", "nbytes", "name", "_data")
 
-    def __init__(
-        self,
-        space: "AddressSpace",
-        addr: int,
-        nbytes: int,
-        name: str,
-        data: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, space: "AddressSpace", addr: int, nbytes: int, name: str):
         self.space = space
         self.addr = addr
         self.nbytes = nbytes
-        # ``data`` lets the arena hand back a recycled (already re-zeroed)
-        # array; a fresh allocation and a recycled one are indistinguishable
-        # to callers.
-        self.data = np.zeros(nbytes, dtype=np.uint8) if data is None else data
         self.name = name
+        self._data: Optional[np.ndarray] = None
+
+    @property
+    def data(self) -> np.ndarray:
+        """The buffer's bytes, zero-filled on first access."""
+        if self._data is None:
+            self._data = np.zeros(self.nbytes, dtype=np.uint8)
+        return self._data
 
     @property
     def end(self) -> int:
@@ -85,27 +87,13 @@ class AddressSpace:
         self._next_addr = va_base
         self._starts: list[int] = []  # sorted buffer base addresses
         self._buffers: list[Buffer] = []  # parallel to _starts
-        # Recycled backing arrays from the last reset, keyed by exact size.
-        self._arena: dict[int, list[np.ndarray]] = {}
 
     def allocate(self, nbytes: int, name: str = "buf") -> Buffer:
-        """Allocate ``nbytes`` page-aligned bytes; returns the new buffer.
-
-        After a :meth:`reset`, an exact-size request is served from the
-        arena: the recycled array is re-zeroed (a stale correct answer from
-        the previous run must not be able to satisfy verification) and the
-        buffer gets a fresh address/name, so callers cannot tell it from a
-        new ``np.zeros`` allocation.
-        """
+        """Allocate ``nbytes`` page-aligned bytes; returns the new buffer."""
         if nbytes <= 0:
             raise ValueError(f"allocation size must be positive, got {nbytes}")
         addr = self._next_addr
-        data = None
-        free = self._arena.get(nbytes)
-        if free:
-            data = free.pop()
-            data[:] = 0
-        buf = Buffer(self, addr, nbytes, name, data=data)
+        buf = Buffer(self, addr, nbytes, name)
         pages = -(-nbytes // self.page_size)
         # leave one guard page between allocations so off-by-one iovecs fault
         self._next_addr += (pages + 1) * self.page_size
@@ -115,19 +103,14 @@ class AddressSpace:
         return buf
 
     def reset(self) -> None:
-        """Unmap everything; recycle the backing arrays for reuse.
+        """Unmap everything, dropping every buffer and its bytes.
 
         ``_next_addr`` returns to ``va_base`` so the next run hands out the
         *same* address sequence a fresh space would — addresses flow into
-        iovecs, so this is part of the bit-exactness contract.  The arena is
-        *replaced* (not extended) with the just-unmapped arrays: consecutive
-        same-shape sweep points reuse everything, while a sweep that changes
-        eta cannot accumulate unboundedly many stale sizes.
+        iovecs, so this is part of the bit-exactness contract.  Nothing is
+        recycled: a buffer allocated after a reset starts zeroed, so a stale
+        correct answer from the previous run cannot satisfy verification.
         """
-        arena: dict[int, list[np.ndarray]] = {}
-        for buf in self._buffers:
-            arena.setdefault(buf.nbytes, []).append(buf.data)
-        self._arena = arena
         self._starts.clear()
         self._buffers.clear()
         self._next_addr = self.va_base

@@ -71,10 +71,12 @@ class Node:
 
         The engine restarts its clock/sequence stream, the tracer drops its
         spans, and the kernel resets counters, mm locks and address-space
-        contents — but registered pids (and their recycled buffer arenas)
-        survive, which is the whole point of warm reuse.  A fault plan is
-        re-armed from scratch: call counters and RNG streams restart, so a
-        reset node injects the exact same faults a fresh one would.
+        contents (every buffer is unmapped and its bytes dropped; an
+        unverified run's buffers are address ranges only and never had
+        any) — but registered pids survive, which is the whole point of
+        warm reuse.  A fault plan is re-armed from scratch: call counters
+        and RNG streams restart, so a reset node injects the exact same
+        faults a fresh one would.
         """
         self.sim.reset()
         self.tracer.clear()

@@ -39,6 +39,8 @@ import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
+import numpy as np
+
 __all__ = [
     "SimError",
     "DeadlockError",
@@ -611,8 +613,8 @@ class Simulator:
     (no local fast-forward loop), and ``use_batch_executor`` opts into the
     numpy-vectorized drain of delay-only phase runs and same-timestamp
     step cohorts (default: the ``REPRO_ENGINE_BATCH`` environment
-    variable; silently off when numpy is unavailable).  All combinations
-    are bit-identical — the phase differential battery relies on this.
+    variable).  All combinations are bit-identical — the phase
+    differential battery relies on this.
     """
 
     def __init__(
@@ -639,14 +641,7 @@ class Simulator:
             use_batch_executor = os.environ.get(
                 "REPRO_ENGINE_BATCH", ""
             ) not in ("", "0")
-        self._np = None
-        if use_batch_executor:
-            try:
-                import numpy
-            except ImportError:  # batch executor is opt-in sugar, not a dep
-                pass
-            else:
-                self._np = numpy
+        self._np = np if use_batch_executor else None
         #: per-(entry shape, segment identities) reusable drain plans: warm
         #: collective rounds re-enter :meth:`_phase_drain` with the exact
         #: same (kernel-cached, hence id-stable) segment objects, so the

@@ -10,8 +10,9 @@ and trace on/off, interleaving keys so the pool is genuinely exercised
 (reuse, eviction, and rebuilds all happen).
 
 Below the battery sit unit tests for the reset contract itself: the
-engine's sequence stream, the address-space arena, and the pool's
-discard-on-failure policy.
+engine's sequence stream, the address spaces (reset restarts addresses
+and keeps no bytes; an unverified run's buffers are address ranges only),
+and the pool's discard-on-failure policy.
 """
 
 import random
@@ -25,6 +26,7 @@ from repro.core.runner import (
     run_collective,
     run_collective_pooled,
 )
+from repro.kernel.errors import CMAError
 from repro.machine import get_arch
 
 # (collective, algorithm, params, supports_in_place, takes_counts)
@@ -253,36 +255,46 @@ def test_simulator_reset_restarts_sequence_stream():
     assert next(sim._seq) == seq_first
 
 
-def test_address_space_arena_recycles_same_size_zeroed():
+def test_address_space_reset_allocates_zeroed_at_va_base():
     from repro.kernel.address_space import AddressSpaceManager
 
     mgr = AddressSpaceManager(page_size=4096)
     space = mgr.create(pid=1)
     buf = space.allocate(8192, "a")
-    addr_first = buf.addr
-    backing = buf.data
-    backing[:] = 7  # dirty it, like a finished collective would
+    buf.data[:] = 7  # dirty it, like a finished collective would
 
     space.reset()
     again = space.allocate(8192, "b")
-    assert again.data is backing, "same-size request must reuse the arena array"
-    assert again.addr == addr_first, "addresses must restart at va_base"
-    assert not again.data.any(), "recycled arrays must be re-zeroed"
-    # a different size allocates fresh and must not collide
-    other = space.allocate(4096, "c")
-    assert other.data is not backing
+    assert again.addr == buf.addr == space.va_base, (
+        "addresses must restart at va_base"
+    )
+    assert again._data is None, "a fresh allocation must not carry bytes"
+    assert again.data is not buf.data
+    assert again.data.shape == (8192,) and not again.data.any()
 
 
-def test_address_space_arena_is_replaced_not_accumulated():
+def test_address_space_reset_keeps_no_backing_arrays():
+    import gc
+    import weakref
+
     from repro.kernel.address_space import AddressSpaceManager
 
     mgr = AddressSpaceManager(page_size=4096)
     space = mgr.create(pid=1)
-    space.allocate(4096)
-    space.reset()  # arena: one 4096 array
-    space.allocate(8192)
-    space.reset()  # arena must now hold only the 8192 array
-    assert set(space._arena) == {8192}
+    bufs = [space.allocate(n) for n in (4096, 8192, 4096)]
+    for buf in bufs:
+        buf.fill(3)
+    backing = [weakref.ref(buf.data) for buf in bufs]
+    first_addr = bufs[0].addr
+    del buf, bufs
+
+    space.reset()
+    gc.collect()
+    assert all(ref() is None for ref in backing), (
+        "reset must not keep backing arrays alive"
+    )
+    with pytest.raises(CMAError):
+        space.resolve(first_addr, 1)
 
 
 def test_node_pool_discards_failed_runs():

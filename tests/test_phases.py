@@ -19,12 +19,6 @@ numpy is unavailable: the executor is opt-in sugar, not a dependency.
 import pytest
 
 try:
-    import numpy  # noqa: F401  (presence gates the batch mode)
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy ships in the test image
-    HAVE_NUMPY = False
-
-try:
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
     HAVE_HYPOTHESIS = True
@@ -65,13 +59,6 @@ SHAPES = [
 ]
 
 ARCHS = ["generic", "broadwell", "knl"]
-
-
-def _mode_items():
-    for mode, kw in MODES.items():
-        if mode == "batch" and not HAVE_NUMPY:
-            continue
-        yield mode, kw
 
 
 def _lock_stats(node):
@@ -118,7 +105,7 @@ def _run_workload(spec_args, sim_kw, repeats, interloper=None):
 
 def _assert_modes_identical(spec_args, repeats, interloper=None):
     ref = ref_mode = None
-    for mode, kw in _mode_items():
+    for mode, kw in MODES.items():
         got = _run_workload(spec_args, kw, repeats, interloper)
         if ref is None:
             ref, ref_mode = got, mode
@@ -215,7 +202,7 @@ if HAVE_HYPOTHESIS:
                     node.sim.events_processed, node.sim.now)
 
         ref = ref_mode = None
-        for mode, kw in _mode_items():
+        for mode, kw in MODES.items():
             got = run_mix(kw)
             if ref is None:
                 ref, ref_mode = got, mode
@@ -223,7 +210,6 @@ if HAVE_HYPOTHESIS:
                 assert got == ref, f"{mode} diverged from {ref_mode}"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="batch executor needs numpy")
 def test_raising_callback_truncates_batch_drain_exactly():
     """A segment callback raising mid-drain must fail at the scalar
     failure point: same callback order across processes, same clock,
