@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core import gather as _gather
-from repro.core.patterns import VerificationError, pattern
+from repro.core.patterns import expect_bytes, pattern
 from repro.mpi.cluster import Cluster, net_recv, net_send
 
 __all__ = ["MultiNodeGatherResult", "flat_gather", "two_level_gather"]
@@ -54,12 +52,10 @@ def _fill_sendbufs(cluster: Cluster, eta: int) -> list:
 
 def _verify_root(rootbuf, world: int, eta: int) -> None:
     for g in range(world):
-        got = rootbuf.view(g * eta, eta)
-        want = pattern(g, 0, eta)
-        if not np.array_equal(got, want):
-            raise VerificationError(
-                f"multi-node gather: root's block from global rank {g} is wrong"
-            )
+        expect_bytes(
+            rootbuf, g * eta, pattern(g, 0, eta),
+            f"multi-node gather: root's block from global rank {g}",
+        )
 
 
 def flat_gather(

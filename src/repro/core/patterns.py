@@ -9,115 +9,91 @@ moving the right bytes fails loudly.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import Comm
 
-__all__ = ["pattern", "setup_buffers", "verify_buffers", "VerificationError"]
+__all__ = [
+    "pattern",
+    "setup_buffers",
+    "verify_buffers",
+    "expect_bytes",
+    "VerificationError",
+]
 
 
 class VerificationError(AssertionError):
     """A collective produced bytes that violate MPI semantics."""
 
 
-#: blocks at or under this many bytes are memoized (a sweep revisits the
-#: same (src, blk, eta) keys at every point); larger ones are recomputed so
-#: a big-message sweep cannot pin gigabytes of patterns in memory
-_MEMO_BLOCK_LIMIT = 4 << 20
-#: whole-buffer assembly cap: above this many output bytes the vectorized
-#: (p, eta) uint32 intermediate is not worth its footprint — fall back to
-#: per-block fills/compares
-_ASSEMBLY_LIMIT = 32 << 20
+#: every pattern is periodic in its byte index with this period (prime)
+_PERIOD = 251
+#: 31 * 81 = 10 * 251 + 1, so 81 inverts the per-byte step 31 mod 251
+_INV31 = 81
+#: ``_table[j] == 31 * j % 251``, read-only, tiled to the largest request
+_table = np.zeros(0, dtype=np.uint8)
 
 
-def _pattern_raw(a: int, b: int, eta: int) -> np.ndarray:
-    idx = np.arange(eta, dtype=np.uint32)
-    return ((idx * 31 + a * 7 + b * 13 + 5) % 251).astype(np.uint8)
+def _table_of(n: int) -> np.ndarray:
+    """The shared table, grown to at least ``n`` bytes.
 
-
-@lru_cache(maxsize=512)
-def _pattern_cached(a: int, b: int, eta: int) -> np.ndarray:
-    arr = _pattern_raw(a, b, eta)
-    arr.flags.writeable = False  # shared across callers: mutation must fault
-    return arr
+    Callers slice the table this returns, never the global, so a racing
+    grow that installs a shorter table costs a later regrow, not bytes.
+    """
+    global _table
+    table = _table
+    if len(table) < n:
+        table = np.empty(-(-n // _PERIOD) * _PERIOD, dtype=np.uint8)
+        table.reshape(-1, _PERIOD)[:] = np.arange(_PERIOD) * 31 % _PERIOD
+        table.flags.writeable = False  # owns its bytes: views cannot re-enable
+        _table = table
+    return table
 
 
 def pattern(a: int, b: int, eta: int) -> np.ndarray:
     """Deterministic eta-byte pattern keyed by two small integers.
 
-    Returns a **read-only** array (memoized for small ``eta``): write it
-    into a buffer via assignment or :meth:`~repro.kernel.Buffer.fill`,
-    never mutate it in place.
+    ``pattern(a, b, eta)[i] == (31 * i + 7 * a + 13 * b + 5) % 251``, which
+    is the slice of the periodic table ``31 * j % 251`` starting at the
+    ``k`` with ``31 * k == 7 * a + 13 * b + 5 (mod 251)``.  Returns a
+    **read-only** view of that table: write it into a buffer via
+    assignment or :meth:`~repro.kernel.Buffer.fill`, never mutate it.
     """
-    if eta <= _MEMO_BLOCK_LIMIT:
-        return _pattern_cached(a, b, eta)
-    arr = _pattern_raw(a, b, eta)
-    arr.flags.writeable = False
-    return arr
+    k = _INV31 * (7 * a + 13 * b + 5) % _PERIOD
+    return _table_of(eta + _PERIOD - 1)[k : k + eta]
 
 
-def _stack_raw(pairs: tuple[tuple[int, int], ...], eta: int) -> np.ndarray:
-    """The concatenation of ``pattern(a, b, eta)`` for each (a, b) pair,
-    computed as one broadcasted expression instead of ``len(pairs)``
-    separate arange/astype round-trips."""
-    a = np.fromiter((ab[0] for ab in pairs), dtype=np.uint32, count=len(pairs))
-    b = np.fromiter((ab[1] for ab in pairs), dtype=np.uint32, count=len(pairs))
-    idx = np.arange(eta, dtype=np.uint32)
-    out = (idx[None, :] * 31 + a[:, None] * 7 + b[:, None] * 13 + 5) % 251
-    return out.astype(np.uint8).ravel()
-
-
-@lru_cache(maxsize=64)
-def _stack_cached(pairs: tuple[tuple[int, int], ...], eta: int) -> np.ndarray:
-    arr = _stack_raw(pairs, eta)
-    arr.flags.writeable = False
-    return arr
-
-
-def _block_stack(pairs: tuple[tuple[int, int], ...], eta: int) -> np.ndarray:
-    """Read-only whole-buffer expectation for uniform-block collectives."""
-    if len(pairs) * eta <= _ASSEMBLY_LIMIT:
-        return _stack_cached(pairs, eta)
-    arr = _stack_raw(pairs, eta)
-    arr.flags.writeable = False
-    return arr
-
-
-def _fill_blocks(buf, pairs: tuple[tuple[int, int], ...], eta: int) -> None:
-    """Fill ``buf`` with ``len(pairs)`` consecutive eta-byte patterns."""
-    if len(pairs) * eta <= _ASSEMBLY_LIMIT:
-        buf.view(0, len(pairs) * eta)[:] = _block_stack(pairs, eta)
-        return
+def _fill_blocks(buf, pairs: Iterable[tuple[int, int]], eta: int) -> None:
+    """Fill ``buf`` with one eta-byte pattern per (a, b) pair, back to back."""
     for i, (a, b) in enumerate(pairs):
         buf.view(i * eta, eta)[:] = pattern(a, b, eta)
-
-
-@lru_cache(maxsize=32)
-def _reduce_expected_cached(p: int, eta: int) -> np.ndarray:
-    a = np.arange(p, dtype=np.uint32)
-    idx = np.arange(eta, dtype=np.uint32)
-    blocks = (idx[None, :] * 31 + a[:, None] * 7 + 5) % 251
-    reduced = (blocks.sum(axis=0, dtype=np.uint32) % 256).astype(np.uint8)
-    reduced.flags.writeable = False
-    return reduced
 
 
 def _reduce_expected(p: int, eta: int) -> np.ndarray:
     """Elementwise sum mod 256 of ``pattern(r, 0, eta)`` over ranks.
 
-    Exact: pattern values are < 251 and p <= a few hundred, so the uint32
-    accumulation cannot overflow — identical to summing in any width >= 16.
+    Every term is 251-periodic, so the sum is too: add one period of each
+    rank's pattern (exact in uint32 for any p below 2**24) and tile it.
     """
-    if p * eta <= _ASSEMBLY_LIMIT:
-        return _reduce_expected_cached(p, eta)
-    total = np.zeros(eta, dtype=np.uint32)
-    for r in range(p):
-        total += pattern(r, 0, eta)
-    return (total % 256).astype(np.uint8)
+    period = np.stack([pattern(r, 0, _PERIOD) for r in range(p)])
+    period = (period.sum(axis=0, dtype=np.uint32) % 256).astype(np.uint8)
+    return np.resize(period, eta)
+
+
+def expect_bytes(buf, off: int, want: np.ndarray, what: str) -> None:
+    """Raise :class:`VerificationError` unless ``buf`` holds ``want`` at
+    ``off``; the message names ``what``, the first bad byte's offset
+    within ``want``, and the got/want values there."""
+    got = buf.view(off, len(want))
+    if not np.array_equal(got, want):
+        bad = int(np.argmax(got != want))
+        raise VerificationError(
+            f"{what}: first mismatch at byte {bad} "
+            f"(got {got[bad]}, want {want[bad]})"
+        )
 
 
 def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
@@ -132,7 +108,7 @@ def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
     if coll == "scatter":
         sendbufs[root] = comm.allocate(root, p * eta, "sendbuf")
         if fill:
-            _fill_blocks(sendbufs[root], tuple((root, d) for d in range(p)), eta)
+            _fill_blocks(sendbufs[root], ((root, d) for d in range(p)), eta)
         for r in range(p):
             if r == root and spec.in_place:
                 continue
@@ -167,7 +143,7 @@ def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
             sendbufs[r] = comm.allocate(r, p * eta, "sendbuf")
             recvbufs[r] = comm.allocate(r, p * eta, "recvbuf")
             if fill:
-                _fill_blocks(sendbufs[r], tuple((r, d) for d in range(p)), eta)
+                _fill_blocks(sendbufs[r], ((r, d) for d in range(p)), eta)
     elif coll in ("scatterv", "gatherv"):
         from repro.core.vcollectives import displacements
 
@@ -237,38 +213,8 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
     p, eta, root = spec.procs, spec.eta, spec.root
     coll = spec.collective
 
-    def expect(buf, off, pat, what):
-        got = buf.view(off, eta)
-        if not np.array_equal(got, pat):
-            bad = int(np.argmax(got != pat))
-            raise VerificationError(
-                f"{coll}/{spec.algorithm}: {what}: first mismatch at byte "
-                f"{bad} (got {got[bad]}, want {pat[bad]})"
-            )
-
-    def expect_blocks(buf, pairs, what_of):
-        """Whole-buffer compare of consecutive eta-byte expected blocks.
-
-        One ``np.array_equal`` over ``len(pairs) * eta`` bytes instead of
-        ``len(pairs)`` view/compare round-trips; on mismatch the error is
-        re-derived per block so the message (block label, byte offset,
-        got/want values) is identical to the per-block loop's.
-        """
-        n = len(pairs) * eta
-        if n > _ASSEMBLY_LIMIT:
-            for i, (a, b) in enumerate(pairs):
-                expect(buf, i * eta, pattern(a, b, eta), what_of(i))
-            return
-        want = _block_stack(pairs, eta)
-        got = buf.view(0, n)
-        if np.array_equal(got, want):
-            return
-        i = int(np.argmax(got != want))
-        blk, byte = divmod(i, eta)
-        raise VerificationError(
-            f"{coll}/{spec.algorithm}: {what_of(blk)}: first mismatch at byte "
-            f"{byte} (got {got[i]}, want {want[i]})"
-        )
+    def expect(buf, off, want, what):
+        expect_bytes(buf, off, want, f"{coll}/{spec.algorithm}: {what}")
 
     if coll == "scatter":
         for r in range(p):
@@ -280,77 +226,59 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
                 continue
             expect(recvbufs[r], 0, pattern(root, r, eta), f"rank {r} block")
     elif coll == "gather":
-        expect_blocks(
-            recvbufs[root],
-            tuple((r, 0) for r in range(p)),
-            lambda r: f"root's block from rank {r}",
-        )
+        for r in range(p):
+            expect(
+                recvbufs[root], r * eta, pattern(r, 0, eta),
+                f"root's block from rank {r}",
+            )
     elif coll == "bcast":
-        pat = pattern(root, 0, eta)
+        want = pattern(root, 0, eta)
         for r in range(p):
-            expect(recvbufs[r], 0, pat, f"rank {r} payload")
+            expect(recvbufs[r], 0, want, f"rank {r} payload")
     elif coll == "allgather":
-        pairs = tuple((b, 0) for b in range(p))
         for r in range(p):
-            expect_blocks(recvbufs[r], pairs, lambda b, r=r: f"rank {r} block {b}")
+            for b in range(p):
+                expect(recvbufs[r], b * eta, pattern(b, 0, eta), f"rank {r} block {b}")
     elif coll == "alltoall":
         for r in range(p):
-            expect_blocks(
-                recvbufs[r],
-                tuple((s, r) for s in range(p)),
-                lambda s, r=r: f"rank {r} block from {s}",
-            )
+            for s in range(p):
+                expect(
+                    recvbufs[r], s * eta, pattern(s, r, eta),
+                    f"rank {r} block from {s}",
+                )
     elif coll in ("scatterv", "gatherv"):
         from repro.core.vcollectives import displacements
 
         counts = spec.counts
         displs = displacements(counts)
-
-        def expect_n(buf, off, pat, n, what):
-            got = buf.view(off, n)
-            if not np.array_equal(got, pat):
-                bad = int(np.argmax(got != pat))
-                raise VerificationError(f"{coll}: {what}: byte {bad} wrong")
-
-        if coll == "scatterv":
-            for r in range(p):
-                if counts[r] == 0:
-                    continue
-                if r == root and spec.in_place:
-                    expect_n(
-                        sendbufs[root], displs[root],
-                        pattern(root, root, counts[root]), counts[root],
-                        "root in-place block clobbered",
-                    )
-                    continue
-                expect_n(
-                    recvbufs[r], 0, pattern(root, r, counts[r]), counts[r],
-                    f"rank {r} block",
+        for r in range(p):
+            n = counts[r]
+            if n == 0:
+                continue
+            if coll == "gatherv":
+                expect(
+                    recvbufs[root], displs[r], pattern(r, 0, n),
+                    f"root's block from rank {r}",
                 )
-        else:
-            for r in range(p):
-                if counts[r] == 0:
-                    continue
-                expect_n(
-                    recvbufs[root], displs[r], pattern(r, 0, counts[r]),
-                    counts[r], f"root's block from rank {r}",
+            elif r == root and spec.in_place:
+                expect(
+                    sendbufs[root], displs[root], pattern(root, root, n),
+                    "root in-place block clobbered",
                 )
+            else:
+                expect(recvbufs[r], 0, pattern(root, r, n), f"rank {r} block")
     elif coll == "alltoallv":
         from repro.core.vcollectives import displacements
 
         counts = spec.counts
         for r in range(p):
             recv_displs = displacements([counts[s][r] for s in range(p)])
-            for s_rank in range(p):
-                n = counts[s_rank][r]
-                if n == 0:
-                    continue
-                got = recvbufs[r].view(recv_displs[s_rank], n)
-                want = pattern(s_rank, r, n)
-                if not np.array_equal(got, want):
-                    bad = int(np.argmax(got != want))
-                    raise VerificationError(
-                        f"alltoallv: rank {r} block from {s_rank}: byte {bad}"
+            for s in range(p):
+                n = counts[s][r]
+                if n:
+                    expect(
+                        recvbufs[r], recv_displs[s], pattern(s, r, n),
+                        f"rank {r} block from {s}",
                     )
     elif coll in ("reduce", "allreduce"):
         reduced = _reduce_expected(p, eta)

@@ -352,7 +352,7 @@ def test_node_pool_rebuilds_on_arch_value_change():
 
 def test_recycled_buffers_cannot_fake_verification():
     """A stale correct answer left in a recycled recvbuf must not satisfy
-    verification: arena arrays are re-zeroed on allocate."""
+    verification: buffer storage is created zeroed on first access."""
     from repro.core import patterns
 
     spec = CollectiveSpec(
