@@ -178,7 +178,7 @@ def shm_slab(ctx: RankCtx) -> Generator:
             yield Delay(n * beta + p.shm_chunk_overhead)
             got += n
         if ctx.node.verify and root_buf is not None:
-            ctx.recvbuf.view(0, eta)[:] = root_buf.view(0, eta)
+            ctx.recvbuf.write(0, root_buf.read(0, eta))
 
 
 def scatter_allgather(ctx: RankCtx) -> Generator:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import gather as _gather
-from repro.core.patterns import expect_bytes, pattern
+from repro.core.patterns import expect_runs, pattern_runs
 from repro.mpi.cluster import Cluster, net_recv, net_send
 
 __all__ = ["MultiNodeGatherResult", "flat_gather", "two_level_gather"]
@@ -45,15 +45,15 @@ def _fill_sendbufs(cluster: Cluster, eta: int) -> list:
         comm = cluster.comm_of(g)
         buf = comm.allocate(cluster.local_of(g), eta, "mn-send")
         if cluster.verify:
-            buf.fill(pattern(g, 0, eta))
+            buf.write(0, pattern_runs(g, 0, eta))
         bufs.append(buf)
     return bufs
 
 
 def _verify_root(rootbuf, world: int, eta: int) -> None:
     for g in range(world):
-        expect_bytes(
-            rootbuf, g * eta, pattern(g, 0, eta),
+        expect_runs(
+            rootbuf, g * eta, pattern_runs(g, 0, eta),
             f"multi-node gather: root's block from global rank {g}",
         )
 

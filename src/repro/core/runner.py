@@ -43,7 +43,7 @@ class CollectiveSpec:
     root: int = 0
     in_place: bool = False
     params: dict = field(default_factory=dict)
-    verify: bool = True  # move + check real bytes (slower, thorough)
+    verify: bool = True  # move + check buffer contents (slower, thorough)
     trace: bool = False  # record ftrace-style phase spans
     #: per-rank block sizes for the V-variants (scatterv/gatherv);
     #: defaults to eta for every rank

@@ -2,8 +2,9 @@
 
 This package stands in for the Linux pieces the paper exercises:
 
-* :mod:`repro.kernel.address_space` — per-process paged memory backed by
-  numpy arrays, so transfers move real bytes and collectives are verifiable.
+* :mod:`repro.kernel.address_space` — per-process paged memory whose
+  buffers hold 251-periodic provenance runs: transfers move run lists,
+  not bytes, and collectives stay byte-exactly verifiable.
 * :mod:`repro.kernel.pagelock` — the per-process mm (page-table) lock that
   ``get_user_pages`` takes once per page batch.  Its hold time inflates with
   contention (cache-line bouncing), and FIFO queueing on it is what makes

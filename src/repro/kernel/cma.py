@@ -9,8 +9,9 @@ The simulated syscalls follow the real kernel's ``process_vm_rw`` path:
    :class:`~repro.kernel.pagelock.MMLock` (Table III row 3).  This is where
    contention lives;
 4. **copy** — bytes actually moved, ``min(local_total, remote_total)``
-   (Table III row 4).  Real numpy bytes move unless the kernel was built
-   with ``verify=False`` (timing-only mode for big sweeps).
+   (Table III row 4).  The buffers' provenance runs move unless the
+   kernel was built with ``verify=False`` (timing-only mode for big
+   sweeps).
 
 Setting ``liovcnt = 0`` pins the remote pages but copies nothing, and a
 zero-length remote iovec skips pinning — exactly the partial-step trigger

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-import numpy as np
-
 from repro.machine.arch import Architecture
 from repro.mpi.communicator import Comm, Node, RankCtx
 from repro.sim import Mailbox, Recv, Send, Simulator
@@ -144,7 +142,7 @@ def net_send(
     yield Release(nic)
     payload = None
     if cluster.verify and buf is not None:
-        payload = np.array(buf.view(offset, nbytes), copy=True)
+        payload = buf.read(offset, nbytes)
     cluster.net_messages += 1
     yield Send(
         cluster.net_box(dst_grank),
@@ -180,5 +178,5 @@ def net_recv(
     n = min(n, nbytes)
     yield Delay(n * p.net_beta)  # RX copy-out, serialized at the receiver
     if cluster.verify and buf is not None and payload is not None:
-        buf.view(offset, n)[:] = payload[:n]
+        buf.write(offset, payload, n)
     return n

@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-import numpy as np
-
 from repro.kernel import AddressSpaceManager, Buffer, CMAKernel, XpmemKernel
 from repro.kernel.errors import CMAError, EFAULT, EINTR, ENOENT, EPERM, ESRCH
 from repro.machine.arch import Architecture
@@ -398,18 +396,16 @@ class Comm:
         n = min(local[1], remote[1])
         me = ctx.rank
         tag = ("cma-fb", me, peer, next(self._fb_seq))
-        my_view = peer_view = None
+        mine = theirs = None
         if self.node.verify:
-            buf, off = self.space_of(me).resolve(local[0], n)
-            my_view = buf.view(off, n)
-            rbuf, roff = self.space_of(peer).resolve(remote[0], n)
-            peer_view = rbuf.view(roff, n)
+            mine = self.space_of(me).resolve(local[0], n)
+            theirs = self.space_of(peer).resolve(remote[0], n)
         place = self._placements[peer]
         shm = self.shm
         peer_gen = (
-            shm.recv_data(peer, me, tag, peer_view, n)
+            shm.recv_data(peer, me, tag, theirs, n)
             if write
-            else shm.send_data(peer, me, tag, peer_view, n)
+            else shm.send_data(peer, me, tag, theirs, n)
         )
         helper = self.node.sim.spawn(
             peer_gen,
@@ -419,9 +415,9 @@ class Comm:
             core=place.core,
         )
         if write:
-            yield from shm.send_data(me, peer, tag, my_view, n)
+            yield from shm.send_data(me, peer, tag, mine, n)
         else:
-            yield from shm.recv_data(me, peer, tag, my_view, n)
+            yield from shm.recv_data(me, peer, tag, mine, n)
         yield Join(helper)
         return n
 
@@ -676,7 +672,7 @@ class RankCtx:
 
         yield Delay(nbytes * self.params.reduce_beta)
         if self.node.verify:
-            dst.view(dst_off, nbytes)[:] += src.view(src_off, nbytes)
+            dst.add(dst_off, src.read(src_off, nbytes))
         return nbytes
 
     # -- local memcpy ----------------------------------------------------------------
@@ -694,5 +690,5 @@ class RankCtx:
 
         yield Delay(nbytes * self.params.memcpy_beta)
         if self.node.verify:
-            dst.view(dst_off, nbytes)[:] = src.view(src_off, nbytes)
+            dst.write(dst_off, src.read(src_off, nbytes))
         return nbytes

@@ -44,7 +44,7 @@ def p2p_send(
     if nbytes < threshold:
         # eager: data goes through the shared segment
         yield ctx.ctrl_send(dst, ("eager-hdr", tag), payload=nbytes)
-        data = buf.view(offset, nbytes) if ctx.node.verify else None
+        data = (buf, offset) if ctx.node.verify else None
         yield from ctx.shm.send_data(ctx.rank, dst, ("eager", tag), data, nbytes)
         return nbytes
     # rendezvous: RTS carries (pid, addr, len); receiver reads via CMA
@@ -72,7 +72,7 @@ def p2p_recv(
         nbytes = buf.nbytes - offset
     if nbytes < threshold:
         yield ctx.ctrl_recv(src, ("eager-hdr", tag))
-        out = buf.view(offset, nbytes) if ctx.node.verify else None
+        out = (buf, offset) if ctx.node.verify else None
         yield from ctx.shm.recv_data(ctx.rank, src, ("eager", tag), out, nbytes)
         return nbytes
     msg = yield ctx.ctrl_recv(src, ("rts", tag))

@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--min", type=int, default=1024, dest="min_size")
     parser.add_argument("--max", type=int, default=1 << 22, dest="max_size")
     parser.add_argument("--verify", action="store_true",
-                        help="move and check real bytes (slower)")
+                        help="move and check buffer contents (slower)")
     parser.add_argument("--workers", type=int, default=None,
                         help="sweep points in N processes "
                              "(default: REPRO_EXEC_WORKERS or serial)")

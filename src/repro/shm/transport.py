@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-import numpy as np
-
 from repro.shm.segment import SegmentPool
 from repro.sim.channels import Mailbox, Recv, Send
 from repro.sim.engine import Delay
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.address_space import Buffer
     from repro.machine.params import ModelParams
     from repro.sim.engine import Simulator
 
@@ -111,12 +110,14 @@ class ShmTransport:
         src: int,
         dst: int,
         tag: Any,
-        data: Optional[np.ndarray],
+        data: Optional[tuple["Buffer", int]],
         nbytes: int,
     ) -> Generator:
         """Copy ``nbytes`` into the segment chunk by chunk (sender side).
 
-        ``data`` may be None in timing-only mode (``verify=False``).
+        ``data`` is the ``(buffer, offset)`` the message starts at; each
+        chunk carries the run list of its bytes, read when the chunk is
+        copied in.  It may be None in timing-only mode (``verify=False``).
         Flow control: at most ``_RING_SLOTS`` chunks in flight; the receiver
         returns credits as it drains them.
         """
@@ -136,7 +137,8 @@ class ShmTransport:
             yield Delay(n * p.shm_beta + p.shm_chunk_overhead)
             payload = None
             if self.verify and data is not None:
-                payload = np.array(data[sent : sent + n], copy=True)
+                buf, off = data
+                payload = buf.read(off + sent, n)
             yield Send(
                 self.mailboxes[dst],
                 src=src,
@@ -157,10 +159,14 @@ class ShmTransport:
         me: int,
         src: int,
         tag: Any,
-        out: Optional[np.ndarray],
+        out: Optional[tuple["Buffer", int]],
         nbytes: int,
     ) -> Generator:
-        """Receive a chunked shm transfer (receiver side); returns bytes."""
+        """Receive a chunked shm transfer (receiver side); returns bytes.
+
+        ``out`` is the ``(buffer, offset)`` the chunks' runs are written
+        to as each is copied out, or None in timing-only mode.
+        """
         p = self.params
         got = 0
         seq = 0
@@ -170,7 +176,8 @@ class ShmTransport:
             # copy-out: second pass over the chunk
             yield Delay(n * p.shm_beta + p.shm_chunk_overhead)
             if self.verify and out is not None and payload is not None:
-                out[got : got + n] = payload
+                buf, off = out
+                buf.write(off + got, payload)
             # chunk drained: return the segment slot, credit the sender
             yield self.segment.release_slot()
             yield Send(

@@ -44,10 +44,13 @@ class TestAllocation:
         buf.fill(np.arange(16, dtype=np.uint8))
         assert list(buf.view(4, 4)) == [4, 5, 6, 7]
 
-    def test_view_is_not_a_copy(self, space):
+    def test_view_is_read_only(self, space):
         buf = space.allocate(8)
-        buf.view(0, 8)[:] = 9
-        assert buf.data[0] == 9
+        with pytest.raises(ValueError):
+            buf.view(0, 8)[:] = 9
+        buf.write_bytes(2, np.full(4, 9))
+        assert list(buf.view(0, 8)) == [0, 0, 9, 9, 9, 9, 0, 0]
+        assert not buf.data.flags.writeable
 
     def test_view_out_of_bounds(self, space):
         buf = space.allocate(8)
@@ -315,3 +318,61 @@ class TestCopyIovBytes:
         got = space.gather_bytes([buf.iov()])
         got[:] = 0
         assert list(buf.data) == [9, 9, 9, 9]
+
+
+class TestRuns:
+    """Buffers hold canonical runs; bytes exist only when materialized."""
+
+    def test_fresh_buffer_is_one_zero_run(self, space):
+        buf = space.allocate(5000)
+        assert buf.runs() == [(0, 5000, ())]
+
+    def test_copy_moves_runs_not_bytes(self, mgr):
+        from repro.core.patterns import pattern, pattern_runs, phase
+        from repro.kernel.address_space import copy_iov_bytes
+
+        src_space, dst_space = mgr.create(1), mgr.create(2)
+        src = src_space.allocate(3000)
+        dst = dst_space.allocate(3000)
+        src.write(0, pattern_runs(4, 5, 3000))
+        copy_iov_bytes(src_space, [src.iov(100, 1000)], dst_space, [dst.iov(7, 1000)], 1000)
+        # the copied bytes are one run: the pattern, re-phased to its new offset
+        assert dst.runs() == [
+            (0, 7, ()),
+            (7, 1007, ((phase(4, 5) + 100 - 7) % 251,)),
+            (1007, 3000, ()),
+        ]
+        assert np.array_equal(dst.view(7, 1000), pattern(4, 5, 1100)[100:])
+
+    def test_adjacent_equal_runs_merge(self, space):
+        from repro.core.patterns import pattern_runs
+
+        buf = space.allocate(1000)
+        whole = pattern_runs(1, 2, 1000)
+        buf.write(0, whole)
+        for off in (0, 250, 700):  # rewrite pieces of the same pattern
+            buf.write(off, buf.read(off, 100))
+        assert len(buf.runs()) == 1
+        assert buf.holds(0, whole)
+
+    def test_add_sums_phases(self, space):
+        from repro.core.patterns import pattern, pattern_runs, phase
+
+        a, b = space.allocate(600), space.allocate(600)
+        a.write(0, pattern_runs(0, 0, 600))
+        b.write(0, pattern_runs(1, 0, 600))
+        a.add(0, b.read())
+        ((start, end, value),) = a.runs()
+        assert value == tuple(sorted((phase(0, 0), phase(1, 0))))
+        want = pattern(0, 0, 600).astype(np.uint16) + pattern(1, 0, 600)
+        assert np.array_equal(a.data, (want % 256).astype(np.uint8))
+
+    def test_raw_bytes_are_a_read_only_run(self, space):
+        buf = space.allocate(10)
+        src = np.arange(4, dtype=np.uint8)
+        buf.write_bytes(3, src)
+        src[:] = 99  # the buffer took a copy
+        (_, _, zeros), (s, e, raw), _ = buf.runs()
+        assert (s, e) == (3, 7) and list(raw) == [0, 1, 2, 3]
+        assert not raw.flags.writeable
+        assert list(buf.data) == [0, 0, 0, 0, 1, 2, 3, 0, 0, 0]

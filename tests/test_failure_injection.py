@@ -5,7 +5,6 @@ deadlocks, data corruption surfacing as verification errors, and runaway
 simulations hitting the event guard.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.patterns import VerificationError, pattern
@@ -127,7 +126,7 @@ class TestVerificationCatchesCorruption:
         comm = Comm(node, 2)
         buf = comm.allocate(0, 16)
         buf.fill(pattern(0, 0, 16))
-        buf.view(3, 1)[0] = np.uint8(buf.view(3, 1)[0] + 1)  # flip one byte
+        buf.write_bytes(3, [buf.view(3, 1)[0] + 1])  # flip one byte
         from repro.core import patterns as pat
 
         class Spec:

@@ -261,16 +261,16 @@ def test_address_space_reset_allocates_zeroed_at_va_base():
     mgr = AddressSpaceManager(page_size=4096)
     space = mgr.create(pid=1)
     buf = space.allocate(8192, "a")
-    buf.data[:] = 7  # dirty it, like a finished collective would
+    buf.fill(7)  # dirty it, like a finished collective would
 
     space.reset()
     again = space.allocate(8192, "b")
     assert again.addr == buf.addr == space.va_base, (
         "addresses must restart at va_base"
     )
-    assert again._data is None, "a fresh allocation must not carry bytes"
-    assert again.data is not buf.data
+    assert again.runs() == [(0, 8192, ())], "a fresh allocation is one zero run"
     assert again.data.shape == (8192,) and not again.data.any()
+    assert (buf.data == 7).all(), "the old buffer is not recycled"
 
 
 def test_address_space_reset_keeps_no_backing_arrays():
@@ -284,14 +284,14 @@ def test_address_space_reset_keeps_no_backing_arrays():
     bufs = [space.allocate(n) for n in (4096, 8192, 4096)]
     for buf in bufs:
         buf.fill(3)
-    backing = [weakref.ref(buf.data) for buf in bufs]
+    backing = [weakref.ref(buf) for buf in bufs]  # and the runs they own
     first_addr = bufs[0].addr
     del buf, bufs
 
     space.reset()
     gc.collect()
     assert all(ref() is None for ref in backing), (
-        "reset must not keep backing arrays alive"
+        "reset must not keep buffers or their runs alive"
     )
     with pytest.raises(CMAError):
         space.resolve(first_addr, 1)

@@ -9,7 +9,10 @@ view, and the table's size is bounded by the largest block ever asked for.
 The negative battery below proves verification still checks every byte:
 for each collective family it runs a verified collective, flips one byte
 of a receive buffer and requires :func:`verify_buffers` to name that block
-and that byte offset.
+and that byte offset.  Descriptor-level faults follow: a block copied from
+the wrong source, a reduction that misses a rank or counts one twice, and
+a send buffer the collective modified; each must name the block, the byte
+offset and the got/want values.
 """
 
 import random
@@ -248,12 +251,101 @@ def test_verify_names_the_flipped_byte(monkeypatch, coll, alg, in_place, params)
         targets.append((i, rng.randrange(blocks[i][2])))
     for i, off in targets:
         buf, start, _, label = blocks[i]
-        cell = buf.view(start + off, 1)
-        cell[0] ^= 0x5A
+        at = start + off
+        before = buf.read(at, 1)
+        buf.write_bytes(at, [buf.view(at, 1)[0] ^ 0x5A])
         with pytest.raises(
             VerificationError,
             match=rf"{re.escape(label)}: first mismatch at byte {off} \(got ",
         ):
             verify_buffers(comm, spec, sendbufs, recvbufs)
-        cell[0] ^= 0x5A
+        buf.write(at, before)
         verify_buffers(comm, spec, sendbufs, recvbufs)  # restored
+
+
+def _captured_run(monkeypatch, spec):
+    seen = []
+    real_verify = patterns.verify_buffers
+
+    def capture(comm, spec, sendbufs, recvbufs):
+        seen.append((comm, spec, sendbufs, recvbufs))
+        real_verify(comm, spec, sendbufs, recvbufs)
+
+    monkeypatch.setattr(patterns, "verify_buffers", capture)
+    run_collective(spec)
+    ((comm, spec, sendbufs, recvbufs),) = seen
+    return comm, sendbufs, recvbufs
+
+
+def _raises_naming(label, got, want, verify):
+    """``verify()`` must raise naming ``label`` and the first byte where
+    the byte arrays ``got`` and ``want`` differ, with both values."""
+    bad = int(np.argmax(got != want))
+    assert got[bad] != want[bad]
+    with pytest.raises(VerificationError) as err:
+        verify()
+    assert str(err.value).endswith(
+        f"{label}: first mismatch at byte {bad} (got {got[bad]}, want {want[bad]})"
+    )
+
+
+@pytest.mark.parametrize("coll,alg", [
+    ("alltoall", "pairwise"), ("gather", "parallel_write"), ("allgather", "ring_source_read"),
+])
+def test_verify_names_a_block_from_the_wrong_source(monkeypatch, coll, alg):
+    """A same-length block copied from another source's slot: every run
+    is a valid pattern, just the wrong one."""
+    spec = CollectiveSpec(coll, alg, get_arch("knl"), procs=P, eta=ETA)
+    comm, sendbufs, recvbufs = _captured_run(monkeypatch, spec)
+    r = 0 if coll == "gather" else 2
+    buf = recvbufs[r]
+    # slot 1 now holds the block that belongs in slot 3
+    buf.write(1 * ETA, buf.read(3 * ETA, ETA))
+    label = {
+        "alltoall": f"rank {r} block from 1",
+        "gather": "root's block from rank 1",
+        "allgather": f"rank {r} block 1",
+    }[coll]
+    b = r if coll == "alltoall" else 0
+    _raises_naming(
+        label, oracle(3, b, ETA), oracle(1, b, ETA),
+        lambda: verify_buffers(comm, spec, sendbufs, recvbufs),
+    )
+
+
+@pytest.mark.parametrize("ranks,what", [
+    ([0, 1, 3], "misses rank 2"),
+    ([0, 1, 2, 2, 3], "counts rank 2 twice"),
+])
+def test_verify_names_a_wrong_reduction(monkeypatch, ranks, what):
+    spec = CollectiveSpec("allreduce", "ring", get_arch("knl"), procs=P, eta=ETA)
+    comm, sendbufs, recvbufs = _captured_run(monkeypatch, spec)
+    buf = recvbufs[3]
+    buf.fill(0)
+    for s in ranks:
+        buf.add(0, sendbufs[s].read())
+    got = np.zeros(ETA, dtype=np.uint32)
+    for s in ranks:
+        got += oracle(s, 0, ETA)
+    want = np.zeros(ETA, dtype=np.uint32)
+    for s in range(P):
+        want += oracle(s, 0, ETA)
+    _raises_naming(
+        "rank 3 reduction", (got % 256).astype(np.uint8), (want % 256).astype(np.uint8),
+        lambda: verify_buffers(comm, spec, sendbufs, recvbufs),
+    )
+
+
+def test_verify_names_a_modified_send_buffer(monkeypatch):
+    """MPI send buffers are read-only to the collective."""
+    spec = CollectiveSpec("scatter", "parallel_read", get_arch("knl"), procs=P, eta=ETA)
+    comm, sendbufs, recvbufs = _captured_run(monkeypatch, spec)
+    buf = sendbufs[spec.root]
+    buf.write_bytes(2 * ETA + 17, [buf.view(2 * ETA + 17, 1)[0] ^ 1])
+    want = oracle(spec.root, 2, ETA)
+    got = want.copy()
+    got[17] ^= 1
+    _raises_naming(
+        f"rank {spec.root} sendbuf block 2 modified", got, want,
+        lambda: verify_buffers(comm, spec, sendbufs, recvbufs),
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernel import AddressSpaceManager
 from repro.machine import make_generic
 from repro.shm import ShmTransport, sm_allgather, sm_barrier, sm_bcast, sm_gather
 from repro.sim import Simulator
@@ -14,6 +15,18 @@ def make_shm(nranks, verify=True):
     sim = Simulator()
     params = make_generic(sockets=1, cores_per_socket=max(nranks, 2)).params
     return sim, ShmTransport(sim, params, nranks, verify=verify)
+
+
+def buffers(*contents):
+    """One buffer per array, holding its bytes; returned as (buffer, 0)
+    pairs, the shape the data plane reads and writes."""
+    space = AddressSpaceManager(page_size=4096).create(pid=1)
+    out = []
+    for data in contents:
+        buf = space.allocate(len(data))
+        buf.write_bytes(0, data)
+        out.append((buf, 0))
+    return out
 
 
 def run_ranks(sim, gens):
@@ -55,8 +68,8 @@ class TestDataPath:
     def test_data_bytes_arrive(self):
         sim, shm = make_shm(2)
         n = 50_000
-        src = (np.arange(n) % 251).astype(np.uint8)
-        dst = np.zeros(n, dtype=np.uint8)
+        data = (np.arange(n) % 251).astype(np.uint8)
+        src, dst = buffers(data, np.zeros(n, dtype=np.uint8))
 
         def sender():
             return (yield from shm.send_data(0, 1, "d", src, n))
@@ -66,12 +79,11 @@ class TestDataPath:
 
         sent, got = run_ranks(sim, [sender(), receiver()])
         assert sent == got == n
-        assert np.array_equal(src, dst)
+        assert np.array_equal(dst[0].data, data)
 
     def test_small_message_single_chunk(self):
         sim, shm = make_shm(2)
-        src = np.full(100, 3, dtype=np.uint8)
-        dst = np.zeros(100, dtype=np.uint8)
+        src, dst = buffers(np.full(100, 3), np.zeros(100))
 
         def sender():
             yield from shm.send_data(0, 1, "d", src, 100)
@@ -105,8 +117,7 @@ class TestDataPath:
 
     def test_timing_only_mode_moves_no_bytes(self):
         sim, shm = make_shm(2, verify=False)
-        src = np.full(100, 9, dtype=np.uint8)
-        dst = np.zeros(100, dtype=np.uint8)
+        src, dst = buffers(np.full(100, 9), np.zeros(100))
 
         def sender():
             yield from shm.send_data(0, 1, "d", src, 100)
@@ -115,15 +126,14 @@ class TestDataPath:
             yield from shm.recv_data(1, 0, "d", dst, 100)
 
         run_ranks(sim, [sender(), receiver()])
-        assert not dst.any()
+        assert not dst[0].data.any()
 
     def test_concurrent_transfers_distinct_tags(self):
         sim, shm = make_shm(3)
         n = 20_000
-        a = np.full(n, 1, dtype=np.uint8)
-        b = np.full(n, 2, dtype=np.uint8)
-        da = np.zeros(n, dtype=np.uint8)
-        db = np.zeros(n, dtype=np.uint8)
+        a, b, da, db = buffers(
+            np.full(n, 1), np.full(n, 2), np.zeros(n), np.zeros(n)
+        )
 
         def s0():
             yield from shm.send_data(0, 2, "a", a, n)
@@ -136,7 +146,7 @@ class TestDataPath:
             yield from shm.recv_data(2, 1, "b", db, n)
 
         run_ranks(sim, [s0(), s1(), r()])
-        assert (da == 1).all() and (db == 2).all()
+        assert (da[0].data == 1).all() and (db[0].data == 2).all()
 
 
 class TestSmCollectives:
