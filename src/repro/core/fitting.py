@@ -18,6 +18,7 @@ it recovers the expected family, not a hard-coded answer.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -26,6 +27,9 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from repro.bench import microbench
+from repro.exec import context as _context
+from repro.exec.cache import CACHE_VERSION
+from repro.exec.keying import digest
 from repro.exec.sweep import cached_call, sweep_microbench
 from repro.machine.arch import Architecture
 
@@ -281,16 +285,30 @@ def fit_architecture(
     The whole pipeline's output is memoised in the active exec context's
     cache (key: arch + axes + code-version salt), so repeated
     ``Tuner.calibrated`` constructions across figures become lookups.
+    With no cache active it is memoised in-process under the same key;
+    each caller gets its own deep copy.
     """
-    return cached_call(
-        "fitting.fit_architecture",
-        (
-            arch,
-            tuple(page_counts),
-            tuple(reader_counts) if reader_counts is not None else None,
-        ),
-        lambda: _fit_architecture_fresh(arch, page_counts, reader_counts),
+    payload = (
+        arch,
+        tuple(page_counts),
+        tuple(reader_counts) if reader_counts is not None else None,
     )
+    def compute() -> FittedArchitecture:
+        return _fit_architecture_fresh(arch, page_counts, reader_counts)
+
+    ctx = _context.current()
+    if ctx is not None and ctx.cache is not None:
+        return cached_call(_FIT_KIND, payload, compute)
+    key = digest(_FIT_KIND, payload, CACHE_VERSION)
+    if key not in _FITS:
+        _FITS[key] = compute()
+    return copy.deepcopy(_FITS[key])
+
+
+_FIT_KIND = "fitting.fit_architecture"
+#: uncached-run memo of the pure Table-IV fit, keyed like the result cache
+#: (one entry per distinct arch and axes a process fits)
+_FITS: dict[str, FittedArchitecture] = {}
 
 
 def _fit_architecture_fresh(

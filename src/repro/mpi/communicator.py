@@ -113,6 +113,9 @@ class Comm:
         self.shm = ShmTransport(
             node.sim, node.params, size, verify=node.verify
         )
+        if node.fault_plan is not None:
+            # fallback helpers add sender flows: keep per-chunk trains
+            self.shm.collapse = False
         self._pids: list[int] = []
         self._placements = []
         for rank in range(size):

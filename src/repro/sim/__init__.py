@@ -19,6 +19,7 @@ from repro.sim.engine import (
     SimError,
     DeadlockError,
     Delay,
+    WakeAt,
     DelayChain,
     Acquire,
     Release,
@@ -41,6 +42,7 @@ __all__ = [
     "SimError",
     "DeadlockError",
     "Delay",
+    "WakeAt",
     "DelayChain",
     "Acquire",
     "Release",

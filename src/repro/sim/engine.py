@@ -45,6 +45,7 @@ __all__ = [
     "SimError",
     "DeadlockError",
     "Delay",
+    "WakeAt",
     "DelayChain",
     "HoldRelease",
     "Acquire",
@@ -92,6 +93,24 @@ class Delay(Command):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Delay({self.dt})"
+
+
+class WakeAt(Command):
+    """Suspend the yielding process until absolute virtual time ``t``.
+
+    For a process that folded a run of delays itself: ``t`` is the exact
+    float the chain of ``now + dt`` additions would reach, which
+    ``Delay(t - now)`` would not reproduce.  Dispatched through
+    :meth:`Simulator._dispatch`; not a hot command.
+    """
+
+    __slots__ = ("t",)
+
+    def __init__(self, t: float):
+        self.t = t
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"WakeAt({self.t})"
 
 
 class DelayChain(Command):
@@ -3029,6 +3048,13 @@ class Simulator:
                 # same timestamp.
                 proc.state = _BLOCKED
                 self._push(0.0, _K_RESUME, proc, None)
+            elif tc is WakeAt:
+                if cmd.t < self.now:
+                    raise SimError(f"cannot wake in the past (t={cmd.t!r})")
+                proc.state = _BLOCKED
+                heapq.heappush(
+                    self._heap, (cmd.t, next(self._seq), _K_RESUME, proc, None)
+                )
             elif tc is Join:
                 target = cmd.proc
                 proc.state = _BLOCKED

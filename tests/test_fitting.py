@@ -119,6 +119,30 @@ class TestFullPipeline:
         )
         assert fa.gamma.knee == 8
 
+    def test_uncached_fit_runs_once_per_process(self, small_arch, monkeypatch):
+        """With no result cache active the fit is memoised in-process:
+        the pipeline runs once per key, and every caller gets its own
+        copy, so mutating one result cannot leak into the next."""
+        monkeypatch.setattr(fitting, "_FITS", {})
+        real = fitting._fit_architecture_fresh
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fitting, "_fit_architecture_fresh", counting)
+        axes = dict(page_counts=(16,), reader_counts=(1, 4, 8))
+        first = fitting.fit_architecture(small_arch, **axes)
+        first.samples.clear()
+        first.arch_name = "mutated"
+        second = fitting.fit_architecture(small_arch, **axes)
+        assert len(calls) == 1
+        assert second.arch_name == small_arch.name and second.samples
+        assert second == fitting.fit_architecture(small_arch, **axes)
+        fitting.fit_architecture(small_arch, page_counts=(16,), reader_counts=(1, 4))
+        assert len(calls) == 2
+
     def test_table_row_formatting(self, small_arch):
         fa = fitting.fit_architecture(
             small_arch, page_counts=(16,), reader_counts=(1, 4, 8)

@@ -11,6 +11,7 @@ from repro.sim import (
     Release,
     SimError,
     Simulator,
+    WakeAt,
 )
 
 
@@ -239,3 +240,35 @@ def test_pids_are_unique():
 
     procs = [sim.spawn(noop()) for _ in range(10)]
     assert len({p.pid for p in procs}) == 10
+
+
+def test_wake_at_lands_on_the_exact_float():
+    """WakeAt reaches the float a chain of Delays reaches, which a single
+    Delay(t - now) does not: here 0.2 + ((0.2 + 0.1 + 0.4) - 0.2) != t."""
+    sim = Simulator()
+    t = 0.2 + 0.1 + 0.4
+
+    def proc():
+        yield Delay(0.2)
+        yield WakeAt(t)
+        return sim.now
+
+    p = sim.spawn(proc())
+    sim.run()
+    assert p.result == t
+    assert 0.2 + (t - 0.2) != t
+
+
+def test_wake_at_now_and_in_the_past():
+    sim = Simulator()
+
+    def proc(t):
+        yield Delay(1.0)
+        yield WakeAt(t)
+        return sim.now
+
+    now = sim.spawn(proc(1.0))
+    past = sim.spawn(proc(0.5))
+    sim.run()
+    assert now.result == 1.0
+    assert past.state == "failed" and isinstance(past.error, SimError)
