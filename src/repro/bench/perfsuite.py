@@ -43,18 +43,13 @@ SCHEMA = "bench-engine-v1"
 #: Sections whose regressions fail ``--check`` (CI).  The remaining
 #: sections (``engine``, ``sweep``) are reported but non-gating: they are
 #: dominated by host noise on shared CI runners, while ``convoy``,
-#: ``fig07``, and ``xpmem`` directly cover the convoy fast-forward and
-#: mapped-window steady-state fast paths, ``ring``/``tree``/``pairwise``
-#: plus the ``fig09``/``fig10`` walls cover the phase-shape fast-forward,
-#: ``serve`` covers the compiled-decision-table query engine (scalar
-#: and batched selection rates), and ``sched`` covers the work-stealing
-#: sweep scheduler end to end (mixed fig07+fig13 slice through
-#: ``run_specs``, cache-off and cache-warm) — losing one shows up as a
-#: >3x events/sec drop.
-GATED_SECTIONS = (
-    "convoy", "fig07", "xpmem", "ring", "tree", "pairwise", "fig09", "fig10",
-    "serve", "sched",
-)
+#: ``fig07``, and ``xpmem`` directly cover the convoy and mapped-window
+#: steady-state fast paths, ``serve`` covers the compiled-decision-table
+#: query engine (scalar and batched selection rates), and ``sched``
+#: covers the work-stealing sweep scheduler end to end (mixed
+#: fig07+fig13 slice through ``run_specs``, cache-off and cache-warm) —
+#: losing one shows up as a >3x events/sec drop.
+GATED_SECTIONS = ("convoy", "fig07", "xpmem", "serve", "sched")
 
 #: Regression factor for the gated sections.
 GATE_FACTOR = 3.0
@@ -140,43 +135,6 @@ SWEEP_SLICES_SMOKE = {
         ],
     },
 }
-
-#: Phase-shape benches: one uncontended data phase per shape, traced
-#: (unfused by construction: spans are recorded between the fused delays)
-#: vs untraced (rides RingStage/TreeRound/PairwiseExchange).
-SHAPE_PROCS = (8, 32, 64)
-#: per-rank block size: (full, smoke)
-SHAPE_ETA = (64 * 1024, 16 * 1024)
-#: timed warm rounds per repeat: (full, smoke).  One extra warmup round
-#: always runs untimed, so the rate prices the steady state the sweeps
-#: live in, not node construction or first-touch cache fills.
-SHAPE_ROUNDS = (4, 2)
-#: collective emitters behind each shape section
-_SHAPE_FNS = {
-    "ring": ("allgather", "ring_source_read"),
-    "tree": ("bcast", "direct_write"),
-    "pairwise": ("alltoall", "pairwise"),
-}
-
-#: Full-figure acceptance walls: the figure's headline collective swept
-#: over several (procs, eta) points, fused vs unfused on the same node
-#: model.  Both runs process the *same* event stream (the bit-identity
-#: contract), so ``speedup_vs_unfused`` is a pure executor-overhead ratio.
-FIG_WALLS = {
-    "fig10": ("allgather", "ring_source_read"),
-    "fig09": ("alltoall", "pairwise"),
-}
-#: The figures' headline regime is many-core (the paper's KNL has 64+
-#: cores), so the acceptance wall sweeps p ∈ {32, 64} at 64-256 KiB
-#: blocks — the geometry where per-phase event volume dwarfs the scalar
-#: control plane.  Small-p points live in the ``ring``/``pairwise``
-#: shape sections (p ∈ 8/32/64), not here.
-FIG_WALL_POINTS = [(32, 256 * 1024), (64, 64 * 1024), (64, 256 * 1024)]
-#: One mid-size point: the smoke wall must land in the same events/sec
-#: regime as the committed full-size baseline (the 3x gate compares the
-#: two), so it cannot drop to small-p geometry where scalar per-round
-#: overhead halves the rate.
-FIG_WALL_POINTS_SMOKE = [(32, 256 * 1024)]
 
 #: Serve bench: compile one decision table on this preset, then hammer
 #: the query engine.  The architecture's full size axis is the paper's
@@ -340,13 +298,12 @@ def _time_engine_bench(name: str, smoke: bool, repeats: int) -> dict:
 
 
 def _bench_convoy(readers: int, rounds: int):
-    """Contended pure pin convoys: the steady-state fast-forward workload.
+    """Contended pure pin convoys: the convoy-record workload.
 
     Every contender is a :class:`~repro.sim.engine.PinConvoy` member with
-    no copy time between batches, so after the first grants the epoch is
-    closed and pure — exactly the regime the engine collapses to its
-    closed-form loop.  The hold model mirrors the mm-lock bounce shape
-    (pure in the contender profile, hence memoisable).
+    no copy time between batches, so every hop is a convoy record and
+    every hold a memo hit.  The hold model mirrors the mm-lock bounce
+    shape (pure in the contender profile, hence memoisable).
     """
     from repro.sim.engine import PinConvoy, Simulator
     from repro.sim.resources import Mutex
@@ -525,174 +482,6 @@ def _run_xpmem_bench(smoke: bool, repeats: int) -> dict:
         for arch in ("knl", "broadwell", "power8")
     }
     return out
-
-
-def _shape_emitter(shape: str):
-    from repro.core import allgather, alltoall, bcast
-
-    return {
-        "ring": allgather.ring_source_read,
-        "tree": bcast.direct_write,
-        "pairwise": alltoall.pairwise,
-    }[shape]
-
-
-def _shape_workload(
-    shape: str, procs: int, eta: int, trace: bool, fused: bool,
-    batch: bool = False,
-):
-    """Build a node for ``shape`` and return ``(sim, run_round)``.
-
-    ``verify=False``: this times the executor, not the byte movement, and
-    the differential battery (``tests/test_phases.py``) already proves
-    fused/unfused agree on real bytes.  Tracing forces the per-span
-    generator path, so ``trace=True`` doubles as the unfused comparison
-    at identical simulated cost structure.  ``batch`` arms the vectorized
-    multi-phase drain on top of fusion (a no-op without numpy — the
-    Simulator falls back to the scalar burst, so the leg still times
-    something meaningful rather than erroring).
-
-    ``run_round`` replays one full collective round on the *same* node —
-    the warm regime every figure sweep actually runs in, where the
-    kernel's segment cache, the engine's drain plans and the builders'
-    phase cache are all hot.  Callers run one warmup round before timing.
-    """
-    from repro.machine import make_generic
-    from repro.mpi import Comm, Node
-    from repro.sim import Simulator
-
-    fn = _shape_emitter(shape)
-    node = Node(
-        make_generic(sockets=2, cores_per_socket=max(1, procs // 2)),
-        verify=False,
-        trace=trace,
-        sim=Simulator(use_phase_fusion=fused, use_batch_executor=batch),
-    )
-    comm = Comm(node, procs)
-    if shape == "ring":
-        sb, rb = eta, procs * eta
-    elif shape == "tree":
-        sb, rb = 0, eta
-    else:
-        sb = rb = procs * eta
-    sbufs = (
-        [comm.allocate(r, max(sb, 1), name="s") for r in range(procs)]
-        if sb
-        else None
-    )
-    rbufs = [comm.allocate(r, max(rb, 1), name="r") for r in range(procs)]
-
-    def gen(ctx):
-        ctx.sendbuf = sbufs[ctx.rank] if sbufs is not None else None
-        ctx.recvbuf = rbufs[ctx.rank]
-        ctx.eta = eta
-        return fn(ctx)
-
-    def run_round():
-        ranks = [comm.spawn_rank(r, gen) for r in range(procs)]
-        node.sim.run_all(ranks)
-
-    return node.sim, run_round
-
-
-def _time_shape(
-    shape: str, procs: int, eta: int, trace: bool, fused: bool,
-    batch: bool, rounds: int, repeats: int,
-):
-    """Warm-amortized wall for ``rounds`` rounds, best of ``repeats``.
-
-    One warmup round is excluded; events come from ``events_processed``
-    deltas, so the rate prices exactly the timed rounds (which process an
-    identical stream every repeat — the engine is deterministic).
-    """
-    sim, run_round = _shape_workload(shape, procs, eta, trace, fused, batch)
-    run_round()  # warmup: fill seg/plan/builder caches, fault pages
-    walls = []
-    events = 0
-    for _ in range(repeats):
-        e0 = sim.events_processed
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            run_round()
-        walls.append(time.perf_counter() - t0)
-        events = sim.events_processed - e0
-    return events, walls
-
-
-def _run_shape_bench(shape: str, smoke: bool, repeats: int) -> dict:
-    eta = SHAPE_ETA[1 if smoke else 0]
-    rounds = SHAPE_ROUNDS[1 if smoke else 0]
-    out = {}
-    for procs in SHAPE_PROCS:
-        for trace in (False, True):
-            events, walls = _time_shape(
-                shape, procs, eta, trace, fused=True, batch=not trace,
-                rounds=rounds, repeats=repeats,
-            )
-            key = f"p{procs}_traced" if trace else f"p{procs}"
-            summary = _bestof(walls)
-            out[key] = {
-                "events": events,
-                "events_per_sec": round(events / summary["wall_s"], 1),
-                **summary,
-            }
-    return out
-
-
-def _run_fig_wall(fig: str, smoke: bool, repeats: int) -> dict:
-    """Full-figure wall: the headline sweep across all three executors.
-
-    Batch (vectorized drain), burst (scalar fused) and unfused replay the
-    identical event stream (bit-identity is what the differential battery
-    asserts), so a single ``events`` count prices all three rates and
-    ``speedup_vs_unfused`` — batch over unfused — isolates executor
-    overhead: the acceptance number for the phase-shape fast-forward.
-    """
-    shape = {"fig10": "ring", "fig09": "pairwise"}[fig]
-    points = FIG_WALL_POINTS_SMOKE if smoke else FIG_WALL_POINTS
-    rounds = SHAPE_ROUNDS[1 if smoke else 0]
-    legs = {
-        "batch": dict(fused=True, batch=True),      # headline fast path
-        "burst": dict(fused=True, batch=False),     # scalar fused
-        "unfused": dict(fused=False, batch=False),  # per-step reference
-    }
-    walls: dict[str, list[float]] = {leg: [] for leg in legs}
-    events = 0
-    for leg, kw in legs.items():
-        # One warm workload per sweep point, timed together: the wall is
-        # the whole figure's warm sweep, not any single geometry.
-        loads = [
-            _shape_workload(shape, procs, eta, trace=False, **kw)
-            for procs, eta in points
-        ]
-        for _, run_round in loads:
-            run_round()  # warmup
-        for _ in range(repeats):
-            e0 = sum(sim.events_processed for sim, _ in loads)
-            t0 = time.perf_counter()
-            for _, run_round in loads:
-                for _ in range(rounds):
-                    run_round()
-            walls[leg].append(time.perf_counter() - t0)
-            events = sum(sim.events_processed for sim, _ in loads) - e0
-    summary = _bestof(walls["batch"])
-    best = summary["wall_s"]
-    best_burst = min(walls["burst"])
-    best_unf = min(walls["unfused"])
-    return {
-        "wall": {
-            "points": len(points),
-            "events": events,
-            "events_per_sec": round(events / best, 1),
-            **summary,
-            "wall_s_burst": round(best_burst, 6),
-            "events_per_sec_burst": round(events / best_burst, 1),
-            "wall_s_unfused": round(best_unf, 6),
-            "wall_s_all_unfused": [round(w, 6) for w in walls["unfused"]],
-            "events_per_sec_unfused": round(events / best_unf, 1),
-            "speedup_vs_unfused": round(best_unf / best, 2),
-        }
-    }
 
 
 def _run_serve_bench(smoke: bool, repeats: int) -> dict:
@@ -1036,17 +825,12 @@ def run_suite(smoke: bool = False, repeats: Optional[int] = None) -> dict:
         "engine": engine,
         "convoy": _run_convoy_bench(smoke, repeats),
         "xpmem": _run_xpmem_bench(smoke, repeats),
-        "ring": _run_shape_bench("ring", smoke, repeats),
-        "tree": _run_shape_bench("tree", smoke, repeats),
-        "pairwise": _run_shape_bench("pairwise", smoke, repeats),
         "fig03": _run_fig03_slice(
             FIG03_SLICE_SMOKE if smoke else FIG03_SLICE, repeats
         ),
         "fig07": _run_fig07_slice(
             FIG07_SLICE_SMOKE if smoke else FIG07_SLICE, repeats
         ),
-        "fig09": _run_fig_wall("fig09", smoke, repeats),
-        "fig10": _run_fig_wall("fig10", smoke, repeats),
         "serve": _run_serve_bench(smoke, repeats),
         "sched": _run_sched_bench(smoke, repeats),
         "sweep": {
@@ -1318,25 +1102,10 @@ def main(argv=None) -> int:
             f"saves {r['per_copy_saving_us']:7.3f} us/copy  "
             f"pays off after {r['crossover_rounds']} re-reads"
         )
-    for shape in ("ring", "tree", "pairwise"):
-        for key, r in result[shape].items():
-            print(
-                f"{shape:<6} {key:<18} {r['events']:>7} events  "
-                f"{r['wall_s']*1e3:8.1f} ms  {r['events_per_sec']:>12,.0f} ev/s"
-            )
     for section in ("fig03", "fig07"):
         for key, r in result[section].items():
             print(f"{section} {key:<24} {r['wall_s']*1e3:8.1f} ms  "
                   f"(sim {r['latency_us']:.1f} us)")
-    for fig in ("fig09", "fig10"):
-        r = result[fig]["wall"]
-        print(
-            f"{fig} wall  {r['points']} pts  {r['events']:>8} events  "
-            f"batch {r['wall_s']*1e3:8.1f} ms ({r['events_per_sec']:,.0f} ev/s)  "
-            f"burst {r['wall_s_burst']*1e3:8.1f} ms  "
-            f"unfused {r['wall_s_unfused']*1e3:8.1f} ms  "
-            f"speedup {r['speedup_vs_unfused']:.2f}x"
-        )
     sc = result["serve"]
     print(
         f"serve compile  {sc['compile']['rows']} rows  "

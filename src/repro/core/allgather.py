@@ -24,7 +24,6 @@ import math
 from typing import Generator
 
 from repro.core.common import is_power_of_two, rd_held_blocks
-from repro.core.phases import fused_ring_read, fused_ring_write
 from repro.mpi.communicator import RankCtx
 
 __all__ = [
@@ -48,15 +47,11 @@ def ring_source_read(ctx: RankCtx) -> Generator:
     addrs = yield from ctx.sm_allgather(("agr", op), ctx.sendbuf.addr)
     yield from _self_copy(ctx)
     eta = ctx.eta
-    cmd = fused_ring_read(ctx, addrs, eta) if ctx.phase_fusible() else None
-    if cmd is not None:
-        yield cmd
-    else:
-        for i in range(1, ctx.size):
-            src = (ctx.rank - i) % ctx.size
-            yield from ctx.cma_read(
-                src, ctx.recvbuf.iov(src * eta, eta), (addrs[src], eta)
-            )
+    for i in range(1, ctx.size):
+        src = (ctx.rank - i) % ctx.size
+        yield from ctx.cma_read(
+            src, ctx.recvbuf.iov(src * eta, eta), (addrs[src], eta)
+        )
     # sendbufs are being read until the very end: completion barrier
     yield from ctx.sm_barrier(("agr-fin", op))
 
@@ -67,15 +62,11 @@ def ring_source_write(ctx: RankCtx) -> Generator:
     addrs = yield from ctx.sm_allgather(("agw", op), ctx.recvbuf.addr)
     yield from _self_copy(ctx)
     eta = ctx.eta
-    cmd = fused_ring_write(ctx, addrs, eta) if ctx.phase_fusible() else None
-    if cmd is not None:
-        yield cmd
-    else:
-        for i in range(1, ctx.size):
-            dst = (ctx.rank + i) % ctx.size
-            yield from ctx.cma_write(
-                dst, ctx.sendbuf.iov(0, eta), (addrs[dst] + ctx.rank * eta, eta)
-            )
+    for i in range(1, ctx.size):
+        dst = (ctx.rank + i) % ctx.size
+        yield from ctx.cma_write(
+            dst, ctx.sendbuf.iov(0, eta), (addrs[dst] + ctx.rank * eta, eta)
+        )
     # my recvbuf keeps receiving until the last writer is done
     yield from ctx.sm_barrier(("agw-fin", op))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.common import is_power_of_two
-from repro.core.phases import fused_pairwise
 from repro.mpi.communicator import RankCtx
 from repro.mpi.pt2pt import p2p_recv, p2p_send
 from repro.sim.engine import Join
@@ -54,18 +53,14 @@ def pairwise(ctx: RankCtx) -> Generator:
     addrs = yield from ctx.sm_allgather(("a2a", op), ctx.sendbuf.addr)
     yield from _self_copy(ctx)
     eta = ctx.eta
-    cmd = fused_pairwise(ctx, addrs, eta) if ctx.phase_fusible() else None
-    if cmd is not None:
-        yield cmd
-    else:
-        for step in range(1, ctx.size):
-            peer = _peer_schedule(ctx.rank, ctx.size, step)
-            # my block inside peer's sendbuf sits at offset rank*eta
-            yield from ctx.cma_read(
-                peer,
-                ctx.recvbuf.iov(peer * eta, eta),
-                (addrs[peer] + ctx.rank * eta, eta),
-            )
+    for step in range(1, ctx.size):
+        peer = _peer_schedule(ctx.rank, ctx.size, step)
+        # my block inside peer's sendbuf sits at offset rank*eta
+        yield from ctx.cma_read(
+            peer,
+            ctx.recvbuf.iov(peer * eta, eta),
+            (addrs[peer] + ctx.rank * eta, eta),
+        )
     # nobody may reuse its sendbuf until every peer has read from it
     yield from ctx.sm_barrier(("a2a-fin", op))
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.common import chunk_partition, knomial_parent_children, nonroot_order
-from repro.core.phases import fused_fanout_write
 from repro.mpi.communicator import RankCtx
 from repro.sim.engine import Delay
 
@@ -56,18 +55,10 @@ def direct_write(ctx: RankCtx) -> Generator:
     value = None if ctx.is_root else ctx.recvbuf.addr
     addrs = yield from ctx.sm_gather(("bc-dw", op), value, root=ctx.root)
     if ctx.is_root:
-        cmd = (
-            fused_fanout_write(ctx, addrs, ctx.eta)
-            if ctx.phase_fusible()
-            else None
-        )
-        if cmd is not None:
-            yield cmd
-        else:
-            for dst in nonroot_order(ctx.size, ctx.root):
-                yield from ctx.cma_write(
-                    dst, ctx.recvbuf.iov(0, ctx.eta), (addrs[dst], ctx.eta)
-                )
+        for dst in nonroot_order(ctx.size, ctx.root):
+            yield from ctx.cma_write(
+                dst, ctx.recvbuf.iov(0, ctx.eta), (addrs[dst], ctx.eta)
+            )
     yield from ctx.sm_bcast(("bc-dw-fin", op), True, root=ctx.root)
 
 

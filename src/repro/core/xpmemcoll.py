@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.common import nonroot_order
-from repro.core.phases import fused_xpmem_pairwise, fused_xpmem_ring
 from repro.mpi.communicator import RankCtx
 
 __all__ = [
@@ -116,19 +115,12 @@ def allgather_xpmem_ring(ctx: RankCtx) -> Generator:
     if not ctx.in_place:
         yield from ctx.memcpy(ctx.recvbuf, ctx.rank * ctx.eta, ctx.sendbuf, 0, ctx.eta)
     eta = ctx.eta
-    # Cold windows (first collective on this comm) refuse to fuse — the
-    # attach + fault-in convoys run unfused — so warm repeats get the
-    # fused phase, which is the steady state the paper measures.
-    cmd = fused_xpmem_ring(ctx, wins, eta) if ctx.phase_fusible() else None
-    if cmd is not None:
-        yield cmd
-    else:
-        for i in range(1, ctx.size):
-            src = (ctx.rank - i) % ctx.size
-            src_segid, src_addr = wins[src]
-            yield from ctx.xpmem_read(
-                src, src_segid, ctx.recvbuf.iov(src * eta, eta), (src_addr, eta)
-            )
+    for i in range(1, ctx.size):
+        src = (ctx.rank - i) % ctx.size
+        src_segid, src_addr = wins[src]
+        yield from ctx.xpmem_read(
+            src, src_segid, ctx.recvbuf.iov(src * eta, eta), (src_addr, eta)
+        )
     # sendbufs are being read until the very end: completion barrier
     yield from ctx.sm_barrier(("agx-fin", op))
 
@@ -145,20 +137,16 @@ def alltoall_xpmem_pairwise(ctx: RankCtx) -> Generator:
         ctx.recvbuf, ctx.rank * ctx.eta, ctx.sendbuf, ctx.rank * ctx.eta, ctx.eta
     )
     eta = ctx.eta
-    cmd = fused_xpmem_pairwise(ctx, wins, eta) if ctx.phase_fusible() else None
-    if cmd is not None:
-        yield cmd
-    else:
-        pow2 = ctx.size & (ctx.size - 1) == 0
-        for step in range(1, ctx.size):
-            peer = ctx.rank ^ step if pow2 else (ctx.rank - step) % ctx.size
-            peer_segid, peer_addr = wins[peer]
-            # my block inside peer's sendbuf sits at offset rank*eta
-            yield from ctx.xpmem_read(
-                peer,
-                peer_segid,
-                ctx.recvbuf.iov(peer * eta, eta),
-                (peer_addr + ctx.rank * eta, eta),
-            )
+    pow2 = ctx.size & (ctx.size - 1) == 0
+    for step in range(1, ctx.size):
+        peer = ctx.rank ^ step if pow2 else (ctx.rank - step) % ctx.size
+        peer_segid, peer_addr = wins[peer]
+        # my block inside peer's sendbuf sits at offset rank*eta
+        yield from ctx.xpmem_read(
+            peer,
+            peer_segid,
+            ctx.recvbuf.iov(peer * eta, eta),
+            (peer_addr + ctx.rank * eta, eta),
+        )
     # nobody may reuse its sendbuf until every peer has read from it
     yield from ctx.sm_barrier(("a2x-fin", op))

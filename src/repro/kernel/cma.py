@@ -30,9 +30,7 @@ from repro.sim.engine import (
     Acquire,
     Delay,
     DelayChain,
-    FoldBump,
     HoldRelease,
-    PhaseCommand,
     PinConvoy,
 )
 
@@ -140,30 +138,6 @@ class CMAKernel:
         self.faults: Optional["FaultState"] = None
         self.reads = 0
         self.writes = 0
-        #: the shared non-verify completion callbacks the fused builder
-        #: attaches: single identity-stable objects so the batch drain can
-        #: recognize and fold them (see :class:`FoldBump`)
-        self._bump_reads = FoldBump(self, "reads")
-        self._bump_writes = FoldBump(self, "writes")
-        #: single-entry (npages, ncopy, beta) -> batches template cache for
-        #: the fused-phase builder: symmetric collective phases repeat the
-        #: same transfer geometry per step, and batch plans are pure in the
-        #: key, so the (read-only) list is shared across segments
-        self._batch_cache: Optional[tuple[tuple[int, int, float], list]] = None
-        #: (caller_pid, peer_pid, local, remote, write) -> segment list for
-        #: :meth:`rw_segments`: warm collective rounds re-emit the exact
-        #: same transfers, and the segments are pure in the key given the
-        #: registration state (spaces, placement, params), so re-deriving
-        #: them every round is pure emission overhead.  Invalidated on
-        #: :meth:`reset`/:meth:`register` (spaces and sockets may change);
-        #: the live gates (faults/denied/pin-convoy) stay in front.
-        self._seg_cache: dict = {}
-        #: segment-emission epoch: bumped on every invalidation of
-        #: :attr:`_seg_cache`, so value-keyed caches layered above (the
-        #: whole-phase cache in :class:`~repro.mpi.communicator.Comm`)
-        #: can tell when a cached phase may no longer match what the
-        #: per-stage builders would emit
-        self.seg_epoch = 0
 
     def register(self, pid: int, socket: int = 0) -> None:
         """Create the address space + mm lock for a new process.
@@ -177,8 +151,6 @@ class CMAKernel:
             mm.hold_scale = self.faults.scale(pid)
         self._mm_locks[pid] = mm
         self._sockets[pid] = socket
-        self._seg_cache.clear()
-        self.seg_epoch += 1
 
     def set_faults(self, state: Optional["FaultState"]) -> None:
         """Arm (or disarm) fault injection for this kernel.
@@ -207,8 +179,6 @@ class CMAKernel:
         self.faults = None
         self.reads = 0
         self.writes = 0
-        self._seg_cache.clear()  # cbs close over the old address spaces
-        self.seg_epoch += 1
         for mm in self._mm_locks.values():
             mm.reset()
         self.manager.reset_spaces()
@@ -496,104 +466,6 @@ class CMAKernel:
         else:
             self.reads += 1
         return ncopy
-
-    # -- fused-phase segment builder ------------------------------------------
-
-    def rw_segments(
-        self,
-        caller: "SimProcess",
-        pid: int,
-        local: tuple[int, int],
-        remote: tuple[int, int],
-        write: bool,
-    ) -> Optional[list]:
-        """Phase segments replaying one ``_process_vm_rw_fast`` transfer.
-
-        Returns the segment list a :class:`~repro.sim.engine.PhaseCommand`
-        needs to fast-forward a single untraced single-iovec transfer
-        bit-exactly: the fused entry+check chain, then the pin convoy —
-        same batch plan, same ``extra_dt`` float products — with the
-        verify copy and syscall-counter bump as the completion callback
-        (the exact point the unfused generator resumption runs them).
-
-        Returns ``None`` whenever the transfer cannot be mirrored —
-        faults armed, pin convoys disabled, unknown or denied pid,
-        negative lengths — and the caller must fall back to the unfused
-        emitter, which reproduces the failure semantics *and timing*
-        (e.g. EPERM surfacing after the fused entry+check delay).
-        """
-        if (
-            self.faults is not None
-            or not self.sim.use_pin_convoy
-            or pid in self.denied_pids
-            or local[1] < 0
-            or remote[1] < 0
-        ):
-            return None
-        ckey = (caller.pid, pid, local, remote, write)
-        segs = self._seg_cache.get(ckey)
-        if segs is not None:
-            return segs
-        try:
-            remote_space = self.manager.get(pid)
-        except CMAError:
-            return None
-        p = self.params
-        head = PhaseCommand.chain(p.alpha_syscall, p.alpha_check)
-        if remote[1] == 0:
-            self._seg_cache[ckey] = segs = [head]
-            return segs
-        remote_iov = [remote]
-        npages = remote_space.total_pages(remote_iov)
-        ncopy = min(local[1], remote[1])
-        beta = self.copy_beta(caller, pid)
-        key = (npages, ncopy, beta)
-        cached = self._batch_cache
-        if cached is not None and cached[0] == key:
-            batches = cached[1]
-        else:
-            pin_batch = p.pin_batch
-            batches = []
-            done_pages = 0
-            done_bytes = 0
-            while done_pages < npages:
-                b = min(pin_batch, npages - done_pages)
-                done_pages += b
-                batch_bytes = ncopy * done_pages // npages - done_bytes
-                done_bytes += batch_bytes
-                batches.append((b, batch_bytes * beta))
-            self._batch_cache = (key, batches)
-        if ncopy > 0 and self.verify:
-            caller_space = self.manager.get(caller.pid)
-            local_iov = [local]
-            if write:
-                def cb() -> None:
-                    copy_iov_bytes(
-                        caller_space, local_iov, remote_space, remote_iov, ncopy
-                    )
-                    self.writes += 1
-            else:
-                def cb() -> None:
-                    copy_iov_bytes(
-                        remote_space, remote_iov, caller_space, local_iov, ncopy
-                    )
-                    self.reads += 1
-        else:
-            cb = self._bump_writes if write else self._bump_reads
-        mm = self._mm_locks[pid]
-        self._seg_cache[ckey] = segs = [
-            head,
-            PhaseCommand.pin(
-                mm.mutex,
-                mm.hold_time,
-                batches,
-                mm=mm,
-                npages=npages,
-                memo=mm._hold_memo,
-                cb=cb,
-            ),
-        ]
-        return segs
 
     # -- convenience ----------------------------------------------------------
 

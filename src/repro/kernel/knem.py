@@ -9,8 +9,8 @@ to all three mechanisms (CMA, KNEM, LiMIC).
 
 The copies delegate to :meth:`CMAKernel.process_vm_readv`/``writev``, so
 untraced KNEM transfers ride the same fused
-:class:`~repro.sim.engine.PinConvoy` pin loop (and its steady-state epoch
-fast-forward) as plain CMA — no KNEM-specific engine path exists.
+:class:`~repro.sim.engine.PinConvoy` pin loop as plain CMA — no
+KNEM-specific engine path exists.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ paper's model covers all three mechanisms.
 
 Transfers delegate to :meth:`CMAKernel.process_vm_readv`/``writev``, so
 untraced LiMIC copies ride the same fused
-:class:`~repro.sim.engine.PinConvoy` pin loop (and its steady-state epoch
-fast-forward) as plain CMA — contention epochs collapse identically no
-matter which mechanism initiated the pin.
+:class:`~repro.sim.engine.PinConvoy` pin loop as plain CMA — contended
+pins replay identically no matter which mechanism initiated them.
 """
 
 from __future__ import annotations

@@ -114,9 +114,8 @@ class MMLock:
                 # grant/release/chain/rejoin records (same timestamps,
                 # FIFO grant order, sequence numbers and event counts;
                 # hold_time is still evaluated at grant time against live
-                # contender state) with no generator resumption per batch,
-                # and fast-forwards whole contended epochs while this
-                # lock's contenders are all convoy members.
+                # contender state) with no generator resumption per
+                # batch.
                 batches = []
                 while remaining > 0:
                     b = min(batch, remaining)

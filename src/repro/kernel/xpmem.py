@@ -53,9 +53,7 @@ from repro.sim.engine import (
     Delay,
     DelayChain,
     FaultConvoy,
-    FoldBump,
     HoldRelease,
-    PhaseCommand,
     Release,
 )
 
@@ -120,16 +118,6 @@ class XpmemKernel:
         self.page_faults = 0
         self.reads = 0
         self.writes = 0
-        #: the shared non-verify completion callbacks the fused builder
-        #: attaches: single identity-stable objects so the batch drain can
-        #: recognize and fold them (see :class:`FoldBump`)
-        self._bump_reads = FoldBump(self, "reads")
-        self._bump_writes = FoldBump(self, "writes")
-        #: (caller_pid, segid, local, remote, write) -> warm copy segment
-        #: for :meth:`copy_segment`: map/fault state only grows within a
-        #: run, so a warm verdict stays warm until :meth:`reset`; the
-        #: fault gate stays live in front.
-        self._seg_cache: dict = {}
 
     def reset(self) -> None:
         """Forget every segment, mapping and fault-in (address-space reset).
@@ -150,7 +138,6 @@ class XpmemKernel:
         self.page_faults = 0
         self.reads = 0
         self.writes = 0
-        self._seg_cache.clear()
 
     # -- export / attach ------------------------------------------------------
 
@@ -382,87 +369,3 @@ class XpmemKernel:
         else:
             self.reads += 1
         return ncopy
-
-    # -- fused-phase segment builder ------------------------------------------
-
-    def copy_segment(
-        self,
-        caller: "SimProcess",
-        segid: int,
-        local: tuple[int, int],
-        remote: tuple[int, int],
-        write: bool,
-    ):
-        """One phase segment replaying a *warm* untraced window copy.
-
-        Warm means the ``(owner, attacher)`` pair is mapped and every page
-        of the remote range has already been faulted in: the transfer is
-        then a single pin-free delay (``t_xpmem_copy + ncopy * beta``)
-        whose completion callback performs the verify copy and counter
-        bump — exactly what the unfused generator does after its lone
-        ``Delay``.  Warm segments are pure chains with no second delay,
-        so whole warm phases are ``delay_only`` and eligible for the
-        vectorized batch executor.
-
-        Returns ``None`` when the copy cannot be mirrored — cold pages
-        (their fault-in convoys take the owner's mm lock), armed faults,
-        stale or unattached segids, zero/negative lengths, ranges outside
-        the window — and the caller falls back to the unfused emitter,
-        which reproduces the error semantics and the cold-path timing.
-        """
-        cma = self.cma
-        if cma.faults is not None or local[1] < 0 or remote[1] < 0:
-            return None
-        ckey = (caller.pid, segid, local, remote, write)
-        cached = self._seg_cache.get(ckey)
-        if cached is not None:
-            return cached
-        seg = self._segids.get(segid)
-        if seg is None:
-            return None
-        pair = (seg.owner_pid, caller.pid)
-        if pair not in self._mapped:
-            return None
-        try:
-            owner_space = cma.manager.get(seg.owner_pid)
-        except CMAError:
-            return None
-        ncopy = min(local[1], remote[1])
-        if ncopy == 0:
-            return None
-        if not (
-            seg.addr <= remote[0]
-            and remote[0] + ncopy <= seg.addr + seg.nbytes
-        ):
-            return None
-        p = cma.params
-        ps = p.page_size
-        first = remote[0] // ps
-        last = (remote[0] + ncopy - 1) // ps
-        fset = self._faulted[pair]
-        for pg in range(first, last + 1):
-            if pg not in fset:
-                return None
-        beta = cma.copy_beta(caller, seg.owner_pid)
-        copy_time = p.t_xpmem_copy + ncopy * beta
-        if cma.verify:
-            caller_space = cma.manager.get(caller.pid)
-            remote_iov = [(remote[0], ncopy)]
-            local_iov = [local]
-            if write:
-                def cb() -> None:
-                    copy_iov_bytes(
-                        caller_space, local_iov, owner_space, remote_iov, ncopy
-                    )
-                    self.writes += 1
-            else:
-                def cb() -> None:
-                    copy_iov_bytes(
-                        owner_space, remote_iov, caller_space, local_iov, ncopy
-                    )
-                    self.reads += 1
-        else:
-            cb = self._bump_writes if write else self._bump_reads
-        cached = PhaseCommand.chain(copy_time, 0.0, cb)
-        self._seg_cache[ckey] = cached
-        return cached

@@ -142,16 +142,6 @@ class Comm:
         self.fallbacks = 0
         self.retries = 0
         self._fb_seq = itertools.count()
-        #: whole-phase command cache for the CMA shape builders in
-        #: :mod:`repro.core.phases`: warm rounds re-emit the exact same
-        #: phase, so the per-stage segment assembly amortizes to one
-        #: build per shape.  Keys are value-based (rank, geometry, peer
-        #: addresses) plus the kernel's ``seg_epoch``, which advances on
-        #: every registration/reset — anything that could change what
-        #: the per-stage builder would emit.  The live fusion gates
-        #: (faults armed, pin convoys off, denied pids) are re-checked
-        #: in front of every lookup.
-        self._fused_cache: dict = {}
 
     def reset(self) -> None:
         """Reset per-run transport state and the op-sequence counters.
@@ -164,7 +154,6 @@ class Comm:
         self.cma_verdicts.clear()
         self.xpmem_verdicts.clear()
         self._xpmem_attached.clear()
-        self._fused_cache.clear()
         self.fallbacks = 0
         self.retries = 0
         self._fb_seq = itertools.count()
@@ -461,53 +450,6 @@ class RankCtx:
         """Per-rank collective sequence number (identical across ranks
         because ranks invoke collectives in the same order)."""
         return next(self.comm._op_counters[self.rank])
-
-    # -- phase fusion ----------------------------------------------------------
-
-    def phase_fusible(self) -> bool:
-        """True when this rank's data phases may ride fused shape commands.
-
-        Fusion requires the untraced fast path (tracing records per-span
-        observables between the fused delays), a fault-free run (an armed
-        plan — even an empty one — routes transfers through the resilient
-        ladder, whose probe/retry control flow cannot be precomputed), and
-        the engine knob ``use_phase_fusion`` (off = the unfused reference
-        mode of the differential battery).
-        """
-        return (
-            self.sim.use_phase_fusion
-            and not self.node.tracer.enabled
-            and not self.comm.resilient
-        )
-
-    def cma_segments(
-        self,
-        peer: int,
-        local: tuple[int, int],
-        remote: tuple[int, int],
-        write: bool,
-    ) -> Optional[list]:
-        """Fused segments for one CMA transfer to/from ``peer``, or None."""
-        return self.cma.rw_segments(
-            self.proc, self.pid_of(peer), local, remote, write
-        )
-
-    def xpmem_segment(
-        self,
-        segid: Optional[int],
-        local: tuple[int, int],
-        remote: tuple[int, int],
-        write: bool,
-    ):
-        """Fused segment for one *warm* mapped-window copy, or None.
-
-        Refuses unless the MPI-layer attach cache already holds this
-        (rank, segid) pair — an unattached window would cost an attach
-        delay the fused segment cannot carry.
-        """
-        if segid is None or (self.rank, segid) not in self.comm._xpmem_attached:
-            return None
-        return self.xpmem.copy_segment(self.proc, segid, local, remote, write)
 
     # -- shm control-plane shortcuts -----------------------------------------------
 

@@ -26,10 +26,6 @@ from repro.sim.engine import (
     HoldRelease,
     PinConvoy,
     FaultConvoy,
-    PhaseCommand,
-    RingStage,
-    TreeRound,
-    PairwiseExchange,
     Join,
 )
 from repro.sim.resources import Mutex, Semaphore
@@ -49,10 +45,6 @@ __all__ = [
     "HoldRelease",
     "PinConvoy",
     "FaultConvoy",
-    "PhaseCommand",
-    "RingStage",
-    "TreeRound",
-    "PairwiseExchange",
     "Join",
     "Mutex",
     "Semaphore",

@@ -44,22 +44,11 @@ class Mutex:
     Statistics (`acquisitions`, `total_wait_us`, `max_contenders`) feed the
     ftrace-style breakdowns.
 
-    ``generation`` counts every acquire/release; ``_convoy_gen`` caches the
-    generation at which the contender set was last known to consist solely
-    of :class:`~repro.sim.engine.PinConvoy` members of this lock (the
-    *closed epoch* the engine's convoy fast-forward requires).  Convoy-
-    internal operations carry the cache forward incrementally — an acquire
-    or release by a member of a closed epoch keeps it closed — while any
-    operation by an outsider leaves it stale, which is the invalidation:
-    the engine falls back to record-at-a-time execution until an O(c)
-    rescan (:meth:`_convoy_closed`) proves the set is all-members again.
+    ``generation`` counts every acquire/release.
 
-    Grant routing is convoy-shaped, not command-shaped: a grant inspects
-    ``proc.convoy`` only, so the pin *segments* of fused phase commands
-    (:class:`~repro.sim.engine.RingStage` and friends), which install the
-    same engine-side convoy state, ride the exact same ``_K_CGRANT``
-    records and epoch accounting as a yielded ``PinConvoy`` — no
-    phase-specific branch exists here by design.
+    Grant routing is convoy-shaped: a grant inspects ``proc.convoy``
+    only, and a convoy member's grant rides a ``_K_CGRANT`` record
+    instead of a generator resumption.
     """
 
     __slots__ = (
@@ -72,7 +61,6 @@ class Mutex:
         "total_wait_us",
         "max_contenders",
         "generation",
-        "_convoy_gen",
     )
 
     def __init__(self, sim: "Simulator", name: str = "mutex"):
@@ -85,7 +73,6 @@ class Mutex:
         self.total_wait_us = 0.0
         self.max_contenders = 0
         self.generation = 0
-        self._convoy_gen = -1
 
     def reset(self) -> None:
         """Drop holder/waiter state and statistics (fresh-construction state)."""
@@ -96,7 +83,6 @@ class Mutex:
         self.total_wait_us = 0.0
         self.max_contenders = 0
         self.generation = 0
-        self._convoy_gen = -1
 
     # -- observability -------------------------------------------------------
 
@@ -117,75 +103,32 @@ class Mutex:
         same = self._socket_counts.get(socket, 0)
         return same, self.n_contenders - same
 
-    def _convoy_closed(self) -> bool:
-        """True iff every contender is a convoy member of this lock.
-
-        O(1) when the incremental cache is current; otherwise an O(c)
-        rescan that revalidates the cache on success — this is how a
-        convoy recovers the fast path after an outside contender (a
-        mid-convoy arrival) has come and gone.
-        """
-        if self._convoy_gen == self.generation:
-            return True
-        h = self.holder
-        if h is not None:
-            c = h.convoy
-            if c is None or c.lock is not self:
-                return False
-        for w, _ in self._waiters:
-            c = w.convoy
-            if c is None or c.lock is not self:
-                return False
-        self._convoy_gen = self.generation
-        return True
-
     # -- engine internals ------------------------------------------------------
 
-    def _acquire_core(self, proc: "SimProcess") -> bool:
-        """State/stats part of an acquire; True when granted immediately.
-
-        Shared by :meth:`_acquire` (which also schedules the grant record)
-        and the engine's convoy fast-forward (which tracks the grant in
-        its local loop) so both update contender counts, statistics and
-        the epoch cache identically.
-        """
+    def _acquire(self, proc: "SimProcess") -> None:
         if self.holder is proc:
             raise SimError(f"{proc.name} re-acquired non-reentrant {self.name}")
         counts = self._socket_counts
         counts[proc.socket] = counts.get(proc.socket, 0) + 1
-        g = self.generation + 1
-        self.generation = g
-        conv = proc.convoy
-        if conv is not None and conv.lock is self and self._convoy_gen == g - 1:
-            self._convoy_gen = g
+        self.generation += 1
         if self.holder is None:
             self.holder = proc
             self.acquisitions += 1
             n = 1 + len(self._waiters)
             if n > self.max_contenders:
                 self.max_contenders = n
-            return True
-        self._waiters.append((proc, self.sim.now))
-        n = 1 + len(self._waiters)
-        if n > self.max_contenders:
-            self.max_contenders = n
-        return False
-
-    def _acquire(self, proc: "SimProcess") -> None:
-        if self._acquire_core(proc):
             conv = proc.convoy
             if conv is not None and conv.lock is self:
                 self.sim._push(0.0, _K_CGRANT, conv, None)
             else:
                 self.sim._schedule_resume(0.0, proc, None)
+            return
+        self._waiters.append((proc, self.sim.now))
+        n = 1 + len(self._waiters)
+        if n > self.max_contenders:
+            self.max_contenders = n
 
-    def _release_core(self, proc: "SimProcess") -> Optional["SimProcess"]:
-        """State/stats part of a release; returns the newly granted waiter.
-
-        If the epoch was closed it stays closed: a closed epoch means the
-        holder is a member, so the release is convoy-internal, and handing
-        the lock to the next FIFO waiter cannot add an outsider.
-        """
+    def _release(self, proc: "SimProcess") -> None:
         if self.holder is not proc:
             raise SimError(
                 f"{proc.name} released {self.name} held by "
@@ -197,27 +140,19 @@ class Mutex:
             counts[proc.socket] = left
         else:
             del counts[proc.socket]
-        g = self.generation + 1
-        self.generation = g
-        if self._convoy_gen == g - 1:
-            self._convoy_gen = g
+        self.generation += 1
         if self._waiters:
             nxt, since = self._waiters.popleft()
             self.holder = nxt
             self.acquisitions += 1
             self.total_wait_us += self.sim.now - since
-            return nxt
-        self.holder = None
-        return None
-
-    def _release(self, proc: "SimProcess") -> None:
-        nxt = self._release_core(proc)
-        if nxt is not None:
             conv = nxt.convoy
             if conv is not None and conv.lock is self:
                 self.sim._push(0.0, _K_CGRANT, conv, None)
             else:
                 self.sim._schedule_resume(0.0, nxt, None)
+        else:
+            self.holder = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         h = self.holder.name if self.holder else None

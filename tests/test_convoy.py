@@ -1,20 +1,18 @@
-"""Convoy fast-forward differential battery.
+"""Convoy fast-path differential battery.
 
-The fused :class:`~repro.sim.engine.PinConvoy` path — and its steady-state
-epoch fast-forward — must be *bit-identical* to the unfused
-Acquire/HoldRelease reference: same timestamps, same FIFO grant order, same
-mutex statistics, same event counts.  Every test here runs one workload
-under all three engine modes and asserts exact equality:
+The fused :class:`~repro.sim.engine.PinConvoy` path must be
+*bit-identical* to the unfused Acquire/HoldRelease reference: same
+timestamps, same FIFO grant order, same mutex statistics, same event
+counts.  Every test here runs one workload under both engine modes and
+asserts exact equality:
 
 * ``unfused``  — ``Simulator(use_pin_convoy=False)``, the reference;
-* ``record``   — ``Simulator(use_convoy_burst=False)``, fused commands
-  executed record-at-a-time;
-* ``burst``    — ``Simulator()``, the default: fused commands plus
-  closed-epoch fast-forward.
+* ``fused``    — ``Simulator()``, the default: each pin loop is one
+  command whose per-batch hops are engine records.
 
 Coverage: collective specs on all three preset architectures (trace on and
-off), mid-convoy interlopers that join and leave (epoch invalidation and
-revalidation), hold-time errors, and a hypothesis-randomized workload mix.
+off), mid-convoy interlopers that join and leave, hold-time errors, and a
+hypothesis-randomized workload mix.
 """
 
 import pytest
@@ -38,14 +36,12 @@ from repro.sim import (
 
 MODES = {
     "unfused": {"use_pin_convoy": False},
-    "record": {"use_convoy_burst": False},
-    "burst": {},
+    "fused": {},
 }
 
 
 def _lock_stats(node):
-    """Exact per-mm-lock statistics, in pid order (``_convoy_gen`` is
-    deliberately excluded: it is a cache, not an observable)."""
+    """Exact per-mm-lock statistics, in pid order."""
     out = []
     for pid in sorted(node.cma._mm_locks):
         mm = node.cma._mm_locks[pid]
@@ -84,9 +80,8 @@ def _run_spec(spec: CollectiveSpec, sim_kw: dict):
 def _assert_modes_agree(run_one):
     """``run_one(sim_kw)`` -> comparable snapshot; all modes must match."""
     ref = run_one(MODES["unfused"])
-    for name in ("record", "burst"):
-        got = run_one(MODES[name])
-        assert got == ref, f"{name} diverged from unfused reference"
+    got = run_one(MODES["fused"])
+    assert got == ref, "fused diverged from unfused reference"
 
 
 # -- collective battery ------------------------------------------------------
@@ -129,7 +124,7 @@ def test_traced_run_identical_across_modes(archname):
         eta=120_000,
         verify=False,
     )
-    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["burst"])
+    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["fused"])
 
     def run_traced(kw):
         lat, per_rank, _events, reads, writes, stats = _run_spec(
@@ -138,9 +133,8 @@ def test_traced_run_identical_across_modes(archname):
         return lat, per_rank, reads, writes, stats
 
     ref = run_traced(MODES["unfused"])
-    for name in ("record", "burst"):
-        assert run_traced(MODES[name]) == ref
-    # timestamps (not event counts: tracing is unfused) match untraced burst
+    assert run_traced(MODES["fused"]) == ref
+    # timestamps (not event counts: tracing is unfused) match untraced fused
     assert ref[0] == untraced[0]
     assert ref[1] == untraced[1]
 
@@ -173,8 +167,7 @@ def _snapshot(node, procs):
 
 
 def test_pure_convoy_fast_forward_bit_exact():
-    """The steady-state loop's bread and butter: many pin-only readers on
-    one mm lock, whole epochs collapsed to closed form."""
+    """Many pin-only readers on one mm lock: a long contended convoy."""
     jobs = [(900_000, True, 3)] * 16
 
     def run_one(kw):
@@ -189,8 +182,8 @@ def test_pure_convoy_fast_forward_bit_exact():
 
 
 def test_interloper_joins_mid_convoy():
-    """An outside process grabbing the mm lock mid-convoy invalidates the
-    epoch; its timestamps — and everyone else's — must match unfused."""
+    """An outside process grabbing the mm lock mid-convoy queues among the
+    members; its timestamps — and everyone else's — must match unfused."""
     jobs = [(500_000, True, 2)] * 6
 
     def run_one(kw):
@@ -205,7 +198,7 @@ def test_interloper_joins_mid_convoy():
             yield Acquire(mutex)
             yield HoldRelease(mutex, hold)
 
-        # one lands mid-epoch, one after the convoys have drained
+        # one lands mid-convoy, one after the convoys have drained
         procs.append(node.sim.spawn(interloper(40.0, 9.0), name="intr0",
                                     pid=99_000, socket=0))
         procs.append(node.sim.spawn(interloper(90.0, 2.5), name="intr1",
@@ -217,9 +210,8 @@ def test_interloper_joins_mid_convoy():
 
 
 def test_interloper_leaves_and_epoch_recovers():
-    """After the outsider releases, the O(c) rescan must re-close the epoch
-    (observable as the burst mode still matching the reference while doing
-    most rounds in the fast path — correctness is what we assert here)."""
+    """An outsider that takes the lock first and then leaves for good: the
+    convoy that runs on after it must match the reference."""
     jobs = [(700_000, True, 4)] * 4
 
     def run_one(kw):
@@ -243,8 +235,8 @@ def test_interloper_leaves_and_epoch_recovers():
 
 
 def test_mixed_pure_and_copy_convoys():
-    """Copy readers (extra_dt > 0) are not 'pure': the fast-forward must
-    refuse them record-exactly while still fusing their commands."""
+    """Copy readers (extra_dt > 0) interleave their copy delays with the
+    pin-only readers' batches on one lock."""
     jobs = [
         (800_000, True, 2),
         (650_000, False, 2),
@@ -265,7 +257,7 @@ def test_mixed_pure_and_copy_convoys():
 
 
 def test_hold_error_mid_convoy_fails_identically():
-    """A hold model raising mid-epoch must fail the same process at the
+    """A hold model raising mid-convoy must fail the same process at the
     same simulated time in every mode.
 
     Drives :class:`PinConvoy` directly (no memo — an impure, call-counting
@@ -321,7 +313,7 @@ def test_hold_error_mid_convoy_fails_identically():
     _assert_modes_agree(run_one)
 
 
-# -- epoch bookkeeping unit tests --------------------------------------------
+# -- lock bookkeeping unit tests ---------------------------------------------
 
 
 def test_generation_counts_every_acquire_release():
@@ -338,27 +330,6 @@ def test_generation_counts_every_acquire_release():
     # 2 acquires + 2 releases
     assert m.generation == 4
     assert m.acquisitions == 2
-
-
-def test_convoy_closed_rescan_revalidates():
-    sim = Simulator()
-    m = Mutex(sim)
-    # empty contender set: trivially all-members, rescan caches the gen
-    assert m._convoy_gen != m.generation
-    assert m._convoy_closed()
-    assert m._convoy_gen == m.generation
-
-    class FakeProc:  # a non-member contender
-        convoy = None
-        socket = 0
-        name = "fake"
-
-    p = FakeProc()
-    assert m._acquire_core(p)
-    assert not m._convoy_closed()  # outsider holds the lock
-    assert m._release_core(p) is None
-    assert m._convoy_closed()  # outsider gone, rescan re-closes
-    assert m._convoy_gen == m.generation
 
 
 def test_hold_memo_cleared_on_reset():

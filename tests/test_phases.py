@@ -1,19 +1,20 @@
-"""Differential battery for fused phase-shape commands and the batch drain.
+"""Differential battery for the data-phase shapes across engine modes.
 
-The fused engine commands (:class:`RingStage`, :class:`TreeRound`,
-:class:`PairwiseExchange`) and the opt-in vectorized batch executor
-promise *bit-identity* with the unfused per-step path: same timestamps,
-same FIFO grant order, same lock statistics, same event counts, same
-global sequence-number allocation points.  Every test here runs the same
-workload through four engine modes and compares full result snapshots:
+The ring, pairwise, fan-out and mapped-window data phases of the native
+designs run as per-step loops of CMA/xpmem transfers.  Their pin loops
+ride the engine's convoy fast path, which promises *bit-identity* with
+the reference paths: same timestamps, same FIFO grant order, same lock
+statistics, same event counts.  Every test here runs the same workload
+through all four combinations of the engine's two flags and compares full
+result snapshots:
 
-* ``unfused`` — fusion off, the per-step reference path;
-* ``record``  — fused commands, per-record stepping (burst off);
-* ``burst``   — fused commands with the uncontended burst fast path;
-* ``batch``   — everything above plus the numpy multi-phase drain.
+* ``convoy``       — the default: pin loops as convoy commands, zero-delay
+  records on the ready deque;
+* ``unfused``      — ``use_pin_convoy=False``, the per-batch lock loops;
+* ``heap``         — ``use_ready_queue=False``, every record on the heap;
+* ``heap-unfused`` — both flags off.
 
-The batch mode is skipped (with the other three still compared) when
-numpy is unavailable: the executor is opt-in sugar, not a dependency.
+``tests/test_phase_shapes_golden.py`` pins the default mode's numbers.
 """
 
 import pytest
@@ -30,25 +31,18 @@ from repro.faults import FaultPlan
 from repro.machine import get_arch
 from repro.mpi.communicator import Comm, Node
 from repro.sim import Simulator
-from repro.sim.engine import (
-    Acquire,
-    Delay,
-    PhaseCommand,
-    Release,
-    RingStage,
-    SimError,
-)
+from repro.sim.engine import Acquire, Delay, Release
 
 MODES = {
-    "unfused": {"use_phase_fusion": False},
-    "record": {"use_phase_burst": False},
-    "burst": {},
-    "batch": {"use_batch_executor": True},
+    "convoy": {},
+    "unfused": {"use_pin_convoy": False},
+    "heap": {"use_ready_queue": False},
+    "heap-unfused": {"use_ready_queue": False, "use_pin_convoy": False},
 }
 
-#: (collective, algorithm, warm repeats) — every fused shape builder.
-#: CMA shapes repeat 3x so the drain sees warm (plan-cached) rounds;
-#: xpmem shapes run twice so round two rides the warm attach cache.
+#: (collective, algorithm, warm repeats) — every data-phase shape.
+#: CMA shapes repeat 3x so later rounds run on a warm node; xpmem shapes
+#: run twice so round two rides the warm attach cache.
 SHAPES = [
     ("allgather", "ring_source_read", 3),
     ("allgather", "ring_source_write", 3),
@@ -62,8 +56,7 @@ ARCHS = ["generic", "broadwell", "knl"]
 
 
 def _lock_stats(node):
-    """Full per-mm lock statistics: the observables the drain's
-    closed-form writebacks must reproduce exactly."""
+    """Full per-mm lock statistics."""
     out = []
     for pid in sorted(node.cma._mm_locks):
         mm = node.cma._mm_locks[pid]
@@ -121,8 +114,8 @@ def _assert_modes_identical(spec_args, repeats, interloper=None):
 )
 def test_four_mode_battery(arch, trace, collective, algorithm, repeats):
     """Warm-repeat workloads across archs and trace settings: all four
-    modes bit-identical on every round (traced runs exercise the fusion
-    refusal path — emitters must fall back without drift)."""
+    modes bit-identical on every round (traced runs take the per-span
+    kernel path in every mode)."""
     _assert_modes_identical(
         dict(collective=collective, algorithm=algorithm,
              arch=get_arch(arch), procs=6, eta=180_000, trace=trace),
@@ -131,8 +124,8 @@ def test_four_mode_battery(arch, trace, collective, algorithm, repeats):
 
 
 def test_armed_but_empty_fault_plan_forces_fallback():
-    """An armed plan — even one injecting nothing — routes through the
-    resilient ladder, which refuses fusion; all modes must agree."""
+    """An armed plan — even one injecting nothing — routes every transfer
+    through the resilient retry/fallback ladder; all modes must agree."""
     _assert_modes_identical(
         dict(collective="allgather", algorithm="ring_source_read",
              arch=get_arch("generic"), procs=6, eta=180_000,
@@ -144,8 +137,7 @@ def test_armed_but_empty_fault_plan_forces_fallback():
 @pytest.mark.parametrize("start_us", [0.0, 37.5, 900.0])
 def test_mid_phase_interloper(start_us):
     """A foreign process grabbing an mm mutex mid-collective must push
-    every mode down the identical contended path (the drain declines,
-    scalar grants queue) — no mode may fast-forward past the contention."""
+    every mode down the identical contended path."""
     def interloper(node):
         mutex = node.cma._mm_locks[min(node.cma._mm_locks)].mutex
 
@@ -179,10 +171,10 @@ if HAVE_HYPOTHESIS:
         procs=st.sampled_from([4, 6]),
     )
     def test_randomized_schedule_mixes(mix, procs):
-        """Randomized back-to-back collective mixes on one warm node:
-        fused-vs-unfused and batch-vs-scalar stay bit-identical however
-        shapes and sizes interleave (cross-collective warm state — seg
-        caches, drain plans, xpmem attach maps — must never leak drift)."""
+        """Randomized back-to-back collective mixes on one warm node: all
+        modes stay bit-identical however shapes and sizes interleave
+        (cross-collective warm state — hold memos, xpmem attach maps —
+        must never leak drift)."""
         arch = get_arch("generic")
 
         def run_mix(sim_kw):
@@ -208,58 +200,3 @@ if HAVE_HYPOTHESIS:
                 ref, ref_mode = got, mode
             else:
                 assert got == ref, f"{mode} diverged from {ref_mode}"
-
-
-def test_raising_callback_truncates_batch_drain_exactly():
-    """A segment callback raising mid-drain must fail at the scalar
-    failure point: same callback order across processes, same clock,
-    same event count, same draw position — the victim's schedule is cut
-    at the raising record while independent processes run to completion.
-    """
-    class Boom(RuntimeError):
-        pass
-
-    def build(sim_kw):
-        sim = Simulator(**sim_kw)
-        calls = []
-
-        def seg(d, tag=None):
-            cb = (lambda: calls.append(tag)) if tag else None
-            return PhaseCommand.chain(d, 0.0, cb)
-
-        def boom():
-            calls.append("boom")
-            raise Boom("cb failed")
-
-        def victim():
-            yield RingStage([seg(10.0, "a"), ("c", 7.0, 0.0, boom),
-                             seg(5.0, "z")])
-
-        def bystander():
-            yield RingStage([seg(4.0, "b1"), seg(4.0, "b2"),
-                             seg(4.0, "b3"), seg(50.0, "b4")])
-            yield Delay(1.0)
-
-        pv = sim.spawn(victim(), name="victim")
-        pb = sim.spawn(bystander(), name="bystander")
-        with pytest.raises(Boom):
-            sim.run_all([pv, pb])
-        return (tuple(calls), sim.now, sim.events_processed,
-                next(sim._seq))
-
-    scalar = build({})
-    batch = build({"use_batch_executor": True})
-    assert batch == scalar
-    # The failure is per-process: the victim's trailing segment is cut,
-    # while the bystander — independent of the failed phase — completes.
-    assert "z" not in scalar[0] and "b4" in scalar[0]
-    assert scalar[0].index("boom") == scalar[0].index("b3") + 1
-
-
-def test_phase_command_rejects_malformed_segments():
-    with pytest.raises(SimError):
-        RingStage([])
-    with pytest.raises(SimError):
-        RingStage([PhaseCommand.chain(-1.0)])
-    with pytest.raises(SimError):
-        RingStage([("p", None, None, [], None, 0, None, True, None)])

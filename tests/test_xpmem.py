@@ -1,19 +1,17 @@
 """Mapped-window (XPMEM-style) lane differential battery.
 
-The fourth kernel mechanism must honour the same three-mode contract as
+The fourth kernel mechanism must honour the same two-mode contract as
 the CMA convoy machinery (``tests/test_convoy.py``): every workload runs
 under
 
 * ``unfused``  — ``Simulator(use_pin_convoy=False)``, the reference;
-* ``record``   — ``Simulator(use_convoy_burst=False)``, fused commands
-  executed record-at-a-time;
-* ``burst``    — ``Simulator()``, the default fast path (the cold
+* ``fused``    — ``Simulator()``, the default fast path (the cold
   fault-in storm rides a :class:`~repro.sim.engine.FaultConvoy` with the
   pin-free copy fused on as its tail);
 
-and all three must agree bit-exactly: timestamps, FIFO grant order, mutex
+and both must agree bit-exactly: timestamps, FIFO grant order, mutex
 statistics, event counts, and the xpmem accounting counters.  Tracing is
-the fourth mode: it shares one code path across engines, and its
+the third mode: it shares one code path across engines, and its
 timestamps must equal the untraced runs'.
 
 Coverage: the five native xpmem collectives x three architectures, cold
@@ -36,8 +34,7 @@ from repro.sim import Delay, Simulator
 
 MODES = {
     "unfused": {"use_pin_convoy": False},
-    "record": {"use_convoy_burst": False},
-    "burst": {},
+    "fused": {},
 }
 
 _MIB = 1 << 20
@@ -88,9 +85,8 @@ def _run_spec(spec: CollectiveSpec, sim_kw: dict):
 
 def _assert_modes_agree(run_one):
     ref = run_one(MODES["unfused"])
-    for name in ("record", "burst"):
-        got = run_one(MODES[name])
-        assert got == ref, f"{name} diverged from unfused reference"
+    got = run_one(MODES["fused"])
+    assert got == ref, "fused diverged from unfused reference"
     return ref
 
 
@@ -142,14 +138,13 @@ def test_traced_run_identical_across_modes(archname, coll, alg):
         eta=120_000,
         verify=False,
     )
-    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["burst"])
+    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["fused"])
 
     def run_traced(kw):
         return _run_spec(CollectiveSpec(**spec_kw, trace=True), kw)
 
     ref = run_traced(MODES["unfused"])
-    for name in ("record", "burst"):
-        assert run_traced(MODES[name]) == ref
+    assert run_traced(MODES["fused"]) == ref
     assert ref[0] == untraced[0]  # latency
     assert ref[1] == untraced[1]  # per-rank timestamps
     assert ref[4] == untraced[4]  # xpmem accounting
@@ -394,9 +389,8 @@ def test_random_interleavings_charge_once_and_fault_once(
         return _snapshot(node, procs), node, comm, windows
 
     ref, node, comm, windows = run_one(MODES["unfused"])
-    for name in ("record", "burst"):
-        got = run_one(MODES[name])[0]
-        assert got == ref, f"{name} diverged from unfused reference"
+    got = run_one(MODES["fused"])[0]
+    assert got == ref, "fused diverged from unfused reference"
 
     expected = _expected_accounting(node, comm, n_owners, windows, scripts)
     assert node.xpmem.maps_charged == len(expected)
