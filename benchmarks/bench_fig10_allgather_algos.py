@@ -6,11 +6,13 @@ process counts; on the two-socket Broadwell, Ring-Neighbor-1 (intra-socket
 hops) beats Ring-Neighbor-5 (inter-socket hops).
 """
 
+import pytest
 
-def bench_fig10_allgather_algos(regen):
-    exp = regen("fig10")
+from repro.bench.figures import run_experiment
 
-    knl = exp.data["knl"]["grid"]  # quick mode: 32 procs = power of two
+
+def _check_shapes(exp):
+    knl = exp.data["knl"]["grid"]  # 32 procs quick, 64 full: powers of two
     big = max(knl)
     assert knl[big]["bruck"] > 1.3 * knl[big]["ring-src-rd"]
     assert knl[big]["rec-dbl"] < 1.25 * knl[big]["ring-src-rd"]
@@ -27,3 +29,14 @@ def bench_fig10_allgather_algos(regen):
         grid = exp.data[name]["grid"]
         row = grid[max(grid)]
         assert row["ring-src-rd"] <= row["ring-nbr-1"] * 1.1, name
+
+
+def bench_fig10_allgather_algos(regen):
+    _check_shapes(regen("fig10"))
+
+
+@pytest.mark.slow
+def bench_fig10_allgather_algos_full():
+    """The same shapes on the paper's full axes (64/28/160 processes,
+    sizes up to 1 MiB), run serially."""
+    _check_shapes(run_experiment("fig10", quick=False))

@@ -110,12 +110,12 @@ class MMLock:
         if not tracer.enabled:
             if self.sim.use_pin_convoy:
                 # Fast path: the whole pin loop rides one fused PinConvoy
-                # command — the engine replays the same per-batch
-                # grant/release/chain/rejoin records (same timestamps,
-                # FIFO grant order, sequence numbers and event counts;
-                # hold_time is still evaluated at grant time against live
-                # contender state) with no generator resumption per
-                # batch.
+                # command — the engine replays the per-batch
+                # grant/release/chain/rejoin records (same timestamps and
+                # FIFO grant order; hold_time is still evaluated at grant
+                # time against live contender state) with no generator
+                # resumption per batch, and folds an uncontended remainder
+                # into one record.
                 batches = []
                 while remaining > 0:
                     b = min(batch, remaining)
