@@ -7,13 +7,16 @@ medium/large range on KNL; POWER8's best throttle is ~10 (one socket's
 cores); every algorithm result verified for MPI semantics elsewhere.
 """
 
+import pytest
+
+from repro.bench.figures import run_experiment
+
 
 def _winner(row):
     return min(row, key=row.get)
 
 
-def bench_fig07_scatter_algos(regen):
-    exp = regen("fig07")
+def _check_shapes(exp):
     knl = exp.data["knl"]["grid"]
     small, big = min(knl), max(knl)
 
@@ -63,3 +66,13 @@ def bench_fig07_scatter_algos(regen):
         return row["par-read"] / best_thr
 
     assert contention_spread(exp.data["broadwell"]["grid"]) < contention_spread(knl)
+
+
+def bench_fig07_scatter_algos(regen):
+    _check_shapes(regen("fig07"))
+
+
+@pytest.mark.slow
+def bench_fig07_scatter_algos_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig07", quick=False))

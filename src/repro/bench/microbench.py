@@ -2,7 +2,9 @@
 
 These run raw CMA syscalls on a simulated node (no collective algorithms)
 and feed Figures 2, 3, 4, 6, Table III and — through
-:mod:`repro.core.fitting` — Figure 5 and Table IV.
+:mod:`repro.core.fitting` — Figure 5 and Table IV.  Only
+:func:`phase_breakdown` (Fig. 4) needs the tracer; the rest run untraced,
+on the engine's fast paths.
 """
 
 from __future__ import annotations
@@ -149,10 +151,14 @@ def lock_pin_per_page(
     """Mean lock+pin time per page with ``readers`` concurrent readers.
 
     This is the quantity whose ratio to the single-reader value is the
-    paper's contention factor gamma (Fig. 5): measured from trace spans,
-    exactly as ftrace isolates ``get_user_pages`` time.
+    paper's contention factor gamma (Fig. 5), the time ftrace isolates in
+    ``get_user_pages``.  It is read from rank 0's mm lock counters, not
+    from trace spans: ``total_wait_us + total_hold_us`` is bit-for-bit the
+    traced 'lock' + 'pin' span total (see :class:`repro.sim.resources.
+    Mutex`), and the node runs untraced, so the readers' pin loops ride
+    the convoy fast path.
     """
-    comm = _build(arch, readers + 1, trace=True)
+    comm = _build(arch, readers + 1)
     n = pages * arch.params.page_size
     srcs = [comm.allocate(0, n, f"src{i}") for i in range(readers)]
     dsts = [comm.allocate(r + 1, n, "dst") for r in range(readers)]
@@ -165,8 +171,8 @@ def lock_pin_per_page(
             yield from ctx.cma_read(0, dsts[i].iov(), srcs[i].iov())
 
     comm.run_ranks(reader)
-    ph = comm.node.tracer.total_by_phase()
-    total = ph.get("lock", 0.0) + ph.get("pin", 0.0)
+    mutex = comm.node.cma.mm_lock(comm.pid_of(0)).mutex
+    total = mutex.total_wait_us + mutex.total_hold_us
     return total / (readers * iters * pages)
 
 

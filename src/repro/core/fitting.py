@@ -7,6 +7,10 @@ The pipeline mirrors the paper exactly:
    ``alpha = T2``, ``l = (T3 - T2) / N``, ``beta = (T4 - T3) / (N*s)``.
 2. Measure per-page lock+pin time for several page counts and reader
    counts; the ratio to the single-reader value is the *measured* gamma.
+   The paper reads that time from ftrace; here it comes from the source
+   mm lock's always-on wait and hold counters, which equal the traced
+   'lock' + 'pin' span total bit for bit, so the sweep runs untraced on
+   the engine's convoy fast path.
 3. Fit ``gamma(c) = 1 + g1*(c-1) + g2*(c-1)^2`` with
    ``scipy.optimize.curve_fit`` (Levenberg-Marquardt — the Marquardt
    citation in the paper), optionally with the socket-spill knee.

@@ -214,10 +214,8 @@ def scatter_fanout_rndv(ctx: RankCtx) -> Generator:
             yield ctx.ctrl_recv(dst, ("sfr-fin", op))
     else:
         msg = yield ctx.ctrl_recv(ctx.root, ("sfr-rts", op))
-        pid, addr, n = msg.payload
-        yield from ctx.cma.read_simple(
-            ctx.proc, pid, ctx.recvbuf.iov(0, n), (addr, n)
-        )
+        _, addr, n = msg.payload
+        yield from ctx.cma_read(ctx.root, ctx.recvbuf.iov(0, n), (addr, n))
         yield ctx.ctrl_send(ctx.root, ("sfr-fin", op))
 
 
@@ -229,9 +227,9 @@ def gather_fanin_rndv(ctx: RankCtx) -> Generator:
     if ctx.is_root:
         for src in nonroot_order(ctx.size, ctx.root):
             msg = yield ctx.ctrl_recv(src, ("gfr-rts", op))
-            pid, addr, n = msg.payload
-            yield from ctx.cma.read_simple(
-                ctx.proc, pid, ctx.recvbuf.iov(src * ctx.eta, n), (addr, n)
+            _, addr, n = msg.payload
+            yield from ctx.cma_read(
+                src, ctx.recvbuf.iov(src * ctx.eta, n), (addr, n)
             )
             yield ctx.ctrl_send(src, ("gfr-fin", op))
         if not ctx.in_place:

@@ -76,11 +76,11 @@ def p2p_recv(
         yield from ctx.shm.recv_data(ctx.rank, src, ("eager", tag), out, nbytes)
         return nbytes
     msg = yield ctx.ctrl_recv(src, ("rts", tag))
-    src_pid, src_addr, src_len = msg.payload
+    _, src_addr, src_len = msg.payload
     ncopy = min(nbytes, src_len)
     yield ctx.ctrl_send(src, ("cts", tag))
-    got = yield from ctx.cma.read_simple(
-        ctx.proc, src_pid, (buf.addr + offset, ncopy), (src_addr, ncopy)
+    got = yield from ctx.cma_read(
+        src, (buf.addr + offset, ncopy), (src_addr, ncopy)
     )
     yield ctx.ctrl_send(src, ("fin", tag))
     return got

@@ -331,7 +331,8 @@ class _Convoy:
     """Engine-side state of one process's in-flight :class:`PinConvoy`."""
 
     __slots__ = ("proc", "lock", "hold_fn", "batches", "idx", "mm", "npages",
-                 "memo", "tail", "times", "p", "vs", "done", "pinned")
+                 "memo", "tail", "times", "p", "vs", "done", "pinned",
+                 "held")
 
     def __init__(self, proc: "SimProcess", cmd: PinConvoy):
         self.proc = proc
@@ -347,11 +348,13 @@ class _Convoy:
         #: in order (``None`` otherwise); ``p`` indexes the next one and
         #: ``vs`` is the sequence number it holds; ``done`` is the pending
         #: ``_K_CDONE`` heap entry; ``pinned`` the folded batches' pages
+        #: and ``held`` the lock's ``total_hold_us`` once they all released
         self.times: Optional[list] = None
         self.p = 0
         self.vs = 0
         self.done: Optional[tuple] = None
         self.pinned = 0
+        self.held = 0.0
 
 
 class SimProcess:
@@ -971,9 +974,13 @@ class Simulator:
         are the per-batch records' own float fold, ``t = t + hold`` then
         ``t = t + extra`` when ``extra != 0``.  The release record of
         the granted batch takes its sequence number here, where the grant
-        record would have scheduled it.  The lock stays marked as held by
-        the convoy; ``_K_CDONE`` settles its statistics, and a foreign
-        :meth:`Mutex._acquire` calls :meth:`_convoy_expand` first.
+        record would have scheduled it.  Nobody else can release the lock
+        before the convoy settles, so the loop also adds each batch's
+        release time minus grant time to the lock's ``total_hold_us``, in
+        batch order as the releases would, into ``conv.held``.  The lock
+        stays marked as held by the convoy; ``_K_CDONE`` settles its
+        statistics, and a foreign :meth:`Mutex._acquire` calls
+        :meth:`_convoy_expand` first.
 
         A hold model that raises or returns a negative hold for a later
         batch size leaves the convoy in per-batch state, so the failure
@@ -987,6 +994,7 @@ class Simulator:
         pinned = 0
         last = None
         hold = 0.0
+        held = conv.lock.total_hold_us
         for pages, extra in itertools.islice(conv.batches, conv.idx, None):
             if pages != last:
                 key = (pages, 1, 0)
@@ -1002,7 +1010,9 @@ class Simulator:
                 last = pages
             if pinned:
                 add(t)  # grant
+            granted = t
             t = t + hold
+            held += t - granted
             add(t)  # release
             add(t)  # chain
             if extra != 0.0:
@@ -1014,6 +1024,7 @@ class Simulator:
         conv.p = 0
         conv.vs = seq
         conv.pinned = pinned
+        conv.held = held
         conv.done = (t, seq, _K_CDONE, conv, seq)
         heapq.heappush(self._heap, conv.done)
         if times[0] < t:
@@ -1115,6 +1126,7 @@ class Simulator:
         lk.acquisitions += k
         lk.generation += 2 * k
         lk._release(conv.proc)
+        lk.total_hold_us = conv.held  # every folded hold, added in order
         if conv.mm is not None:
             conv.mm.pages_pinned += conv.pinned
         conv.proc.convoy = None
@@ -1146,16 +1158,23 @@ class Simulator:
         i0 = j = conv.idx
         rec = 0
         pinned = 0
+        # the holds of the released batches, added in batch order as
+        # their releases would have
+        held = lock.total_hold_us
+        granted = lock._granted_at
         while True:
             pages, extra = batches[j]
             kinds = [_K_CRELEASE, _K_CCHAIN]
             if j > i0:
                 kinds.insert(0, _K_CGRANT)
+                granted = times[rec]
+            hold = times[rec + (j > i0)] - granted  # release - grant
             if extra != 0.0:
                 kinds.append(_K_CREJOIN)
             if p < rec + len(kinds):
                 kind = kinds[p - rec]
                 break
+            held += hold
             rec += len(kinds)
             pinned += pages
             j += 1
@@ -1163,7 +1182,11 @@ class Simulator:
         lock.acquisitions += j - i0
         lock.generation += 2 * (j - i0)
         if kind == _K_CCHAIN or kind == _K_CREJOIN:
+            held += hold
             lock._release(conv.proc)
+        else:
+            lock._granted_at = granted
+        lock.total_hold_us = held
         if conv.mm is not None:
             conv.mm.pages_pinned += pinned
         conv.idx = j

@@ -41,8 +41,16 @@ class Mutex:
     accounting cannot leak state for waiters that are never granted (e.g.
     a deadlocked simulation being torn down).
 
-    Statistics (`acquisitions`, `total_wait_us`, `max_contenders`) feed the
-    ftrace-style breakdowns.
+    Statistics (`acquisitions`, `total_wait_us`, `total_hold_us`,
+    `max_contenders`) are always on, traced or not.  ``total_wait_us``
+    sums (grant time - request time) over contended grants, in grant
+    order; ``total_hold_us`` sums (release time - grant time) over holds,
+    in release order.  On one mutex those orders coincide with the order
+    in which the traced kernel records its 'lock' and 'pin' spans, and an
+    uncontended grant's zero wait adds nothing, so ``total_wait_us +
+    total_hold_us`` is bit-for-bit the traced lock+pin span total — the
+    number :func:`repro.bench.microbench.lock_pin_per_page` calibrates
+    gamma from without a tracer.
 
     ``generation`` counts every acquire/release.
 
@@ -52,10 +60,12 @@ class Mutex:
     convoy members per lock (``_members``); a lone member granted a lock
     with no waiters may be collapsed, which marks the lock
     (``_collapsed``) as held until the convoy finishes.  While marked,
-    ``holder``, ``acquisitions``, ``generation`` and the contender counts
-    lag the per-batch schedule; :meth:`_acquire` by any other process
-    settles them first, so every reader that holds the lock sees exact
-    state.
+    ``holder``, ``acquisitions``, ``generation``, ``total_hold_us`` and
+    the contender counts lag the per-batch schedule; :meth:`_acquire` by
+    any other process settles them first, so every reader that holds the
+    lock sees exact state.  The settle writes back the hold total the
+    collapse folded batch by batch, replacing the term the lock's own
+    :meth:`_release` added, so no hold counts twice.
     """
 
     __slots__ = (
@@ -66,10 +76,12 @@ class Mutex:
         "_socket_counts",
         "acquisitions",
         "total_wait_us",
+        "total_hold_us",
         "max_contenders",
         "generation",
         "_members",
         "_collapsed",
+        "_granted_at",
     )
 
     def __init__(self, sim: "Simulator", name: str = "mutex"):
@@ -80,12 +92,15 @@ class Mutex:
         self._socket_counts: dict[int, int] = {}
         self.acquisitions = 0
         self.total_wait_us = 0.0
+        self.total_hold_us = 0.0
         self.max_contenders = 0
         self.generation = 0
         #: in-flight PinConvoy members on this lock (engine-maintained)
         self._members = 0
         #: the collapsed convoy holding this lock, if any
         self._collapsed = None
+        #: when the current holder was granted the lock
+        self._granted_at = 0.0
 
     def reset(self) -> None:
         """Drop holder/waiter state and statistics (fresh-construction state)."""
@@ -94,10 +109,12 @@ class Mutex:
         self._socket_counts.clear()
         self.acquisitions = 0
         self.total_wait_us = 0.0
+        self.total_hold_us = 0.0
         self.max_contenders = 0
         self.generation = 0
         self._members = 0
         self._collapsed = None
+        self._granted_at = 0.0
 
     # -- observability -------------------------------------------------------
 
@@ -132,6 +149,7 @@ class Mutex:
         self.generation += 1
         if self.holder is None:
             self.holder = proc
+            self._granted_at = self.sim.now
             self.acquisitions += 1
             n = 1 + len(self._waiters)
             if n > self.max_contenders:
@@ -160,11 +178,14 @@ class Mutex:
         else:
             del counts[proc.socket]
         self.generation += 1
+        now = self.sim.now
+        self.total_hold_us += now - self._granted_at
         if self._waiters:
             nxt, since = self._waiters.popleft()
             self.holder = nxt
+            self._granted_at = now
             self.acquisitions += 1
-            self.total_wait_us += self.sim.now - since
+            self.total_wait_us += now - since
             conv = nxt.convoy
             if conv is not None and conv.lock is self:
                 self.sim._push(0.0, _K_CGRANT, conv, None)

@@ -54,6 +54,7 @@ def _lock_stats(node):
                 mm.pages_pinned,
                 m.acquisitions,
                 m.total_wait_us,
+                m.total_hold_us,
                 m.max_contenders,
                 m.generation,
                 m.holder is None,

@@ -105,7 +105,7 @@ def _lock_stats(node):
         m = mm.mutex
         out.append((
             pid, mm.pages_pinned, m.acquisitions, m.total_wait_us,
-            m.max_contenders, m.generation, m.holder is None,
+            m.total_hold_us, m.max_contenders, m.generation, m.holder is None,
             len(m._waiters), m._members,
         ))
     return out
@@ -209,8 +209,9 @@ def _run_convoy(sim_kw, plan=PLAN, interlopers=(), tail=0.0, until=None):
         procs.append(sim.spawn(script(m), name=f"intr{k}", socket=k % 2))
 
     def lock_stats():
-        return (m.acquisitions, m.total_wait_us, m.max_contenders,
-                m.generation, m.holder is None, len(m._waiters))
+        return (m.acquisitions, m.total_wait_us, m.total_hold_us,
+                m.max_contenders, m.generation, m.holder is None,
+                len(m._waiters))
 
     horizon = None
     if until is not None:
@@ -634,8 +635,9 @@ def _run_members(sim_kw, members, interlopers=()):
         tuple(p.finish_time for p in procs),
         tuple(log),
         tuple(
-            (m.acquisitions, m.total_wait_us, m.max_contenders, m.generation,
-             m.holder is None, len(m._waiters), m._members)
+            (m.acquisitions, m.total_wait_us, m.total_hold_us,
+             m.max_contenders, m.generation, m.holder is None,
+             len(m._waiters), m._members)
             for m in locks + [common]
         ),
     )

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Acquire, Delay, Mutex, Release, SimError, Simulator
+from repro.sim import (
+    Acquire, Delay, HoldRelease, Mutex, Release, SimError, Simulator,
+)
 
 
 def test_uncontended_acquire_is_instant():
@@ -151,6 +153,44 @@ def test_wait_statistics():
     # second waits 2, third waits 4
     assert lock.total_wait_us == pytest.approx(6.0)
     assert lock.max_contenders == 3
+
+
+def test_hold_statistics_sum_contended_holds_exactly():
+    """``total_hold_us`` adds (release time - grant time) per hold, in
+    release order, on the Release and the fused HoldRelease paths alike;
+    ``Mutex.reset`` clears it."""
+    sim = Simulator()
+    lock = Mutex(sim, "l")
+    holds = [0.1, 0.7, 0.3, 1e-3]
+
+    def proc(k, hold):
+        yield Delay(0.3 * k)
+        yield Acquire(lock)
+        if k % 2:
+            yield HoldRelease(lock, hold)
+        else:
+            yield Delay(hold)
+            yield Release(lock)
+
+    for k, hold in enumerate(holds):
+        sim.spawn(proc(k, hold))
+    sim.run()
+    # FIFO: each process is granted at its arrival or the previous release
+    wait = hold_sum = released = 0.0
+    for k, hold in enumerate(holds):
+        arrival = 0.3 * k
+        granted = max(arrival, released)
+        released = granted + hold
+        wait += granted - arrival
+        hold_sum += released - granted
+    assert lock.acquisitions == len(holds)
+    assert lock.total_wait_us > 0.0  # the holds really were contended
+    assert lock.total_wait_us == wait
+    assert lock.total_hold_us == hold_sum
+
+    lock.reset()
+    assert lock.total_hold_us == 0.0
+    assert lock.total_wait_us == 0.0
 
 
 def test_no_wait_state_leak_after_deadlock():
