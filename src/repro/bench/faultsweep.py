@@ -20,6 +20,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro.bench.report import sweep_summary
 from repro.core.runner import CollectiveResult, CollectiveSpec
 from repro.exec import context as exec_context
 from repro.exec.sweep import run_specs
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
     with exec_context.use_context(ctx):
         groups = run_fault_matrix(plans, arch, procs=args.procs, eta=args.eta)
     print(render_table(plan_texts, groups))
-    print(f"\n[{ctx.stats.describe()}]")
+    print(f"\n{sweep_summary(ctx.stats)}")
     return 0
 
 

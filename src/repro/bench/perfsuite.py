@@ -4,9 +4,8 @@ Unlike everything else under :mod:`repro.bench`, this module measures
 *host* wall-clock time, not simulated microseconds.  It exists so that
 engine optimisations are measured rather than asserted: the suite emits
 ``BENCH_engine.json`` with events/sec for a set of engine microbenches,
-per-point wall time for representative Fig 3 / Fig 7 slices, and scalar +
-batched selection rates for the compiled serve-layer decision tables, and
-CI replays it (``--smoke --check BENCH_engine.json``) to catch gross
+per-point wall time for representative Fig 3 / Fig 7 slices and the
+sweep scheduler, and CI replays it (``--smoke --check BENCH_engine.json``) to catch gross
 regressions.
 
 The benches use only the public simulator API (``Simulator``, ``Delay``,
@@ -44,12 +43,11 @@ SCHEMA = "bench-engine-v1"
 #: sections (``engine``, ``sweep``) are reported but non-gating: they are
 #: dominated by host noise on shared CI runners, while ``convoy``,
 #: ``fig07``, and ``xpmem`` directly cover the convoy and mapped-window
-#: steady-state fast paths, ``serve`` covers the compiled-decision-table
-#: query engine (scalar and batched selection rates), and ``sched``
-#: covers the work-stealing sweep scheduler end to end (mixed
-#: fig07+fig13 slice through ``run_specs``, cache-off and cache-warm) —
-#: losing one shows up as a >3x events/sec drop.
-GATED_SECTIONS = ("convoy", "fig07", "xpmem", "serve", "sched")
+#: steady-state fast paths, and ``sched`` covers the work-stealing sweep
+#: scheduler end to end (mixed fig07+fig13 slice through ``run_specs``,
+#: cache-off and cache-warm) — losing one shows up as a >3x events/sec
+#: drop.
+GATED_SECTIONS = ("convoy", "fig07", "xpmem", "sched")
 
 #: Regression factor for the gated sections.
 GATE_FACTOR = 3.0
@@ -135,21 +133,6 @@ SWEEP_SLICES_SMOKE = {
         ],
     },
 }
-
-#: Serve bench: compile one decision table on this preset, then hammer
-#: the query engine.  The architecture's full size axis is the paper's
-#: headline (16 MiB on KNL); the smoke axis stops at 1 MiB so CI compiles
-#: in seconds — per-query cost is size-independent, so the smoke rates
-#: land in the same regime as the committed full baseline and the 3x gate
-#: stays meaningful.
-SERVE_ARCH = "knl"
-#: largest compiled message size: (full, smoke)
-SERVE_ETA_MAX = (16 << 20, 1 << 20)
-#: scalar lookups per timed repeat: (full, smoke)
-SERVE_SCALAR_QUERIES = (200_000, 20_000)
-#: batched lookups per timed repeat: (full, smoke)
-SERVE_BATCH_QUERIES = (1_000_000, 100_000)
-
 
 def _bestof(walls: list[float]) -> dict:
     """Best-of-N wall summary with spread.
@@ -484,101 +467,6 @@ def _run_xpmem_bench(smoke: bool, repeats: int) -> dict:
     return out
 
 
-def _run_serve_bench(smoke: bool, repeats: int) -> dict:
-    """Compile a decision table, then price the serve-layer query paths.
-
-    ``compile`` reports the one-time table build (wall, rows, breakpoints,
-    verification probes, the tuner's bounded-memo hit/miss split) but
-    carries no ``events_per_sec`` key, so the regression gate skips it —
-    compile cost is a build-time concern, not a serving-path one.  The
-    ``scalar`` and ``batch`` points *are* gated: each stores its
-    queries/sec under ``events_per_sec`` (a query is the serve engine's
-    event), so the generic >3x check covers selection throughput with no
-    special-casing.  Queries draw random sizes over the whole compiled
-    axis — mostly LRU-front misses, i.e. the rate prices the bisect path,
-    not the cache.
-    """
-    import random as _random
-
-    from repro.machine import get_arch
-    from repro.serve import CompileStats, QueryEngine, compile_table
-    from repro.serve.query import HAVE_NUMPY
-
-    idx = 1 if smoke else 0
-    arch = get_arch(SERVE_ARCH)
-    eta_max = SERVE_ETA_MAX[idx]
-    stats = CompileStats()
-    t0 = time.perf_counter()
-    table = compile_table(arch, eta_max=eta_max, stats=stats)
-    compile_wall = time.perf_counter() - t0
-    engine = QueryEngine(table)
-    p = arch.default_procs
-    colls = table.collectives
-    rng = _random.Random("serve-bench")
-
-    n_scalar = SERVE_SCALAR_QUERIES[idx]
-    queries = [
-        (colls[i % len(colls)], rng.randint(1, eta_max), p)
-        for i in range(n_scalar)
-    ]
-    lookup = engine.lookup
-    scalar_walls = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for coll, eta, pp in queries:
-            lookup(coll, eta, pp)
-        scalar_walls.append(time.perf_counter() - t0)
-
-    n_batch = SERVE_BATCH_QUERIES[idx]
-    cids = [engine.collective_id(c) for c in colls]
-    coll_ids = [cids[i % len(cids)] for i in range(n_batch)]
-    etas = [rng.randint(1, eta_max) for _ in range(n_batch)]
-    procs = [p] * n_batch
-    if HAVE_NUMPY:
-        import numpy as np
-
-        coll_ids = np.asarray(coll_ids, dtype=np.int64)
-        etas = np.asarray(etas, dtype=np.int64)
-        procs = np.asarray(procs, dtype=np.int64)
-    batch_walls = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        engine.lookup_batch(coll_ids, etas, procs)
-        batch_walls.append(time.perf_counter() - t0)
-
-    front = engine.stats()["front"]
-    scalar_best = _bestof(scalar_walls)
-    batch_best = _bestof(batch_walls)
-    return {
-        # no events_per_sec key: reported in the baseline, skipped by the gate
-        "compile": {
-            "wall_s": round(compile_wall, 6),
-            "rows": len(table.rows),
-            "breakpoints": table.breakpoints_total,
-            "decisions": len(table.decisions),
-            "probes": stats.probes,
-            "tuner_hits": stats.tuner_hits,
-            "tuner_misses": stats.tuner_misses,
-            "eta_max": eta_max,
-        },
-        "scalar": {
-            "queries": n_scalar,
-            "events_per_sec": round(n_scalar / scalar_best["wall_s"], 1),
-            "queries_per_sec": round(n_scalar / scalar_best["wall_s"], 1),
-            "front_hits": front["hits"],
-            "front_misses": front["misses"],
-            **scalar_best,
-        },
-        "batch": {
-            "queries": n_batch,
-            "backend": "numpy" if HAVE_NUMPY else "scalar",
-            "events_per_sec": round(n_batch / batch_best["wall_s"], 1),
-            "queries_per_sec": round(n_batch / batch_best["wall_s"], 1),
-            **batch_best,
-        },
-    }
-
-
 # --------------------------------------------------------------------------
 # End-to-end slices (uncached, serial: no exec context is active here, so
 # the @_sweepable microbenches run as plain calls).
@@ -703,7 +591,7 @@ def _run_sched_bench(smoke: bool, repeats: int) -> dict:
     - ``serial_warm`` — the pre-scheduler reference: one warm
       :class:`~repro.core.runner.NodePool`, points run in a plain loop.
     - ``sched`` — the same points through :func:`repro.exec.sweep.run_specs`
-      under ``ExecContext(sched="steal")``, cache off: prices chunking,
+      under ``ExecContext(workers="auto")``, cache off: prices chunking,
       routing, and (on multi-CPU hosts) the sticky pool fan-out.  Chunk,
       steal, and cost-model-error counters ride along as plain fields.
     - ``sched_cached`` — an untimed cold pass fills a throwaway sharded
@@ -756,7 +644,7 @@ def _run_sched_bench(smoke: bool, repeats: int) -> dict:
     sched_walls = []
     sched_info: dict = {}
     for _ in range(repeats):
-        with use_context(ExecContext(workers="auto", sched="steal")) as ctx:
+        with use_context(ExecContext(workers="auto")) as ctx:
             t0 = time.perf_counter()
             run_specs(specs)
             sched_walls.append(time.perf_counter() - t0)
@@ -771,7 +659,7 @@ def _run_sched_bench(smoke: bool, repeats: int) -> dict:
     cache_dir = tempfile.mkdtemp(prefix="repro-sched-bench-")
     try:
         with use_context(
-            ExecContext(workers="auto", sched="steal", cache=ResultCache(cache_dir))
+            ExecContext(workers="auto", cache=ResultCache(cache_dir))
         ):
             run_specs(specs)  # cold fill, untimed
         cached_walls = []
@@ -780,9 +668,7 @@ def _run_sched_bench(smoke: bool, repeats: int) -> dict:
             # A fresh ResultCache handle each repeat: the timed path is the
             # sharded batched on-disk read, not a warmed in-process object.
             with use_context(
-                ExecContext(
-                    workers="auto", sched="steal", cache=ResultCache(cache_dir)
-                )
+                ExecContext(workers="auto", cache=ResultCache(cache_dir))
             ) as ctx:
                 t0 = time.perf_counter()
                 run_specs(specs)
@@ -831,7 +717,6 @@ def run_suite(smoke: bool = False, repeats: Optional[int] = None) -> dict:
         "fig07": _run_fig07_slice(
             FIG07_SLICE_SMOKE if smoke else FIG07_SLICE, repeats
         ),
-        "serve": _run_serve_bench(smoke, repeats),
         "sched": _run_sched_bench(smoke, repeats),
         "sweep": {
             name: _run_sweep_bench(sl, repeats) for name, sl in slices.items()
@@ -1106,18 +991,6 @@ def main(argv=None) -> int:
         for key, r in result[section].items():
             print(f"{section} {key:<24} {r['wall_s']*1e3:8.1f} ms  "
                   f"(sim {r['latency_us']:.1f} us)")
-    sc = result["serve"]
-    print(
-        f"serve compile  {sc['compile']['rows']} rows  "
-        f"{sc['compile']['breakpoints']} breakpoints  "
-        f"{sc['compile']['wall_s']*1e3:8.1f} ms"
-    )
-    for key in ("scalar", "batch"):
-        r = sc[key]
-        print(
-            f"serve {key:<8} {r['queries']:>9} queries  "
-            f"{r['wall_s']*1e3:8.1f} ms  {r['queries_per_sec']:>12,.0f} q/s"
-        )
     for name, r in result["sched"].items():
         line = (
             f"sched {name:<13} {r['points']:>3} pts  "

@@ -73,7 +73,6 @@ def build_timeline(stats, keep_chunks: bool = True) -> dict:
 def run_profile(
     which: str = "mixed",
     workers=None,
-    stealing: bool = True,
     keep_chunks: bool = True,
 ) -> dict:
     from repro.exec import resolve_workers
@@ -81,7 +80,7 @@ def run_profile(
     from repro.exec.sweep import _exec_point, _pool_group_key, _slim_point
 
     specs = _slice_specs(which)
-    points = [_slim_point(s, warm=True) for s in specs]
+    points = [_slim_point(s) for s in specs]
     cm = CostModel()
     costs = [cm.cost(p) for p in points]
     groups = [_pool_group_key(p) for p in points]
@@ -93,7 +92,6 @@ def run_profile(
         workers=nworkers,
         costs=costs,
         groups=groups,
-        stealing=stealing,
         profile=True,
     )
     wall = time.perf_counter() - t0
@@ -103,7 +101,6 @@ def run_profile(
         "points": stats.points,
         "workers": stats.workers,
         "pooled": stats.pooled,
-        "stealing": stealing,
         "chunks": stats.chunks,
         "steals": stats.steals,
         "chunk_sizes": stats.chunk_sizes,
@@ -134,9 +131,6 @@ def main(argv=None) -> int:
         help="worker count (default: auto = CPU count; inline on 1-CPU hosts)",
     )
     parser.add_argument(
-        "--nosteal", action="store_true", help="disable whole-group stealing"
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="include the raw per-chunk records in each worker's timeline",
@@ -149,7 +143,6 @@ def main(argv=None) -> int:
     payload = run_profile(
         which=args.slice,
         workers=args.workers,
-        stealing=not args.nosteal,
         keep_chunks=args.profile,
     )
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

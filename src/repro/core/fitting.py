@@ -42,7 +42,6 @@ __all__ = [
     "BaseParams",
     "GammaSample",
     "GammaFit",
-    "StreamingGammaFit",
     "measure_steps",
     "derive_base_params",
     "measure_gamma",
@@ -221,41 +220,6 @@ def _fit_gamma_fresh(
     return GammaFit(
         g1=popt[0], g2=popt[1], spill=popt[2], knee=knee, residual=resid
     )
-
-
-@dataclass
-class StreamingGammaFit:
-    """Incrementally refit gamma(c) as telemetry samples stream in.
-
-    The paper's gamma is fitted once from a dedicated microbench sweep;
-    in service, new lock-contention evidence keeps arriving (fault-profile
-    sweeps, multi-tenant telemetry).  ``observe`` folds a batch of new
-    :class:`GammaSample` points into the pooled sample set and re-runs the
-    NLLS fit over the pool — the samples are the sufficient statistic for
-    the fit, so pooling *is* the incremental update, and because
-    :func:`fit_gamma` memoises through the active exec-context cache, a
-    replayed pool costs a lookup, not a solve.
-    """
-
-    knee: Optional[int] = None
-    samples: list[GammaSample] = field(default_factory=list)
-    fit: Optional[GammaFit] = None
-    refits: int = 0
-
-    def seed(self, samples: Sequence[GammaSample], fit: Optional[GammaFit] = None) -> None:
-        """Initialise the pool (e.g. from the Table-IV pipeline's samples)
-        without counting a refit; ``fit`` records the fit they produced."""
-        self.samples = list(samples)
-        self.fit = fit
-
-    def observe(self, new_samples: Sequence[GammaSample]) -> GammaFit:
-        """Fold ``new_samples`` into the pool and refit; returns the fit."""
-        self.samples.extend(new_samples)
-        if not self.samples:
-            raise ValueError("no gamma samples to fit")
-        self.fit = fit_gamma(self.samples, knee=self.knee)
-        self.refits += 1
-        return self.fit
 
 
 @dataclass

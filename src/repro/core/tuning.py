@@ -30,9 +30,7 @@ def apply_gamma(arch: Architecture, fit) -> Architecture:
     """A copy of ``arch`` whose model prices contention with ``fit``.
 
     ``fit`` is a :class:`~repro.core.fitting.GammaFit` (duck-typed: g1/g2/
-    spill/knee).  Used by :meth:`Tuner.calibrated` and by the serve layer's
-    streaming refit, which must rebuild tuners from fresh telemetry fits
-    without re-running the whole Table-IV pipeline.
+    spill/knee).  Used by :meth:`Tuner.calibrated`.
     """
     from dataclasses import replace as _replace
 
@@ -72,8 +70,7 @@ class Tuner:
     (and its architecture tables) for the life of the process — under
     sweep-scale query mixes that grows without limit.  The per-instance
     cache dies with the tuner, and its hit/miss counters are exposed via
-    :meth:`choose_cache_stats` so the serve layer can report how much of a
-    table compile was memo traffic.
+    :meth:`choose_cache_stats`.
     """
 
     #: default per-instance ``choose`` memo bound

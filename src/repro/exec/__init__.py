@@ -1,10 +1,12 @@
 """Parallel sweep execution and persistent result/fit caching.
 
 The evaluation sweeps (Figs 2–18, Tabs III–VII) are embarrassingly
-parallel: every point builds a fresh simulated node.  This package fans
-points out over a ``ProcessPoolExecutor`` and memoises per-point results
-and NLLS fit outputs in a content-addressed on-disk cache, while keeping
-one hard guarantee: **parallel == serial == cached, byte for byte**
+parallel: every point runs on a fresh or reset simulated node.  This
+package computes cache misses through one dispatcher — the work-stealing
+scheduler of :mod:`repro.exec.sched`, on a pool of sticky worker
+processes or inline — and memoises per-point results and NLLS fit outputs
+in a content-addressed on-disk cache, while keeping one hard guarantee:
+**parallel == serial == cached, byte for byte**
 (``tests/test_exec_differential.py`` enforces it).
 
 Quick use::

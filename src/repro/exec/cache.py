@@ -2,14 +2,9 @@
 
 Entries live under a sharded directory tree (``REPRO_CACHE_DIR`` or
 ``~/.cache/repro-exec``), one pickle per key, written atomically.  The
-shard of a key is a hex prefix of its digest (``REPRO_CACHE_SHARDS``
-selects 1 / 16 / 256 / 4096 subdirectories; 256 — two hex chars — is the
-default and matches the layout every prior version wrote), so a
-million-entry cache never funnels into one directory.  Keys are
-placement-independent: changing the shard count never invalidates an
-entry, because :meth:`ResultCache.get` transparently probes the other
-layouts on a miss and migrates a found entry into the current one with a
-single ``os.replace`` (no ``CACHE_VERSION`` bump — only placement moves).
+shard of a key is the first two hex characters of its digest (256
+subdirectories, the layout every version has written), so a
+million-entry cache never funnels into one directory.
 
 The key already embeds a code-version salt (:data:`CACHE_VERSION`), and
 every entry re-states the salt it was written under plus a CRC-32 of its
@@ -52,12 +47,9 @@ __all__ = [
     "ResultCache",
     "CACHE_VERSION",
     "ENV_CACHE_DIR",
-    "ENV_CACHE_SHARDS",
     "ENV_CACHE_FSYNC",
-    "DEFAULT_SHARDS",
     "DEFAULT_MAX_QUARANTINE",
     "default_cache_dir",
-    "resolve_shards",
     "resolve_cache_fsync",
 ]
 
@@ -70,21 +62,15 @@ __all__ = [
 CACHE_VERSION = "repro-exec-v3"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_SHARDS = "REPRO_CACHE_SHARDS"
 ENV_CACHE_FSYNC = "REPRO_CACHE_FSYNC"
 
-#: Default shard count: 256 subdirectories keyed on the first two hex
-#: chars of the digest — byte-identical to the paths all earlier versions
-#: wrote, so upgrading never triggers a migration.
-DEFAULT_SHARDS = 256
+#: hex-prefix length of a key's shard directory (256 shards)
+_SHARD_WIDTH = 2
 
 #: ``quarantine/`` keeps at most this many corrupt entries as evidence;
 #: beyond it the oldest files are evicted so a recurring corruption
 #: source (bad disk, torn writer) cannot grow the directory unboundedly.
 DEFAULT_MAX_QUARANTINE = 64
-
-#: shard count -> hex-prefix length used as the subdirectory name
-_SHARD_WIDTHS = {1: 0, 16: 1, 256: 2, 4096: 3}
 
 _QUARANTINE_DIR = "quarantine"
 
@@ -94,34 +80,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-exec"
-
-
-def resolve_shards(shards: Any = None) -> int:
-    """Explicit argument > ``REPRO_CACHE_SHARDS`` > 256.
-
-    Only powers of 16 map onto hex-prefix directories, so the legal
-    values are exactly 1, 16, 256, and 4096.
-    """
-    if shards is None:
-        raw = os.environ.get(ENV_CACHE_SHARDS, "").strip()
-        if not raw:
-            return DEFAULT_SHARDS
-        shards = raw
-    if isinstance(shards, str):
-        try:
-            shards = int(shards)
-        except ValueError:
-            raise ValueError(
-                f"invalid shard count {shards!r} (set {ENV_CACHE_SHARDS} to "
-                f"one of {sorted(_SHARD_WIDTHS)})"
-            ) from None
-    shards = int(shards)
-    if shards not in _SHARD_WIDTHS:
-        raise ValueError(
-            f"invalid shard count {shards} (hex-prefix sharding supports "
-            f"{sorted(_SHARD_WIDTHS)})"
-        )
-    return shards
 
 
 def resolve_cache_fsync(fsync: Optional[bool] = None) -> bool:
@@ -150,14 +108,11 @@ class ResultCache:
         self,
         root: Optional[os.PathLike | str] = None,
         salt: str = CACHE_VERSION,
-        shards: Any = None,
         max_quarantine: int = DEFAULT_MAX_QUARANTINE,
         fsync: Optional[bool] = None,
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt
-        self.shards = resolve_shards(shards)
-        self._width = _SHARD_WIDTHS[self.shards]
         self.fsync = resolve_cache_fsync(fsync)
         self.max_quarantine = max(int(max_quarantine), 1)
         #: entries found corrupt and moved aside since construction
@@ -169,22 +124,8 @@ class ResultCache:
     def key_for(self, kind: str, payload: Any) -> str:
         return digest(kind, payload, self.salt)
 
-    def _path_at(self, key: str, width: int) -> Path:
-        if width:
-            return self.root / key[:width] / f"{key}.pkl"
-        return self.root / f"{key}.pkl"
-
     def path_for(self, key: str) -> Path:
-        return self._path_at(key, self._width)
-
-    def _alt_paths(self, key: str) -> List[Path]:
-        """The same key's path under every *other* supported layout,
-        legacy two-char prefix first (the layout all prior versions
-        wrote, hence the likeliest hit)."""
-        order = [2, 0, 1, 3]
-        return [
-            self._path_at(key, w) for w in order if w != self._width
-        ]
+        return self.root / key[:_SHARD_WIDTH] / f"{key}.pkl"
 
     # -- reads ---------------------------------------------------------------
 
@@ -226,37 +167,12 @@ class ResultCache:
             self._quarantine(path)
 
     def get(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; corrupted/stale entries count as misses.
-
-        A key missing from the current shard layout is probed under the
-        other layouts (read-through migration): a valid entry found there
-        is served *and* moved into the current layout, so a cache written
-        at a different ``REPRO_CACHE_SHARDS`` drains into the new
-        placement as it is read, no bulk migration required.
-        """
+        """Return ``(hit, value)``; corrupted/stale entries count as misses."""
         path = self.path_for(key)
         status, value = self._read_entry(path)
         if status == "hit":
             return True, value
-        if status == "missing":
-            return self._get_migrate(key, path)
         self._dispose(status, path)
-        return False, None
-
-    def _get_migrate(self, key: str, dest: Path) -> Tuple[bool, Any]:
-        """Probe alternate shard layouts for ``key``; migrate on hit."""
-        for alt in self._alt_paths(key):
-            status, value = self._read_entry(alt)
-            if status == "missing":
-                continue
-            if status == "hit":
-                try:
-                    self._ensure_dir(dest.parent)
-                    os.replace(alt, dest)
-                except OSError:
-                    pass  # serving the value is what matters
-                return True, value
-            self._dispose(status, alt)
         return False, None
 
     def get_many(self, keys: Sequence[str]) -> List[Tuple[bool, Any]]:
@@ -289,11 +205,8 @@ class ResultCache:
                 if status == "hit":
                     out.append((True, value))
                     continue
-                if status != "missing":
-                    self._dispose(status, path)
-                    out.append((False, None))
-                    continue
-            out.append(self._get_migrate(key, path))
+                self._dispose(status, path)
+            out.append((False, None))
         return out
 
     # -- writes --------------------------------------------------------------

@@ -2,38 +2,24 @@
 
 A context is pushed around a sweep (``with use_context(ExecContext(...))``)
 and every sweep point executed underneath it — collective runs, microbench
-points, NLLS fits — consults its cache and its process pool.  With no
+points, NLLS fits — consults its cache and its scheduler pool.  With no
 active context everything runs serial and uncached, exactly as the seed
 code did.
 
-Environment knobs (both honoured only where no explicit argument wins):
+Environment knobs (honoured only where no explicit argument wins):
 
 * ``REPRO_EXEC_WORKERS`` — pool size; ``1`` (or unset) means serial,
   ``auto`` means one worker per CPU.
 * ``REPRO_CACHE_DIR`` — enables the on-disk cache at that directory for
   ``run_experiment`` / the CLIs.
-* ``REPRO_WARM_NODES`` — set to ``0``/``off``/``false``/``no`` to disable
-  warm-node reuse (every point builds a fresh simulated node, the pre-PR-3
-  behaviour).  On by default; results are bit-identical either way.
-* ``REPRO_POINT_TIMEOUT_S`` — per-point wall-clock budget (seconds, float)
-  for pooled sweep points; unset/``0`` means unbounded (the default).
-* ``REPRO_POINT_RETRIES`` — how many times a timed-out point is re-submitted
-  before the sweep raises :class:`~repro.exec.pool.PointTimeoutError`.
-* ``REPRO_SCHED`` — sweep scheduler mode: ``steal`` (the default:
-  cost-model chunking, sticky warm-node routing, work stealing),
-  ``nosteal`` (same scheduler, stealing disabled — for A/B runs), or
-  ``off`` (the legacy fixed-chunk ``executor.map`` fan-out).  Results are
-  bit-identical in every mode.
-* ``REPRO_CACHE_SHARDS`` — cache shard count (1/16/256/4096 hex-prefix
-  subdirectories; see :mod:`repro.exec.cache`).
 * ``REPRO_SWEEP_JOURNAL`` — directory for the write-ahead sweep journal
   (:mod:`repro.exec.journal`): every completed point is logged durably, so
   a killed run resumes instead of restarting.  Unset means no journal.
 
 The context also owns the :class:`~repro.exec.sched.CircuitBreaker`: the
-systemic-failure ladder that degrades dispatch ``sched`` → ``legacy`` →
-``serial`` when a whole pool layer keeps breaking (worker-level trouble
-is handled below it, by the scheduler's supervision).
+systemic-failure ladder that degrades dispatch ``sched`` → ``serial``
+when the scheduler's pool keeps breaking (worker-level trouble is
+handled below it, by the scheduler's supervision).
 """
 
 from __future__ import annotations
@@ -47,45 +33,15 @@ from repro.exec.cache import ENV_CACHE_DIR, ResultCache
 
 __all__ = [
     "ENV_WORKERS",
-    "ENV_WARM_NODES",
-    "ENV_POINT_TIMEOUT",
-    "ENV_POINT_RETRIES",
-    "ENV_SCHED",
     "SweepStats",
     "ExecContext",
     "current",
     "use_context",
     "from_env",
     "resolve_workers",
-    "resolve_warm_nodes",
-    "resolve_point_timeout",
-    "resolve_point_retries",
-    "resolve_sched",
 ]
 
 ENV_WORKERS = "REPRO_EXEC_WORKERS"
-ENV_WARM_NODES = "REPRO_WARM_NODES"
-ENV_POINT_TIMEOUT = "REPRO_POINT_TIMEOUT_S"
-ENV_POINT_RETRIES = "REPRO_POINT_RETRIES"
-ENV_SCHED = "REPRO_SCHED"
-
-_SCHED_ALIASES = {
-    "": "steal",
-    "steal": "steal",
-    "on": "steal",
-    "1": "steal",
-    "true": "steal",
-    "yes": "steal",
-    "nosteal": "nosteal",
-    "no-steal": "nosteal",
-    "no_steal": "nosteal",
-    "off": "off",
-    "0": "off",
-    "false": "off",
-    "no": "off",
-    "none": "off",
-    "legacy": "off",
-}
 
 
 @dataclass
@@ -104,8 +60,8 @@ class SweepStats:
     #: wall seconds spent computing cache misses (the sweep's simulator
     #: cost, as opposed to ``wall_s`` which spans the whole context).
     run_wall_s: float = 0.0
-    #: scheduler counters (zero when the legacy fan-out ran): chunks
-    #: dispatched, whole-group steals, points routed through the
+    #: scheduler counters (zero when every miss ran in the plain loop):
+    #: chunks dispatched, whole-group steals, points routed through the
     #: scheduler, and points recomputed inline after a pool failure
     sched_chunks: int = 0
     sched_steals: int = 0
@@ -129,16 +85,16 @@ class SweepStats:
     sched_hung_kills: int = 0
     sandbox_rescues: int = 0
     poisoned: int = 0
-    #: dispatch layer the context's circuit breaker has degraded to
-    #: ("sched" when healthy; see :class:`~repro.exec.sched.CircuitBreaker`)
+    #: dispatch layer of the context's circuit breaker: "sched" when
+    #: healthy, "serial" once tripped (see
+    #: :class:`~repro.exec.sched.CircuitBreaker`)
     breaker_state: str = "sched"
     #: per-sweep-kind breakdown: kind -> [points_total, points_run,
     #: cache_hits].  The aggregate counters above fold every kind of work
-    #: together (collective points, microbench points, fits, serve-table
-    #: row compiles), which hides e.g. a table-compile run whose rows all
-    #: missed the cache behind a figure sweep that mostly hit — the
-    #: breakdown is what the report line prints so compile-cost
-    #: regressions stay visible in CI summaries.
+    #: together (collective points, microbench points, fits), which hides
+    #: e.g. a calibration whose microbench points all missed the cache
+    #: behind a figure sweep that mostly hit — the breakdown is what the
+    #: report line prints so such misses stay visible in CI summaries.
     by_kind: dict = field(default_factory=dict)
 
     def record_kind(self, kind: str, total: int, run: int, hits: int) -> None:
@@ -198,37 +154,6 @@ class SweepStats:
         for kind, (total, run, hits) in other.by_kind.items():
             self.record_kind(kind, total, run, hits)
 
-    def describe(self) -> str:
-        line = (
-            f"{self.points_total} points: {self.points_run} run, "
-            f"{self.cache_hits} cache hits, workers={self.workers}, "
-            f"wall={self.wall_s:.1f}s, sim_events={self.sim_events}, "
-            f"run_wall={self.run_wall_s:.1f}s"
-        )
-        if self.sched_chunks:
-            err = self.sched_cost_err_pct
-            line += (
-                f", sched={self.sched_chunks} chunks/"
-                f"{self.sched_steals} steals"
-                + (f"/{err:.0f}% cost err" if err is not None else "")
-            )
-        resilience = []
-        if self.journal_replayed:
-            resilience.append(f"{self.journal_replayed} journal-replayed")
-        if self.sched_respawns:
-            resilience.append(f"{self.sched_respawns} respawns")
-        if self.sched_hung_kills:
-            resilience.append(f"{self.sched_hung_kills} hung-killed")
-        if self.sandbox_rescues:
-            resilience.append(f"{self.sandbox_rescues} sandbox-rescued")
-        if self.poisoned:
-            resilience.append(f"{self.poisoned} poisoned")
-        if self.breaker_state != "sched":
-            resilience.append(f"breaker={self.breaker_state}")
-        if resilience:
-            line += ", resilience: " + "/".join(resilience)
-        return line
-
 
 def resolve_workers(workers: Union[int, str, None]) -> int:
     """Explicit argument > ``REPRO_EXEC_WORKERS`` > serial."""
@@ -250,67 +175,6 @@ def resolve_workers(workers: Union[int, str, None]) -> int:
     return max(int(workers), 1)
 
 
-def resolve_warm_nodes(warm_nodes: Optional[bool]) -> bool:
-    """Explicit argument > ``REPRO_WARM_NODES`` > on."""
-    if warm_nodes is not None:
-        return bool(warm_nodes)
-    raw = os.environ.get(ENV_WARM_NODES, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
-
-
-def resolve_point_timeout(timeout: Union[float, str, None]) -> Optional[float]:
-    """Explicit argument > ``REPRO_POINT_TIMEOUT_S`` > unbounded (None)."""
-    if timeout is None:
-        raw = os.environ.get(ENV_POINT_TIMEOUT, "").strip()
-        if not raw:
-            return None
-        timeout = raw
-    if isinstance(timeout, str):
-        try:
-            timeout = float(timeout)
-        except ValueError:
-            raise ValueError(
-                f"invalid point timeout {timeout!r} (set {ENV_POINT_TIMEOUT} "
-                f"to a number of seconds)"
-            ) from None
-    timeout = float(timeout)
-    return timeout if timeout > 0 else None
-
-
-def resolve_point_retries(retries: Union[int, str, None]) -> int:
-    """Explicit argument > ``REPRO_POINT_RETRIES`` > 0."""
-    if retries is None:
-        raw = os.environ.get(ENV_POINT_RETRIES, "").strip()
-        if not raw:
-            return 0
-        retries = raw
-    if isinstance(retries, str):
-        try:
-            retries = int(retries)
-        except ValueError:
-            raise ValueError(
-                f"invalid retry count {retries!r} (set {ENV_POINT_RETRIES} "
-                f"to an integer)"
-            ) from None
-    return max(int(retries), 0)
-
-
-def resolve_sched(sched: Optional[str]) -> str:
-    """Explicit argument > ``REPRO_SCHED`` > ``"steal"``.
-
-    Returns one of ``"steal"`` / ``"nosteal"`` / ``"off"``.
-    """
-    if sched is None:
-        sched = os.environ.get(ENV_SCHED, "")
-    mode = _SCHED_ALIASES.get(str(sched).strip().lower())
-    if mode is None:
-        raise ValueError(
-            f"invalid scheduler mode {sched!r} (set {ENV_SCHED} to "
-            f"'steal', 'nosteal', or 'off')"
-        )
-    return mode
-
-
 def _resolve_cache(cache) -> Optional[ResultCache]:
     if cache is None or cache is False:
         return None
@@ -325,20 +189,16 @@ class ExecContext:
     """One sweep's execution policy plus its accumulated stats.
 
     ``cache`` accepts ``None``/``False`` (off), ``True`` (default
-    directory), a path, or a :class:`ResultCache`.  The context lazily
-    owns one process pool shared by every sweep run underneath it;
-    ``use_context`` shuts it down on exit.
+    directory), a path, or a :class:`ResultCache`; ``journal`` a path,
+    ``False`` (explicitly off), or None (consult ``REPRO_SWEEP_JOURNAL``).
+    The context lazily owns one scheduler pool shared by every sweep run
+    underneath it; ``use_context`` shuts it down on exit.
     """
 
     def __init__(
         self,
         workers: Union[int, str, None] = None,
         cache=None,
-        warm_nodes: Optional[bool] = None,
-        point_timeout: Union[float, str, None] = None,
-        point_retries: Union[int, str, None] = None,
-        sched: Optional[str] = None,
-        cost_engine=None,
         journal=None,
     ):
         from repro.exec.journal import resolve_journal_dir
@@ -346,19 +206,10 @@ class ExecContext:
 
         self.workers = resolve_workers(workers)
         self.cache = _resolve_cache(cache)
-        self.warm_nodes = resolve_warm_nodes(warm_nodes)
-        self.point_timeout = resolve_point_timeout(point_timeout)
-        self.point_retries = resolve_point_retries(point_retries)
-        self.sched = resolve_sched(sched)
-        #: optional :class:`repro.serve.QueryEngine` the scheduler's cost
-        #: model consults for points whose algorithm has no closed form
-        self.cost_engine = cost_engine
-        #: write-ahead journal directory (None: journalling off).  Accepts
-        #: a path, ``False`` (explicitly off), or None (consult the env).
+        #: write-ahead journal directory (None: journalling off)
         self.journal_dir = resolve_journal_dir(journal)
         self.stats = SweepStats(workers=self.workers)
-        self._executor = None  # None = not created, False = unavailable
-        self._executor_owner: "ExecContext" = self
+        self._pool_owner: "ExecContext" = self
         self._sched_pool = None  # None = not created, False = unavailable
         self._cost_model = None
         self._journal = None
@@ -367,9 +218,9 @@ class ExecContext:
     @property
     def breaker(self):
         """The dispatch circuit breaker — shared with the pool owner, so
-        nested contexts degrade together with the pools they borrow."""
-        if self._executor_owner is not self:
-            return self._executor_owner.breaker
+        nested contexts degrade together with the pool they borrow."""
+        if self._pool_owner is not self:
+            return self._pool_owner.breaker
         return self._breaker
 
     def journal(self):
@@ -383,48 +234,29 @@ class ExecContext:
             self._journal = SweepJournal(self.journal_dir)
         return self._journal
 
-    def executor(self):
-        """The shared pool, or ``None`` when serial/unavailable."""
-        if self._executor_owner is not self:
-            return self._executor_owner.executor()
-        if self.workers <= 1 or self._executor is False:
-            return None
-        if self._executor is None:
-            from repro.exec.pool import make_executor
-
-            self._executor = make_executor(self.workers)
-            if self._executor is None:
-                self._executor = False
-                return None
-        return self._executor
-
     def sched_pool(self):
         """The shared :class:`~repro.exec.sched.StickyPool`, or ``None``.
 
-        ``None`` means the scheduler should run inline: serial context,
-        scheduling off, a host whose usable-CPU count makes process
+        ``None`` means the scheduler should run inline: serial context, a
+        tripped breaker, a host whose usable-CPU count makes process
         fan-out a guaranteed loss (the cost model's cheapest plan), or a
-        pool that broke and was torn down.
+        pool that could not start.
         """
-        if self._executor_owner is not self:
-            return self._executor_owner.sched_pool()
-        if self.workers <= 1 or self.sched == "off" or self._sched_pool is False:
-            return None
-        if self._breaker.state != "sched":
-            # The breaker has degraded dispatch below the scheduler.
-            if self._sched_pool is not None:
-                self._sched_pool.close()
-                self._sched_pool = False
+        if self._pool_owner is not self:
+            return self._pool_owner.sched_pool()
+        if self.workers <= 1 or self._sched_pool is False:
             return None
         if self._sched_pool is not None and self._sched_pool.broken:
             # A broken pool is a pool-level failure: count it, then retry
             # with a fresh pool until the breaker says stop.
             self._sched_pool.close()
             self._sched_pool = None
-            self._breaker.record_sched_failure()
-            if self._breaker.state != "sched":
-                self._sched_pool = False
-                return None
+            self._breaker.record_failure()
+        if self._breaker.tripped:
+            if self._sched_pool is not None:
+                self._sched_pool.close()
+            self._sched_pool = False
+            return None
         if self._sched_pool is None:
             from repro.exec.sched import StickyPool, usable_cpus
 
@@ -435,7 +267,7 @@ class ExecContext:
             try:
                 self._sched_pool = StickyPool(size)
             except Exception:
-                self._breaker.record_sched_failure()
+                self._breaker.record_failure()
                 self._sched_pool = False
                 return None
         return self._sched_pool
@@ -448,8 +280,8 @@ class ExecContext:
         :meth:`sched_pool` choose inline dispatch.  The context owns the
         pool from here on — :meth:`close` shuts it down.
         """
-        if self._executor_owner is not self:
-            self._executor_owner.adopt_sched_pool(pool)
+        if self._pool_owner is not self:
+            self._pool_owner.adopt_sched_pool(pool)
             return
         if self._sched_pool not in (None, False):
             self._sched_pool.close()
@@ -460,14 +292,11 @@ class ExecContext:
         if self._cost_model is None:
             from repro.exec.sched import CostModel
 
-            self._cost_model = CostModel(engine=self.cost_engine)
+            self._cost_model = CostModel()
         return self._cost_model
 
     def close(self) -> None:
-        if self._executor_owner is self and self._executor not in (None, False):
-            self._executor.shutdown()
-        self._executor = None
-        if self._executor_owner is self and self._sched_pool not in (None, False):
+        if self._pool_owner is self and self._sched_pool not in (None, False):
             self._sched_pool.close()
         self._sched_pool = None
 
@@ -489,10 +318,7 @@ def use_context(ctx: ExecContext) -> Iterator[ExecContext]:
         ctx.close()
 
 
-def from_env(
-    workers=None, cache=None, warm_nodes=None, point_timeout=None,
-    point_retries=None, sched=None, journal=None,
-) -> ExecContext:
+def from_env(workers=None, cache=None, journal=None) -> ExecContext:
     """Build a context from explicit args, the enclosing context, then env.
 
     Used by ``run_experiment`` and the CLIs so that an outer context (e.g.
@@ -500,40 +326,18 @@ def from_env(
     experiment still gets its own stats.
     """
     parent = current()
-    if workers is None:
-        w: Union[int, str, None] = parent.workers if parent is not None else None
-    else:
-        w = workers
+    if workers is None and parent is not None:
+        workers = parent.workers
     if cache is None:
         if parent is not None:
-            c = parent.cache
-        else:
-            c = ResultCache() if os.environ.get(ENV_CACHE_DIR, "").strip() else None
-    else:
-        c = cache
-    if warm_nodes is None and parent is not None:
-        warm_nodes = parent.warm_nodes
-    if point_timeout is None and parent is not None:
-        point_timeout = parent.point_timeout
-    if point_retries is None and parent is not None:
-        point_retries = parent.point_retries
-    if sched is None and parent is not None:
-        sched = parent.sched
+            cache = parent.cache
+        elif os.environ.get(ENV_CACHE_DIR, "").strip():
+            cache = ResultCache()
     if journal is None and parent is not None and parent.journal_dir is not None:
         journal = parent.journal_dir
-    ctx = ExecContext(
-        workers=w,
-        cache=c,
-        warm_nodes=warm_nodes,
-        point_timeout=point_timeout,
-        point_retries=point_retries,
-        sched=sched,
-        cost_engine=parent.cost_engine if parent is not None else None,
-        journal=journal,
-    )
+    ctx = ExecContext(workers=workers, cache=cache, journal=journal)
     if parent is not None and parent.workers == ctx.workers:
         # Nested sweeps (run_experiment under a harness context) share the
-        # parent's pools (executor and scheduler) rather than paying
-        # start-up again.
-        ctx._executor_owner = parent
+        # parent's scheduler pool rather than paying start-up again.
+        ctx._pool_owner = parent
     return ctx

@@ -1,20 +1,16 @@
 """Work-stealing sweep scheduler with cost-model chunking and sticky routing.
 
-The legacy fan-out (:func:`repro.exec.pool.map_points`) slices a sweep
-into fixed-size chunks and round-robins them over a
-``ProcessPoolExecutor``: a long-tail point (a large-message contended
-convoy, per Fig 7 of the source paper) parks a whole chunk behind it
-while other workers sit idle, and a point lands on whichever worker the
-executor picks — never deliberately on the one whose warm
-:class:`~repro.core.runner.NodePool` already holds its node.
+This is the one dispatcher behind :func:`repro.exec.sweep.sweep`.  A
+fixed-size chunking over a plain ``ProcessPoolExecutor`` would park a
+whole chunk behind a long-tail point (a large-message contended convoy,
+per Fig 7 of the source paper) while other workers sit idle, and would
+land a point on whichever worker the executor picks — never deliberately
+on the one whose warm :class:`~repro.core.runner.NodePool` already holds
+its node.  Three cooperating pieces avoid both:
 
-This module replaces that with three cooperating pieces:
-
-* :class:`CostModel` — predicts a per-point cost, preferring the analytic
-  latency model (:mod:`repro.core.model`) and, where a compiled decision
-  table is available, :class:`repro.serve.QueryEngine` to resolve the
-  algorithm actually being priced; unmodeled points fall back to a
-  ``(procs, nbytes, lane)`` heuristic.  Costs only *order* work, they
+* :class:`CostModel` — predicts a per-point cost from the analytic
+  latency model (:mod:`repro.core.model`); unmodeled points fall back to
+  a ``(procs, nbytes, lane)`` heuristic.  Costs only *order* work, they
   never change results.
 * :func:`build_chunks` — adaptive chunking: points are grouped by their
   warm-node group key and split into chunks targeting ``total_cost /
@@ -70,8 +66,7 @@ same results, same stats, no IPC tax.
 
 :class:`CircuitBreaker` is the systemic-failure ladder above all of
 this: repeated pool-level breakage degrades the context's dispatch from
-this scheduler to the legacy executor fan-out, and from there to inline
-serial — each layer strictly simpler than the one it replaces.
+this scheduler to a plain in-process loop.
 """
 
 from __future__ import annotations
@@ -209,45 +204,32 @@ class PoisonedPoint:
 
 
 class CircuitBreaker:
-    """Systemic-failure ladder: ``sched`` → ``legacy`` → ``serial``.
+    """Systemic-failure ladder: ``sched`` → ``serial``.
 
     Worker-level trouble is absorbed by supervision (respawn, poison);
     the breaker counts *pool-level* failures — a :class:`StickyPool`
-    breaking or refusing to start, the legacy executor breaking — and
-    after ``threshold`` of them at a layer, permanently (for this
-    context) degrades dispatch to the next simpler layer.  Inline serial
-    is the floor: it cannot fail systemically, only per-point.
+    breaking or refusing to start — and after ``threshold`` of them
+    permanently (for this context) degrades dispatch to a plain
+    in-process loop.  That floor cannot fail systemically, only per-point.
     """
 
     def __init__(self, threshold: int = 2):
         self.threshold = max(int(threshold), 1)
-        self.sched_failures = 0
-        self.legacy_failures = 0
-
-    @property
-    def state(self) -> str:
-        if self.sched_failures < self.threshold:
-            return "sched"
-        if self.legacy_failures < self.threshold:
-            return "legacy"
-        return "serial"
-
-    def record_sched_failure(self) -> None:
-        self.sched_failures += 1
-
-    def record_legacy_failure(self) -> None:
-        self.legacy_failures += 1
+        self.failures = 0
 
     @property
     def tripped(self) -> bool:
-        return self.state != "sched"
+        return self.failures >= self.threshold
+
+    @property
+    def state(self) -> str:
+        return "serial" if self.tripped else "sched"
+
+    def record_failure(self) -> None:
+        self.failures += 1
 
     def describe(self) -> str:
-        return (
-            f"breaker={self.state}"
-            f" (sched_failures={self.sched_failures},"
-            f" legacy_failures={self.legacy_failures})"
-        )
+        return f"breaker={self.state} (failures={self.failures})"
 
 
 # --------------------------------------------------------------------------
@@ -260,12 +242,8 @@ class CostModel:
 
     For collective points the analytic model's predicted latency is the
     cost — the same family of T(eta, p) curves the tuner ranks algorithms
-    with, so relative magnitudes are meaningful.  When the point's
-    algorithm has no closed-form model, an attached
-    :class:`repro.serve.QueryEngine` (a compiled decision table) is asked
-    which algorithm the tuner *would* run there and that one is priced
-    instead — a wrong-by-a-constant stand-in beats no estimate.  Anything
-    still unpriceable falls back to ``procs * nbytes`` scaled by a
+    with, so relative magnitudes are meaningful.  A point whose algorithm
+    has no closed-form model falls back to ``procs * nbytes`` scaled by a
     per-lane factor.  Scheduling quality degrades gracefully with cost
     quality; correctness never depends on it.
     """
@@ -274,8 +252,7 @@ class CostModel:
     #: heuristic (shm double-copies; mapped windows copy pin-free)
     LANE_FACTOR = {"cma": 1.0, "shm": 1.4, "xpmem": 0.8}
 
-    def __init__(self, engine: Any = None):
-        self.engine = engine
+    def __init__(self):
         self._models: Dict[Any, Any] = {}
         self._memo: Dict[Any, float] = {}
 
@@ -338,21 +315,7 @@ class CostModel:
                 )
             )
         except (KeyError, TypeError, ValueError):
-            pass
-        if self.engine is not None:
-            # No closed form for this algorithm: price the one the
-            # compiled table would choose at this (collective, eta, p).
-            try:
-                dec = self.engine.lookup(pt.collective, eta, procs)
-                return float(
-                    model.predict(
-                        pt.collective, dec.algorithm, procs, eta,
-                        **dict(getattr(dec, "params", ()) or ()),
-                    )
-                )
-            except (KeyError, TypeError, ValueError):
-                pass
-        return self.heuristic(procs, eta, getattr(pt, "lane", "cma"))
+            return self.heuristic(procs, eta, getattr(pt, "lane", "cma"))
 
     def _generic_cost(self, pt: Any) -> float:
         """Non-collective points (microbenches): size-ish kwargs if any."""
@@ -498,10 +461,8 @@ class _Router:
         self,
         plans: List[_GroupPlan],
         workers: int,
-        stealing: bool = True,
         warm_hint: Optional[Dict[int, Sequence[tuple]]] = None,
     ):
-        self.stealing = stealing
         self.steals = 0
         self.queues: List["deque[_GroupPlan]"] = [deque() for _ in range(workers)]
         self._busy: Dict[int, _GroupPlan] = {}
@@ -555,7 +516,7 @@ class _Router:
             while q and not q[0].chunks:
                 q.popleft()
             if not q:
-                if not (self.stealing and self._steal_into(wid)):
+                if not self._steal_into(wid):
                     return None
                 continue
             plan = q[0]
@@ -1010,7 +971,6 @@ class StickyPool:
         points: Sequence[Any],
         costs: Optional[Sequence[float]] = None,
         groups: Optional[Sequence[Any]] = None,
-        stealing: bool = True,
         on_result: Optional[Callable[[int, Any], None]] = None,
         profile: bool = False,
     ) -> Tuple[List[Any], SchedStats]:
@@ -1034,9 +994,7 @@ class StickyPool:
                 fn, points, costs, groups, on_result, profile, stats
             )
         plans = build_chunks(costs, groups, self.workers)
-        router = _Router(
-            plans, self.workers, stealing=stealing, warm_hint=self.warm_keys
-        )
+        router = _Router(plans, self.workers, warm_hint=self.warm_keys)
         results: List[Any] = [None] * n
         got = [False] * n
         remaining = n
@@ -1315,7 +1273,6 @@ def run_scheduled(
     workers: int = 1,
     costs: Optional[Sequence[float]] = None,
     groups: Optional[Sequence[Any]] = None,
-    stealing: bool = True,
     on_result: Optional[Callable[[int, Any], None]] = None,
     profile: bool = False,
     pool: Optional[StickyPool] = None,
@@ -1334,7 +1291,7 @@ def run_scheduled(
         costs = [1.0] * len(points)
     if pool is not None and not pool.broken:
         return pool.run(
-            fn, points, costs=costs, groups=groups, stealing=stealing,
+            fn, points, costs=costs, groups=groups,
             on_result=on_result, profile=profile,
         )
     workers = min(workers, len(points))
@@ -1347,7 +1304,7 @@ def run_scheduled(
             try:
                 return own.run(
                     fn, points, costs=costs, groups=groups,
-                    stealing=stealing, on_result=on_result, profile=profile,
+                    on_result=on_result, profile=profile,
                 )
             finally:
                 own.close()

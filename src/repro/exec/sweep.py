@@ -11,13 +11,14 @@ entry points:
   :mod:`repro.core.fitting`).
 
 Each checks the active :class:`~repro.exec.context.ExecContext`'s cache
-first, fans cache misses out over the process pool, stores the computed
-values back, and returns results in input order.  The determinism
-contract — enforced by ``tests/test_exec_differential.py`` — is that the
-returned values are *bit-identical* whether a point was computed serially,
-in a pool worker, or served from a warm cache: every point builds a fresh
-simulated node, so points share no mutable state, and the simulator itself
-is deterministic.
+first, computes the misses through the work-stealing scheduler
+(:mod:`repro.exec.sched`, pooled or inline), stores the computed values
+back, and returns results in input order.  The determinism contract —
+enforced by ``tests/test_exec_differential.py`` — is that the returned
+values are *bit-identical* whether a point was computed serially, in a
+pool worker, or served from a warm cache: every point runs on a fresh or
+reset simulated node, so points share no mutable state, and the simulator
+itself is deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.runner import CollectiveResult, CollectiveSpec
 from repro.core.runner import run_collective as _run_collective_fresh
 from repro.core.runner import run_collective_pooled as _run_collective_pooled
 from repro.exec import context as _context
-from repro.exec.pool import map_points
+from repro.exec.sched import PoisonedPoint, run_scheduled
 
 __all__ = [
     "sweep",
@@ -65,21 +66,19 @@ def sweep(
     code under the same ``CACHE_VERSION``.
 
     ``group_key`` marks points that share a warm-node pool key: the
-    scheduler routes same-keyed points to one worker back to back (so a
-    leased node is reused instead of rotating through the pool) and the
-    legacy fan-out sorts misses so equal keys land adjacently in worker
-    chunks (ties keep input order).  Results are still returned in input
-    order, and each point is simulated on a fresh-or-reset node either
-    way, so values are unaffected.
+    scheduler routes same-keyed points to one worker back to back, so a
+    leased node is reused instead of rotating through the pool.  Results
+    are still returned in input order, and each point is simulated on a
+    fresh-or-reset node either way, so values are unaffected.
 
-    Dispatch: with the active context's ``sched`` mode ``steal`` /
-    ``nosteal`` (and no per-point timeout configured), cache misses go
-    through the work-stealing scheduler (:mod:`repro.exec.sched`) —
-    cost-model chunking, sticky routing, streamed results with cache
-    writes overlapped against the remaining compute.  ``sched=off``, a
-    configured timeout, or a tripped circuit breaker takes the legacy
-    :func:`map_points` path (a ``serial``-state breaker forces it
-    inline).  Both produce bit-identical values (``tests/test_sched.py``).
+    Dispatch: cache misses go through the work-stealing scheduler
+    (:mod:`repro.exec.sched`) — cost-model chunking, sticky routing,
+    streamed results with cache writes overlapped against the remaining
+    compute, on the context's pool or inline.  With no context, a single
+    miss, or a tripped circuit breaker the misses run in a plain
+    in-process loop instead.  Either way every computed value is decoded,
+    cached and journalled through one callback, and the values are
+    bit-identical (``tests/test_sched.py``).
 
     Crash safety: with a journal configured
     (:attr:`~repro.exec.context.ExecContext.journal_dir`) every computed
@@ -92,7 +91,6 @@ def sweep(
     """
     ctx = _context.current()
     cache = ctx.cache if ctx is not None else None
-    workers = ctx.workers if ctx is not None else 1
     points = list(points)
     results: List[Any] = [_MISS] * len(points)
     keys: List[Optional[str]] = [None] * len(points)
@@ -149,99 +147,62 @@ def sweep(
 
     run_wall = 0.0
     sim_events = 0
-    timeout = ctx.point_timeout if ctx is not None else None
     breaker = ctx.breaker if ctx is not None else None
-    use_sched = (
-        ctx is not None
-        and ctx.sched != "off"
-        and timeout is None
-        and len(miss) > 1
-        and (breaker is None or breaker.state == "sched")
-    )
+
+    def on_result(j: int, value: Any) -> None:
+        # Scheduled points stream back as chunks complete: decode and
+        # write to the cache *now*, overlapped with the chunks still
+        # computing.
+        nonlocal sim_events
+        i = miss[j]
+        if isinstance(value, PoisonedPoint):
+            # Quarantined, not computed: re-anchor the marker to the
+            # sweep-global index; never cache or journal it as done (a
+            # resume retries the point).
+            value = PoisonedPoint(
+                index=i, strikes=value.strikes, reason=value.reason
+            )
+            results[i] = value
+            if jlog is not None:
+                jlog.record_poison(i, value.reason)
+            return
+        if decode is not None:
+            value = decode(value, i)
+        results[i] = value
+        # Collective results report how many simulator events the point
+        # cost; cache hits replay none, so only misses count.
+        sim_events += getattr(value, "sim_events", 0) or 0
+        if cache is not None:
+            cache.put(keys[i], value)
+        if jlog is not None:
+            jlog.record(i, value)
+
     try:
-        if miss and use_sched:
-            from repro.exec import sched as _sched
-
+        if miss:
             miss_points = [points[i] for i in miss]
-            cost = ctx.cost_model().cost
-            costs = [cost(p) for p in miss_points]
-            groups = (
-                [group_key(p) for p in miss_points]
-                if group_key is not None else None
-            )
-
-            def on_result(j: int, value: Any) -> None:
-                # Streams back as chunks complete: decode and write to the
-                # cache *now*, overlapped with the chunks still computing.
-                nonlocal sim_events
-                i = miss[j]
-                if isinstance(value, _sched.PoisonedPoint):
-                    # Quarantined, not computed: re-anchor the marker to
-                    # the sweep-global index; never cache or journal it
-                    # as done (a resume retries the point).
-                    value = _sched.PoisonedPoint(
-                        index=i, strikes=value.strikes, reason=value.reason
-                    )
-                    results[i] = value
-                    if jlog is not None:
-                        jlog.record_poison(i, value.reason)
-                    return
-                if decode is not None:
-                    value = decode(value, i)
-                results[i] = value
-                sim_events += getattr(value, "sim_events", 0) or 0
-                if cache is not None:
-                    cache.put(keys[i], value)
-                if jlog is not None:
-                    jlog.record(i, value)
-
             t0 = time.perf_counter()
-            _, sstats = _sched.run_scheduled(
-                runner,
-                miss_points,
-                workers=workers,
-                costs=costs,
-                groups=groups,
-                stealing=ctx.sched == "steal",
-                on_result=on_result,
-                pool=ctx.sched_pool(),
-            )
+            # The pool is asked for first: a broken pool may trip the
+            # breaker.  No pool (serial context, one usable CPU) means the
+            # scheduler runs inline.
+            pool = ctx.sched_pool() if ctx is not None and len(miss) > 1 else None
+            if ctx is None or len(miss) == 1 or breaker.tripped:
+                for j, pt in enumerate(miss_points):
+                    on_result(j, runner(pt))
+            else:
+                cost = ctx.cost_model().cost
+                _, sstats = run_scheduled(
+                    runner,
+                    miss_points,
+                    costs=[cost(p) for p in miss_points],
+                    groups=(
+                        [group_key(p) for p in miss_points]
+                        if group_key is not None else None
+                    ),
+                    on_result=on_result,
+                    pool=pool,
+                )
+                ctx.stats.record_sched(sstats)
             run_wall = time.perf_counter() - t0
-            ctx.stats.record_sched(sstats)
-        elif miss:
-            if group_key is not None and len(miss) > 1:
-                miss.sort(key=lambda i: (group_key(points[i]), i))
-            serial_only = breaker is not None and breaker.state == "serial"
-            executor = (
-                ctx.executor() if ctx is not None and not serial_only else None
-            )
-            t0 = time.perf_counter()
-            computed = map_points(
-                runner,
-                [points[i] for i in miss],
-                1 if serial_only else workers,
-                executor=executor,
-                timeout=timeout,
-                retries=ctx.point_retries if ctx is not None else 0,
-                on_pool_broken=(
-                    breaker.record_legacy_failure if breaker is not None else None
-                ),
-            )
-            run_wall = time.perf_counter() - t0
-            put_batch = []
-            for i, value in zip(miss, computed):
-                if decode is not None:
-                    value = decode(value, i)
-                results[i] = value
-                # Collective results report how many simulator events the
-                # point cost; cache hits replay none, so only misses count.
-                sim_events += getattr(value, "sim_events", 0) or 0
-                if cache is not None:
-                    put_batch.append((keys[i], value))
-                if jlog is not None:
-                    jlog.record(i, value)
-            if put_batch:
-                cache.put_many(put_batch)
     except BaseException:
         # The sweep did NOT complete: keep the journal for the resume.
         if jlog is not None:
@@ -275,7 +236,8 @@ def _compute_collective(spec: CollectiveSpec, warm: bool) -> CollectiveResult:
     """The one place a sweep point's simulation actually runs.
 
     ``warm`` selects the warm-node pool (bit-identical, skips per-point
-    node construction); tests patch this symbol to count executions.
+    node construction; every fault-free point is warm); tests patch this
+    symbol to count executions.
     """
     if warm:
         return _run_collective_pooled(spec)
@@ -365,7 +327,7 @@ def _arch_token(arch: Any) -> Optional[str]:
     return token
 
 
-def _slim_point(spec: CollectiveSpec, warm: bool) -> _CollectivePoint:
+def _slim_point(spec: CollectiveSpec) -> _CollectivePoint:
     arch = spec.arch
     token = _arch_token(arch)
     if token is not None:
@@ -386,7 +348,7 @@ def _slim_point(spec: CollectiveSpec, warm: bool) -> _CollectivePoint:
         # Fault plans are run-scoped state outside the warm-pool key, so
         # faulted points always build fresh nodes (the runner enforces it
         # too; clearing the flag here keeps group_key honest as well).
-        warm=warm and spec.faults is None,
+        warm=spec.faults is None,
         lane=spec.lane,
     )
 
@@ -472,9 +434,7 @@ def run_specs(specs: Iterable[CollectiveSpec]) -> List[CollectiveResult]:
     entries stay valid); only the cross-process transport is slimmed.
     """
     specs = list(specs)
-    ctx = _context.current()
-    warm = ctx.warm_nodes if ctx is not None else _context.resolve_warm_nodes(None)
-    points = [_slim_point(s, warm) for s in specs]
+    points = [_slim_point(s) for s in specs]
     return sweep(
         "collective",
         _exec_point,

@@ -180,12 +180,12 @@ class TestLaneKeying:
     ``lane`` field is the backstop.
     """
 
-    def _spec(self, algorithm):
+    def _spec(self, algorithm, faults=None):
         from repro.machine import get_arch
 
         return CollectiveSpec(
             "scatter", algorithm, get_arch("knl"), procs=8, eta=4096,
-            verify=False,
+            verify=False, faults=faults,
         )
 
     def test_lane_resolved_from_registry(self):
@@ -204,18 +204,23 @@ class TestLaneKeying:
     def test_pool_group_key_separates_lanes(self):
         from repro.exec.sweep import _pool_group_key, _slim_point
 
-        ga = _pool_group_key(_slim_point(self._spec("parallel_read"), True))
-        gb = _pool_group_key(_slim_point(self._spec("xpmem_read"), True))
+        ga = _pool_group_key(_slim_point(self._spec("parallel_read")))
+        gb = _pool_group_key(_slim_point(self._spec("xpmem_read")))
         assert ga != gb
         assert ga[:-1] == gb[:-1]  # only the lane component differs
 
     def test_pool_group_key_separates_warm_from_cold(self):
-        # Cold points must not interleave with warm ones inside a chunk:
-        # the key carries ``not warm`` so warm sorts first, cold second.
+        # Cold (faulted) points must not interleave with warm ones inside
+        # a chunk: the key carries ``not warm`` so warm sorts first, cold
+        # second.
         from repro.exec.sweep import _pool_group_key, _slim_point
+        from repro.faults import parse_plan
 
-        warm = _pool_group_key(_slim_point(self._spec("parallel_read"), True))
-        cold = _pool_group_key(_slim_point(self._spec("parallel_read"), False))
+        plan = parse_plan("1:eintr@0.1")
+        warm = _pool_group_key(_slim_point(self._spec("parallel_read")))
+        cold = _pool_group_key(
+            _slim_point(self._spec("parallel_read", faults=plan))
+        )
         assert warm != cold
         assert warm[-2] is False and cold[-2] is True  # not pt.warm
         assert warm[:-2] == cold[:-2] and warm[-1] == cold[-1]
@@ -230,69 +235,42 @@ class TestLaneKeying:
 
 
 class TestShardedCache:
-    """Hex-prefix sharding, read-through migration, and batched I/O."""
+    """Hex-prefix sharding and batched I/O."""
 
-    def _width_of(self, shards):
-        from repro.exec.cache import _SHARD_WIDTHS
-
-        return _SHARD_WIDTHS[shards]
-
-    @pytest.mark.parametrize("shards", [1, 16, 256, 4096])
-    def test_roundtrip_under_every_layout(self, tmp_path, shards):
-        cache = ResultCache(tmp_path / "cache", shards=shards)
+    def test_roundtrip_under_shard_layout(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         keys = [cache.key_for("shard-test", i) for i in range(8)]
         for i, key in enumerate(keys):
             cache.put(key, {"i": i})
-            # the entry sits under the right-width hex prefix directory
+            # the entry sits under its two-hex-char prefix directory
             rel = cache.path_for(key).relative_to(cache.root)
-            width = self._width_of(shards)
-            if width:
-                assert len(rel.parts) == 2 and len(rel.parts[0]) == width
-                assert key.startswith(rel.parts[0])
-            else:
-                assert len(rel.parts) == 1
+            assert len(rel.parts) == 2 and len(rel.parts[0]) == 2
+            assert key.startswith(rel.parts[0])
         assert [cache.get(k) for k in keys] == [
             (True, {"i": i}) for i in range(8)
         ]
 
     def test_default_layout_matches_legacy_paths(self, tmp_path):
         # 256 shards = two-hex-char prefix: byte-identical to the layout
-        # every pre-sharding version wrote, so upgrades never migrate.
+        # every version has written, so old caches stay readable.
         cache = ResultCache(tmp_path / "cache")
         key = cache.key_for("k", "v")
-        assert cache.shards == 256
         assert cache.path_for(key) == (
             cache.root / key[:2] / f"{key}.pkl"
         )
 
-    @pytest.mark.parametrize("old,new", [(256, 16), (16, 256), (1, 4096)])
-    def test_read_through_migration(self, tmp_path, old, new):
-        writer = ResultCache(tmp_path / "cache", shards=old)
-        key = writer.key_for("migrate", "payload")
-        writer.put(key, "survives relayout")
-        reader = ResultCache(tmp_path / "cache", shards=new)
-        hit, value = reader.get(key)
-        assert hit and value == "survives relayout"
-        # served AND moved: the entry now lives under the new layout only
-        assert reader.path_for(key).exists()
-        assert not writer.path_for(key).exists()
-        assert reader.get(key) == (True, "survives relayout")
-
-    def test_get_many_alignment_and_migration(self, tmp_path):
-        old = ResultCache(tmp_path / "cache", shards=1)
-        cache = ResultCache(tmp_path / "cache", shards=256)
+    def test_get_many_alignment(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         keys = [cache.key_for("batch", i) for i in range(10)]
-        for i in (0, 4):  # written under the current layout
+        for i in (0, 4, 7):
             cache.put(keys[i], f"cur-{i}")
-        old.put(keys[7], "old-7")  # needs read-through migration
         out = cache.get_many(keys)
         assert len(out) == len(keys)
         assert out[0] == (True, "cur-0") and out[4] == (True, "cur-4")
-        assert out[7] == (True, "old-7")
+        assert out[7] == (True, "cur-7")
         assert all(
             out[i] == (False, None) for i in range(10) if i not in (0, 4, 7)
         )
-        assert cache.path_for(keys[7]).exists()  # migrated while batched
 
     def test_put_many_then_get_many(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -313,17 +291,6 @@ class TestShardedCache:
             assert not hit
         assert cache.quarantined == 9  # every corruption was detected...
         assert cache.quarantine_count() <= 5  # ...but the directory is capped
-
-    def test_shard_env_knob(self, tmp_path, monkeypatch):
-        from repro.exec.cache import ENV_CACHE_SHARDS
-
-        monkeypatch.setenv(ENV_CACHE_SHARDS, "16")
-        assert ResultCache(tmp_path / "cache").shards == 16
-        # explicit argument beats the environment
-        assert ResultCache(tmp_path / "cache", shards=1).shards == 1
-        monkeypatch.setenv(ENV_CACHE_SHARDS, "12")
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path / "cache")
 
 
 def test_put_get_roundtrip_and_atomicity(tmp_path):

@@ -1,13 +1,13 @@
-"""Process-pool lifecycle: no leaked workers, graceful mid-flight breakage.
+"""Scheduler-pool lifecycle: no leaked workers, graceful mid-flight breakage.
 
-Two failure paths through :func:`repro.exec.pool.map_points` historically
-leaked worker processes or lost results:
+Two failure paths through a pooled :func:`repro.exec.sweep.sweep` must
+neither leak worker processes nor lose results:
 
-* ``fn`` raising — ``executor.map`` re-raises in the caller, and a
-  throwaway pool must still be shut down (workers reaped, not orphaned);
-* a worker dying mid-map (``BrokenProcessPool``) — the broken pool must be
-  torn down *before* the serial fallback recomputes every point, and the
-  fallback must return exactly what a serial run would, in order.
+* ``fn`` raising — the error reaches the caller, and the context's pool
+  is still shut down on exit (workers reaped, not orphaned);
+* workers dying mid-sweep until the respawn budget runs out — the broken
+  pool is torn down and the missing points are recomputed inline, so the
+  sweep returns exactly what a serial run would, in order.
 """
 
 import multiprocessing
@@ -17,7 +17,9 @@ import time
 
 import pytest
 
-from repro.exec.pool import map_points
+from repro.exec import ExecContext, use_context
+from repro.exec.sched import StickyPool
+from repro.exec.sweep import sweep
 
 _PARENT_ENV = "_REPRO_TEST_PARENT_PID"
 
@@ -41,7 +43,7 @@ def _raise_on_three(x):
 
 
 def _die_in_worker(x):
-    # Only the pool's worker processes self-destruct; the serial fallback
+    # Only the pool's worker processes self-destruct; the inline salvage
     # runs this in the parent (whose pid matches the env marker) and
     # computes normally.
     if os.getpid() != int(os.environ.get(_PARENT_ENV, "-1")):
@@ -66,41 +68,55 @@ def _live_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-def test_successful_map_leaves_no_stray_workers():
+def _pooled_context(**pool_kwargs):
+    """A two-worker context on an explicit pool (a one-usable-CPU host
+    would otherwise run the scheduler inline and start no workers)."""
+    try:
+        pool = StickyPool(2, **pool_kwargs)
+    except Exception as exc:  # pragma: no cover - fork-restricted hosts
+        pytest.skip(f"cannot start scheduler workers: {exc}")
+    ctx = ExecContext(workers=2)
+    ctx.adopt_sched_pool(pool)
+    return ctx
+
+
+def test_successful_sweep_leaves_no_stray_workers():
     before = _live_pids()
-    assert map_points(_double, list(range(16)), workers=2) == [
-        x * 2 for x in range(16)
-    ]
+    with use_context(_pooled_context()) as ctx:
+        got = sweep("lifecycle.ok", _double, list(range(16)))
+    assert got == [x * 2 for x in range(16)]
+    assert ctx.stats.sched_chunks >= 1
     _assert_no_new_children(before)
 
 
-def test_failed_map_raises_and_leaves_no_stray_workers():
+def test_failed_sweep_raises_and_leaves_no_stray_workers():
     before = _live_pids()
     with pytest.raises(ValueError, match="boom at 3"):
-        map_points(_raise_on_three, list(range(8)), workers=2)
+        with use_context(_pooled_context()):
+            sweep("lifecycle.raise", _raise_on_three, list(range(8)))
     _assert_no_new_children(before)
 
 
-def test_broken_pool_mid_flight_falls_back_to_serial_results():
-    os.environ[_PARENT_ENV] = str(os.getpid())
-    try:
-        before = _live_pids()
-        points = list(range(12))
-        got = map_points(_die_in_worker, points, workers=2)
-        assert got == [x * 10 for x in points], (
-            "fallback must return the exact serial results, in input order"
-        )
-        _assert_no_new_children(before)
-    finally:
-        os.environ.pop(_PARENT_ENV, None)
+def test_broken_pool_mid_sweep_falls_back_to_serial_results(monkeypatch):
+    monkeypatch.setenv(_PARENT_ENV, str(os.getpid()))
+    before = _live_pids()
+    points = list(range(12))
+    with use_context(
+        _pooled_context(max_respawns=1, poison_strikes=99)
+    ) as ctx:
+        got = sweep("lifecycle.broken", _die_in_worker, points)
+    assert got == [x * 10 for x in points], (
+        "fallback must return the exact serial results, in input order"
+    )
+    assert ctx.stats.sched_fallbacks >= 1
+    assert ctx.stats.poisoned == 0
+    _assert_no_new_children(before)
 
 
 def test_sticky_pool_close_kills_sigterm_ignoring_stragglers():
-    """Satellite regression: close() must escalate join → terminate →
-    SIGKILL, so even a worker that ignores SIGTERM cannot outlive the
-    pool (no stray PIDs after a failing sweep)."""
-    from repro.exec.sched import StickyPool
-
+    """close() must escalate join → terminate → SIGKILL, so even a worker
+    that ignores SIGTERM cannot outlive the pool (no stray PIDs after a
+    failing sweep)."""
     before = _live_pids()
     try:
         pool = StickyPool(2, hung_s=None)
@@ -119,14 +135,3 @@ def test_sticky_pool_close_kills_sigterm_ignoring_stragglers():
         wall = time.monotonic() - t0
     assert wall < 15.0, f"close() hung on unkillable workers ({wall:.1f}s)"
     _assert_no_new_children(before)
-
-
-def test_caller_owned_executor_survives_fn_failure():
-    """map_points must not shut down an executor it did not create."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=2) as ex:
-        with pytest.raises(ValueError):
-            map_points(_raise_on_three, list(range(8)), workers=2, executor=ex)
-        # the caller's pool is still usable afterwards
-        assert list(ex.map(_double, [1, 2, 3])) == [2, 4, 6]

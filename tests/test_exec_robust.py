@@ -1,34 +1,20 @@
-"""Harness robustness: checksummed cache entries and per-point timeouts.
+"""Harness robustness: checksummed cache entries and context knobs.
 
-The cache must detect (and quarantine, not serve) corrupted entries; the
-pool must bound how long one sweep point can hang, retry it, and raise a
-:class:`~repro.exec.pool.PointTimeoutError` that the broken-pool fallback
-clause cannot swallow.
+The cache must detect (and quarantine, not serve) corrupted entries; an
+execution context resolves its three settings (workers, cache, journal)
+from explicit arguments, then the enclosing context, then the
+environment, and rejects malformed values.
 """
 
+import os
 import pickle
-import time
 import zlib
 
 import pytest
 
 from repro.exec import context as exec_context
 from repro.exec.cache import CACHE_VERSION, ResultCache
-from repro.exec.pool import PointTimeoutError, map_points
-
-
-# -- module-level so pool workers can pickle them ---------------------------
-
-
-def _double(x):
-    return x * 2
-
-
-def _sleep_marker(x):
-    """Sleeps long when given the marker value, else returns instantly."""
-    if x == "hang":
-        time.sleep(60)
-    return x
+from repro.exec.journal import ENV_JOURNAL
 
 
 # -- cache: checksum + quarantine -------------------------------------------
@@ -107,72 +93,40 @@ class TestChecksummedCache:
         assert not list(tmp_path.rglob("*.tmp*"))
 
 
-# -- pool: per-point timeout + bounded retry --------------------------------
-
-
-class TestPointTimeout:
-    def test_fast_points_unaffected_by_timeout(self):
-        out = map_points(_double, list(range(8)), workers=2, timeout=30.0)
-        assert out == [x * 2 for x in range(8)]
-
-    def test_hung_point_raises_after_retries(self):
-        t0 = time.monotonic()
-        with pytest.raises(PointTimeoutError) as exc:
-            map_points(
-                _sleep_marker,
-                ["a", "hang", "b"],
-                workers=2,
-                timeout=0.5,
-                retries=1,
-            )
-        assert time.monotonic() - t0 < 30  # bounded, not the full sleep
-        assert exc.value.index == 1
-        assert exc.value.attempts == 2  # original + one retry
-        assert exc.value.timeout == 0.5
-
-    def test_point_timeout_error_is_not_an_oserror(self):
-        # On 3.11+ TimeoutError subclasses OSError; the pool's serial
-        # fallback catches OSError, so the timeout error must not be one.
-        assert not issubclass(PointTimeoutError, OSError)
-        assert issubclass(PointTimeoutError, RuntimeError)
-
-    def test_serial_path_ignores_timeout(self):
-        # workers=1 never submits to a pool, so the budget doesn't apply
-        out = map_points(_double, [1, 2, 3], workers=1, timeout=0.001)
-        assert out == [2, 4, 6]
-
-
 # -- context knobs -----------------------------------------------------------
 
 
 class TestContextKnobs:
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(exec_context.ENV_POINT_TIMEOUT, "2.5")
-        monkeypatch.setenv(exec_context.ENV_POINT_RETRIES, "3")
-        ctx = exec_context.ExecContext(workers=1)
-        assert ctx.point_timeout == 2.5
-        assert ctx.point_retries == 3
+    def test_env_resolution(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(exec_context.ENV_WORKERS, "3")
+        monkeypatch.setenv(ENV_JOURNAL, str(tmp_path))
+        ctx = exec_context.ExecContext()
+        assert ctx.workers == 3
+        assert ctx.journal_dir == tmp_path
+        monkeypatch.setenv(exec_context.ENV_WORKERS, "auto")
+        assert exec_context.ExecContext().workers == max(os.cpu_count() or 1, 1)
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(exec_context.ENV_POINT_TIMEOUT, "2.5")
-        ctx = exec_context.ExecContext(workers=1, point_timeout=9)
-        assert ctx.point_timeout == 9.0
-
-    def test_zero_means_unbounded(self):
-        ctx = exec_context.ExecContext(workers=1, point_timeout=0)
-        assert ctx.point_timeout is None
+    def test_explicit_beats_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(exec_context.ENV_WORKERS, "3")
+        monkeypatch.setenv(ENV_JOURNAL, str(tmp_path))
+        ctx = exec_context.ExecContext(workers=2, journal=False)
+        assert ctx.workers == 2
+        assert ctx.journal_dir is None
 
     def test_bad_values_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
-            exec_context.ExecContext(workers=1, point_timeout="soon")
+            exec_context.ExecContext(workers="many")
+        monkeypatch.setenv(exec_context.ENV_WORKERS, "lots")
         with pytest.raises(ValueError):
-            exec_context.ExecContext(workers=1, point_retries="many")
+            exec_context.ExecContext()
 
-    def test_from_env_inherits_parent(self):
+    def test_from_env_inherits_parent(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         parent = exec_context.ExecContext(
-            workers=1, point_timeout=7, point_retries=2
+            workers=1, cache=cache, journal=tmp_path / "wal"
         )
         with exec_context.use_context(parent):
             child = exec_context.from_env()
-        assert child.point_timeout == 7.0
-        assert child.point_retries == 2
+        assert child.workers == 1
+        assert child.cache is cache
+        assert child.journal_dir == parent.journal_dir

@@ -152,40 +152,6 @@ def test_xpmem_section_shape(result):
         assert cx["crossover_rounds"] >= 1
 
 
-def test_serve_section_shape(result):
-    serve = result["serve"]
-    assert set(serve) == {"compile", "scalar", "batch"}
-    c = serve["compile"]
-    assert c["rows"] > 0
-    assert c["breakpoints"] >= c["rows"]  # every row has at least break 1
-    assert c["wall_s"] > 0
-    # compile is a build-time cost: it must never carry a rate the
-    # events/sec gate would compare
-    assert "events_per_sec" not in c
-    for key in ("scalar", "batch"):
-        r = serve[key]
-        assert r["queries"] > 0
-        assert r["events_per_sec"] == r["queries_per_sec"]
-        assert r["queries_per_sec"] == pytest.approx(
-            r["queries"] / r["wall_s"], rel=5e-3
-        )
-    assert serve["batch"]["backend"] in ("numpy", "scalar")
-
-
-def test_serve_section_is_gated():
-    assert "serve" in perfsuite.GATED_SECTIONS
-    base = {"schema": perfsuite.SCHEMA, "engine": {},
-            "serve": {"scalar": {"events_per_sec": 900_000.0},
-                      "batch": {"events_per_sec": 9_000_000.0}}}
-    cur = {"schema": perfsuite.SCHEMA, "engine": {},
-           "serve": {"scalar": {"events_per_sec": 200_000.0},
-                     "batch": {"events_per_sec": 8_000_000.0},
-                     "compile": {"wall_s": 1.0, "rows": 7}}}
-    sections = perfsuite.check_sections(cur, base)
-    assert len(sections["serve"]) == 1
-    assert "scalar" in sections["serve"][0]
-
-
 def test_sched_section_shape(result):
     sched = result["sched"]
     assert set(sched) == {"serial_warm", "sched", "sched_cached"}
@@ -251,9 +217,8 @@ def test_sched_profiler_cli_emits_worker_timeline(tmp_path, capsys):
         assert w["idle_s"] >= 0
         assert w["busy_s"] > 0
     # without --profile the raw per-chunk records are dropped
-    assert schedprof.main(["--nosteal", "--slice", "fig07"]) == 0
+    assert schedprof.main(["--slice", "fig07"]) == 0
     slim = json.loads(capsys.readouterr().out)
-    assert slim["steals"] == 0
     assert slim["points"] == 9
     assert all("chunks" not in w for w in slim["workers_timeline"].values())
 

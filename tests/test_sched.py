@@ -3,17 +3,16 @@
 Three layers, mirroring DESIGN.md §5:
 
 * **Bit-identity** (hypothesis): whatever the scheduler does — chunking,
-  stealing, sticky routing, sharded vs flat cache — results must be
-  byte-for-byte what a serial uncached run produces, across
-  ``workers ∈ {1, 2, 8}`` × stealing on/off × shard layouts.
+  stealing, sticky routing, cache reads — results must be byte-for-byte
+  what a serial uncached run produces, across ``workers ∈ {1, 2, 8}``,
+  cached and uncached.
 * **Routing invariants** (unit): a warm group never runs on two workers
   concurrently (asserted both structurally on :class:`_Router` and
   empirically from profile timelines of a real :class:`StickyPool`),
   stealing moves whole non-busy groups only, and chunks respect the cost
   target and ``MAX_CHUNK``.
 * **Robustness**: worker death salvages inline with identical results;
-  point exceptions propagate without poisoning the pool; the deadline
-  path runs points concurrently and retries on idle workers.
+  point exceptions propagate without poisoning the pool.
 """
 
 import itertools
@@ -32,9 +31,6 @@ from repro.bench.report import sweep_summary
 from repro.core.model import AnalyticModel
 from repro.core.runner import CollectiveSpec, run_collective
 from repro.exec import ExecContext, ResultCache, use_context
-from repro.exec.cache import resolve_shards
-from repro.exec.context import resolve_sched
-from repro.exec.pool import map_points
 from repro.exec.sched import (
     MAX_CHUNK,
     CostModel,
@@ -49,6 +45,7 @@ from repro.exec.sweep import (
     _pool_group_key,
     _slim_point,
     run_specs,
+    sweep,
 )
 from repro.machine import get_arch
 
@@ -91,22 +88,6 @@ def _exit_in_sched_worker(x):
             "sandbox" not in mp.current_process().name:
         os._exit(23)
     return x * 3
-
-
-def _sleep_quarter(x):
-    time.sleep(0.25)
-    return x
-
-
-def _hang_first_attempt(pt):
-    """Hangs (bounded) the first time the flagged point runs; the retry —
-    which must land on an *idle* worker — sees the flag file and returns."""
-    flag, value = pt
-    if flag is not None and not os.path.exists(flag):
-        with open(flag, "w") as f:
-            f.write("x")
-        time.sleep(3.0)
-    return value
 
 
 # -- shared fixtures --------------------------------------------------------
@@ -161,26 +142,21 @@ def _make_pool(workers, **kwargs):
 
 
 class TestBitIdentity:
-    @settings(max_examples=24, deadline=None)
+    @settings(max_examples=12, deadline=None)
     @given(
         workers=st.sampled_from([1, 2, 8]),
-        mode=st.sampled_from(["steal", "nosteal"]),
-        shards=st.sampled_from([1, 256]),
+        cached=st.booleans(),
     )
-    def test_scheduled_sweep_matches_serial(self, workers, mode, shards):
-        """workers x stealing x sharded/flat cache: all bit-identical."""
+    def test_scheduled_sweep_matches_serial(self, workers, cached):
+        """workers x cached/uncached: all bit-identical."""
         specs = _fig07_slice_specs()
         expect = _serial_baseline()
         tmp = tempfile.mkdtemp(prefix="sched-cache-")
         try:
-            cache = ResultCache(tmp, shards=shards)
-            with use_context(
-                ExecContext(workers=workers, sched=mode, cache=cache)
-            ) as cold:
+            cache = ResultCache(tmp) if cached else None
+            with use_context(ExecContext(workers=workers, cache=cache)) as cold:
                 first = run_specs(specs)
-            with use_context(
-                ExecContext(workers=workers, sched=mode, cache=cache)
-            ) as warm:
+            with use_context(ExecContext(workers=workers, cache=cache)) as warm:
                 second = run_specs(specs)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -188,13 +164,13 @@ class TestBitIdentity:
         assert [_result_fields(r) for r in second] == expect
         assert cold.stats.cache_hits == 0
         assert cold.stats.points_run == len(specs)
-        assert warm.stats.cache_hits == len(specs)
-        assert warm.stats.points_run == 0
+        assert warm.stats.cache_hits == (len(specs) if cached else 0)
+        assert warm.stats.points_run == (0 if cached else len(specs))
 
     def test_sticky_pool_matches_serial(self):
         """Actual multi-process dispatch returns exactly the serial values."""
         specs = _fig07_slice_specs()
-        points = [_slim_point(s, warm=True) for s in specs]
+        points = [_slim_point(s) for s in specs]
         serial = [_exec_point(p) for p in points]
         cm = CostModel()
         costs = [cm.cost(p) for p in points]
@@ -202,7 +178,7 @@ class TestBitIdentity:
         pool = _make_pool(2)
         try:
             results, stats = pool.run(
-                _exec_point, points, costs=costs, groups=groups, stealing=True
+                _exec_point, points, costs=costs, groups=groups
             )
         finally:
             pool.close()
@@ -268,7 +244,6 @@ class TestStickyRouting:
                 points,
                 costs=[1.0] * len(points),
                 groups=groups,
-                stealing=True,
                 profile=True,
             )
         finally:
@@ -278,32 +253,12 @@ class TestStickyRouting:
         assert stats.profile and len(stats.profile) == stats.chunks
         _assert_groups_exclusive(stats.profile)
 
-    def test_nosteal_keeps_each_group_on_one_worker(self):
-        points, groups = self._uneven_points()
-        pool = _make_pool(2)
-        try:
-            results, stats = pool.run(
-                _timed_point,
-                points,
-                costs=[1.0] * len(points),
-                groups=groups,
-                stealing=False,
-                profile=True,
-            )
-        finally:
-            pool.close()
-        assert results == points
-        assert stats.steals == 0
-        by_group = _assert_groups_exclusive(stats.profile)
-        for recs in by_group.values():
-            assert len({r["worker"] for r in recs}) == 1
-
     def test_router_never_steals_a_busy_group(self):
         # Group A: two single-point chunks on w0; group B: one chunk on w1.
         plans = build_chunks(
             [2.0, 2.0, 1.0], ["A", "A", "B"], workers=2, oversub=1, max_chunk=1
         )
-        router = _Router(plans, workers=2, stealing=True)
+        router = _Router(plans, workers=2)
         first = router.next_for(0)
         assert first.group == "A"  # A is the costliest, LPT-assigned to w0
         assert router.next_for(1).group == "B"
@@ -318,21 +273,11 @@ class TestStickyRouting:
         # The stolen group left w0's queue entirely (whole-group steals).
         assert router.next_for(0) is None
 
-    def test_router_nosteal_idles_instead(self):
-        plans = build_chunks(
-            [2.0, 2.0, 1.0], ["A", "A", "B"], workers=2, oversub=1, max_chunk=1
-        )
-        router = _Router(plans, workers=2, stealing=False)
-        assert router.next_for(1).group == "B"
-        router.on_done(1)
-        assert router.next_for(1) is None  # w0's work is not up for grabs
-        assert router.steals == 0
-
     def test_router_dispatches_front_group_to_completion(self):
         plans = build_chunks(
             [3.0, 3.0, 1.0], ["A", "A", "C"], workers=1, oversub=1, max_chunk=1
         )
-        router = _Router(plans, workers=1, stealing=True)
+        router = _Router(plans, workers=1)
         order = []
         while True:
             ch = router.next_for(0)
@@ -350,8 +295,7 @@ class TestStickyRouting:
         h = ("bdw", 8, True, False, False, "cma")
         plans = build_chunks([1.0, 1.0], [g, h], workers=2)
         router = _Router(
-            plans, workers=2, stealing=True,
-            warm_hint={1: (("knl", 12, True, False),)},
+            plans, workers=2, warm_hint={1: (("knl", 12, True, False),)}
         )
         assert [p.group for p in router.queues[1]] == [g]
         assert [p.group for p in router.queues[0]] == [h]
@@ -394,7 +338,7 @@ class TestCostModel:
         arch = get_arch("knl")
         spec = CollectiveSpec("scatter", "parallel_read", arch, procs=12,
                               eta=64 * 1024)
-        pt = _slim_point(spec, warm=True)
+        pt = _slim_point(spec)
         cost = CostModel().cost(pt)
         expect = AnalyticModel(arch).predict(
             "scatter", "parallel_read", 12, 64 * 1024
@@ -408,7 +352,6 @@ class TestCostModel:
             cm.cost(_slim_point(
                 CollectiveSpec("scatter", "parallel_read", arch,
                                procs=12, eta=eta),
-                warm=True,
             ))
             for eta in (4 * 1024, 64 * 1024, 1024 * 1024)
         ]
@@ -422,25 +365,6 @@ class TestCostModel:
         cm = CostModel()
         assert cm.cost(pt) == pytest.approx(cm.heuristic(12, 65536, "cma"))
 
-    def test_engine_resolves_unmodeled_algorithm(self):
-        calls = []
-
-        class _StubEngine:
-            def lookup(self, collective, eta, procs):
-                calls.append((collective, eta, procs))
-                return SimpleNamespace(algorithm="parallel_read", params={})
-
-        pt = SimpleNamespace(
-            collective="scatter", algorithm="no_such_alg", arch="knl",
-            procs=12, eta=65536, params=(), lane="cma",
-        )
-        cost = CostModel(engine=_StubEngine()).cost(pt)
-        expect = AnalyticModel(get_arch("knl")).predict(
-            "scatter", "parallel_read", 12, 65536
-        )
-        assert cost == pytest.approx(expect)
-        assert calls == [("scatter", 65536, 12)]
-
     def test_microbench_points_price_by_size(self):
         cm = CostModel()
         small = SimpleNamespace(kwargs=(("nbytes", 1024), ("readers", 2)))
@@ -452,7 +376,6 @@ class TestCostModel:
         pt = _slim_point(
             CollectiveSpec("scatter", "parallel_read", arch, procs=12,
                            eta=64 * 1024),
-            warm=True,
         )
         cm = CostModel()
         assert cm.cost(pt) == cm.cost(pt)
@@ -534,51 +457,38 @@ class TestSchedRobustness:
         assert stats.chunks >= 1
 
 
-class TestDeadlinePath:
-    def test_deadline_points_run_concurrently(self):
-        """Satellite regression: with a timeout set, a full window of
-        points is in flight — 8 quarter-second sleeps on 4 workers must
-        beat the 2 s serial wall by a wide margin."""
-        t0 = time.monotonic()
-        out = map_points(
-            _sleep_quarter, list(range(8)), workers=4, timeout=30.0
-        )
-        wall = time.monotonic() - t0
-        assert out == list(range(8))
-        assert wall < 1.5, f"deadline path serialized the window ({wall:.2f}s)"
-
-    def test_retry_lands_on_idle_worker(self, tmp_path):
-        flag = str(tmp_path / "hung-once")
-        points = [(None, "a"), (flag, "slow"), (None, "b")]
-        t0 = time.monotonic()
-        out = map_points(
-            _hang_first_attempt, points, workers=2, timeout=0.6, retries=2
-        )
-        wall = time.monotonic() - t0
-        assert out == ["a", "slow", "b"]
-        assert wall < 30.0  # retry ran concurrently, not after the hang
-
-
 # -- context wiring and reporting -------------------------------------------
 
 
 class TestContextIntegration:
     def test_sweep_records_sched_stats(self):
         specs = _fig07_slice_specs()
-        with use_context(ExecContext(workers=2, sched="steal")) as ctx:
+        with use_context(ExecContext(workers=2)) as ctx:
             run_specs(specs)
         assert ctx.stats.sched_points == len(specs)
         assert ctx.stats.sched_chunks >= 1
         line = sweep_summary(ctx.stats)
         assert "sched:" in line and "steals" in line
 
-    def test_sched_off_uses_legacy_path(self):
-        specs = _fig07_slice_specs()
-        with use_context(ExecContext(workers=1, sched="off")) as ctx:
+    def test_single_miss_runs_plain_loop(self):
+        """One miss skips the scheduler: no chunk stats, same value."""
+        specs = _fig07_slice_specs()[:1]
+        with use_context(ExecContext(workers=2)) as ctx:
             results = run_specs(specs)
-        assert [_result_fields(r) for r in results] == _serial_baseline()
+        assert [_result_fields(r) for r in results] == _serial_baseline()[:1]
+        assert ctx.stats.points_run == 1
         assert ctx.stats.sched_chunks == 0
         assert "sched:" not in sweep_summary(ctx.stats)
+
+    def test_sweep_summary_breaks_out_kinds(self, tmp_path):
+        """The report line splits each sweep kind's run/hit counts, so one
+        kind's cache misses can't hide in the aggregate."""
+        with use_context(ExecContext(cache=tmp_path)) as ctx:
+            sweep("unit.kind", _double, [1])
+            ctx.stats.record_kind("collective", 10, 2, 8)
+            line = sweep_summary(ctx.stats)
+        assert "unit.kind 1 run/0 hit" in line
+        assert "collective 2 run/8 hit" in line
 
     def test_quarantine_count_surfaces_in_stats(self, tmp_path):
         specs = _fig07_slice_specs()[:2]
@@ -593,28 +503,10 @@ class TestContextIntegration:
         assert ctx.stats.cache_quarantined == 1
         assert "1 quarantined" in sweep_summary(ctx.stats)
 
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "nosteal")
-        assert ExecContext(workers=1).sched == "nosteal"
-        monkeypatch.setenv("REPRO_SCHED", "legacy")
-        assert ExecContext(workers=1).sched == "off"
-        monkeypatch.delenv("REPRO_SCHED")
-        assert ExecContext(workers=1).sched == "steal"
-        assert resolve_sched(" Steal ") == "steal"
-        with pytest.raises(ValueError):
-            resolve_sched("sideways")
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "16")
-        assert resolve_shards() == 16
-        with pytest.raises(ValueError):
-            resolve_shards(7)
-        with pytest.raises(ValueError):
-            resolve_shards("lots")
-
     def test_sched_pool_gated_off(self, monkeypatch):
         assert ExecContext(workers=1).sched_pool() is None
-        assert ExecContext(workers=4, sched="off").sched_pool() is None
         monkeypatch.setattr(sched_mod, "usable_cpus", lambda: 1)
-        ctx = ExecContext(workers=4, sched="steal")
+        ctx = ExecContext(workers=4)
         try:
             assert ctx.sched_pool() is None  # 1 usable CPU: inline wins
         finally:

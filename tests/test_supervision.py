@@ -1,10 +1,10 @@
 """Supervision layer: hung-chunk detection, randomized worker loss, and
 the circuit breaker's degradation ladder.
 
-The contract under test (ISSUE 10 tentpole #2): worker-level trouble —
+The contract under test: worker-level trouble —
 dead workers, hung chunks, repeat-killer points — is absorbed below the
 sweep (respawn, poison ladder, sandbox), and *pool-level* trouble
-degrades dispatch sched → legacy → serial without ever changing results.
+degrades dispatch sched → serial without ever changing results.
 """
 
 import multiprocessing
@@ -208,21 +208,20 @@ class TestCircuitBreaker:
     def test_degradation_ladder(self):
         b = CircuitBreaker(threshold=2)
         assert b.state == "sched" and not b.tripped
-        b.record_sched_failure()
-        assert b.state == "sched"
-        b.record_sched_failure()
-        assert b.state == "legacy" and b.tripped
-        b.record_legacy_failure()
-        b.record_legacy_failure()
-        assert b.state == "serial"
+        b.record_failure()
+        assert b.state == "sched" and not b.tripped
+        b.record_failure()
+        assert b.state == "serial" and b.tripped
         assert "serial" in b.describe()
+        b.record_failure()
+        assert b.state == "serial"  # the floor: nothing below serial
 
     def test_tripped_breaker_stops_sched_pool_creation(self):
         ctx = ExecContext(workers=2)
         try:
-            ctx.breaker.record_sched_failure()
-            ctx.breaker.record_sched_failure()
-            assert ctx.breaker.state == "legacy"
+            ctx.breaker.record_failure()
+            ctx.breaker.record_failure()
+            assert ctx.breaker.state == "serial"
             assert ctx.sched_pool() is None
         finally:
             ctx.close()
@@ -230,8 +229,7 @@ class TestCircuitBreaker:
     def test_serial_breaker_forces_inline_sweep(self):
         ctx = ExecContext(workers=2)
         for _ in range(2):
-            ctx.breaker.record_sched_failure()
-            ctx.breaker.record_legacy_failure()
+            ctx.breaker.record_failure()
         assert ctx.breaker.state == "serial"
         try:
             with use_context(ctx):
@@ -240,3 +238,4 @@ class TestCircuitBreaker:
             ctx.close()
         assert results == [x * x for x in range(6)]
         assert ctx.stats.breaker_state == "serial"
+        assert ctx.stats.sched_chunks == 0  # the plain loop, not the scheduler

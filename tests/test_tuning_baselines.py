@@ -219,6 +219,32 @@ class TestTuner:
         assert "k=" in c.describe()
 
 
+class TestTunerMemo:
+    """``choose`` memoises per tuner behind a bounded LRU."""
+
+    def test_identity_caching_and_counters(self):
+        t = Tuner(get_arch("knl"))
+        a = t.choose("bcast", 4096, 8)
+        b = t.choose("bcast", 4096, 8)
+        assert a is b
+        stats = t.choose_cache_stats()
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
+        assert stats["maxsize"] == Tuner.CHOOSE_CACHE_SIZE
+
+    def test_memo_is_bounded(self):
+        t = Tuner(get_arch("knl"), choose_cache_size=4)
+        for eta in (1, 2, 3, 4, 5, 6):
+            t.choose("bcast", eta, 8)
+        stats = t.choose_cache_stats()
+        assert stats["maxsize"] == 4
+        assert stats["size"] <= 4
+        assert stats["misses"] == 6
+        # eta=1 was evicted by the later four: re-choosing misses again
+        t.choose("bcast", 1, 8)
+        assert t.choose_cache_stats()["misses"] == 7
+
+
 class TestProposedBeatsBaselines:
     """Table VI's headline, in miniature: the tuned design wins."""
 
