@@ -1,296 +1,93 @@
-"""Wall-clock performance suite for the simulator (``python -m repro.bench perf``).
+"""Counter-gated perf probes for the simulator (``python -m repro.bench perf``).
 
-Unlike everything else under :mod:`repro.bench`, this module measures
-*host* wall-clock time, not simulated microseconds.  It exists so that
-engine optimisations are measured rather than asserted: the suite emits
-``BENCH_engine.json`` with events/sec for a set of engine microbenches,
-per-point wall time for representative Fig 3 / Fig 7 slices and the
-sweep scheduler, and CI replays it (``--smoke --check BENCH_engine.json``) to catch gross
-regressions.
+Three probes, each of one layer the paper's claims rest on, record
+deterministic work counters:
 
-The benches use only the public simulator API (``Simulator``, ``Delay``,
-``Acquire``/``Release``, ``Join``, ``Mutex``), so the same file runs
-unchanged against any engine revision — that is how before/after numbers
-in README's Performance section were produced.
+* ``convoy`` — contended mm-lock pin convoys at 2–64 readers, plus a
+  ``solo`` reader whose 100,000 uncontended batches collapse into one
+  timed hold (3 engine events);
+* ``xpmem`` — warm mapped-window copy loops at 2–32 attachers (the
+  pin-free steady state), plus each preset architecture's
+  map-amortisation crossover in simulated microseconds;
+* ``sched`` — the mixed fig07+fig13 slice of :mod:`repro.bench.schedprof`
+  through the work-stealing scheduler (points, simulator events), then
+  served again from a warm result cache (``cache_hits``).
+
+``--check BASELINE`` compares every counter with the committed
+``BENCH_engine.json`` for exact equality and exits 1 naming each one that
+differs or is missing on either side: a fast path that falls off shows up
+as more events, however fast or loaded the host is.  Walls are printed,
+never written or gated; wall time is judged end to end by e2ebench
+(``e2ebench/run.py``).
 
 Usage::
 
-    python -m repro.bench perf                  # full suite -> BENCH_engine.json
-    python -m repro.bench perf --smoke          # CI-sized run
-    python -m repro.bench perf --smoke --check BENCH_engine.json
+    python -m repro.bench perf                          # -> BENCH_engine.json
+    python -m repro.bench perf --out BENCH_fresh.json --check BENCH_engine.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from types import SimpleNamespace
 
-__all__ = [
-    "run_suite",
-    "main",
-    "compare_trajectory",
-    "SCHEMA",
-    "GATED_SECTIONS",
-    "GATE_FACTOR",
-]
+from repro.sim.engine import Acquire, HoldRelease, PinConvoy, Simulator
+from repro.sim.resources import Mutex
 
-SCHEMA = "bench-engine-v1"
+__all__ = ["SCHEMA", "SECTIONS", "run_suite", "check", "main"]
 
-#: Sections whose regressions fail ``--check`` (CI).  The remaining
-#: sections (``engine``, ``sweep``) are reported but non-gating: they are
-#: dominated by host noise on shared CI runners, while ``convoy``,
-#: ``fig07``, and ``xpmem`` directly cover the convoy and mapped-window
-#: steady-state fast paths, and ``sched`` covers the work-stealing sweep
-#: scheduler end to end (mixed fig07+fig13 slice through ``run_specs``,
-#: cache-off and cache-warm) — losing one shows up as a >3x events/sec
-#: drop.
-GATED_SECTIONS = ("convoy", "fig07", "xpmem", "sched")
+SCHEMA = "bench-engine-v2"
 
-#: Regression factor for the gated sections.
-GATE_FACTOR = 3.0
+#: the probes, in run order: one top-level payload section each
+SECTIONS = ("convoy", "xpmem", "sched")
 
-#: Convoy bench: contended pure pin convoys at these reader counts.
-CONVOY_READERS = (2, 8, 32, 64)
-#: pin batches per reader: (full, smoke).  The smoke size stays large
-#: enough that per-run setup doesn't dominate the events/sec rate — the
-#: CI gate compares a smoke run against the committed full-size baseline.
-CONVOY_ROUNDS = (500, 250)
+#: convoy points: name -> (readers, 16-page pin batches per reader)
+CONVOY_POINTS = {
+    **{f"c{r}": (r, 500) for r in (2, 8, 32, 64)},
+    "solo": (1, 100_000),
+}
 
-#: xpmem bench: warm mapped-window copy loops at these attacher counts.
-XPMEM_READERS = (2, 8, 32)
-#: warm copies per attacher: (full, smoke).
-XPMEM_ROUNDS = (400, 100)
+#: xpmem points: name -> attachers; each makes XPMEM_ROUNDS warm copies
+XPMEM_POINTS = {f"w{r}": r for r in (2, 8, 32)}
+XPMEM_ROUNDS = 400
 #: exported window size in pages; each round re-reads a 4-page slice, so
-#: after the first round every touched page is faulted and the loop sits
-#: on the pin-free steady-state path the gate is meant to protect.
+#: after the first pass over the window every copy is on the pin-free
+#: steady-state path the probe guards.
 XPMEM_WINDOW_PAGES = 64
+CROSSOVER_ARCHS = ("knl", "broadwell", "power8")
 
-# Engine-bench workload sizes: (full, smoke).
-_SIZES = {
-    "zero_delay": ((128, 1_000), (16, 100)),     # (procs, yields per proc)
-    "timer_heap": ((128, 1_000), (16, 100)),
-    "mutex_uncontended": ((1, 80_000), (1, 4_000)),
-    "mutex_contended": ((64, 400), (8, 60)),
-    "spawn_join": ((10_000, 1), (400, 1)),       # (children, -)
-}
 
-FIG03_SLICE = [
-    ("knl", 8, 256 * 1024),
-    ("broadwell", 8, 1 << 20),
-    ("knl", 32, 256 * 1024),
-]
-FIG03_SLICE_SMOKE = [("knl", 8, 256 * 1024)]
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
 
-FIG07_SLICE = [("parallel_read", {}, 256 * 1024), ("throttled_read", {"k": 4}, 256 * 1024)]
-FIG07_SLICE_SMOKE = [("parallel_read", {}, 256 * 1024)]
 
-# End-to-end sweep slices: many points at fixed (arch, p) — the shape every
-# figure sweep has, and exactly what warm-node reuse amortises.  Points are
-# (collective, algorithm, params, eta).
-SWEEP_SLICES = {
-    # Fig 7: the scatter algorithm family on the KNL model.
-    "fig07_scatter_knl": {
-        "arch": "knl",
-        "procs": 12,
-        "points": [
-            ("scatter", alg, params, eta)
-            for eta in (16 * 1024, 64 * 1024, 256 * 1024)
-            for alg, params in (
-                ("parallel_read", {}),
-                ("sequential_write", {}),
-                ("throttled_read", {"k": 4}),
-            )
-        ],
-    },
-    # Fig 13 style: scatter via the algorithms the library models lower to
-    # (binomial pt2pt trees, rendezvous fan-out) on the Broadwell model.
-    "fig13_scatter_bdw": {
-        "arch": "broadwell",
-        "procs": 12,
-        "points": [
-            ("scatter", alg, params, eta)
-            for eta in (16 * 1024, 128 * 1024)
-            for alg, params in (
-                ("parallel_read", {}),
-                ("binomial_p2p", {}),
-                ("fanout_rndv", {}),
-            )
-        ],
-    },
-}
-SWEEP_SLICES_SMOKE = {
-    "fig07_scatter_knl": {
-        "arch": "knl",
-        "procs": 8,
-        "points": [
-            ("scatter", "parallel_read", {}, 16 * 1024),
-            ("scatter", "parallel_read", {}, 64 * 1024),
-            ("scatter", "throttled_read", {"k": 4}, 16 * 1024),
-            ("scatter", "throttled_read", {"k": 4}, 64 * 1024),
-        ],
-    },
-}
-
-def _bestof(walls: list[float]) -> dict:
-    """Best-of-N wall summary with spread.
-
-    Every wall in the suite keeps all N raw repeats (``wall_s_all``) plus
-    the min and the min-relative spread, so a baseline reader can tell a
-    tight measurement from one where the best repeat was a fluke — a 5%
-    spread means the rate is trustworthy, a 60% spread means rerun before
-    arguing about regressions.
-    """
-    best = min(walls)
-    return {
-        "wall_s": round(best, 6),
-        "repeats": len(walls),
-        "wall_s_all": [round(w, 6) for w in walls],
-        "spread_pct": round((max(walls) - best) / best * 100.0, 1)
-        if best else None,
-    }
+def _say(section: str, name: str, events: int, wall: float) -> None:
+    print(f"{section:<6} {name:<6} {events:>8} events  {wall * 1e3:8.1f} ms")
 
 
 # --------------------------------------------------------------------------
-# Engine microbenches.  Each builds a Simulator, runs a workload dominated by
-# one kind of event traffic, and returns the Simulator (for events_processed).
+# convoy: the mm-lock convoy fast path
 # --------------------------------------------------------------------------
 
 
-def _bench_zero_delay(procs: int, yields: int):
-    """Zero-delay resumptions: the spawn/grant/continuation fast-path traffic."""
-    from repro.sim.engine import Delay, Simulator
+def _convoy(readers: int, rounds: int) -> Simulator:
+    """Pure pin convoys on one mm lock, readers on alternating sockets.
 
-    sim = Simulator()
-
-    def worker():
-        for _ in range(yields):
-            yield Delay(0.0)
-
-    for i in range(procs):
-        sim.spawn(worker(), name=f"z{i}")
-    sim.run()
-    return sim
-
-
-def _bench_timer_heap(procs: int, yields: int):
-    """Distinct-timestamp delays: pure heap scheduling, no fast path."""
-    from repro.sim.engine import Delay, Simulator
-
-    sim = Simulator()
-
-    def worker(i: int):
-        for j in range(yields):
-            yield Delay(0.1 + (i * 7 + j) % 13 * 0.01)
-
-    for i in range(procs):
-        sim.spawn(worker(i), name=f"t{i}")
-    sim.run()
-    return sim
-
-
-def _bench_mutex_uncontended(_procs: int, rounds: int):
-    """Lone process acquiring/releasing a mutex: the uncontended-grant path."""
-    from repro.sim.engine import Acquire, Release, Simulator
-    from repro.sim.resources import Mutex
-
-    sim = Simulator()
-    lock = Mutex(sim, "m")
-
-    def worker():
-        for _ in range(rounds):
-            yield Acquire(lock)
-            yield Release(lock)
-
-    sim.spawn(worker(), name="solo")
-    sim.run()
-    return sim
-
-
-def _bench_mutex_contended(procs: int, rounds: int):
-    """Many processes hammering one mutex: grant + contention-profile traffic."""
-    from repro.sim.engine import Acquire, Delay, Release, Simulator
-    from repro.sim.resources import Mutex
-
-    sim = Simulator()
-    lock = Mutex(sim, "m")
-
-    def worker(i: int):
-        for _ in range(rounds):
-            yield Acquire(lock)
-            lock.contention_profile(i % 2)
-            yield Delay(0.01)
-            yield Release(lock)
-
-    for i in range(procs):
-        p = sim.spawn(worker(i), name=f"c{i}")
-        p.socket = i % 2
-    sim.run()
-    return sim
-
-
-def _bench_spawn_join(children: int, _rounds: int):
-    """Spawn/finish/join wakeup churn."""
-    from repro.sim.engine import Delay, Join, Simulator
-
-    sim = Simulator()
-
-    def child():
-        yield Delay(0.0)
-        return 1
-
-    def parent():
-        kids = [sim.spawn(child(), name=f"k{i}") for i in range(children)]
-        total = 0
-        for k in kids:
-            total += yield Join(k)
-        return total
-
-    sim.spawn(parent(), name="parent")
-    sim.run()
-    return sim
-
-
-_ENGINE_BENCHES: dict[str, Callable] = {
-    "zero_delay": _bench_zero_delay,
-    "timer_heap": _bench_timer_heap,
-    "mutex_uncontended": _bench_mutex_uncontended,
-    "mutex_contended": _bench_mutex_contended,
-    "spawn_join": _bench_spawn_join,
-}
-
-
-def _time_engine_bench(name: str, smoke: bool, repeats: int) -> dict:
-    a, b = _SIZES[name][1 if smoke else 0]
-    fn = _ENGINE_BENCHES[name]
-    best = float("inf")
-    events = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        sim = fn(a, b)
-        dt = time.perf_counter() - t0
-        best = min(best, dt)
-        events = sim.events_processed
-    return {
-        "events": events,
-        "wall_s": round(best, 6),
-        "events_per_sec": round(events / best, 1),
-    }
-
-
-def _bench_convoy(readers: int, rounds: int):
-    """Contended pure pin convoys: the convoy-record workload.
-
-    Every contender is a :class:`~repro.sim.engine.PinConvoy` member with
-    no copy time between batches, so every hop is a convoy record and
-    every hold a memo hit.  The hold model mirrors the mm-lock bounce
-    shape (pure in the contender profile, hence memoisable).
+    Every reader pins ``rounds`` 16-page batches with no copy time between
+    them, through one :class:`~repro.sim.engine.PinConvoy`; the hold model
+    has the mm-lock bounce shape (pure in the contender profile, hence
+    memoisable).  Under ``Simulator(use_pin_convoy=False)`` each reader
+    runs the per-batch ``Acquire``/``HoldRelease`` loop the kernel keeps
+    as its reference path instead.
     """
-    from repro.sim.engine import PinConvoy, Simulator
-    from repro.sim.resources import Mutex
-
     sim = Simulator()
     lock = Mutex(sim, "mm")
     memo: dict = {}
@@ -299,43 +96,41 @@ def _bench_convoy(readers: int, rounds: int):
         same, other = lock.contention_profile(proc.socket)
         return pages * 0.05 + 0.8 * max(same - 1, 0) + 2.4 * other
 
-    def worker():
-        yield PinConvoy(lock, hold, [(16, 0.0)] * rounds, memo=memo)
+    def reader(me):
+        if sim.use_pin_convoy:
+            yield PinConvoy(lock, hold, [(16, 0.0)] * rounds, memo=memo)
+            return
+        for _ in range(rounds):
+            yield Acquire(lock)
+            yield HoldRelease(lock, hold(16, me))
 
     for i in range(readers):
-        sim.spawn(worker(), name=f"r{i}", socket=i % 2)
+        sim.spawn(reader(SimpleNamespace(socket=i % 2)), name=f"r{i}", socket=i % 2)
     sim.run()
     return sim
 
 
-def _run_convoy_bench(smoke: bool, repeats: int) -> dict:
-    rounds = CONVOY_ROUNDS[1 if smoke else 0]
+def probe_convoy() -> dict:
     out = {}
-    for readers in CONVOY_READERS:
-        best = float("inf")
-        events = 0
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            sim = _bench_convoy(readers, rounds)
-            best = min(best, time.perf_counter() - t0)
-            events = sim.events_processed
-        out[f"c{readers}"] = {
-            "events": events,
-            "wall_s": round(best, 6),
-            "events_per_sec": round(events / best, 1),
-        }
+    for name, (readers, rounds) in CONVOY_POINTS.items():
+        sim, wall = _timed(_convoy, readers, rounds)
+        out[name] = {"events": sim.events_processed}
+        _say("convoy", name, sim.events_processed, wall)
     return out
 
 
-def _bench_xpmem_steady(readers: int, rounds: int):
-    """Warm mapped-window copies: the pin-free steady-state workload.
+# --------------------------------------------------------------------------
+# xpmem: the pin-free mapped-window steady state
+# --------------------------------------------------------------------------
+
+
+def _xpmem_steady(readers: int, rounds: int) -> Simulator:
+    """Warm mapped-window copies.
 
     One owner exports a window; ``readers`` attachers map it once, fault
-    its pages on the first round, then spend ``rounds - 1`` rounds on the
-    steady-state path — no mm-lock traffic at all, just priced ``Delay``
-    events.  This is the regime the xpmem lane exists for; regressing it
-    (say, by re-acquiring the owner's mm lock per warm copy) multiplies
-    the event count and trips the events/sec gate.
+    its pages on the first pass, then stay on the steady-state path: no
+    mm-lock traffic at all, just priced ``Delay`` events.  Re-acquiring
+    the owner's mm lock per warm copy would multiply the event count.
     """
     from repro.machine import make_generic
     from repro.mpi import Comm, Node
@@ -380,8 +175,7 @@ def _single_reader_cost(arch_name: str, mech: str, rounds: int) -> float:
 
     node = Node(get_arch(arch_name))
     comm = Comm(node, 2)
-    ps = node.arch.params.page_size
-    nbytes = 4 * ps
+    nbytes = 4 * node.arch.params.page_size
     window = comm.allocate(0, nbytes)
     local = comm.allocate(1, nbytes)
     box = {}
@@ -412,15 +206,13 @@ def _single_reader_cost(arch_name: str, mech: str, rounds: int) -> float:
     return node.sim.now - t0
 
 
-def _xpmem_crossover(arch_name: str) -> dict:
+def _crossover(arch_name: str) -> dict:
     """Map-amortisation crossover, from two simulated points per mechanism.
 
     Both costs are affine in the round count r — CMA pays a per-round pin,
     xpmem a one-time map+fault — so two runs each pin slope and intercept
     exactly, and the crossover is where the lines meet: the number of
-    re-reads after which the mapped window has paid for itself.  Purely
-    simulated time; deterministic, so it doubles as a sanity artifact in
-    the committed baseline.
+    re-reads after which the mapped window has paid for itself.
     """
     r1, r2 = 1, 33
     c1 = _single_reader_cost(arch_name, "cma", r1)
@@ -431,492 +223,139 @@ def _xpmem_crossover(arch_name: str) -> dict:
     slope_x = (x2 - x1) / (r2 - r1)
     map_cost = (x1 - slope_x) - (c1 - slope_c)
     saving = slope_c - slope_x
-    rounds = None
-    if saving > 0:
-        import math
-
-        rounds = max(1, math.ceil(map_cost / saving))
     return {
         "map_cost_us": round(map_cost, 4),
         "per_copy_saving_us": round(saving, 4),
-        "crossover_rounds": rounds,
+        "crossover_rounds": (
+            max(1, math.ceil(map_cost / saving)) if saving > 0 else None
+        ),
     }
 
 
-def _run_xpmem_bench(smoke: bool, repeats: int) -> dict:
-    rounds = XPMEM_ROUNDS[1 if smoke else 0]
+def probe_xpmem() -> dict:
     out = {}
-    for readers in XPMEM_READERS:
-        best = float("inf")
-        events = 0
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            sim = _bench_xpmem_steady(readers, rounds)
-            best = min(best, time.perf_counter() - t0)
-            events = sim.events_processed
-        out[f"w{readers}"] = {
-            "events": events,
-            "wall_s": round(best, 6),
-            "events_per_sec": round(events / best, 1),
-        }
-    # no events_per_sec key: reported in the baseline, skipped by the gate
-    out["crossover"] = {
-        arch: _xpmem_crossover(arch)
-        for arch in ("knl", "broadwell", "power8")
-    }
+    for name, readers in XPMEM_POINTS.items():
+        sim, wall = _timed(_xpmem_steady, readers, XPMEM_ROUNDS)
+        out[name] = {"events": sim.events_processed}
+        _say("xpmem", name, sim.events_processed, wall)
+    out["crossover"] = {arch: _crossover(arch) for arch in CROSSOVER_ARCHS}
+    for arch, r in out["crossover"].items():
+        print(
+            f"xpmem  crossover {arch:<9} map {r['map_cost_us']:8.2f} us  "
+            f"saves {r['per_copy_saving_us']:7.3f} us/copy  "
+            f"pays off after {r['crossover_rounds']} re-reads"
+        )
     return out
 
 
 # --------------------------------------------------------------------------
-# End-to-end slices (uncached, serial: no exec context is active here, so
-# the @_sweepable microbenches run as plain calls).
+# sched: the sweep scheduler and the result cache behind it
 # --------------------------------------------------------------------------
 
 
-def _run_fig03_slice(points, repeats: int) -> dict:
-    from repro.bench.microbench import one_to_all_latency
-    from repro.machine import get_arch
+def probe_sched() -> dict:
+    """The mixed slice through the scheduler, then from a warm cache.
 
-    out = {}
-    for arch, readers, nbytes in points:
-        walls = []
-        lat = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            lat = one_to_all_latency(get_arch(arch), readers, nbytes)
-            walls.append(time.perf_counter() - t0)
-        out[f"{arch}/{readers}r/{nbytes}"] = {
-            "latency_us": lat,
-            **_bestof(walls),
-        }
-    return out
-
-
-def _run_fig07_slice(specs, repeats: int) -> dict:
-    """Best-of-``repeats`` wall time per point (latencies are identical
-    across repeats — the simulator is deterministic).  A single cold run
-    would fold interpreter/import warm-up into the first point's rate and
-    make the events/sec gate meaningless across revisions."""
-    from repro.core.runner import CollectiveSpec, run_collective
-    from repro.machine import get_arch
-
-    out = {}
-    for alg, params, eta in specs:
-        spec = CollectiveSpec(
-            "scatter", alg, get_arch("knl"), procs=12, eta=eta, params=params
-        )
-        walls = []
-        res = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = run_collective(spec)
-            walls.append(time.perf_counter() - t0)
-        summary = _bestof(walls)
-        best = summary["wall_s"]
-        out[f"{alg}/{eta}"] = {
-            "latency_us": res.latency_us,
-            "sim_events": res.sim_events,
-            "events_per_sec": round(res.sim_events / best, 1) if best else None,
-            **summary,
-        }
-    return out
-
-
-def _sweep_specs(slice_def: dict):
-    from repro.core.runner import CollectiveSpec
-    from repro.machine import get_arch
-
-    arch = get_arch(slice_def["arch"])
-    return [
-        CollectiveSpec(
-            coll, alg, arch, procs=slice_def["procs"], eta=eta, params=params
-        )
-        for coll, alg, params, eta in slice_def["points"]
-    ]
-
-
-def _run_sweep_bench(slice_def: dict, repeats: int) -> dict:
-    """Points/sec over one slice, fresh-node vs warm-node (best-of-N).
-
-    The fresh pass is the pre-warm-pool behaviour (a new Node/Comm per
-    point); the warm pass reuses one :class:`~repro.core.runner.NodePool`
-    across the slice, pool misses included.  Both produce bit-identical
-    latencies — the differential suite enforces that; this bench only
-    times them.
+    Gated: the point count, the simulator events the results represent,
+    and the warm pass's cache hits (every point must be served).  Workers,
+    chunks, steals and the cost model's error depend on the host's CPU
+    count, so they are printed only.
     """
-    from repro.core.runner import NodePool, run_collective, run_collective_pooled
-
-    specs = _sweep_specs(slice_def)
-    n = len(specs)
-    fresh_best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for s in specs:
-            run_collective(s)
-        fresh_best = min(fresh_best, time.perf_counter() - t0)
-    warm_best = float("inf")
-    for _ in range(repeats):
-        pool = NodePool()
-        t0 = time.perf_counter()
-        for s in specs:
-            run_collective_pooled(s, pool)
-        warm_best = min(warm_best, time.perf_counter() - t0)
-    return {
-        "points": n,
-        "fresh": {
-            "wall_s": round(fresh_best, 6),
-            "points_per_sec": round(n / fresh_best, 2),
-        },
-        "warm": {
-            "wall_s": round(warm_best, 6),
-            "points_per_sec": round(n / warm_best, 2),
-        },
-        "warm_speedup": round(fresh_best / warm_best, 3),
-    }
-
-
-#: The scheduler bench always runs the *full* mixed slice (15 points over
-#: two architectures), smoke included: the section is gated, and shrinking
-#: the point set in smoke would move the points/sec regime away from the
-#: committed full-size baseline the 3x gate compares against.  At ~150 ms
-#: of simulation total it is CI-cheap anyway.
-SCHED_SLICE_NAMES = ("fig07_scatter_knl", "fig13_scatter_bdw")
-
-
-def _run_sched_bench(smoke: bool, repeats: int) -> dict:
-    """End-to-end work-stealing scheduler walls over the mixed slice.
-
-    Three legs, all over the same fig07+fig13 scatter mix:
-
-    - ``serial_warm`` — the pre-scheduler reference: one warm
-      :class:`~repro.core.runner.NodePool`, points run in a plain loop.
-    - ``sched`` — the same points through :func:`repro.exec.sweep.run_specs`
-      under ``ExecContext(workers="auto")``, cache off: prices chunking,
-      routing, and (on multi-CPU hosts) the sticky pool fan-out.  Chunk,
-      steal, and cost-model-error counters ride along as plain fields.
-    - ``sched_cached`` — an untimed cold pass fills a throwaway sharded
-      :class:`~repro.exec.ResultCache`, then timed warm passes reopen the
-      directory fresh: the rate prices the batched ``get_many`` read path
-      end to end (the acceptance leg — results served, not recomputed).
-
-    Every leg stores events/sec (sim events the returned results
-    represent), so the generic >3x gate covers all three; the
-    ``speedup_vs_serial_warm`` fields are reported, not gated.
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.runner import NodePool, run_collective_pooled
+    from repro.bench.schedprof import run_slice, slice_specs
     from repro.exec import ExecContext, ResultCache, use_context
     from repro.exec.sweep import run_specs
 
-    specs = [
-        s for name in SCHED_SLICE_NAMES
-        for s in _sweep_specs(SWEEP_SLICES[name])
-    ]
-    n = len(specs)
-
-    def leg(events: int, walls: list, extra: Optional[dict] = None) -> dict:
-        summary = _bestof(walls)
-        best = summary["wall_s"]
-        out = {
-            "points": n,
-            "events": events,
-            "points_per_sec": round(n / best, 2),
-            "events_per_sec": round(events / best, 1),
-            **summary,
-        }
-        if extra:
-            out.update(extra)
-        return out
-
-    events = 0
-    serial_walls = []
-    for _ in range(repeats):
-        pool = NodePool()
-        ev = 0
-        t0 = time.perf_counter()
-        for s in specs:
-            ev += run_collective_pooled(s, pool).sim_events
-        serial_walls.append(time.perf_counter() - t0)
-        events = ev
-
-    sched_walls = []
-    sched_info: dict = {}
-    for _ in range(repeats):
-        with use_context(ExecContext(workers="auto")) as ctx:
-            t0 = time.perf_counter()
-            run_specs(specs)
-            sched_walls.append(time.perf_counter() - t0)
-        err = ctx.stats.sched_cost_err_pct
-        sched_info = {
-            "workers": ctx.stats.workers,
-            "chunks": ctx.stats.sched_chunks,
-            "steals": ctx.stats.sched_steals,
-            "cost_err_pct": round(err, 1) if err is not None else None,
-        }
-
-    cache_dir = tempfile.mkdtemp(prefix="repro-sched-bench-")
-    try:
-        with use_context(
-            ExecContext(workers="auto", cache=ResultCache(cache_dir))
-        ):
-            run_specs(specs)  # cold fill, untimed
-        cached_walls = []
-        hits = 0
-        for _ in range(repeats):
-            # A fresh ResultCache handle each repeat: the timed path is the
-            # sharded batched on-disk read, not a warmed in-process object.
+    results, stats, wall = run_slice("mixed")
+    events = sum(r.sim_events for r in results)
+    _say("sched", "mixed", events, wall)
+    err = stats.cost_err_pct
+    print(
+        f"sched  mixed  {stats.points} points on {stats.workers} worker(s): "
+        f"{stats.chunks} chunks, {stats.steals} steals, cost model error "
+        f"{'n/a' if err is None else f'{err:.1f}%'}"
+    )
+    specs = slice_specs("mixed")
+    with tempfile.TemporaryDirectory(prefix="repro-perf-") as cache_dir:
+        for _ in range(2):  # fill the cache, then the warm pass
             with use_context(
-                ExecContext(workers="auto", cache=ResultCache(cache_dir))
+                ExecContext(workers=1, cache=ResultCache(cache_dir))
             ) as ctx:
-                t0 = time.perf_counter()
                 run_specs(specs)
-                cached_walls.append(time.perf_counter() - t0)
-            hits = ctx.stats.cache_hits
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    out = {
-        "serial_warm": leg(events, serial_walls),
-        "sched": leg(events, sched_walls, sched_info),
-        "sched_cached": leg(events, cached_walls, {"cache_hits": hits}),
-    }
-    out["sched"]["speedup_vs_serial_warm"] = round(
-        min(serial_walls) / min(sched_walls), 2
-    )
-    out["sched_cached"]["speedup_vs_serial_warm"] = round(
-        min(serial_walls) / min(cached_walls), 2
-    )
-    return out
+    hits = ctx.stats.cache_hits
+    print(f"sched  warm   {hits} of {len(specs)} points from the cache")
+    return {"points": len(results), "sim_events": events, "cache_hits": hits}
 
 
-def run_suite(smoke: bool = False, repeats: Optional[int] = None) -> dict:
-    """Run every bench; returns the ``BENCH_engine.json`` payload."""
-    if repeats is None:
-        repeats = 2 if smoke else 3
-    engine = {}
-    total_events = 0
-    total_wall = 0.0
-    for name in _ENGINE_BENCHES:
-        r = _time_engine_bench(name, smoke, repeats)
-        engine[name] = r
-        total_events += r["events"]
-        total_wall += r["wall_s"]
-    engine["overall_events_per_sec"] = round(total_events / total_wall, 1)
-    slices = SWEEP_SLICES_SMOKE if smoke else SWEEP_SLICES
+def run_suite() -> dict:
+    """Run the three probes; returns the ``BENCH_engine.json`` payload."""
     return {
         "schema": SCHEMA,
-        "smoke": smoke,
-        "engine": engine,
-        "convoy": _run_convoy_bench(smoke, repeats),
-        "xpmem": _run_xpmem_bench(smoke, repeats),
-        "fig03": _run_fig03_slice(
-            FIG03_SLICE_SMOKE if smoke else FIG03_SLICE, repeats
-        ),
-        "fig07": _run_fig07_slice(
-            FIG07_SLICE_SMOKE if smoke else FIG07_SLICE, repeats
-        ),
-        "sched": _run_sched_bench(smoke, repeats),
-        "sweep": {
-            name: _run_sweep_bench(sl, repeats) for name, sl in slices.items()
-        },
+        "convoy": probe_convoy(),
+        "xpmem": probe_xpmem(),
+        "sched": probe_sched(),
     }
 
 
 # --------------------------------------------------------------------------
-# Regression check + CLI
+# Counter check + CLI
 # --------------------------------------------------------------------------
 
 
-def check_sections(
-    result: dict, baseline: dict, factor: float = 2.0,
-    gate_factor: float = GATE_FACTOR,
-) -> dict[str, list[str]]:
-    """Per-section regression failures vs ``baseline``.
+class _Missing:
+    def __repr__(self) -> str:
+        return "missing"
 
-    Wall-clock comparisons across heterogeneous CI hosts are noisy, hence
-    deliberately loose factors: they catch "the fast path fell off", not
-    single-digit-percent drift.  Every section in :data:`GATED_SECTIONS`
-    compares events/sec per point at ``gate_factor``
-    (:data:`GATE_FACTOR`, 3x) and only those sections fail CI.  The
-    advisory ``engine`` (events/sec per microbench) and ``sweep`` (warm
-    points/sec per slice) sections are reported at ``factor`` (2x).
-    Sections missing from either side are skipped.
+
+_MISSING = _Missing()
+
+
+def _counters(payload: dict, prefix: str = "") -> dict:
+    """Flatten a payload into ``{"section.point.counter": value}``."""
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update(_counters(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+def check(fresh: dict, baseline: dict) -> dict[str, list[str]]:
+    """Counters that differ between ``fresh`` and ``baseline``, by section.
+
+    Every counter is compared for exact equality.  One present on only
+    one side is a mismatch too, so a dropped or renamed point never
+    passes silently.
     """
-    sections: dict[str, list[str]] = {}
-    failures: list[str] = []
-    base = baseline.get("engine", {})
-    for name, r in result.get("engine", {}).items():
-        if name == "overall_events_per_sec":
-            continue
-        ref = base.get(name)
-        if not isinstance(ref, dict):
-            continue
-        if r["events_per_sec"] * factor < ref["events_per_sec"]:
-            failures.append(
-                f"{name}: {r['events_per_sec']:.0f} ev/s vs baseline "
-                f"{ref['events_per_sec']:.0f} ev/s (>{factor:g}x regression)"
+    new, old = _counters(fresh), _counters(baseline)
+    sections: dict[str, list[str]] = {sec: [] for sec in SECTIONS}
+    for path in sorted(old.keys() | new.keys()):
+        was, now = old.get(path, _MISSING), new.get(path, _MISSING)
+        if was != now:
+            sections.setdefault(path.split(".")[0], []).append(
+                f"{path}: {was!r} → {now!r}"
             )
-    sections["engine"] = failures
-    for sec in GATED_SECTIONS:
-        if sec not in result:
-            continue
-        failures = []
-        base = baseline.get(sec, {})
-        for name, r in result[sec].items():
-            ref = base.get(name)
-            if not isinstance(ref, dict):
-                continue
-            cur = r.get("events_per_sec")
-            refv = ref.get("events_per_sec")
-            if cur is None or refv is None:
-                continue
-            if cur * gate_factor < refv:
-                failures.append(
-                    f"{name}: {cur:.0f} ev/s vs baseline {refv:.0f} ev/s "
-                    f"(>{gate_factor:g}x regression)"
-                )
-        sections[sec] = failures
-    if "sweep" in result:
-        failures = []
-        base = baseline.get("sweep", {})
-        for name, r in result["sweep"].items():
-            ref = base.get(name)
-            if not isinstance(ref, dict):
-                continue
-            cur = r["warm"]["points_per_sec"]
-            refv = ref["warm"]["points_per_sec"]
-            if cur * factor < refv:
-                failures.append(
-                    f"{name}: {cur:.1f} warm points/s vs baseline "
-                    f"{refv:.1f} points/s (>{factor:g}x regression)"
-                )
-        sections["sweep"] = failures
     return sections
 
 
-def check_regression(result: dict, baseline: dict, factor: float = 2.0) -> list[str]:
-    """All regression failures vs ``baseline`` (see :func:`check_sections`)."""
+def _summary_lines(sections: dict[str, list[str]]) -> list[str]:
+    """One pass/fail line per section (also written to
+    ``$GITHUB_STEP_SUMMARY`` when set)."""
     return [
-        f for fails in check_sections(result, baseline, factor).values()
-        for f in fails
+        f"perf {sec}: FAIL — {len(fails)} counter(s) differ" if fails
+        else f"perf {sec}: PASS"
+        for sec, fails in sections.items()
     ]
 
 
-def _delta_table(fresh: dict, baseline: dict) -> list[str]:
-    """Markdown per-section delta table: fresh vs committed events/sec.
-
-    Pure dict walk over the two payloads — every section whose points
-    carry an ``events_per_sec`` on both sides gets a row per point, with
-    the percentage delta and a gating marker.  Points missing from either
-    side are listed as ``new``/``gone`` rather than silently skipped, so
-    a section rename can't masquerade as a clean run.
-    """
-    rows = [
-        "| section | point | baseline ev/s | fresh ev/s | delta | gated |",
-        "|---|---|---:|---:|---:|---|",
-    ]
-    secs = [
-        s for s in fresh
-        if isinstance(fresh.get(s), dict) and s not in ("sweep",)
-    ]
-    for sec in secs:
-        base_sec = baseline.get(sec)
-        if not isinstance(base_sec, dict):
-            base_sec = {}
-        gated = "yes" if sec in GATED_SECTIONS else ""
-        names = sorted(set(fresh[sec]) | set(base_sec))
-        for name in names:
-            cur = fresh[sec].get(name)
-            ref = base_sec.get(name)
-            cur_v = cur.get("events_per_sec") if isinstance(cur, dict) else None
-            ref_v = ref.get("events_per_sec") if isinstance(ref, dict) else None
-            if cur_v is None and ref_v is None:
-                continue
-            if cur_v is None:
-                rows.append(f"| {sec} | {name} | {ref_v:,.0f} | gone | — | {gated} |")
-            elif ref_v is None:
-                rows.append(f"| {sec} | {name} | new | {cur_v:,.0f} | — | {gated} |")
-            else:
-                delta = (cur_v - ref_v) / ref_v * 100.0
-                rows.append(
-                    f"| {sec} | {name} | {ref_v:,.0f} | {cur_v:,.0f} | "
-                    f"{delta:+.1f}% | {gated} |"
-                )
-    return rows
-
-
-def compare_trajectory(fresh_path: Path, baseline_path: Path) -> int:
-    """CI bench-trajectory step: diff a fresh run against the committed
-    baseline, post the per-section delta table to ``GITHUB_STEP_SUMMARY``,
-    and fail (exit 1) only on gated-section regressions — advisory
-    sections drift with runner hardware and must never block a merge."""
-    fresh = json.loads(Path(fresh_path).read_text())
-    baseline = json.loads(Path(baseline_path).read_text())
-    table = _delta_table(fresh, baseline)
-    sections = check_sections(fresh, baseline)
-    lines = _summary_lines(fresh, sections)
-    for row in table:
-        print(row)
-    for line in lines:
-        print(line)
-    _write_step_summary(
-        ["### Bench trajectory", ""] + table + [""]
-        + [f"- {ln}" for ln in lines],
-        bullet=False,
-    )
-    gating = [f for sec in GATED_SECTIONS for f in sections.get(sec, [])]
-    if gating:
-        print("PERF REGRESSION vs committed baseline:")
-        for f in gating:
-            print(f"  {f}")
-        return 1
-    print(
-        f"bench trajectory clean: no >{GATE_FACTOR:g}x regression in gated "
-        f"sections ({', '.join(GATED_SECTIONS)})"
-    )
-    return 0
-
-
-def _summary_lines(result: dict, sections: dict[str, list[str]]) -> list[str]:
-    """One pass/fail line per checked section (CI-readable without the
-    artifact; also written to ``$GITHUB_STEP_SUMMARY`` when set)."""
-    lines = []
-    for sec, fails in sections.items():
-        status = "FAIL" if fails else "PASS"
-        if sec == "engine":
-            metric = f"{result['engine']['overall_events_per_sec']:,.0f} events/sec overall"
-        elif sec in GATED_SECTIONS:
-            metric = ", ".join(
-                f"{name} {r['events_per_sec']:,.0f} ev/s"
-                for name, r in result[sec].items()
-                if r.get("events_per_sec")
-            ) or "no points"
-        else:
-            pps = ", ".join(
-                f"{name} {r['warm']['points_per_sec']:.1f} pts/s "
-                f"({r['warm_speedup']:.2f}x warm)"
-                for name, r in result["sweep"].items()
-            )
-            metric = pps or "no slices"
-        gate = "" if sec in GATED_SECTIONS else " [non-gating]"
-        detail = f"; {len(fails)} regression(s)" if fails else ""
-        lines.append(f"perf {sec}: {status}{gate} — {metric}{detail}")
-    return lines
-
-
-def _write_step_summary(lines: list[str], bullet: bool = True) -> None:
-    import os
-
+def _write_step_summary(lines: list[str]) -> None:
     path = os.environ.get("GITHUB_STEP_SUMMARY", "").strip()
     if not path:
         return
-    prefix = "- " if bullet else ""
     try:
         with open(path, "a", encoding="utf-8") as fh:
             for line in lines:
-                fh.write(f"{prefix}{line}\n")
+                fh.write(f"- {line}\n")
     except OSError:  # pragma: no cover - CI filesystem hiccup is non-fatal
         pass
 
@@ -924,121 +363,44 @@ def _write_step_summary(lines: list[str], bullet: bool = True) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench perf",
-        description="Wall-clock perf suite for the simulator engine.",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="CI-sized workloads (seconds, not minutes)"
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats per bench (best-of)"
+        description="Counter-gated perf probes: convoy, xpmem and sched.",
     )
     parser.add_argument(
         "--out",
         default="BENCH_engine.json",
-        help="output path (default: ./BENCH_engine.json)",
+        help="output path (default: ./BENCH_engine.json; never written "
+        "when it is the --check baseline)",
     )
     parser.add_argument(
         "--check",
         metavar="BASELINE",
         default=None,
-        help=(
-            "compare against a baseline JSON; exit 1 on a "
-            f">{GATE_FACTOR:g}x regression in a gated section"
-        ),
-    )
-    parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("FRESH", "BASELINE"),
-        default=None,
-        help="diff two existing result files (no benches run): per-section "
-        "delta table to stdout/GITHUB_STEP_SUMMARY, exit 1 only on gated "
-        "regressions",
+        help="compare every counter with a baseline JSON; exit 1 naming "
+        "each one that differs or is missing on either side",
     )
     args = parser.parse_args(argv)
 
-    if args.compare:
-        return compare_trajectory(Path(args.compare[0]), Path(args.compare[1]))
-
-    result = run_suite(smoke=args.smoke, repeats=args.repeats)
-
-    for name, r in result["engine"].items():
-        if name == "overall_events_per_sec":
-            print(f"engine overall: {r:,.0f} events/sec")
-        else:
-            print(
-                f"engine {name:<18} {r['events']:>7} events  "
-                f"{r['wall_s']*1e3:8.1f} ms  {r['events_per_sec']:>12,.0f} ev/s"
-            )
-    for name, r in result["convoy"].items():
-        print(
-            f"convoy {name:<18} {r['events']:>7} events  "
-            f"{r['wall_s']*1e3:8.1f} ms  {r['events_per_sec']:>12,.0f} ev/s"
-        )
-    for name, r in result["xpmem"].items():
-        if "events_per_sec" in r:
-            print(
-                f"xpmem  {name:<18} {r['events']:>7} events  "
-                f"{r['wall_s']*1e3:8.1f} ms  {r['events_per_sec']:>12,.0f} ev/s"
-            )
-    for arch, r in result["xpmem"]["crossover"].items():
-        print(
-            f"xpmem  crossover {arch:<9} map {r['map_cost_us']:8.2f} us  "
-            f"saves {r['per_copy_saving_us']:7.3f} us/copy  "
-            f"pays off after {r['crossover_rounds']} re-reads"
-        )
-    for section in ("fig03", "fig07"):
-        for key, r in result[section].items():
-            print(f"{section} {key:<24} {r['wall_s']*1e3:8.1f} ms  "
-                  f"(sim {r['latency_us']:.1f} us)")
-    for name, r in result["sched"].items():
-        line = (
-            f"sched {name:<13} {r['points']:>3} pts  "
-            f"{r['wall_s']*1e3:8.1f} ms  {r['points_per_sec']:8.1f} pts/s  "
-            f"{r['events_per_sec']:>12,.0f} ev/s"
-        )
-        if "chunks" in r:
-            line += f"  ({r['chunks']} chunks, {r['steals']} steals)"
-        if "speedup_vs_serial_warm" in r:
-            line += f"  {r['speedup_vs_serial_warm']:.2f}x vs serial"
-        print(line)
-    for name, r in result["sweep"].items():
-        print(
-            f"sweep {name:<20} {r['points']:>3} pts  "
-            f"fresh {r['fresh']['points_per_sec']:7.1f} pts/s  "
-            f"warm {r['warm']['points_per_sec']:7.1f} pts/s  "
-            f"({r['warm_speedup']:.2f}x)"
-        )
-
+    baseline = json.loads(Path(args.check).read_text()) if args.check else None
+    result = run_suite()
     out_path = Path(args.out)
-    out_path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out_path}")
+    if args.check is None or out_path.resolve() != Path(args.check).resolve():
+        out_path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {out_path}")
+    if baseline is None:
+        return 0
 
-    if args.check:
-        baseline = json.loads(Path(args.check).read_text())
-        sections = check_sections(result, baseline)
-        lines = _summary_lines(result, sections)
-        for line in lines:
-            print(line)
-        _write_step_summary(lines)
-        gating = [
-            f for sec in GATED_SECTIONS for f in sections.get(sec, [])
-        ]
-        advisory = [
-            f for sec, fails in sections.items()
-            if sec not in GATED_SECTIONS for f in fails
-        ]
-        for f in advisory:
-            print(f"  (non-gating) {f}")
-        if gating:
-            print("PERF REGRESSION vs baseline:")
-            for f in gating:
-                print(f"  {f}")
-            return 1
-        print(
-            f"no >{GATE_FACTOR:g}x regression in gated sections "
-            f"({', '.join(GATED_SECTIONS)}) vs {args.check}"
-        )
+    sections = check(result, baseline)
+    lines = _summary_lines(sections)
+    for line in lines:
+        print(line)
+    _write_step_summary(lines)
+    fails = [f for sec in sections.values() for f in sec]
+    if fails:
+        print(f"COUNTER MISMATCH vs {args.check} (baseline → fresh):")
+        for f in fails:
+            print(f"  {f}")
+        return 1
+    print(f"every counter matches {args.check}")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Scheduler profiling CLI: ``python -m repro.bench sched``.
 
-Runs the perf suite's mixed fig07+fig13 scatter slice through
+Runs the mixed fig07+fig13 scatter slice (:data:`SLICES`, shared with
+the perf suite's ``sched`` probe) through
 :func:`repro.exec.sched.run_scheduled` with per-chunk profiling on and
 emits a JSON report: scheduling counters (chunks, steals, cost-model
 error) plus a per-worker timeline — which chunks each worker ran, which
@@ -17,22 +18,86 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
 
-__all__ = ["build_timeline", "run_profile", "main"]
+__all__ = [
+    "SLICES",
+    "slice_specs",
+    "run_slice",
+    "build_timeline",
+    "run_profile",
+    "main",
+]
 
-_SLICE_CHOICES = ("mixed", "fig07", "fig13")
+#: The mixed sweep slice, in two halves of ``(arch, procs, points)`` with
+#: points ``(algorithm, params, eta)``: Fig 7's scatter family on the KNL
+#: model, and the scatter algorithms Fig 13's library models lower to
+#: (binomial pt2pt trees, rendezvous fan-out) on the Broadwell model.  This
+#: profiler and the perf suite's ``sched`` probe both run it.
+SLICES = {
+    "fig07": ("knl", 12, [
+        (alg, params, eta)
+        for eta in (16 * 1024, 64 * 1024, 256 * 1024)
+        for alg, params in (
+            ("parallel_read", {}),
+            ("sequential_write", {}),
+            ("throttled_read", {"k": 4}),
+        )
+    ]),
+    "fig13": ("broadwell", 12, [
+        (alg, params, eta)
+        for eta in (16 * 1024, 128 * 1024)
+        for alg, params in (
+            ("parallel_read", {}),
+            ("binomial_p2p", {}),
+            ("fanout_rndv", {}),
+        )
+    ]),
+}
+
+_SLICE_CHOICES = ("mixed", *SLICES)
 
 
-def _slice_specs(which: str):
-    from repro.bench.perfsuite import SCHED_SLICE_NAMES, SWEEP_SLICES, _sweep_specs
+def slice_specs(which: str = "mixed"):
+    """The slice's scatter specs; ``mixed`` is fig07 then fig13."""
+    from repro.core.runner import CollectiveSpec
+    from repro.machine import get_arch
 
-    names = {
-        "mixed": SCHED_SLICE_NAMES,
-        "fig07": SCHED_SLICE_NAMES[:1],
-        "fig13": SCHED_SLICE_NAMES[1:],
-    }[which]
-    return [s for name in names for s in _sweep_specs(SWEEP_SLICES[name])]
+    specs = []
+    for name in SLICES if which == "mixed" else (which,):
+        arch, procs, points = SLICES[name]
+        specs += [
+            CollectiveSpec(
+                "scatter", alg, get_arch(arch), procs=procs, eta=eta,
+                params=params,
+            )
+            for alg, params, eta in points
+        ]
+    return specs
+
+
+def run_slice(which: str = "mixed", workers=None, profile: bool = False):
+    """One scheduled run of a slice, cache off.
+
+    The points go through :func:`repro.exec.sched.run_scheduled` exactly as
+    a sweep's misses do (cost-model chunks, warm-pool groups).  Returns
+    ``(results, stats, wall_s)``.
+    """
+    from repro.exec import resolve_workers
+    from repro.exec.sched import CostModel, run_scheduled
+    from repro.exec.sweep import _exec_point, _pool_group_key, _slim_point
+
+    points = [_slim_point(s) for s in slice_specs(which)]
+    cm = CostModel()
+    t0 = time.perf_counter()
+    results, stats = run_scheduled(
+        _exec_point,
+        points,
+        workers=resolve_workers(workers if workers is not None else "auto"),
+        costs=[cm.cost(p) for p in points],
+        groups=[_pool_group_key(p) for p in points],
+        profile=profile,
+    )
+    return results, stats, time.perf_counter() - t0
 
 
 def build_timeline(stats, keep_chunks: bool = True) -> dict:
@@ -75,26 +140,7 @@ def run_profile(
     workers=None,
     keep_chunks: bool = True,
 ) -> dict:
-    from repro.exec import resolve_workers
-    from repro.exec.sched import CostModel, run_scheduled
-    from repro.exec.sweep import _exec_point, _pool_group_key, _slim_point
-
-    specs = _slice_specs(which)
-    points = [_slim_point(s) for s in specs]
-    cm = CostModel()
-    costs = [cm.cost(p) for p in points]
-    groups = [_pool_group_key(p) for p in points]
-    nworkers = resolve_workers(workers if workers is not None else "auto")
-    t0 = time.perf_counter()
-    _results, stats = run_scheduled(
-        _exec_point,
-        points,
-        workers=nworkers,
-        costs=costs,
-        groups=groups,
-        profile=True,
-    )
-    wall = time.perf_counter() - t0
+    _results, stats, wall = run_slice(which, workers, profile=True)
     err = stats.cost_err_pct
     return {
         "slice": which,

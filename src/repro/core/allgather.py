@@ -131,9 +131,7 @@ def recursive_doubling(ctx: RankCtx) -> Generator:
                 remote.append((addrs[proxy] + b * eta, eta))
                 local.append((ctx.recvbuf.addr + b * eta, eta))
         if eta > 0:
-            yield from ctx.cma.process_vm_readv(
-                ctx.proc, ctx.pid_of(proxy), local, remote
-            )
+            yield from ctx.cma_readv(proxy, local, remote)
         yield ctx.ctrl_send(proxy, ("agrd-pulled", op))
         return
 
@@ -150,9 +148,7 @@ def recursive_doubling(ctx: RankCtx) -> Generator:
         remote = [(addrs[partner] + b * eta, eta) for b in blocks]
         local = [(ctx.recvbuf.addr + b * eta, eta) for b in blocks]
         if eta > 0:
-            yield from ctx.cma.process_vm_readv(
-                ctx.proc, ctx.pid_of(partner), local, remote
-            )
+            yield from ctx.cma_readv(partner, local, remote)
 
     if rank < rem:
         yield ctx.ctrl_send(rank + m, ("agrd-done", op))

@@ -148,7 +148,7 @@ def bruck(ctx: RankCtx) -> Generator:
         remote = [(src_base + i * eta, eta) for i in idx]
         local = [(stage[nxt].addr + i * eta, eta) for i in idx]
         if remote and eta > 0:
-            yield from ctx.cma.process_vm_readv(ctx.proc, ctx.pid_of(src), local, remote)
+            yield from ctx.cma_readv(src, local, remote)
         # blocks whose bit is clear stay local
         keep = [i for i in range(p) if not (i & k) or i >= p]
         for i in range(p):

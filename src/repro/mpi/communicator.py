@@ -16,7 +16,13 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.kernel import AddressSpaceManager, Buffer, CMAKernel, XpmemKernel
+from repro.kernel import (
+    AddressSpaceManager,
+    Buffer,
+    CMAKernel,
+    XpmemKernel,
+    iovec_total,
+)
 from repro.kernel.errors import CMAError, EFAULT, EINTR, ENOENT, EPERM, ESRCH
 from repro.machine.arch import Architecture
 from repro.shm import ShmTransport
@@ -28,6 +34,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan, FaultState
 
 __all__ = ["Node", "Comm", "RankCtx"]
+
+
+def _iov_skip(iov: list[tuple[int, int]], skip: int) -> list[tuple[int, int]]:
+    """``iov`` without its first ``skip`` bytes: where a short count resumes."""
+    if not skip:
+        return iov
+    out = []
+    for addr, n in iov:
+        if skip >= n:
+            skip -= n
+            continue
+        out.append((addr + skip, n - skip))
+        skip = 0
+    return out
+
+
+def _iov_pieces(local, remote, skip: int, nbytes: int):
+    """Aligned ``(local_addr, remote_addr, n)`` pieces of two iovec lists,
+    covering ``nbytes`` of their byte streams after the first ``skip``."""
+    local, remote = _iov_skip(local, skip), _iov_skip(remote, skip)
+    i = j = loff = roff = 0
+    while nbytes > 0:
+        (la, ln), (ra, rn) = local[i], remote[j]
+        n = min(ln - loff, rn - roff, nbytes)
+        if n > 0:
+            yield la + loff, ra + roff, n
+        loff += n
+        roff += n
+        nbytes -= n
+        if loff == ln:
+            i, loff = i + 1, 0
+        if roff == rn:
+            j, roff = j + 1, 0
 
 
 class Node:
@@ -214,19 +253,21 @@ class Comm:
         self,
         ctx: "RankCtx",
         peer: int,
-        local: tuple[int, int],
-        remote: tuple[int, int],
+        local: list[tuple[int, int]],
+        remote: list[tuple[int, int]],
         write: bool,
     ) -> Generator:
         """One resilient CMA transfer: probe/retry, then shm fallback.
 
-        The MPI-style error ladder (only active when a fault plan is
-        armed; the fault-free path never enters this function):
+        ``local``/``remote`` are iovec lists, read as two byte streams
+        (a single range is the one-element case).  The MPI-style error
+        ladder (only active when a fault plan is armed; the fault-free
+        path never enters this function):
 
         * ``EINTR`` — re-issue the call (bounded by the plan's
           ``max_attempts``);
-        * a *short* count — resume from the byte offset already copied,
-          again bounded by ``max_attempts``;
+        * a *short* count — resume at the iovec and offset where the copy
+          stopped, again bounded by ``max_attempts``;
         * ``EPERM``/``ESRCH`` — permission-class: cache a False verdict
           for this (caller, target) pair and fall back;
         * ``EFAULT`` — fall back for this operation only (the pair's
@@ -240,8 +281,9 @@ class Comm:
         state = self.node.fault_state
         max_attempts = state.plan.max_attempts if state is not None else 1
         pid = self._pids[peer]
-        fn = self.node.cma.write_simple if write else self.node.cma.read_simple
-        want = min(local[1], remote[1])
+        cma = self.node.cma
+        fn = cma.process_vm_writev if write else cma.process_vm_readv
+        want = min(iovec_total(local), iovec_total(remote))
         if want <= 0:
             return (yield from fn(ctx.proc, pid, local, remote))
         pair = (ctx.rank, peer)
@@ -252,10 +294,8 @@ class Comm:
                 attempts += 1
                 try:
                     got = yield from fn(
-                        ctx.proc,
-                        pid,
-                        (local[0] + done, local[1] - done),
-                        (remote[0] + done, remote[1] - done),
+                        ctx.proc, pid, _iov_skip(local, done),
+                        _iov_skip(remote, done),
                     )
                 except CMAError as exc:
                     if exc.errno == EINTR:
@@ -273,13 +313,10 @@ class Comm:
                 self.retries += 1  # short transfer: resume from offset
         if done < want:
             self.fallbacks += 1
-            yield from self._fallback_transfer(
-                ctx,
-                peer,
-                (local[0] + done, want - done),
-                (remote[0] + done, want - done),
-                write,
-            )
+            for lo, ro, n in _iov_pieces(local, remote, done, want - done):
+                yield from self._fallback_transfer(
+                    ctx, peer, (lo, n), (ro, n), write
+                )
         return want
 
     def robust_expose(self, ctx: "RankCtx", local: tuple[int, int]) -> Generator:
@@ -500,8 +537,25 @@ class RankCtx:
         runs return the raw syscall generator unchanged (bit-identical).
         """
         if self.comm.resilient:
-            return self.comm.robust_rw(self, src_rank, local, remote, write=False)
+            return self.comm.robust_rw(
+                self, src_rank, [local], [remote], write=False
+            )
         return self.cma.read_simple(self.proc, self.pid_of(src_rank), local, remote)
+
+    def cma_readv(
+        self,
+        src_rank: int,
+        local: list[tuple[int, int]],
+        remote: list[tuple[int, int]],
+    ) -> Generator:
+        """Multi-iovec :meth:`cma_read`: one ``process_vm_readv`` of the
+        ``remote`` iovec list into the ``local`` one (resilient under an
+        armed fault plan, the raw syscall generator otherwise)."""
+        if self.comm.resilient:
+            return self.comm.robust_rw(self, src_rank, local, remote, write=False)
+        return self.cma.process_vm_readv(
+            self.proc, self.pid_of(src_rank), local, remote
+        )
 
     def cma_write(
         self, dst_rank: int, local: tuple[int, int], remote: tuple[int, int]
@@ -509,7 +563,9 @@ class RankCtx:
         """Write my ``local`` into ``remote`` of ``dst_rank`` (resilient
         under an armed fault plan, exactly like :meth:`cma_read`)."""
         if self.comm.resilient:
-            return self.comm.robust_rw(self, dst_rank, local, remote, write=True)
+            return self.comm.robust_rw(
+                self, dst_rank, [local], [remote], write=True
+            )
         return self.cma.write_simple(self.proc, self.pid_of(dst_rank), local, remote)
 
     # -- mapped-window (xpmem) shortcuts ---------------------------------------

@@ -192,6 +192,29 @@ class TestScheduledFaults:
         assert r.retries == 1  # resume-from-offset is a retry
         assert r.fallbacks == 0
 
+    @pytest.mark.parametrize(
+        "coll,alg", [("allgather", "recursive_doubling"), ("alltoall", "bruck")]
+    )
+    def test_partial_multi_iovec_read_resumes_mid_list(self, coll, alg):
+        plan = FaultPlan(seed=0, specs=(FaultSpec("partial", calls=(0,)),))
+        r = run_collective(spec_for(coll, alg, faults=plan, verify=True))
+        assert r.faults_injected >= 1
+        assert r.retries == r.faults_injected  # each short count resumed
+        assert r.fallbacks == 0
+
+    def test_iovec_resume_and_fallback_pieces(self):
+        from repro.mpi.communicator import _iov_pieces, _iov_skip
+
+        local = [(100, 10), (200, 0), (300, 5)]
+        remote = [(1000, 4), (2000, 11)]
+        assert _iov_skip(local, 0) is local
+        assert _iov_skip(local, 12) == [(302, 3)]
+        assert _iov_skip(remote, 4) == [(2000, 11)]
+        # unequal segmentations split at every boundary of either side
+        assert list(_iov_pieces(local, remote, 2, 13)) == [
+            (102, 1002, 2), (104, 2000, 6), (300, 2006, 5),
+        ]
+
     def test_esrch_mid_collective_falls_back(self):
         # call indices are per (op, target-pid): pin the spec to rank 0's
         # pid (20000, the deterministic pid_base) so exactly one of the

@@ -1,149 +1,58 @@
-"""Smoke tests for the wall-clock perf suite (``python -m repro.bench perf``).
+"""The counter-gated perf probes (``python -m repro.bench perf``).
 
-These never assert on absolute speed — CI hosts vary wildly — only on the
-payload shape the suite emits and on the regression-check logic CI uses.
+Nothing here reads a wall time: the probes' counters are deterministic,
+so the tests assert exact values and that ``--check`` fails, naming the
+counter, whenever one moves or goes missing.
 """
 
+import copy
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import perfsuite
+from repro.sim.engine import Simulator
+
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return perfsuite.run_suite(smoke=True, repeats=1)
+    return perfsuite.run_suite()
+
+
+def _failures(fresh, baseline):
+    return [f for fails in perfsuite.check(fresh, baseline).values() for f in fails]
 
 
 def test_payload_shape(result):
     assert result["schema"] == perfsuite.SCHEMA
-    assert result["smoke"] is True
-    engine = result["engine"]
-    assert set(engine) == {
-        "zero_delay",
-        "timer_heap",
-        "mutex_uncontended",
-        "mutex_contended",
-        "spawn_join",
-        "overall_events_per_sec",
-    }
-    for name, r in engine.items():
-        if name == "overall_events_per_sec":
-            assert r > 0
-            continue
-        assert r["events"] > 0
-        assert r["wall_s"] > 0
-        assert r["events_per_sec"] == pytest.approx(
-            r["events"] / r["wall_s"], rel=1e-3
-        )
-
-
-def test_fig_slices_report_simulated_and_wall_time(result):
-    assert result["fig03"], "smoke fig03 slice must not be empty"
-    for r in result["fig03"].values():
-        assert r["latency_us"] > 0
-        assert r["wall_s"] >= 0
-    assert result["fig07"], "smoke fig07 slice must not be empty"
-    for r in result["fig07"].values():
-        assert r["latency_us"] > 0
-        assert r["sim_events"] > 0
+    assert set(result) == {"schema", *perfsuite.SECTIONS}
+    # counters only: no wall time is written, so none can be gated
+    for path in perfsuite._counters(result):
+        assert "wall" not in path and "per_sec" not in path, path
 
 
 def test_payload_is_json_serialisable(result):
     assert json.loads(json.dumps(result)) == result
 
 
-def test_sweep_section_reports_fresh_and_warm_rates(result):
-    assert result["sweep"], "smoke sweep section must not be empty"
-    for name, r in result["sweep"].items():
-        assert r["points"] > 0
-        for mode in ("fresh", "warm"):
-            assert r[mode]["wall_s"] > 0
-            assert r[mode]["points_per_sec"] == pytest.approx(
-                r["points"] / r[mode]["wall_s"], rel=1e-2
-            )
-        assert r["warm_speedup"] == pytest.approx(
-            r["fresh"]["wall_s"] / r["warm"]["wall_s"], rel=1e-2
-        )
-
-
-def _payload(sweep=None, **ev_per_sec):
-    payload = {
-        "schema": perfsuite.SCHEMA,
-        "engine": {
-            name: {"events": 1000, "wall_s": 0.1, "events_per_sec": v}
-            for name, v in ev_per_sec.items()
-        },
-    }
-    if sweep is not None:
-        payload["sweep"] = {
-            name: {
-                "points": 9,
-                "fresh": {"wall_s": 1.0, "points_per_sec": pts / 1.5},
-                "warm": {"wall_s": 1.0, "points_per_sec": pts},
-                "warm_speedup": 1.5,
-            }
-            for name, pts in sweep.items()
-        }
-    return payload
-
-
-def test_check_regression_passes_within_factor():
-    base = _payload(zero_delay=1000.0, timer_heap=1000.0)
-    cur = _payload(zero_delay=600.0, timer_heap=2000.0)
-    assert perfsuite.check_regression(cur, base, factor=2.0) == []
-
-
-def test_check_regression_flags_gross_slowdown():
-    base = _payload(zero_delay=1000.0, timer_heap=1000.0)
-    cur = _payload(zero_delay=400.0, timer_heap=1000.0)
-    failures = perfsuite.check_regression(cur, base, factor=2.0)
-    assert len(failures) == 1
-    assert "zero_delay" in failures[0]
-
-
-def test_check_regression_ignores_benches_missing_from_baseline():
-    base = _payload(zero_delay=1000.0)
-    cur = _payload(zero_delay=1000.0, timer_heap=1.0)
-    assert perfsuite.check_regression(cur, base) == []
-
-
-def test_check_sections_flags_sweep_regression_separately():
-    base = _payload(zero_delay=1000.0, sweep={"fig07_scatter_knl": 600.0})
-    cur = _payload(zero_delay=1000.0, sweep={"fig07_scatter_knl": 100.0})
-    sections = perfsuite.check_sections(cur, base, factor=2.0)
-    assert sections["engine"] == []
-    assert len(sections["sweep"]) == 1
-    assert "fig07_scatter_knl" in sections["sweep"][0]
-    assert "warm points/s" in sections["sweep"][0]
-
-
 def test_convoy_section_shape(result):
     convoy = result["convoy"]
-    assert set(convoy) == {f"c{c}" for c in perfsuite.CONVOY_READERS}
-    for r in convoy.values():
-        assert r["events"] > 0
-        assert r["wall_s"] > 0
-        # wall_s is rounded to 1us; smoke convoy runs are sub-millisecond,
-        # so recomputing the rate from it is only ~1e-3-accurate
-        assert r["events_per_sec"] == pytest.approx(
-            r["events"] / r["wall_s"], rel=5e-3
-        )
+    assert set(convoy) == set(perfsuite.CONVOY_POINTS)
+    assert all(r["events"] > 0 for r in convoy.values())
+    # spawn + grant + done: 100,000 uncontended batches fold into one hold
+    assert convoy["solo"]["events"] == 3
 
 
 def test_xpmem_section_shape(result):
     xp = result["xpmem"]
-    assert set(xp) == {f"w{c}" for c in perfsuite.XPMEM_READERS} | {"crossover"}
-    for name, r in xp.items():
-        if name == "crossover":
-            continue
-        assert r["events"] > 0
-        assert r["wall_s"] > 0
-        assert r["events_per_sec"] == pytest.approx(
-            r["events"] / r["wall_s"], rel=5e-3
-        )
-    for arch in ("knl", "broadwell", "power8"):
+    assert set(xp) == set(perfsuite.XPMEM_POINTS) | {"crossover"}
+    for name in perfsuite.XPMEM_POINTS:
+        assert xp[name]["events"] > 0
+    for arch in perfsuite.CROSSOVER_ARCHS:
         cx = xp["crossover"][arch]
         # a mapped window must cost something up front and then beat the
         # per-round pin, so a finite payoff point always exists
@@ -154,43 +63,123 @@ def test_xpmem_section_shape(result):
 
 def test_sched_section_shape(result):
     sched = result["sched"]
-    assert set(sched) == {"serial_warm", "sched", "sched_cached"}
-    for key in ("serial_warm", "sched", "sched_cached"):
-        r = sched[key]
-        assert r["points"] > 0
-        assert r["events"] > 0
-        assert r["wall_s"] > 0
-        assert r["events_per_sec"] == pytest.approx(
-            r["events"] / r["wall_s"], rel=1e-2
-        )
-        assert r["points_per_sec"] == pytest.approx(
-            r["points"] / r["wall_s"], rel=1e-2
-        )
-    # all three legs run the same points on the same event streams
-    assert (
-        sched["serial_warm"]["events"]
-        == sched["sched"]["events"]
-        == sched["sched_cached"]["events"]
+    assert set(sched) == {"points", "sim_events", "cache_hits"}
+    assert sched["points"] == 15
+    assert sched["sim_events"] > 0
+    # the warm pass must serve every point from the cache
+    assert sched["cache_hits"] == sched["points"]
+
+
+def test_two_runs_give_identical_counters(result):
+    assert perfsuite.run_suite() == result
+
+
+def test_cli_writes_output_and_self_check_passes(result, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert perfsuite.main(["--out", str(out), "--check", str(BASELINE)]) == 0
+    assert json.loads(out.read_text()) == result
+    text = capsys.readouterr().out
+    assert "every counter matches" in text
+    for sec in perfsuite.SECTIONS:
+        assert f"perf {sec}: PASS" in text
+
+
+def test_check_never_overwrites_its_baseline(result, tmp_path, monkeypatch):
+    base = tmp_path / "base.json"
+    stale = copy.deepcopy(result)
+    stale["convoy"]["c8"]["events"] += 1
+    base.write_text(json.dumps(stale))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(perfsuite, "run_suite", lambda: result)
+    assert perfsuite.main(["--out", "base.json", "--check", "base.json"]) == 1
+    assert json.loads(base.read_text()) == stale
+
+
+def test_extra_event_on_any_gated_point_fails(
+    result, tmp_path, capsys, monkeypatch
+):
+    counters = perfsuite._counters(result)
+    for path, value in counters.items():
+        if isinstance(value, str):
+            continue
+        fresh = copy.deepcopy(result)
+        *parents, leaf = path.split(".")
+        node = fresh
+        for key in parents:
+            node = node[key]
+        node[leaf] += 1
+        fails = perfsuite.check(fresh, result)
+        assert fails[parents[0]] == [f"{path}: {value!r} → {node[leaf]!r}"]
+        assert sum(map(len, fails.values())) == 1
+    # and the CLI names the counter and exits 1
+    bumped = copy.deepcopy(result)
+    bumped["xpmem"]["w8"]["events"] += 1
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(result))
+    monkeypatch.setattr(perfsuite, "run_suite", lambda: bumped)
+    fresh_out = tmp_path / "fresh.json"
+    assert perfsuite.main(["--out", str(fresh_out), "--check", str(base)]) == 1
+    text = capsys.readouterr().out
+    w8 = result["xpmem"]["w8"]["events"]
+    assert f"xpmem.w8.events: {w8} → {w8 + 1}" in text
+    assert "perf xpmem: FAIL" in text and "perf convoy: PASS" in text
+
+
+def test_missing_point_fails(result):
+    fresh = copy.deepcopy(result)
+    del fresh["convoy"]["c8"]
+    c8 = result["convoy"]["c8"]["events"]
+    assert _failures(fresh, result) == [f"convoy.c8.events: {c8} → missing"]
+    # a point only the fresh run has fails the same way
+    assert _failures(result, fresh) == [f"convoy.c8.events: missing → {c8}"]
+    # so does a whole section the baseline lacks
+    fresh = {k: v for k, v in result.items() if k != "sched"}
+    assert len(_failures(fresh, result)) == len(result["sched"])
+
+
+def test_xpmem_section_is_gated(result):
+    fresh = copy.deepcopy(result)
+    fresh["xpmem"]["crossover"]["knl"]["crossover_rounds"] = 3
+    fails = perfsuite.check(fresh, result)
+    assert fails["xpmem"] == ["xpmem.crossover.knl.crossover_rounds: 1 → 3"]
+
+
+def test_sched_section_is_gated(result):
+    fresh = copy.deepcopy(result)
+    fresh["sched"]["cache_hits"] -= 1
+    fails = perfsuite.check(fresh, result)
+    assert len(fails["sched"]) == 1
+    assert fails["sched"][0].startswith("sched.cache_hits: 15 → 14")
+
+
+def test_solo_convoy_without_fast_path_fails_check(result, monkeypatch):
+    monkeypatch.setattr(
+        perfsuite, "Simulator", functools.partial(Simulator, use_pin_convoy=False)
     )
-    assert sched["sched"]["chunks"] > 0
-    assert sched["sched"]["steals"] >= 0
-    # the warm leg must serve every point from the sharded cache
-    assert sched["sched_cached"]["cache_hits"] == sched["sched_cached"]["points"]
-    for key in ("sched", "sched_cached"):
-        assert sched[key]["speedup_vs_serial_warm"] > 0
+    fresh = dict(result, convoy=perfsuite.probe_convoy())
+    assert fresh["convoy"]["solo"]["events"] > 3
+    fails = perfsuite.check(fresh, result)["convoy"]
+    assert any(f.startswith("convoy.solo.events: 3 → ") for f in fails)
 
 
-def test_sched_section_is_gated():
-    assert "sched" in perfsuite.GATED_SECTIONS
-    base = {"schema": perfsuite.SCHEMA, "engine": {},
-            "sched": {"serial_warm": {"events_per_sec": 90_000.0},
-                      "sched_cached": {"events_per_sec": 900_000.0}}}
-    cur = {"schema": perfsuite.SCHEMA, "engine": {},
-           "sched": {"serial_warm": {"events_per_sec": 80_000.0},
-                     "sched_cached": {"events_per_sec": 200_000.0}}}
-    sections = perfsuite.check_sections(cur, base)
-    assert len(sections["sched"]) == 1
-    assert "sched_cached" in sections["sched"][0]
+def test_summary_lines_one_per_section():
+    sections = {"convoy": [], "xpmem": ["xpmem.w8.events: 1 → 2"], "sched": []}
+    assert perfsuite._summary_lines(sections) == [
+        "perf convoy: PASS",
+        "perf xpmem: FAIL — 1 counter(s) differ",
+        "perf sched: PASS",
+    ]
+
+
+def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
+    path = tmp_path / "summary.md"
+    monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(path))
+    perfsuite._write_step_summary(["perf convoy: PASS"])
+    perfsuite._write_step_summary(["perf sched: PASS"])
+    assert path.read_text() == "- perf convoy: PASS\n- perf sched: PASS\n"
+    monkeypatch.delenv("GITHUB_STEP_SUMMARY")
+    perfsuite._write_step_summary(["never written"])
+    assert "never written" not in path.read_text()
 
 
 def test_sched_profiler_cli_emits_worker_timeline(tmp_path, capsys):
@@ -221,109 +210,3 @@ def test_sched_profiler_cli_emits_worker_timeline(tmp_path, capsys):
     slim = json.loads(capsys.readouterr().out)
     assert slim["points"] == 9
     assert all("chunks" not in w for w in slim["workers_timeline"].values())
-
-
-def test_xpmem_section_is_gated():
-    assert "xpmem" in perfsuite.GATED_SECTIONS
-    base = {"schema": perfsuite.SCHEMA, "engine": {},
-            "xpmem": {"w8": {"events_per_sec": 9000.0}}}
-    cur = {"schema": perfsuite.SCHEMA, "engine": {},
-           "xpmem": {"w8": {"events_per_sec": 2000.0},
-                     "crossover": {"knl": {"map_cost_us": 1.0}}}}
-    sections = perfsuite.check_sections(cur, base)
-    assert len(sections["xpmem"]) == 1
-    assert "w8" in sections["xpmem"][0]
-
-
-def _gated_payload(convoy=None, fig07=None, **ev_per_sec):
-    payload = _payload(**ev_per_sec)
-    if convoy is not None:
-        payload["convoy"] = {
-            name: {"events": 1000, "wall_s": 0.1, "events_per_sec": v}
-            for name, v in convoy.items()
-        }
-    if fig07 is not None:
-        payload["fig07"] = {
-            name: {
-                "latency_us": 1.0,
-                "sim_events": 1000,
-                "wall_s": 0.1,
-                "events_per_sec": v,
-            }
-            for name, v in fig07.items()
-        }
-    return payload
-
-
-def test_gated_sections_use_gate_factor():
-    base = _gated_payload(convoy={"c8": 9000.0}, fig07={"parallel_read/262144": 9000.0})
-    # 2.5x slower: would fail a 2x gate, passes the 3x gate
-    cur = _gated_payload(convoy={"c8": 3600.0}, fig07={"parallel_read/262144": 3600.0})
-    sections = perfsuite.check_sections(cur, base)
-    assert sections["convoy"] == []
-    assert sections["fig07"] == []
-    # 4x slower: fails
-    cur = _gated_payload(convoy={"c8": 2000.0}, fig07={"parallel_read/262144": 9000.0})
-    sections = perfsuite.check_sections(cur, base)
-    assert len(sections["convoy"]) == 1
-    assert "c8" in sections["convoy"][0]
-    assert sections["fig07"] == []
-
-
-def test_gated_sections_skip_missing_points():
-    base = _gated_payload(convoy={"c8": 9000.0})
-    cur = _gated_payload(convoy={"c64": 1.0}, fig07={"x/1": 1.0})
-    sections = perfsuite.check_sections(cur, base)
-    assert sections["convoy"] == []
-    assert sections["fig07"] == []
-
-
-def test_check_sections_passes_sweep_within_factor_and_skips_missing():
-    base = _payload(zero_delay=1000.0, sweep={"fig07_scatter_knl": 600.0})
-    cur = _payload(
-        zero_delay=1000.0,
-        sweep={"fig07_scatter_knl": 350.0, "new_slice_not_in_baseline": 1.0},
-    )
-    sections = perfsuite.check_sections(cur, base, factor=2.0)
-    assert sections == {"engine": [], "sweep": []}
-
-
-def test_summary_lines_one_per_section():
-    cur = _payload(zero_delay=1000.0, sweep={"fig07_scatter_knl": 600.0})
-    cur["engine"]["overall_events_per_sec"] = 123456.0
-    sections = {"engine": [], "sweep": ["fig07_scatter_knl: slow"]}
-    lines = perfsuite._summary_lines(cur, sections)
-    assert len(lines) == 2
-    assert lines[0].startswith("perf engine: PASS")
-    assert "123,456 events/sec" in lines[0]
-    assert lines[1].startswith("perf sweep: FAIL")
-    assert "fig07_scatter_knl 600.0 pts/s" in lines[1]
-    assert "1 regression(s)" in lines[1]
-
-
-def test_step_summary_written_when_env_set(tmp_path, monkeypatch):
-    path = tmp_path / "summary.md"
-    monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(path))
-    perfsuite._write_step_summary(["perf engine: PASS — fast"])
-    perfsuite._write_step_summary(["perf sweep: PASS — faster"])
-    assert path.read_text() == (
-        "- perf engine: PASS — fast\n- perf sweep: PASS — faster\n"
-    )
-    monkeypatch.delenv("GITHUB_STEP_SUMMARY")
-    perfsuite._write_step_summary(["never written"])
-    assert "never written" not in path.read_text()
-
-
-def test_cli_writes_output_and_self_check_passes(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert perfsuite.main(["--smoke", "--repeats", "1", "--out", str(out)]) == 0
-    written = json.loads(out.read_text())
-    assert written["schema"] == perfsuite.SCHEMA
-    # a run checked against itself can never regress
-    assert (
-        perfsuite.main(
-            ["--smoke", "--repeats", "1", "--out", str(out), "--check", str(out)]
-        )
-        == 0
-    )
-    assert "no >3x regression in gated sections" in capsys.readouterr().out

@@ -4,7 +4,7 @@ Verification now compares canonical runs (:mod:`repro.core.patterns`), so
 this battery checks the result the old way, independently of it: after
 every registered (collective, algorithm) runs verified on every preset
 architecture, at block sizes below, across and above a page, in place
-where the algorithm supports it and under a partial-transfer fault plan,
+where the algorithm supports it and under every fault kind,
 each send and receive buffer is materialized in full and compared with
 the closed-form ``uint32`` pattern expression (the oracle
 ``tests/test_patterns.py`` keeps), MPI semantics applied by hand.
@@ -115,14 +115,6 @@ def expected(spec):
     return send, recv
 
 
-#: algorithms that drop a short CMA count instead of resuming from it, so
-#: a partial-transfer fault leaves bytes missing (an open bug, see ROADMAP):
-#: their multi-iovec reads bypass the resume-from-offset ladder
-PARTIAL_UNSAFE = {
-    ("allgather", "recursive_doubling"), ("alltoall", "bruck"),
-}
-
-
 def _cases():
     for coll, algs in sorted(ALGORITHMS.items()):
         for name, info in sorted(algs.items()):
@@ -179,18 +171,29 @@ def test_buffers_equal_closed_form(arch_name, eta, captured):
         _check(spec, captured)
 
 
-def test_buffers_equal_closed_form_under_partial_transfers(captured):
-    """Short CMA counts resume from the returned offset; the bytes that
-    arrive must still be exactly right."""
+def _faulted_runs(kind, captured):
     arch = get_arch("knl")
     injected = []
     for coll, name, params, in_place in CASES:
-        if (coll, name) in PARTIAL_UNSAFE:
-            continue
         spec = CollectiveSpec(
             coll, name, arch, procs=P, eta=65536, root=1, in_place=in_place,
             params=params, counts=_counts(coll, 65536),
-            faults=parse_plan("11:partial@0.5"),
+            faults=parse_plan(f"11:{kind}@0.5"),
         )
         injected.append(_check(spec, captured).faults_injected)
+    return injected
+
+
+def test_buffers_equal_closed_form_under_partial_transfers(captured):
+    """Short CMA counts resume from the returned iovec and offset; the
+    bytes that arrive must still be exactly right."""
+    injected = _faulted_runs("partial", captured)
     assert sum(injected) > len(injected), "the plan must actually truncate"
+
+
+@pytest.mark.parametrize("kind", ["eintr", "eperm", "esrch", "efault"])
+def test_buffers_equal_closed_form_under_errno_faults(kind, captured):
+    """Every algorithm survives every errno kind: retry or shm fallback,
+    never an escaped ``CMAError``, and the buffers still verify."""
+    injected = _faulted_runs(kind, captured)
+    assert sum(injected) > 0, "the plan must actually inject"
