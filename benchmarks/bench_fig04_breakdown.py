@@ -1,13 +1,17 @@
-"""Fig. 4 — ftrace-style breakdown of a CMA read on Broadwell.
+"""Fig. 4 — breakdown of a CMA read on Broadwell into the kernel's phases
+(the paper's ftrace view), from the always-on phase counters.
 
 Shape criteria: with one reader, copy dominates and lock waiting is ~zero;
 under 27-way contention the lock(+pin) share explodes — the paper's
 "majority of the time is spent inside get_user_pages" observation.
 """
 
+import pytest
 
-def bench_fig04_breakdown(regen):
-    exp = regen("fig04")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     data = exp.data["breakdown"]
     pages = max(p for p, _ in data)
 
@@ -22,3 +26,14 @@ def bench_fig04_breakdown(regen):
     assert crowd["lock"] + crowd["pin"] > crowd["copy"]
     # per-call pin time also inflates (cache-line bouncing, not just queueing)
     assert crowd["pin"] > 1.5 * solo["pin"]
+
+
+def bench_fig04_breakdown(regen):
+    _check_shapes(regen("fig04"))
+
+
+@pytest.mark.slow
+def bench_fig04_breakdown_full():
+    """The same shapes on the paper's full axes (1-1000 pages), run
+    serially."""
+    _check_shapes(run_experiment("fig04", quick=False))

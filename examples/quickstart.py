@@ -7,7 +7,8 @@ This is the 5-minute tour:
 2. run MPI_Scatter three ways — the naive parallel read, the fully serial
    sequential write, and the paper's throttled read — with *verified* data
    movement,
-3. watch the mm-lock contention appear in the ftrace-style breakdown,
+3. watch the mm-lock contention appear in the per-phase breakdown the
+   kernel keeps on every run (the paper's ftrace view),
 4. let the tuner pick the algorithm for you.
 
 Run:  python examples/quickstart.py
@@ -40,10 +41,9 @@ def main() -> None:
             eta=ETA,
             params=params,
             verify=True,  # every byte checked against MPI semantics
-            trace=True,  # record syscall/check/lock/pin/copy spans
         )
         res = run_collective(spec)
-        ph = res.trace_by_phase
+        ph = res.trace_by_phase  # syscall/check/lock/pin/copy, summed over ranks
         lockpin = ph.get("lock", 0.0) + ph.get("pin", 0.0)
         total = sum(ph.values()) or 1.0
         label = algorithm + (f"(k={params['k']})" if params else "")

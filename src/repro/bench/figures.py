@@ -137,7 +137,8 @@ def fig03(quick: bool = True) -> Experiment:
 
 
 def fig04(quick: bool = True) -> Experiment:
-    """ftrace-style breakdown of a CMA read (Fig. 4, Broadwell)."""
+    """Phase breakdown of a CMA read (Fig. 4, Broadwell), from the kernel's
+    phase counters; the paper measured it with ftrace."""
     arch_name = "broadwell"
     pages_list = [10, 100] if quick else [1, 10, 100, 1000]
     readers_list = [1, 4, 27]

@@ -2,9 +2,9 @@
 
 These run raw CMA syscalls on a simulated node (no collective algorithms)
 and feed Figures 2, 3, 4, 6, Table III and — through
-:mod:`repro.core.fitting` — Figure 5 and Table IV.  Only
-:func:`phase_breakdown` (Fig. 4) needs the tracer; the rest run untraced,
-on the engine's fast paths.
+:mod:`repro.core.fitting` — Figure 5 and Table IV.  All of them run on the
+engine's fast paths; the phase times of Fig. 4 and Fig. 5 come from the
+kernel's always-on counters.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ def _sweepable(fn):
     return wrapper
 
 
-def _build(arch: Architecture, nranks: int, trace: bool = False) -> Comm:
-    node = Node(arch, verify=False, trace=trace)
-    return Comm(node, nranks)
+def _build(arch: Architecture, nranks: int) -> Comm:
+    return Comm(Node(arch, verify=False), nranks)
 
 
 @_sweepable
@@ -152,11 +151,8 @@ def lock_pin_per_page(
 
     This is the quantity whose ratio to the single-reader value is the
     paper's contention factor gamma (Fig. 5), the time ftrace isolates in
-    ``get_user_pages``.  It is read from rank 0's mm lock counters, not
-    from trace spans: ``total_wait_us + total_hold_us`` is bit-for-bit the
-    traced 'lock' + 'pin' span total (see :class:`repro.sim.resources.
-    Mutex`), and the node runs untraced, so the readers' pin loops ride
-    the convoy fast path.
+    ``get_user_pages``: rank 0's mm lock's ``total_wait_us +
+    total_hold_us`` (see :class:`repro.sim.resources.Mutex`).
     """
     comm = _build(arch, readers + 1)
     n = pages * arch.params.page_size
@@ -183,9 +179,11 @@ def phase_breakdown(
     """Fig. 4: per-phase time of one reader's CMA read under contention.
 
     Returns mean microseconds per call for syscall / check / lock / pin /
-    copy, averaged across readers.
+    copy, averaged across readers, from the node's phase counters
+    (:meth:`repro.mpi.communicator.Node.phase_times`; a phase that took
+    no time is absent).
     """
-    comm = _build(arch, readers + 1, trace=True)
+    comm = _build(arch, readers + 1)
     n = pages * arch.params.page_size
     srcs = [comm.allocate(0, n, f"src{i}") for i in range(readers)]
     dsts = [comm.allocate(r + 1, n, "dst") for r in range(readers)]
@@ -197,7 +195,7 @@ def phase_breakdown(
         yield from ctx.cma_read(0, dsts[i].iov(), srcs[i].iov())
 
     comm.run_ranks(reader)
-    totals = comm.node.tracer.total_by_phase()
+    totals = comm.node.phase_times()
     return {k: v / readers for k, v in totals.items()}
 
 

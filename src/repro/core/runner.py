@@ -44,7 +44,6 @@ class CollectiveSpec:
     in_place: bool = False
     params: dict = field(default_factory=dict)
     verify: bool = True  # move + check buffer contents (slower, thorough)
-    trace: bool = False  # record ftrace-style phase spans
     #: per-rank block sizes for the V-variants (scatterv/gatherv);
     #: defaults to eta for every rank
     counts: Optional[list[int]] = None
@@ -115,7 +114,9 @@ class CollectiveResult:
     cma_reads: int
     cma_writes: int
     sim_events: int
-    trace_by_phase: Optional[dict[str, float]] = None
+    #: simulated µs per kernel phase, summed over ranks
+    #: (:meth:`repro.mpi.communicator.Node.phase_times`)
+    trace_by_phase: dict[str, float] = field(default_factory=dict)
     #: degraded-mode counters — all zero on fault-free runs:
     #: CMA→shm fallback transfers completed by the resilient MPI layer
     fallbacks: int = 0
@@ -185,7 +186,7 @@ def _execute(spec: CollectiveSpec, fn, node: Node, comm: Comm) -> CollectiveResu
         cma_reads=node.cma.reads,
         cma_writes=node.cma.writes,
         sim_events=node.sim.events_processed,
-        trace_by_phase=node.tracer.total_by_phase() if spec.trace else None,
+        trace_by_phase=node.phase_times(),
         fallbacks=comm.fallbacks,
         retries=comm.retries,
         faults_injected=(
@@ -205,7 +206,7 @@ def run_collective(spec: CollectiveSpec) -> CollectiveResult:
     rank ends up with violate MPI semantics (only when ``spec.verify``).
     """
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, trace=spec.trace, faults=spec.faults)
+    node = Node(spec.arch, verify=spec.verify, faults=spec.faults)
     comm = Comm(node, spec.procs)
     return _execute(spec, fn, node, comm)
 
@@ -213,15 +214,15 @@ def run_collective(spec: CollectiveSpec) -> CollectiveResult:
 class NodePool:
     """Warm (Node, Comm) pairs reused across consecutive sweep points.
 
-    Keyed by ``(arch.name, procs, verify, trace)`` with an identity-or-
+    Keyed by ``(arch.name, procs, verify)`` with an identity-or-
     equality check on the stored :class:`Architecture` (presets return a
     fresh but value-equal instance per :func:`~repro.machine.get_arch`
     call; a *different* arch that happens to share a name rebuilds).
 
     The reset contract (see DESIGN.md §5) guarantees that a leased node is
     indistinguishable from a fresh one for simulation purposes — the
-    engine's clock/sequence stream, every lock and mailbox, the tracer, and
-    the address spaces (addresses restart at ``va_base``, no bytes kept)
+    engine's clock/sequence stream, every lock, mailbox and phase counter,
+    and the address spaces (addresses restart at ``va_base``, no bytes kept)
     all restart exactly as constructed — so pooled and fresh
     execution produce bit-identical results
     (``tests/test_node_pool.py``).  A run that raises leaves arbitrary
@@ -237,14 +238,14 @@ class NodePool:
         self.reuses = 0
 
     def node_for(
-        self, arch: Architecture, procs: int, verify: bool, trace: bool
+        self, arch: Architecture, procs: int, verify: bool
     ) -> tuple[Node, Comm]:
         """Lease a warm node+comm for ``(arch, procs)``, or build one.
 
         The entry is *removed* from the pool while leased, so a pool is
         safe to share across nested ``run_collective_pooled`` calls.
         """
-        key = (arch.name, procs, verify, trace)
+        key = (arch.name, procs, verify)
         self.leases += 1
         entry = self._entries.pop(key, None)
         if entry is not None:
@@ -252,7 +253,7 @@ class NodePool:
             if pooled_arch is arch or pooled_arch == arch:
                 self.reuses += 1
                 return node, comm
-        node = Node(arch, verify=verify, trace=trace)
+        node = Node(arch, verify=verify)
         comm = Comm(node, procs)
         return node, comm
 
@@ -260,7 +261,7 @@ class NodePool:
         """Reset a leased node and return it to the pool (LRU-evicting)."""
         node.reset()
         comm.reset()
-        key = (arch.name, comm.size, node.verify, node.tracer.enabled)
+        key = (arch.name, comm.size, node.verify)
         self._entries.pop(key, None)
         self._entries[key] = (arch, node, comm)
         while len(self._entries) > self.max_entries:
@@ -268,7 +269,7 @@ class NodePool:
 
     def warm_keys(self) -> tuple:
         """The pool keys currently held warm — ``(arch_name, procs,
-        verify, trace)`` tuples.  The sweep scheduler's sticky router
+        verify)`` tuples.  The sweep scheduler's sticky router
         reads these (workers report them with every completed chunk) to
         route a group back to the worker whose pool already holds its
         node."""
@@ -300,7 +301,7 @@ def run_collective_pooled(
     Bit-identical to :func:`run_collective` (enforced by the differential
     battery in ``tests/test_node_pool.py``) but skips Node/Comm
     construction and buffer allocation when the previous point used the
-    same (arch, procs, verify, trace).  On any failure the node is
+    same (arch, procs, verify).  On any failure the node is
     discarded instead of re-pooled, so a raising point cannot poison the
     next one.
     """
@@ -312,7 +313,7 @@ def run_collective_pooled(
         # path, so faulted specs always take the fresh-node route.
         return run_collective(spec)
     fn = _validated_algorithm(spec)
-    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify, spec.trace)
+    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify)
     result = _execute(spec, fn, node, comm)
     pool.release(spec.arch, node, comm)
     return result

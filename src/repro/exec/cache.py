@@ -59,7 +59,8 @@ __all__ = [
 #: v2: checksummed entry envelope + CollectiveResult degraded-mode counters.
 #: v3: transport-lane spec field (xpmem vs cma points must never collide)
 #: + CollectiveResult mapped-window counters.
-CACHE_VERSION = "repro-exec-v3"
+#: v4: no ``trace`` spec field; every result carries its phase times.
+CACHE_VERSION = "repro-exec-v4"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_FSYNC = "REPRO_CACHE_FSYNC"

@@ -430,12 +430,12 @@ def _pool_key_of(group: Any) -> Optional[tuple]:
     """The warm-node pool key embedded in a sweep group key.
 
     :func:`repro.exec.sweep._pool_group_key` builds ``(arch_name, procs,
-    verify, trace, not warm, lane)`` — the first four fields are exactly
+    verify, not warm, lane)`` — the first three fields are exactly
     :class:`~repro.core.runner.NodePool`'s entry key.  Foreign group keys
     simply don't get warm-affinity hints.
     """
-    if isinstance(group, tuple) and len(group) >= 4:
-        return tuple(group[:4])
+    if isinstance(group, tuple) and len(group) >= 3:
+        return tuple(group[:3])
     return None
 
 

@@ -271,7 +271,6 @@ class _CollectivePoint:
     in_place: bool
     params: Tuple[Tuple[str, Any], ...]
     verify: bool
-    trace: bool
     counts: Any
     faults: Any
     warm: bool
@@ -291,7 +290,7 @@ class _SlimResult:
     cma_reads: int
     cma_writes: int
     sim_events: int
-    trace_by_phase: Optional[dict]
+    trace_by_phase: dict
     fallbacks: int = 0
     retries: int = 0
     faults_injected: int = 0
@@ -342,7 +341,6 @@ def _slim_point(spec: CollectiveSpec) -> _CollectivePoint:
         in_place=spec.in_place,
         params=tuple(sorted(spec.params.items())),
         verify=spec.verify,
-        trace=spec.trace,
         counts=spec.counts,
         faults=spec.faults,
         # Fault plans are run-scoped state outside the warm-pool key, so
@@ -366,7 +364,6 @@ def _exec_point(pt: _CollectivePoint) -> _SlimResult:
         in_place=pt.in_place,
         params=dict(pt.params),
         verify=pt.verify,
-        trace=pt.trace,
         counts=pt.counts,
         faults=pt.faults,
     )
@@ -391,7 +388,7 @@ def _exec_point(pt: _CollectivePoint) -> _SlimResult:
 
 def _pool_group_key(
     pt: _CollectivePoint,
-) -> Tuple[str, int, bool, bool, bool, str]:
+) -> Tuple[str, int, bool, bool, str]:
     """Warm-node pool key of a point (:class:`~repro.core.runner.NodePool`
     keys nodes on exactly this tuple), stringly ordered for sorting, plus
     warmness and the transport lane: warm points sort ahead of cold ones
@@ -402,7 +399,7 @@ def _pool_group_key(
     point still resets the node either way)."""
     arch = pt.arch
     name = arch if isinstance(arch, str) else str(getattr(arch, "name", ""))
-    return (name, pt.procs, pt.verify, pt.trace, not pt.warm, pt.lane)
+    return (name, pt.procs, pt.verify, not pt.warm, pt.lane)
 
 
 def _inflate_result(raw: Any, spec: CollectiveSpec) -> CollectiveResult:

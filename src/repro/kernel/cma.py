@@ -17,6 +17,10 @@ Setting ``liovcnt = 0`` pins the remote pages but copies nothing, and a
 zero-length remote iovec skips pinning — exactly the partial-step trigger
 trick the paper uses to isolate T1..T4 (Table III); ``step_timings`` in
 :mod:`repro.core.fitting` drives it.
+
+The time charged to each step is summed as it is scheduled, on every run
+(:meth:`CMAKernel.phase_times`); that is the breakdown the paper reads
+from ftrace (Fig. 4).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultState
     from repro.machine.params import ModelParams
     from repro.sim.engine import SimProcess, Simulator
-    from repro.sim.trace import Tracer
 
 __all__ = ["CMAKernel", "iovec_total", "IOV_MAX"]
 
@@ -114,20 +117,24 @@ def _truncate_at_page_boundary(
 
 
 class CMAKernel:
-    """Node-wide CMA engine: one mm lock per process, shared tracer."""
+    """Node-wide CMA engine: one mm lock per process.
+
+    Simulated time is kept per phase, always on: ``syscall_us``,
+    ``check_us`` and ``copy_us`` sum the delays charged for syscall entry,
+    the access check and the copy; the mm locks' ``total_wait_us`` and
+    ``total_hold_us`` hold the rest (see :meth:`phase_times`).
+    """
 
     def __init__(
         self,
         sim: "Simulator",
         manager: AddressSpaceManager,
         params: "ModelParams",
-        tracer: "Tracer",
         verify: bool = True,
     ):
         self.sim = sim
         self.manager = manager
         self.params = params
-        self.tracer = tracer
         self.verify = verify
         self._mm_locks: dict[int, MMLock] = {}
         self._sockets: dict[int, int] = {}
@@ -138,6 +145,9 @@ class CMAKernel:
         self.faults: Optional["FaultState"] = None
         self.reads = 0
         self.writes = 0
+        self.syscall_us = 0.0
+        self.check_us = 0.0
+        self.copy_us = 0.0
 
     def register(self, pid: int, socket: int = 0) -> None:
         """Create the address space + mm lock for a new process.
@@ -146,7 +156,7 @@ class CMAKernel:
         sockets pay the ``inter_socket_beta`` bandwidth penalty.
         """
         self.manager.create(pid)
-        mm = MMLock(self.sim, pid, self.params, self.tracer)
+        mm = MMLock(self.sim, pid, self.params)
         if self.faults is not None:
             mm.hold_scale = self.faults.scale(pid)
         self._mm_locks[pid] = mm
@@ -179,6 +189,9 @@ class CMAKernel:
         self.faults = None
         self.reads = 0
         self.writes = 0
+        self.syscall_us = 0.0
+        self.check_us = 0.0
+        self.copy_us = 0.0
         for mm in self._mm_locks.values():
             mm.reset()
         self.manager.reset_spaces()
@@ -194,6 +207,32 @@ class CMAKernel:
         self.manager.get(pid)  # ESRCH if unknown
         return self._mm_locks[pid]
 
+    def phase_times(self) -> dict[str, float]:
+        """Simulated µs per phase since the last reset, over all callers.
+
+        ``lock`` sums the mm locks' wait times and ``pin`` their hold
+        times.  A lock whose every pinned page was a mapped-window
+        fault-in (:mod:`repro.kernel.xpmem`) reports its holds as
+        ``fault`` instead; one that served both keeps them all in
+        ``pin``.
+        """
+        lock = pin = fault = 0.0
+        for mm in self._mm_locks.values():
+            mutex = mm.mutex
+            lock += mutex.total_wait_us
+            if mm.pages_pinned and mm.pages_faulted == mm.pages_pinned:
+                fault += mutex.total_hold_us
+            else:
+                pin += mutex.total_hold_us
+        return {
+            "syscall": self.syscall_us,
+            "check": self.check_us,
+            "lock": lock,
+            "pin": pin,
+            "fault": fault,
+            "copy": self.copy_us,
+        }
+
     # -- the syscalls ---------------------------------------------------------
 
     def process_vm_readv(
@@ -205,8 +244,9 @@ class CMAKernel:
         flags: int = 0,
     ) -> Generator:
         """Read from ``pid``'s memory into the caller's.  Returns bytes copied."""
-        rw = self._process_vm_rw if self.tracer.enabled else self._process_vm_rw_fast
-        return rw(caller, pid, local_iov, remote_iov, flags, write=False)
+        return self._process_vm_rw(
+            caller, pid, local_iov, remote_iov, flags, write=False
+        )
 
     def process_vm_writev(
         self,
@@ -217,8 +257,9 @@ class CMAKernel:
         flags: int = 0,
     ) -> Generator:
         """Write the caller's memory into ``pid``'s.  Returns bytes copied."""
-        rw = self._process_vm_rw if self.tracer.enabled else self._process_vm_rw_fast
-        return rw(caller, pid, local_iov, remote_iov, flags, write=True)
+        return self._process_vm_rw(
+            caller, pid, local_iov, remote_iov, flags, write=True
+        )
 
     def _process_vm_rw(
         self,
@@ -229,131 +270,16 @@ class CMAKernel:
         flags: int,
         write: bool,
     ) -> Generator:
-        p = self.params
-        tracer = self.tracer
+        """The one ``process_vm_rw`` path, with fused engine records.
 
-        # --- validation (before any cost, like the real syscall) ---
-        if flags != 0:
-            raise CMAError(EINVAL, "flags must be 0")
-        if len(local_iov) > IOV_MAX or len(remote_iov) > IOV_MAX:
-            raise CMAError(EINVAL, "iovcnt exceeds IOV_MAX")
-        local_total = iovec_total(local_iov)
-        remote_total = iovec_total(remote_iov)
-
-        # --- fault-injection draw (fs is None on the default path: no
-        # draw, scale 1.0, and every guarded branch below compiles away
-        # to the exact pre-fault delay expressions) ---
-        fault = None
-        scale = 1.0
-        fs = self.faults
-        if fs is not None:
-            if remote_iov:
-                fault = fs.draw(
-                    "writev" if write else "readv",
-                    pid,
-                    caller.pid,
-                    pages=_iov_pages(remote_iov, p.page_size),
-                )
-            scale = fs.scale(caller.pid)
-
-        # --- 1. syscall entry ---
-        t0 = self.sim.now
-        yield Delay(p.alpha_syscall if scale == 1.0 else p.alpha_syscall * scale)
-        if tracer.enabled:
-            tracer.record(caller.name, "syscall", t0, self.sim.now)
-
-        if not remote_iov:
-            return 0
-
-        # --- 2. permission / access check on the remote task ---
-        t1 = self.sim.now
-        remote_space = self.manager.get(pid)  # raises ESRCH
-        if pid in self.denied_pids:
-            raise CMAError(EPERM, f"ptrace access to pid {pid} denied")
-        if fault is not None and fault.kind in _INJECT_ERRNO:
-            raise CMAError(
-                _INJECT_ERRNO[fault.kind],
-                f"injected {fault.kind} at "
-                f"{'writev' if write else 'readv'}(pid={pid})",
-            )
-        yield Delay(p.alpha_check if scale == 1.0 else p.alpha_check * scale)
-        if tracer.enabled:
-            tracer.record(caller.name, "check", t1, self.sim.now)
-
-        if remote_total == 0:
-            return 0
-
-        # --- 3+4. pin a batch, copy it, pin the next ... ---
-        # The real process_vm_rw pins at most PVM_MAX_PP_ARRAY_COUNT pages
-        # per get_user_pages call and copies them before pinning the next
-        # batch, so the mm lock is released (and re-fought) throughout the
-        # transfer.  Copy bytes are apportioned to batches pro rata.
-        npages = remote_space.total_pages(remote_iov)
-        ncopy = min(local_total, remote_total)
-        if fault is not None and fault.kind == "partial":
-            npages, ncopy = _truncate_at_page_boundary(
-                remote_iov, p.page_size, npages, ncopy, fault.resolved_factor
-            )
-        beta = self.copy_beta(caller, pid)
-        if scale != 1.0:
-            beta *= scale
-        mm = self.mm_lock(pid)
-        done_pages = 0
-        done_bytes = 0
-        while done_pages < npages:
-            b = min(self.params.pin_batch, npages - done_pages)
-            yield from mm.lock_and_pin(caller, b)
-            done_pages += b
-            batch_bytes = ncopy * done_pages // npages - done_bytes
-            if batch_bytes > 0:
-                t3 = self.sim.now
-                yield Delay(batch_bytes * beta)
-                if tracer.enabled:
-                    tracer.record(
-                        caller.name, "copy", t3, self.sim.now, meta=batch_bytes
-                    )
-                done_bytes += batch_bytes
-
-        if ncopy > 0 and self.verify:
-            caller_space = self.manager.get(caller.pid)
-            if write:
-                copy_iov_bytes(
-                    caller_space, local_iov, remote_space, remote_iov, ncopy
-                )
-            else:
-                copy_iov_bytes(
-                    remote_space, remote_iov, caller_space, local_iov, ncopy
-                )
-        if write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        return ncopy
-
-    def _process_vm_rw_fast(
-        self,
-        caller: "SimProcess",
-        pid: int,
-        local_iov: Iovec,
-        remote_iov: Iovec,
-        flags: int,
-        write: bool,
-    ) -> Generator:
-        """Untraced ``_process_vm_rw``: same simulated timeline, fused events.
-
-        With no trace spans to record there is nothing observable between
-        the syscall-entry and access-check delays, or inside a batch's
-        delay/release/copy triplet, so those ride fused
-        :class:`~repro.sim.engine.DelayChain` /
+        Nothing is observable between the syscall-entry and access-check
+        delays, or inside a batch's delay/release/copy triplet, so those
+        ride fused :class:`~repro.sim.engine.DelayChain` /
         :class:`~repro.sim.engine.HoldRelease` records (by default the
-        whole pin loop rides one :class:`~repro.sim.engine.PinConvoy`):
-        identical timestamps and FIFO lock-grant order with roughly half the
-        generator resumptions, and no more events — far fewer when an
-        uncontended convoy collapses.
-        One deliberate divergence: ESRCH/EPERM surface after the combined
-        entry+check time rather than between the two delays — the *error*
-        path costs ``alpha_check`` more simulated time than the traced
-        engine charges it.
+        whole pin loop rides one :class:`~repro.sim.engine.PinConvoy`).
+        An ESRCH/EPERM/injected errno therefore surfaces after the whole
+        entry+check time, ``alpha_syscall + alpha_check``.  Each phase's
+        charged time is added to its counter as it is scheduled.
         """
         p = self.params
 
@@ -380,19 +306,20 @@ class CMAKernel:
 
         # --- 1+2. syscall entry, then permission check if a remote iovec
         # is present (one fused record) ---
+        t_sys = p.alpha_syscall if scale == 1.0 else p.alpha_syscall * scale
+        self.syscall_us += t_sys
         if not remote_iov:
-            yield Delay(p.alpha_syscall if scale == 1.0 else p.alpha_syscall * scale)
+            yield Delay(t_sys)
             return 0
-        if scale == 1.0:
-            yield DelayChain(p.alpha_syscall, p.alpha_check)
-        else:
-            yield DelayChain(p.alpha_syscall * scale, p.alpha_check * scale)
+        t_check = p.alpha_check if scale == 1.0 else p.alpha_check * scale
+        self.check_us += t_check
+        yield DelayChain(t_sys, t_check)
         remote_space = self.manager.get(pid)  # raises ESRCH
         if pid in self.denied_pids:
             raise CMAError(EPERM, f"ptrace access to pid {pid} denied")
         if fault is not None and fault.kind in _INJECT_ERRNO:
             # Same position as the natural ESRCH/EPERM above: after the
-            # fused entry+check time (the documented fast-path divergence).
+            # fused entry+check time.
             raise CMAError(
                 _INJECT_ERRNO[fault.kind],
                 f"injected {fault.kind} at "
@@ -403,9 +330,12 @@ class CMAKernel:
             return 0
 
         # --- 3+4. pin a batch, copy it, pin the next ... ---
-        # Same batching as the traced path; the pin hold, the release, and
-        # the batch's pro-rata copy share ride one HoldRelease record —
-        # or, by default, the whole loop rides one PinConvoy command.
+        # The real process_vm_rw pins at most PVM_MAX_PP_ARRAY_COUNT pages
+        # per get_user_pages call and copies them before pinning the next
+        # batch, so the mm lock is released (and re-fought) throughout the
+        # transfer; copy bytes are apportioned to batches pro rata.  A
+        # batch's pin hold, release and copy share ride one HoldRelease
+        # record — or, by default, the whole loop rides one PinConvoy.
         npages = remote_space.total_pages(remote_iov)
         ncopy = min(local_total, remote_total)
         if fault is not None and fault.kind == "partial":
@@ -416,24 +346,25 @@ class CMAKernel:
         if scale != 1.0:
             beta *= scale
         mm = self._mm_locks[pid]
+        # The batch plan: batch sizes and pro-rata copy shares are pure
+        # integer arithmetic, so both pin loops below run the same floats.
+        # hold_time is evaluated at each grant, where the contender set
+        # is live.
         pin_batch = p.pin_batch
+        batches = []
+        copy = 0.0
+        done_pages = 0
+        done_bytes = 0
+        while done_pages < npages:
+            b = min(pin_batch, npages - done_pages)
+            done_pages += b
+            batch_bytes = ncopy * done_pages // npages - done_bytes
+            done_bytes += batch_bytes
+            dt = batch_bytes * beta
+            copy += dt
+            batches.append((b, dt))
+        self.copy_us += copy
         if self.sim.use_pin_convoy:
-            # Precompute the batch plan: batch sizes and pro-rata copy
-            # shares are pure integer arithmetic with no dependence on
-            # simulation state, and ``batch_bytes * beta`` is the same
-            # single multiplication the unfused loop performs, so the
-            # extra_dt floats are bit-identical — only computed up front.
-            # hold_time stays inside the engine's grant handler, where
-            # the contender set is live.
-            batches = []
-            done_pages = 0
-            done_bytes = 0
-            while done_pages < npages:
-                b = min(pin_batch, npages - done_pages)
-                done_pages += b
-                batch_bytes = ncopy * done_pages // npages - done_bytes
-                done_bytes += batch_bytes
-                batches.append((b, batch_bytes * beta))
             yield PinConvoy(
                 mm.mutex, mm.hold_time, batches, mm=mm, npages=npages,
                 memo=mm._hold_memo,
@@ -441,16 +372,9 @@ class CMAKernel:
         else:
             # Unfused reference path for the convoy differential battery.
             mutex = mm.mutex
-            done_pages = 0
-            done_bytes = 0
-            while done_pages < npages:
-                b = min(pin_batch, npages - done_pages)
+            for b, dt in batches:
                 yield Acquire(mutex)
-                hold = mm.hold_time(b, caller)
-                done_pages += b
-                batch_bytes = ncopy * done_pages // npages - done_bytes
-                done_bytes += batch_bytes
-                yield HoldRelease(mutex, hold, batch_bytes * beta)
+                yield HoldRelease(mutex, mm.hold_time(b, caller), dt)
                 mm.pages_pinned += b
 
         if ncopy > 0 and self.verify:

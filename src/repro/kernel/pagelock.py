@@ -25,15 +25,13 @@ the paper fits with NLLS in Fig. 5.  Nothing in this file hard-codes gamma.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
-from repro.sim.engine import Acquire, Delay, HoldRelease, PinConvoy, Release
 from repro.sim.resources import Mutex
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.params import ModelParams
     from repro.sim.engine import SimProcess, Simulator
-    from repro.sim.trace import Tracer
 
 __all__ = ["MMLock"]
 
@@ -41,7 +39,7 @@ __all__ = ["MMLock"]
 class MMLock:
     """mm (page-table) lock of one simulated process."""
 
-    __slots__ = ("sim", "pid", "params", "mutex", "tracer", "pages_pinned",
+    __slots__ = ("pid", "params", "mutex", "pages_pinned", "pages_faulted",
                  "hold_scale", "_hold_memo")
 
     def __init__(
@@ -49,14 +47,14 @@ class MMLock:
         sim: "Simulator",
         pid: int,
         params: "ModelParams",
-        tracer: "Tracer",
     ):
-        self.sim = sim
         self.pid = pid
         self.params = params
         self.mutex = Mutex(sim, name=f"mm[{pid}]")
-        self.tracer = tracer
+        #: pages pinned under this lock, and how many of them were
+        #: mapped-window fault-ins (which pin one page each)
         self.pages_pinned = 0
+        self.pages_faulted = 0
         #: straggler slowdown of this mm's owner (fault injection): page
         #: operations on a slow core take longer for *every* contender.
         #: Constant for a whole run (set when a FaultPlan is armed, reset
@@ -72,9 +70,10 @@ class MMLock:
         self._hold_memo: dict = {}
 
     def reset(self) -> None:
-        """Fresh-construction state: unheld mutex, zero pin counter."""
+        """Fresh-construction state: unheld mutex, zero pin counters."""
         self.mutex.reset()
         self.pages_pinned = 0
+        self.pages_faulted = 0
         self.hold_scale = 1.0
         self._hold_memo.clear()
 
@@ -93,64 +92,3 @@ class MMLock:
         if self.hold_scale != 1.0:  # straggler-owner fault injection
             hold *= self.hold_scale
         return hold
-
-    def lock_and_pin(
-        self, caller: "SimProcess", npages: int
-    ) -> Generator:
-        """Pin ``npages`` pages of this mm, batch by batch.
-
-        Records 'lock' (queueing) and 'pin' (critical section) trace spans,
-        mirroring the paper's ftrace breakdown (Fig. 4).
-        """
-        if npages <= 0:
-            return 0
-        batch = self.params.pin_batch
-        remaining = npages
-        tracer = self.tracer
-        if not tracer.enabled:
-            if self.sim.use_pin_convoy:
-                # Fast path: the whole pin loop rides one fused PinConvoy
-                # command — the engine replays the per-batch
-                # grant/release/chain/rejoin records (same timestamps and
-                # FIFO grant order; hold_time is still evaluated at grant
-                # time against live contender state) with no generator
-                # resumption per batch, and folds an uncontended remainder
-                # into one record.
-                batches = []
-                while remaining > 0:
-                    b = min(batch, remaining)
-                    batches.append((b, 0.0))
-                    remaining -= b
-                return (
-                    yield PinConvoy(
-                        self.mutex, self.hold_time, batches,
-                        mm=self, npages=npages, memo=self._hold_memo,
-                    )
-                )
-            # Unfused untraced path (Simulator(use_pin_convoy=False)):
-            # kept as the differential reference the convoy battery
-            # compares against.
-            mutex = self.mutex
-            while remaining > 0:
-                b = min(batch, remaining)
-                yield Acquire(mutex)
-                yield HoldRelease(mutex, self.hold_time(b, caller))
-                self.pages_pinned += b
-                remaining -= b
-            return npages
-        # Traced path: stays unfused — the 'lock'/'pin' spans need the
-        # per-batch wakeup timestamps (t_req/t_got) that fusing folds away,
-        # so tracing disables both HoldRelease fusion and PinConvoy.
-        while remaining > 0:
-            b = min(batch, remaining)
-            t_req = self.sim.now
-            yield Acquire(self.mutex)
-            t_got = self.sim.now
-            hold = self.hold_time(b, caller)
-            yield Delay(hold)
-            yield Release(self.mutex)
-            tracer.record(caller.name, "lock", t_req, t_got, meta=self.pid)
-            tracer.record(caller.name, "pin", t_got, t_got + hold, meta=b)
-            self.pages_pinned += b
-            remaining -= b
-        return npages

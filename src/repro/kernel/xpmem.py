@@ -25,15 +25,19 @@ cost amortises over enough traffic, and lose at small sizes where the
 per-call CMA syscall is cheaper than the attach.  ``core.tuning`` picks
 the winner per (arch, collective, size, procs).
 
-Differential contract (mirrors :mod:`repro.kernel.cma`): the traced path
-emits per-page lock/fault spans; the untraced unfused path replays the
-same Acquire/HoldRelease timeline; the untraced fused path rides one
-:class:`~repro.sim.engine.FaultConvoy` — the cold fault-in convoy with
-the pin-free copy fused on as its ``tail_dt`` — and all three agree on
-timestamps and lock statistics.  The fused path never processes more
-events than the unfused one; a fault-in storm no other process contends
-collapses to one or a few engine records (see
+Differential contract (mirrors :mod:`repro.kernel.cma`): the unfused
+path replays each fault-in as an Acquire/HoldRelease pair; the fused path
+rides one :class:`~repro.sim.engine.FaultConvoy` — the cold fault-in
+convoy with the pin-free copy fused on as its ``tail_dt`` — and both
+agree on timestamps, lock statistics and phase counters.  The fused path
+never processes more events than the unfused one; a fault-in storm no
+other process contends collapses to one or a few engine records (see
 :meth:`repro.sim.engine.Simulator._convoy_collapse`).
+
+Charged time is summed per phase as it is scheduled: ``make_us``,
+``attach_us``, ``map_us`` and ``copy_us`` here, the fault-ins' lock wait
+and hold on the owner's mm lock (see
+:meth:`repro.kernel.cma.CMAKernel.phase_times`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from repro.sim.engine import (
     DelayChain,
     FaultConvoy,
     HoldRelease,
-    Release,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,6 +124,10 @@ class XpmemKernel:
         self.page_faults = 0
         self.reads = 0
         self.writes = 0
+        self.make_us = 0.0
+        self.attach_us = 0.0
+        self.map_us = 0.0
+        self.copy_us = 0.0
 
     def reset(self) -> None:
         """Forget every segment, mapping and fault-in (address-space reset).
@@ -141,6 +148,10 @@ class XpmemKernel:
         self.page_faults = 0
         self.reads = 0
         self.writes = 0
+        self.make_us = 0.0
+        self.attach_us = 0.0
+        self.map_us = 0.0
+        self.copy_us = 0.0
 
     # -- export / attach ------------------------------------------------------
 
@@ -166,11 +177,9 @@ class XpmemKernel:
             fs.raise_if("make", owner.pid, owner.pid)
             scale = fs.scale(owner.pid)
         p = self.cma.params
-        tracer = self.cma.tracer
-        t0 = self.cma.sim.now
-        yield Delay(p.t_xpmem_make if scale == 1.0 else p.t_xpmem_make * scale)
-        if tracer.enabled:
-            tracer.record(owner.name, "xmake", t0, self.cma.sim.now, meta=nbytes)
+        t_make = p.t_xpmem_make if scale == 1.0 else p.t_xpmem_make * scale
+        self.make_us += t_make
+        yield Delay(t_make)
         ps = p.page_size
         npages = (addr + nbytes - 1) // ps - addr // ps + 1
         segid = next(self._segid_counter)
@@ -185,7 +194,7 @@ class XpmemKernel:
         ``t_xpmem_attach + npages * t_xpmem_page``; later attaches of the
         same (owner, attacher) pair cost the fixed lookup only.  All
         checks (stale segid, dead owner, denial, injected errnos) precede
-        any charged time, identically in traced and untraced runs.
+        any charged time.
         """
         seg = self._segids.get(segid)
         if seg is None:
@@ -204,36 +213,21 @@ class XpmemKernel:
                 )
             scale = fs.scale(caller.pid)
         p = self.cma.params
-        tracer = self.cma.tracer
         pair = (seg.owner_pid, caller.pid)
-        cold = pair not in self._mapped
         t_fix = p.t_xpmem_attach if scale == 1.0 else p.t_xpmem_attach * scale
-        if cold:
+        self.attach_us += t_fix
+        if pair not in self._mapped:
             t_map = seg.npages * p.t_xpmem_page
             if scale != 1.0:
                 t_map *= scale
-            if tracer.enabled:
-                t0 = self.cma.sim.now
-                yield Delay(t_fix)
-                tracer.record(caller.name, "xattach", t0, self.cma.sim.now,
-                              meta=seg.owner_pid)
-                t1 = self.cma.sim.now
-                yield Delay(t_map)
-                tracer.record(caller.name, "xmap", t1, self.cma.sim.now,
-                              meta=seg.npages)
-            else:
-                # Fused: same two heap events/timestamps as the traced pair
-                # of Delays, one generator resumption.
-                yield DelayChain(t_fix, t_map)
+            self.map_us += t_map
+            # the lookup, then the map: two delays, one resumption
+            yield DelayChain(t_fix, t_map)
             self._mapped.add(pair)
             self._faulted[pair] = set()
             self.maps_charged += 1
         else:
-            t0 = self.cma.sim.now
             yield Delay(t_fix)
-            if tracer.enabled:
-                tracer.record(caller.name, "xattach", t0, self.cma.sim.now,
-                              meta=seg.owner_pid)
         self.attaches += 1
         return seg
 
@@ -317,25 +311,9 @@ class XpmemKernel:
         if scale != 1.0:
             copy_time *= scale
         mm = self.cma.mm_lock(seg.owner_pid)
-        tracer = self.cma.tracer
+        self.copy_us += copy_time
 
-        if tracer.enabled:
-            # Traced: per-page lock/fault spans (the cold-attach storm is
-            # visible in the ftrace-style breakdown), then the pin-free copy.
-            for _pg in newp:
-                t_req = self.cma.sim.now
-                yield Acquire(mm.mutex)
-                t_got = self.cma.sim.now
-                hold = mm.hold_time(1, caller)
-                yield Delay(hold)
-                yield Release(mm.mutex)
-                tracer.record(caller.name, "lock", t_req, t_got, meta=seg.owner_pid)
-                tracer.record(caller.name, "fault", t_got, t_got + hold, meta=1)
-                mm.pages_pinned += 1
-            t3 = self.cma.sim.now
-            yield Delay(copy_time)
-            tracer.record(caller.name, "copy", t3, self.cma.sim.now, meta=ncopy)
-        elif newp and self.cma.sim.use_pin_convoy:
+        if newp and self.cma.sim.use_pin_convoy:
             # Fused cold-copy fast path: the per-page fault-in convoy with
             # the pin-free copy riding as the convoy's tail — one command,
             # same timeline as the unfused loop + trailing Delay
@@ -346,19 +324,19 @@ class XpmemKernel:
                 tail_dt=copy_time,
             )
         else:
-            # Unfused untraced reference path (and the warm steady state,
-            # where there is nothing to fault and the copy is one Delay —
-            # the mm lock is never touched).
+            # Unfused reference path (and the warm steady state, where
+            # there is nothing to fault and the copy is one Delay — the
+            # mm lock is never touched).
             for _pg in newp:
                 yield Acquire(mm.mutex)
-                hold = mm.hold_time(1, caller)
-                yield HoldRelease(mm.mutex, hold)
+                yield HoldRelease(mm.mutex, mm.hold_time(1, caller))
                 mm.pages_pinned += 1
             yield Delay(copy_time)
 
         if newp:
             fset.update(newp)
             self.page_faults += len(newp)
+            mm.pages_faulted += len(newp)
         if self.cma.verify:
             caller_space = self.cma.manager.get(caller.pid)
             if write:

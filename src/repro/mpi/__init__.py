@@ -3,7 +3,8 @@
 Provides what the collective algorithms need and nothing more:
 
 * :class:`~repro.mpi.communicator.Node` — one simulated machine: engine,
-  address spaces, CMA kernel, shm transport, tracer.
+  address spaces, the CMA and mapped-window kernels, and the per-phase
+  simulated time they keep (:meth:`~repro.mpi.communicator.Node.phase_times`).
 * :class:`~repro.mpi.communicator.Comm` — ranks pinned to cores, the
   rank-to-PID table exchanged "at initialization" (as the paper's design
   does), buffer registration, and helpers to spawn per-rank work.

@@ -27,7 +27,7 @@ from repro.kernel.errors import CMAError, EFAULT, EINTR, ENOENT, EPERM, ESRCH
 from repro.machine.arch import Architecture
 from repro.shm import ShmTransport
 from repro.shm import collectives as smc
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.engine import Join, SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,18 +80,14 @@ class Node:
         self,
         arch: Architecture,
         verify: bool = True,
-        trace: bool = False,
         sim: Optional[Simulator] = None,
         faults: Optional["FaultPlan"] = None,
     ):
         self.arch = arch
         self.verify = verify
         self.sim = sim if sim is not None else Simulator()
-        self.tracer = Tracer(enabled=trace)
         self.manager = AddressSpaceManager(arch.params.page_size)
-        self.cma = CMAKernel(
-            self.sim, self.manager, arch.params, self.tracer, verify=verify
-        )
+        self.cma = CMAKernel(self.sim, self.manager, arch.params, verify=verify)
         #: mapped-window lane, sharing the CMA kernel's spaces/locks/faults
         self.xpmem = XpmemKernel(self.cma)
         #: immutable fault plan (None = faults off, the default) and its
@@ -106,8 +102,8 @@ class Node:
     def reset(self) -> None:
         """Return the node to fresh-construction state, keeping structure.
 
-        The engine restarts its clock/sequence stream, the tracer drops its
-        spans, and the kernel resets counters, mm locks and address-space
+        The engine restarts its clock/sequence stream, and the kernel
+        resets counters (phase times included), mm locks and address-space
         contents (every buffer is unmapped and its bytes dropped; an
         unverified run's buffers are address ranges only and never had
         any) — but registered pids survive, which is the whole point of
@@ -116,7 +112,6 @@ class Node:
         faults a fresh one would.
         """
         self.sim.reset()
-        self.tracer.clear()
         self.cma.reset()
         # Address spaces were just reset, so every exported segment and
         # mapped window dangles: drop them all (stale segids must ENOENT).
@@ -128,6 +123,23 @@ class Node:
     @property
     def params(self):
         return self.arch.params
+
+    def phase_times(self) -> dict[str, float]:
+        """Simulated µs per kernel phase since the last reset, summed over
+        every rank; phases that took no time are left out.
+
+        The CMA phases of Fig. 4 (``syscall``, ``check``, ``lock``,
+        ``pin``, ``copy``) and the mapped-window ones (``fault``,
+        ``xmake``, ``xattach``, ``xmap``; their copies add to ``copy``)
+        come from counters the kernels keep on every run.
+        """
+        times = self.cma.phase_times()
+        xp = self.xpmem
+        times["copy"] += xp.copy_us
+        times["xmake"] = xp.make_us
+        times["xattach"] = xp.attach_us
+        times["xmap"] = xp.map_us
+        return {phase: t for phase, t in times.items() if t}
 
 
 class Comm:

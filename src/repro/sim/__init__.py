@@ -9,8 +9,9 @@ algorithms) compose with ``yield from``.
 
 The substrate is deliberately small: an event heap, a FIFO mutex whose
 *contenders* are visible to hold-time models (this is how mm-lock cache-line
-bouncing is expressed), tagged mailboxes, and a phase tracer that plays the
-role ftrace plays in the paper.
+bouncing is expressed) and tagged mailboxes.  The mutex's wait and hold
+totals are always on; the kernel layers read their phase times from them
+(the paper reads them from ftrace).
 """
 
 from repro.sim.engine import (
@@ -30,7 +31,6 @@ from repro.sim.engine import (
 )
 from repro.sim.resources import Mutex, Semaphore
 from repro.sim.channels import Mailbox, Message, Send, Recv, ANY
-from repro.sim.trace import Tracer, Span
 
 __all__ = [
     "Simulator",
@@ -53,6 +53,4 @@ __all__ = [
     "Send",
     "Recv",
     "ANY",
-    "Tracer",
-    "Span",
 ]

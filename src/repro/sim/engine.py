@@ -202,8 +202,8 @@ class Release(Command):
 class PinConvoy(Command):
     """Run a whole ``Acquire -> HoldRelease`` pin loop as engine records.
 
-    Yielded once per pin loop (by :meth:`repro.kernel.pagelock.MMLock.
-    lock_and_pin` and the untraced CMA data path) instead of one
+    Yielded once per pin loop (by the CMA data path,
+    :meth:`repro.kernel.cma.CMAKernel.process_vm_readv`) instead of one
     ``Acquire`` + ``HoldRelease`` pair per batch.  ``batches`` is the
     precomputed plan — a sequence of ``(pages, extra_dt)`` with the batch
     size and the post-release continuation delay (the batch's pro-rata

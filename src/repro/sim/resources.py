@@ -42,15 +42,13 @@ class Mutex:
     a deadlocked simulation being torn down).
 
     Statistics (`acquisitions`, `total_wait_us`, `total_hold_us`,
-    `max_contenders`) are always on, traced or not.  ``total_wait_us``
-    sums (grant time - request time) over contended grants, in grant
-    order; ``total_hold_us`` sums (release time - grant time) over holds,
-    in release order.  On one mutex those orders coincide with the order
-    in which the traced kernel records its 'lock' and 'pin' spans, and an
-    uncontended grant's zero wait adds nothing, so ``total_wait_us +
-    total_hold_us`` is bit-for-bit the traced lock+pin span total — the
-    number :func:`repro.bench.microbench.lock_pin_per_page` calibrates
-    gamma from without a tracer.
+    `max_contenders`) are always on.  ``total_wait_us`` sums (grant time
+    - request time) over contended grants, in grant order;
+    ``total_hold_us`` sums (release time - grant time) over holds, in
+    release order.  On an mm lock these are the kernel's 'lock' and 'pin'
+    phase times (:meth:`repro.kernel.cma.CMAKernel.phase_times`), the
+    numbers :func:`repro.bench.microbench.lock_pin_per_page` calibrates
+    gamma from and Fig. 4 breaks a read into.
 
     ``generation`` counts every acquire/release.
 

@@ -16,16 +16,15 @@ from repro.kernel import (
 from repro.kernel.cma import IOV_MAX
 from repro.kernel.errors import EINVAL, EPERM, ESRCH
 from repro.machine import make_generic
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 
-def make_node(nprocs=4, arch=None, verify=True, trace=False):
+def make_node(nprocs=4, arch=None, verify=True):
     """Minimal kernel-level test node: sim + spaces + pinned processes."""
     arch = arch or make_generic(sockets=1, cores_per_socket=max(nprocs, 2))
     sim = Simulator()
-    tracer = Tracer(enabled=trace)
     mgr = AddressSpaceManager(arch.params.page_size)
-    cma = CMAKernel(sim, mgr, arch.params, tracer, verify=verify)
+    cma = CMAKernel(sim, mgr, arch.params, verify=verify)
     procs = []
 
     def idle():
@@ -294,9 +293,7 @@ class TestContention:
 
         def per_reader_lock_pin(readers):
             arch = make_generic(sockets=1, cores_per_socket=max(readers + 1, 2))
-            sim, cma, procs, _ = make_node(
-                readers + 1, arch=arch, verify=False, trace=True
-            )
+            sim, cma, procs, _ = make_node(readers + 1, arch=arch, verify=False)
             src = cma.manager.get(procs[0].pid).allocate(n)
             workers = []
             for i in range(readers):
@@ -309,8 +306,8 @@ class TestContention:
 
                 workers.append(run_proc(sim, reader(), procs[i + 1]))
             sim.run_all(workers)
-            ph = cma.tracer.total_by_phase()
-            return (ph.get("lock", 0.0) + ph["pin"]) / readers
+            ph = cma.phase_times()
+            return (ph["lock"] + ph["pin"]) / readers
 
         r1 = per_reader_lock_pin(1)
         r16 = per_reader_lock_pin(16)
@@ -343,7 +340,7 @@ class TestContention:
 class TestTracing:
     def test_breakdown_phases_recorded(self):
         arch = make_generic(sockets=1, cores_per_socket=4)
-        sim, cma, procs, _ = make_node(2, arch=arch, trace=True)
+        sim, cma, procs, _ = make_node(2, arch=arch)
         src = cma.manager.get(procs[0].pid).allocate(8 * 4096)
         dst = cma.manager.get(procs[1].pid).allocate(8 * 4096)
 
@@ -352,20 +349,20 @@ class TestTracing:
 
         p = run_proc(sim, reader(), procs[1])
         sim.run_all([p])
-        phases = cma.tracer.total_by_phase()
-        assert set(phases) == {"syscall", "check", "pin", "lock", "copy"}
+        phases = cma.phase_times()
+        assert phases["syscall"] == arch.params.alpha_syscall
+        assert phases["check"] == arch.params.alpha_check
         assert phases["copy"] == pytest.approx(8 * 4096 * arch.params.beta)
         assert phases["pin"] == pytest.approx(8 * arch.params.l_page)
-        assert phases["lock"] == pytest.approx(0.0)  # uncontended: no waiting
+        assert phases["lock"] == 0.0  # uncontended: no waiting
+        assert phases["fault"] == 0.0  # no mapped-window fault-ins
 
     def test_lock_phase_grows_with_contention(self):
         arch = make_generic(sockets=1, cores_per_socket=16)
         n = 32 * 4096
         times = {}
         for readers in (1, 8):
-            sim, cma, procs, _ = make_node(
-                readers + 1, arch=arch, verify=False, trace=True
-            )
+            sim, cma, procs, _ = make_node(readers + 1, arch=arch, verify=False)
             src = cma.manager.get(procs[0].pid).allocate(n)
             workers = []
             for i in range(readers):
@@ -378,8 +375,7 @@ class TestTracing:
 
                 workers.append(run_proc(sim, reader(), procs[i + 1]))
             sim.run_all(workers)
-            ph = cma.tracer.total_by_phase()
-            times[readers] = ph.get("lock", 0.0) / readers
+            times[readers] = cma.phase_times()["lock"] / readers
         assert times[8] > 5 * max(times[1], 1e-9)
 
 

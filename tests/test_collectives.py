@@ -301,10 +301,8 @@ class TestRunnerInterface:
             arch_for(4),
             procs=4,
             eta=32 * 1024,
-            trace=True,
         )
         res = run_collective(spec)
-        assert res.trace_by_phase is not None
         assert res.trace_by_phase["copy"] > 0
 
     def test_timing_only_mode_is_deterministic(self):

@@ -12,9 +12,9 @@ event count, which must not exceed the reference's:
 * ``fused``    — ``Simulator()``, the default: each pin loop is one
   command whose per-batch hops are engine records.
 
-Coverage: collective specs on all three preset architectures (trace on and
-off), mid-convoy interlopers that join and leave, hold-time errors, and a
-hypothesis-randomized workload mix.
+Coverage: collective specs on all three preset architectures (with their
+per-phase time counters), mid-convoy interlopers that join and leave,
+hold-time errors, and a hypothesis-randomized workload mix.
 """
 
 import pytest
@@ -66,8 +66,7 @@ def _lock_stats(node):
 
 def _run_spec(spec: CollectiveSpec, sim_kw: dict):
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, trace=spec.trace,
-                sim=Simulator(**sim_kw))
+    node = Node(spec.arch, verify=spec.verify, sim=Simulator(**sim_kw))
     comm = Comm(node, spec.procs)
     res = _execute(spec, fn, node, comm)
     return res.sim_events, (
@@ -76,16 +75,19 @@ def _run_spec(spec: CollectiveSpec, sim_kw: dict):
         res.cma_reads,
         res.cma_writes,
         _lock_stats(node),
+        res.trace_by_phase,
     )
 
 
 def _assert_modes_agree(run_one):
     """``run_one(sim_kw)`` -> ``(events, comparable snapshot)``; the
-    snapshots must match and the fused run may not process more events."""
+    snapshots must match and the fused run may not process more events.
+    Returns the reference snapshot."""
     ref_events, ref = run_one(MODES["unfused"])
     got_events, got = run_one(MODES["fused"])
     assert got == ref, "fused diverged from unfused reference"
     assert got_events <= ref_events
+    return ref
 
 
 # -- collective battery ------------------------------------------------------
@@ -117,9 +119,9 @@ def test_collectives_bit_exact_across_modes(archname, coll, alg, params):
 
 @pytest.mark.parametrize("archname", ARCH_NAMES)
 def test_traced_run_identical_across_modes(archname):
-    """Tracing disables fusion, so all modes literally share one code path —
-    but the equality must also hold against each mode's untraced twin's
-    timestamps (tracing must never change simulated time)."""
+    """Fig. 4's phase breakdown of a contended read, from the always-on
+    counters: bit-identical in both modes, with every phase present, and
+    the mm locks' wait and hold totals are exactly its lock and pin."""
     spec_kw = dict(
         collective="scatter",
         algorithm="parallel_read",
@@ -128,16 +130,14 @@ def test_traced_run_identical_across_modes(archname):
         eta=120_000,
         verify=False,
     )
-    _, untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["fused"])
-
-    def run_traced(kw):
-        return _run_spec(CollectiveSpec(**spec_kw, trace=True), kw)
-
-    ref = run_traced(MODES["unfused"])
-    assert run_traced(MODES["fused"]) == ref
-    # timestamps (not event counts: tracing is unfused) match untraced fused
-    assert ref[1][0] == untraced[0]
-    assert ref[1][1] == untraced[1]
+    ref = _assert_modes_agree(
+        lambda kw: _run_spec(CollectiveSpec(**spec_kw), kw)
+    )
+    phases = ref[5]
+    assert set(phases) == {"syscall", "check", "lock", "pin", "copy"}
+    locks = ref[4]
+    assert phases["lock"] == sum(s[3] for s in locks)
+    assert phases["pin"] == sum(s[4] for s in locks)
 
 
 # -- convoy workloads built directly on a node -------------------------------
@@ -171,7 +171,7 @@ def test_pure_convoy_fast_forward_bit_exact():
     jobs = [(900_000, True, 3)] * 16
 
     def run_one(kw):
-        node = Node(get_arch("knl"), verify=False, trace=False,
+        node = Node(get_arch("knl"), verify=False,
                     sim=Simulator(**kw))
         comm = Comm(node, len(jobs) + 1)
         procs = _reader_workload(node, comm, jobs)
@@ -187,7 +187,7 @@ def test_interloper_joins_mid_convoy():
     jobs = [(500_000, True, 2)] * 6
 
     def run_one(kw):
-        node = Node(get_arch("knl"), verify=False, trace=False,
+        node = Node(get_arch("knl"), verify=False,
                     sim=Simulator(**kw))
         comm = Comm(node, len(jobs) + 1)
         procs = _reader_workload(node, comm, jobs)
@@ -215,7 +215,7 @@ def test_interloper_leaves_and_epoch_recovers():
     jobs = [(700_000, True, 4)] * 4
 
     def run_one(kw):
-        node = Node(get_arch("knl"), verify=False, trace=False,
+        node = Node(get_arch("knl"), verify=False,
                     sim=Simulator(**kw))
         comm = Comm(node, len(jobs) + 1)
         procs = _reader_workload(node, comm, jobs)
@@ -246,7 +246,7 @@ def test_mixed_pure_and_copy_convoys():
     ]
 
     def run_one(kw):
-        node = Node(get_arch("broadwell"), verify=False, trace=False,
+        node = Node(get_arch("broadwell"), verify=False,
                     sim=Simulator(**kw))
         comm = Comm(node, len(jobs) + 1)
         procs = _reader_workload(node, comm, jobs)
@@ -332,7 +332,7 @@ def test_generation_counts_every_acquire_release():
 
 
 def test_hold_memo_cleared_on_reset():
-    node = Node(get_arch("knl"), verify=False, trace=False)
+    node = Node(get_arch("knl"), verify=False)
     comm = Comm(node, 3)
     src = comm.allocate(0, _MIB, name="s")
 
@@ -378,7 +378,7 @@ def test_randomized_workloads_bit_exact(archname, jobs, interlopers):
     arch = get_arch(archname)
 
     def run_one(kw):
-        node = Node(arch, verify=False, trace=False, sim=Simulator(**kw))
+        node = Node(arch, verify=False, sim=Simulator(**kw))
         comm = Comm(node, len(jobs) + 1)
         procs = _reader_workload(node, comm, jobs)
         mutex = node.cma._mm_locks[comm.pid_of(0)].mutex

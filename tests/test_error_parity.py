@@ -1,9 +1,11 @@
 """Every errno in the simulated kernel is real, raisable, and named right.
 
 The simulated ``process_vm_readv``/``writev`` must fail with the same
-errno values (and spellings) the real kernel uses, from both the traced
-and the fused fast path; EINTR — which only ever comes from the signal
-machinery — is raisable through fault injection.
+errno values (and spellings) the real kernel uses; EINTR — which only
+ever comes from the signal machinery — is raisable through fault
+injection.  The ``traced`` cases also check that the node's phase
+counters account for every simulated microsecond the failing call (and
+any set-up before it) charged.
 """
 
 import errno as std_errno
@@ -43,14 +45,17 @@ def test_cmaerror_message_carries_the_name():
         assert f"[{name}]" in str(CMAError(value, "x")), name
 
 
-def _node(trace):
-    node = Node(make_generic(sockets=1, cores_per_socket=4), trace=trace)
+def _node(faults=None):
+    node = Node(make_generic(sockets=1, cores_per_socket=4), faults=faults)
     comm = Comm(node, 2)
     return node, comm
 
 
-def _run_expecting(node, comm, body, want_errno):
-    """Run ``body`` as rank 0 and assert it raises CMAError(want_errno)."""
+def _run_expecting(node, comm, body, want_errno, counted=False):
+    """Run ``body`` as rank 0 and assert it raises CMAError(want_errno).
+
+    Every call in these tests runs alone, so with ``counted`` the phase
+    times must add up to the clock."""
 
     def rank0(ctx):
         with pytest.raises(CMAError) as exc:
@@ -60,15 +65,18 @@ def _run_expecting(node, comm, body, want_errno):
 
     proc = comm.spawn_rank(0, rank0)
     node.sim.run_all([proc])
+    if counted:
+        charged = sum(node.phase_times().values())
+        assert charged == pytest.approx(node.sim.now, rel=1e-12, abs=0.0)
 
 
 ALL_ERRNOS_BY_VALUE = {v: k for k, v in ALL_ERRNOS.items()}
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["fast", "traced"])
+@pytest.mark.parametrize("counted", [False, True], ids=["fast", "traced"])
 class TestSyscallErrnos:
-    def test_einval_nonzero_flags(self, trace):
-        node, comm = _node(trace)
+    def test_einval_nonzero_flags(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
         b = comm.allocate(1, 4096)
 
@@ -77,10 +85,10 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [b.iov()], flags=1
             )
 
-        _run_expecting(node, comm, body, EINVAL)
+        _run_expecting(node, comm, body, EINVAL, counted)
 
-    def test_einval_negative_length(self, trace):
-        node, comm = _node(trace)
+    def test_einval_negative_length(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
 
         def body(ctx):
@@ -88,12 +96,12 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [(a.addr, -8)]
             )
 
-        _run_expecting(node, comm, body, EINVAL)
+        _run_expecting(node, comm, body, EINVAL, counted)
 
-    def test_einval_iov_max_exceeded(self, trace):
+    def test_einval_iov_max_exceeded(self, counted):
         from repro.kernel.cma import IOV_MAX
 
-        node, comm = _node(trace)
+        node, comm = _node()
         a = comm.allocate(0, 4096)
 
         def body(ctx):
@@ -101,10 +109,10 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [(a.addr, 1)] * (IOV_MAX + 1)
             )
 
-        _run_expecting(node, comm, body, EINVAL)
+        _run_expecting(node, comm, body, EINVAL, counted)
 
-    def test_esrch_unknown_pid(self, trace):
-        node, comm = _node(trace)
+    def test_esrch_unknown_pid(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
 
         def body(ctx):
@@ -112,10 +120,10 @@ class TestSyscallErrnos:
                 ctx.proc, 99_999, [a.iov()], [(a.addr, 8)]
             )
 
-        _run_expecting(node, comm, body, ESRCH)
+        _run_expecting(node, comm, body, ESRCH, counted)
 
-    def test_eperm_denied_pid(self, trace):
-        node, comm = _node(trace)
+    def test_eperm_denied_pid(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
         b = comm.allocate(1, 4096)
         node.cma.denied_pids.add(comm.pid_of(1))
@@ -125,10 +133,10 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [b.iov()]
             )
 
-        _run_expecting(node, comm, body, EPERM)
+        _run_expecting(node, comm, body, EPERM, counted)
 
-    def test_efault_unmapped_remote(self, trace):
-        node, comm = _node(trace)
+    def test_efault_unmapped_remote(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
         b = comm.allocate(1, 4096)
 
@@ -138,18 +146,15 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [(b.end + 4096, 64)]
             )
 
-        _run_expecting(node, comm, body, EFAULT)
+        _run_expecting(node, comm, body, EFAULT, counted)
 
     @pytest.mark.parametrize("kind", ["eperm", "esrch", "efault", "eintr"])
-    def test_injected_errnos(self, trace, kind):
+    def test_injected_errnos(self, counted, kind):
         """EINTR has no natural simulated source — injection covers it, and
         the other kinds must surface the identical errno the natural path
         uses."""
         plan = FaultPlan(seed=0, specs=(FaultSpec(kind, calls=(0,)),))
-        node = Node(
-            make_generic(sockets=1, cores_per_socket=4), trace=trace, faults=plan
-        )
-        comm = Comm(node, 2)
+        node, comm = _node(faults=plan)
         a = comm.allocate(0, 4096)
         b = comm.allocate(1, 4096)
 
@@ -160,45 +165,44 @@ class TestSyscallErrnos:
                 ctx.proc, comm.pid_of(1), [a.iov()], [b.iov()]
             )
 
-        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()])
+        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()], counted)
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["fast", "traced"])
+@pytest.mark.parametrize("counted", [False, True], ids=["fast", "traced"])
 class TestXpmemErrnos:
-    """The mapped-window lane's errnos: natural triggers + injection, with
-    traced and fast paths agreeing (xpmem validates *before* charging any
-    time in both, so there is no fast-path divergence to document)."""
+    """The mapped-window lane's errnos: natural triggers + injection
+    (xpmem validates *before* charging any time)."""
 
-    def test_einval_nonpositive_segment(self, trace):
-        node, comm = _node(trace)
+    def test_einval_nonpositive_segment(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
 
         def body(ctx):
             yield from node.xpmem.make_segid(ctx.proc, a.addr, 0)
 
-        _run_expecting(node, comm, body, EINVAL)
+        _run_expecting(node, comm, body, EINVAL, counted)
 
-    def test_efault_unmapped_export(self, trace):
-        node, comm = _node(trace)
+    def test_efault_unmapped_export(self, counted):
+        node, comm = _node()
         a = comm.allocate(0, 4096)
 
         def body(ctx):
             yield from node.xpmem.make_segid(ctx.proc, a.end + 4096, 64)
 
-        _run_expecting(node, comm, body, EFAULT)
+        _run_expecting(node, comm, body, EFAULT, counted)
 
-    def test_enoent_stale_segid_on_attach(self, trace):
-        node, comm = _node(trace)
+    def test_enoent_stale_segid_on_attach(self, counted):
+        node, comm = _node()
 
         def body(ctx):
             yield from node.xpmem.attach(ctx.proc, 0x5E60_0000)
 
-        _run_expecting(node, comm, body, ENOENT)
+        _run_expecting(node, comm, body, ENOENT, counted)
 
-    def test_esrch_dead_owner_on_attach(self, trace):
+    def test_esrch_dead_owner_on_attach(self, counted):
         from repro.kernel.xpmem import XpmemSegment
 
-        node, comm = _node(trace)
+        node, comm = _node()
         # an export whose owner's address space no longer exists
         node.xpmem._segids[0x5E60_0042] = XpmemSegment(
             0x5E60_0042, 99_999, 0x1000, 4096, 1
@@ -207,10 +211,10 @@ class TestXpmemErrnos:
         def body(ctx):
             yield from node.xpmem.attach(ctx.proc, 0x5E60_0042)
 
-        _run_expecting(node, comm, body, ESRCH)
+        _run_expecting(node, comm, body, ESRCH, counted)
 
-    def test_eperm_denied_owner_on_attach(self, trace):
-        node, comm = _node(trace)
+    def test_eperm_denied_owner_on_attach(self, counted):
+        node, comm = _node()
         b = comm.allocate(1, 4096)
         got = {}
 
@@ -225,7 +229,7 @@ class TestXpmemErrnos:
         def body(ctx):
             yield from node.xpmem.attach(ctx.proc, got["segid"])
 
-        _run_expecting(node, comm, body, EPERM)
+        _run_expecting(node, comm, body, EPERM, counted)
 
     def _exported(self, node, comm, nbytes=4 * 4096):
         """Rank 0 exports its own buffer; returns (buffer, segid)."""
@@ -240,8 +244,8 @@ class TestXpmemErrnos:
         node.sim.run_all([comm.spawn_rank(0, owner)])
         return a, got["segid"]
 
-    def test_einval_copy_before_attach(self, trace):
-        node, comm = _node(trace)
+    def test_einval_copy_before_attach(self, counted):
+        node, comm = _node()
         a, segid = self._exported(node, comm)
 
         def body(ctx):
@@ -257,8 +261,8 @@ class TestXpmemErrnos:
 
         node.sim.run_all([comm.spawn_rank(1, rank1)])
 
-    def test_einval_negative_copy_length(self, trace):
-        node, comm = _node(trace)
+    def test_einval_negative_copy_length(self, counted):
+        node, comm = _node()
         a, segid = self._exported(node, comm)
 
         def body(ctx):
@@ -267,10 +271,10 @@ class TestXpmemErrnos:
                 ctx.proc, segid, (0, 64), (a.addr, -8)
             )
 
-        _run_expecting(node, comm, body, EINVAL)
+        _run_expecting(node, comm, body, EINVAL, counted)
 
-    def test_efault_copy_outside_window(self, trace):
-        node, comm = _node(trace)
+    def test_efault_copy_outside_window(self, counted):
+        node, comm = _node()
         a, segid = self._exported(node, comm)
 
         def body(ctx):
@@ -279,20 +283,17 @@ class TestXpmemErrnos:
                 ctx.proc, segid, (0, 128), (a.end - 32, 128)
             )
 
-        _run_expecting(node, comm, body, EFAULT)
+        _run_expecting(node, comm, body, EFAULT, counted)
 
     @pytest.mark.parametrize("op", ["make", "attach", "xcopy"])
     @pytest.mark.parametrize(
         "kind", ["eperm", "enoent", "esrch", "efault", "eintr"]
     )
-    def test_injected_errnos(self, trace, op, kind):
+    def test_injected_errnos(self, counted, op, kind):
         """Every xpmem errno kind is raisable at every xpmem injection site,
-        in both paths, with the stdlib errno value."""
+        with the stdlib errno value."""
         plan = FaultPlan(seed=0, specs=(FaultSpec(kind, op=op, calls=(0,)),))
-        node = Node(
-            make_generic(sockets=1, cores_per_socket=4), trace=trace, faults=plan
-        )
-        comm = Comm(node, 2)
+        node, comm = _node(faults=plan)
         a = comm.allocate(0, 4096)
 
         def body(ctx):
@@ -302,7 +303,7 @@ class TestXpmemErrnos:
                 ctx.proc, segid, (0, 64), (a.addr, 64)
             )
 
-        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()])
+        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()], counted)
 
 
 def test_empty_armed_plan_is_bit_identical_on_the_xpmem_lane():
@@ -332,3 +333,45 @@ def test_empty_armed_plan_is_bit_identical_on_the_xpmem_lane():
         )
 
     assert run(None) == run(FaultPlan(seed=7, specs=()))
+
+
+@pytest.mark.parametrize(
+    "cause",
+    ["esrch", "eperm", "injected-eperm", "injected-esrch", "injected-efault",
+     "injected-eintr"],
+)
+def test_errno_surfaces_after_entry_and_check(cause):
+    """The one error timing of ``process_vm_readv``: ESRCH, EPERM and
+    injected errnos raise once the syscall entry and the access check
+    have both been charged, at ``t0 + alpha_syscall + alpha_check``."""
+    plan = None
+    if cause.startswith("injected-"):
+        kind = cause.split("-", 1)[1]
+        plan = FaultPlan(seed=0, specs=(FaultSpec(kind, calls=(0,)),))
+    node, comm = _node(faults=plan)
+    a = comm.allocate(0, 4096)
+    b = comm.allocate(1, 4096)
+    pid = comm.pid_of(1)
+    if cause == "esrch":
+        pid = 99_999
+    elif cause == "eperm":
+        node.cma.denied_pids.add(pid)
+    seen = {}
+
+    def rank0(ctx):
+        seen["t0"] = node.sim.now
+        try:
+            yield from node.cma.process_vm_readv(
+                ctx.proc, pid, [a.iov()], [b.iov()]
+            )
+        except CMAError as exc:
+            seen["errno"] = exc.errno
+            seen["t"] = node.sim.now
+
+    node.sim.run_all([comm.spawn_rank(0, rank0)])
+    p = node.params
+    assert seen["errno"] == ALL_ERRNOS[cause.split("-")[-1].upper()]
+    assert seen["t"] == seen["t0"] + p.alpha_syscall + p.alpha_check
+    assert node.phase_times() == {
+        "syscall": p.alpha_syscall, "check": p.alpha_check,
+    }

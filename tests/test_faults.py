@@ -233,12 +233,18 @@ class TestScheduledFaults:
         assert r.fallbacks == 1
 
     def test_traced_path_injects_too(self):
+        """The phase counters account for the injected call: its
+        entry+check time is charged, and the shm fallback moves its bytes
+        instead of a CMA copy."""
         plan = FaultPlan(seed=0, specs=(FaultSpec("eperm", calls=(0,)),))
-        r = run_collective(
-            spec_for("scatter", "parallel_read", faults=plan, trace=True)
-        )
+        spec = spec_for("scatter", "parallel_read", faults=plan)
+        r = run_collective(spec)
+        clean = run_collective(spec_for("scatter", "parallel_read"))
         assert r.fallbacks == 1
-        assert r.trace_by_phase  # tracing still works under injection
+        ph, ref = r.trace_by_phase, clean.trace_by_phase
+        assert ph["syscall"] == pytest.approx(ref["syscall"])
+        assert ph["check"] == pytest.approx(ref["check"])
+        assert ph["copy"] < ref["copy"]
 
 
 class TestSeededBattery:

@@ -1,17 +1,25 @@
-"""gamma is calibrated from always-on mm-lock counters, not trace spans.
+"""gamma is calibrated from always-on mm-lock counters.
 
 ``microbench.lock_pin_per_page`` reads ``total_wait_us + total_hold_us``
-off rank 0's mm lock on an untraced node, where the readers' pin loops
-ride the convoy fast path (collapsed convoys included).  The paper's
-measurement is the traced 'lock' + 'pin' span total, as ftrace isolates
-``get_user_pages`` time.  These tests hold the two equal with ``==`` on
-every grid the artifacts measure, and the whole Table-IV fit equal field
-for field.
+off rank 0's mm lock, where the readers' pin loops ride the convoy fast
+path (collapsed convoys included).  These tests hold that number equal
+with ``==``, on every grid the artifacts measure, to
+
+* the unfused reference path's counters (``Simulator(use_pin_convoy=
+  False)``, one Acquire/HoldRelease pair per batch), and
+* the traced 'lock' + 'pin' span total recorded before the span tracer was
+  removed (``lock_pin_spans`` in ``tests/golden/phase_counters.json``),
+  the paper's measurement as ftrace isolates ``get_user_pages``;
+
+and the whole Table-IV fit equal, field for field, to the fit of the
+recorded span totals.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,15 +27,21 @@ from repro.bench import microbench
 from repro.core import fitting
 from repro.machine.arch import get_arch
 from repro.mpi.communicator import Comm, Node
+from repro.sim import Simulator
 
 ARCHS = ("knl", "broadwell", "power8")
 
+#: traced lock+pin per page, keyed ``variant/readers/pages``
+SPANS = json.loads(
+    (Path(__file__).parent / "golden" / "phase_counters.json").read_text()
+)["lock_pin_spans"]
 
-def _lock_pin(arch, readers, pages, iters=3, trace=False, hold_scale=1.0):
-    """The lock_pin_per_page workload; traced, it sums the span total
-    (the measurement as it was before the counters existed)."""
-    comm = Comm(Node(arch, verify=False, trace=trace), readers + 1)
-    mm = comm.node.cma.mm_lock(comm.pid_of(0))
+
+def _lock_pin(arch, readers, pages, iters=3, hold_scale=1.0, sim_kw=None):
+    """The lock_pin_per_page workload, on the engine mode ``sim_kw``."""
+    node = Node(arch, verify=False, sim=Simulator(**(sim_kw or {})))
+    comm = Comm(node, readers + 1)
+    mm = node.cma.mm_lock(comm.pid_of(0))
     mm.hold_scale = hold_scale
     n = pages * arch.params.page_size
     srcs = [comm.allocate(0, n, f"src{i}") for i in range(readers)]
@@ -41,16 +55,13 @@ def _lock_pin(arch, readers, pages, iters=3, trace=False, hold_scale=1.0):
             yield from ctx.cma_read(0, dsts[i].iov(), srcs[i].iov())
 
     comm.run_ranks(reader)
-    if trace:
-        ph = comm.node.tracer.total_by_phase()
-        total = ph.get("lock", 0.0) + ph.get("pin", 0.0)
-    else:
-        total = mm.mutex.total_wait_us + mm.mutex.total_hold_us
-    return total / (readers * iters * pages), comm.node.sim
+    total = mm.mutex.total_wait_us + mm.mutex.total_hold_us
+    return total / (readers * iters * pages), node.sim
 
 
-def _traced_lock_pin_per_page(arch, readers, pages, iters=3):
-    return _lock_pin(arch, readers, pages, iters, trace=True)[0]
+def _unfused_lock_pin_per_page(arch, readers, pages, hold_scale=1.0):
+    return _lock_pin(arch, readers, pages, hold_scale=hold_scale,
+                     sim_kw={"use_pin_convoy": False})[0]
 
 
 def _default_readers(arch):
@@ -61,11 +72,13 @@ def _default_readers(arch):
     )
 
 
-def _assert_counter_equals_spans(arch, points):
+def _assert_counter_equals_spans(arch, points, variant=None):
+    variant = variant or arch.name
     for readers, pages in points:
         got = microbench.lock_pin_per_page.__wrapped__(arch, readers, pages)
-        ref = _traced_lock_pin_per_page(arch, readers, pages)
-        assert got == ref, (arch.name, readers, pages, got, ref)
+        ref = _unfused_lock_pin_per_page(arch, readers, pages)
+        span = SPANS[f"{variant}/{readers}/{pages}"]
+        assert got == ref == span, (variant, readers, pages, got, ref, span)
 
 
 @pytest.mark.parametrize("name", ARCHS)
@@ -91,7 +104,10 @@ def test_ablation_bounce_points_match_spans(bounce):
             arch,
             params=arch.params.with_updates(kappa_intra=0.0, kappa_inter=0.0),
         )
-    _assert_counter_equals_spans(arch, [(c, 32) for c in (1, 4, 16, 32, 63)])
+    _assert_counter_equals_spans(
+        arch, [(c, 32) for c in (1, 4, 16, 32, 63)],
+        "knl" if bounce else "knl-nobounce",
+    )
 
 
 @pytest.mark.parametrize("pin_batch", [1, 4, 16, 64])
@@ -100,37 +116,42 @@ def test_pin_batch_sweep_matches_spans(pin_batch):
     long convoy of single-page holds."""
     base = get_arch("knl")
     arch = replace(base, params=base.params.with_updates(pin_batch=pin_batch))
-    _assert_counter_equals_spans(arch, [(1, 64), (16, 64)])
+    _assert_counter_equals_spans(
+        arch, [(1, 64), (16, 64)], f"knl-batch{pin_batch}"
+    )
 
 
 def test_straggler_owner_matches_spans():
     """A slow owner scales every hold (``MMLock.hold_scale``)."""
     arch = get_arch("broadwell")
     for readers in (1, 6):
-        got, sim = _lock_pin(arch, readers, 50, hold_scale=1.7)
-        ref, _ = _lock_pin(arch, readers, 50, trace=True, hold_scale=1.7)
-        assert got == ref
+        got, _ = _lock_pin(arch, readers, 50, hold_scale=1.7)
+        ref = _unfused_lock_pin_per_page(arch, readers, 50, hold_scale=1.7)
+        assert got == ref == SPANS[f"broadwell-hold1.7/{readers}/50"]
         plain, _ = _lock_pin(arch, readers, 50)
         assert got != plain
 
 
 def test_counter_path_runs_untraced_and_collapses():
     """The speed claim: one reader's pin loops collapse into folded
-    convoys instead of running the traced per-batch loop."""
+    convoys instead of running the per-batch loop."""
     _, sim = _lock_pin(get_arch("knl"), 1, 100)
     assert sim.convoys_collapsed == 3
 
 
 @pytest.mark.parametrize("name", ARCHS)
 def test_fit_architecture_matches_traced_fit(name, monkeypatch):
+    """The Table-IV fit from the counters equals the fit of the recorded
+    span totals."""
     arch = get_arch(name)
     monkeypatch.setattr(fitting, "_FITS", {})
     got = fitting.fit_architecture(arch)
     calls = []
 
     def traced(arch, readers, pages, iters=3):
+        assert iters == 3
         calls.append((readers, pages))
-        return _traced_lock_pin_per_page(arch, readers, pages, iters)
+        return SPANS[f"{arch.name}/{readers}/{pages}"]
 
     monkeypatch.setattr(fitting, "_FITS", {})
     monkeypatch.setattr(microbench, "lock_pin_per_page", traced)

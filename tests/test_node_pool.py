@@ -3,10 +3,10 @@
 The tentpole claim of the warm-node fast path is that
 :func:`repro.core.runner.run_collective_pooled` returns *bit-identical*
 results to :func:`repro.core.runner.run_collective` — exact float equality
-on every latency, identical event/message counters, identical trace
-aggregates — while reusing one simulated node across points.  The battery
+on every latency, identical event/message counters, identical per-phase
+times — while reusing one simulated node across points.  The battery
 here randomises over every collective family, in-place, the v-variants,
-and trace on/off, interleaving keys so the pool is genuinely exercised
+and verify on/off, interleaving keys so the pool is genuinely exercised
 (reuse, eviction, and rebuilds all happen).
 
 Below the battery sit unit tests for the reset contract itself: the
@@ -96,7 +96,7 @@ def _battery(seed: int, n: int):
             eta=eta,
             params=params,
             in_place=can_inplace and rng.random() < 0.3,
-            trace=rng.random() < 0.25,
+            verify=rng.random() >= 0.25,
         )
         if coll in ("scatter", "gather", "bcast", "scatterv", "gatherv", "reduce"):
             kwargs["root"] = rng.randrange(procs)
@@ -129,7 +129,7 @@ def _fields(res):
         res.xpmem_attaches,
         res.xpmem_page_faults,
         res.sim_events,
-        None if res.trace_by_phase is None else tuple(sorted(res.trace_by_phase.items())),
+        tuple(sorted(res.trace_by_phase.items())),
     )
 
 
@@ -138,7 +138,7 @@ def test_pooled_battery_bit_identical_to_fresh():
     # sanity: the battery must genuinely span the families and the toggles
     assert len({s.collective for s in specs}) >= 8
     assert any(s.in_place for s in specs)
-    assert any(s.trace for s in specs)
+    assert any(not s.verify for s in specs)
     assert any(s.counts is not None for s in specs)
     assert any(s.lane == "xpmem" for s in specs)
 
@@ -177,7 +177,7 @@ def test_repeated_pooled_runs_of_one_spec_are_stable():
 
 def test_pooled_xpmem_bit_identical_and_warm():
     """Mapped-window runs on a warm node must match fresh runs bit for bit,
-    traced and fast: segid minting restarts at the base, so any drift in
+    verified or not: segid minting restarts at the base, so any drift in
     the attach caches or the fault bookkeeping shows up as a control-plane
     or latency mismatch."""
     pool = NodePool()
@@ -188,19 +188,19 @@ def test_pooled_xpmem_bit_identical_and_warm():
         ("allgather", "xpmem_ring"),
         ("alltoall", "xpmem_pairwise"),
     ]
-    for trace in (False, True):
+    for verify in (False, True):
         for coll, alg in cases:
             spec = CollectiveSpec(
                 coll, alg, get_arch("broadwell"), procs=6, eta=8192,
-                trace=trace,
+                verify=verify,
             )
             warmup = run_collective_pooled(spec, pool)  # may build the node
             pooled = run_collective_pooled(spec, pool)  # guaranteed warm
             fresh = run_collective(spec)
-            assert _fields(warmup) == _fields(fresh), (coll, alg, trace)
-            assert _fields(pooled) == _fields(fresh), (coll, alg, trace)
-            assert pooled.xpmem_attaches > 0, (coll, alg, trace)
-            assert pooled.xpmem_page_faults > 0, (coll, alg, trace)
+            assert _fields(warmup) == _fields(fresh), (coll, alg, verify)
+            assert _fields(pooled) == _fields(fresh), (coll, alg, verify)
+            assert pooled.xpmem_attaches > 0, (coll, alg, verify)
+            assert pooled.xpmem_page_faults > 0, (coll, alg, verify)
     assert pool.reuses >= len(cases) * 2 - 1
 
 
@@ -215,7 +215,7 @@ def test_pool_release_clears_mapped_window_state():
     pool = NodePool()
     run_collective_pooled(spec, pool)
 
-    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify, spec.trace)
+    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify)
     try:
         xp = node.xpmem
         assert not xp._segids and not xp._by_region
@@ -304,7 +304,7 @@ def test_node_pool_discards_failed_runs():
     pool = NodePool()
     run_collective_pooled(spec, pool)  # seed the pool with a warm node
 
-    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify, spec.trace)
+    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify)
     # sabotage the next run: denied pid makes every CMA access raise EPERM
     node.cma.denied_pids.add(comm.pid_of(0))
     pool.release(spec.arch, node, comm)  # reset clears the sabotage...
@@ -364,7 +364,7 @@ def test_recycled_buffers_cannot_fake_verification():
     # Re-run the same spec on the warm node with a broken "algorithm" that
     # moves nothing: if recycled buffers kept their bytes, verification
     # would wrongly pass.
-    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify, spec.trace)
+    node, comm = pool.node_for(spec.arch, spec.procs, spec.verify)
 
     def lazy_rank(ctx):
         from repro.sim import Delay

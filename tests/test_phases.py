@@ -80,20 +80,24 @@ def _snapshot(res):
     )
 
 
-def _run_workload(spec_args, sim_kw, repeats, interloper=None):
+def _run_workload(spec_args, sim_kw, repeats, interloper=None, phases=False):
     """Run ``repeats`` rounds of one collective on a single warm node and
-    return every round's snapshot plus the final engine/lock state."""
+    return every round's snapshot (with its phase times if ``phases``)
+    plus the final engine/lock state."""
     spec = CollectiveSpec(**spec_args)
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, trace=spec.trace,
-                faults=spec.faults, sim=Simulator(**sim_kw))
+    node = Node(spec.arch, verify=spec.verify, faults=spec.faults,
+                sim=Simulator(**sim_kw))
     comm = Comm(node, spec.procs)
     snaps = []
     for rep in range(repeats):
         if interloper is not None:
             node.sim.spawn(interloper(node), name=f"interloper{rep}")
         res = _execute(spec, fn, node, comm)
-        snaps.append(_snapshot(res))
+        snap = _snapshot(res)
+        if phases:
+            snap += (tuple(res.trace_by_phase.items()),)
+        snaps.append(snap)
     return (tuple(snaps), _lock_stats(node),
             node.sim.events_processed, node.sim.now)
 
@@ -119,27 +123,27 @@ def _assert_runs_agree(runs):
         )
 
 
-def _assert_modes_identical(spec_args, repeats, interloper=None):
+def _assert_modes_identical(spec_args, repeats, interloper=None, phases=False):
     _assert_runs_agree({
-        mode: _run_workload(spec_args, kw, repeats, interloper)
+        mode: _run_workload(spec_args, kw, repeats, interloper, phases)
         for mode, kw in MODES.items()
     })
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("phases", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("arch", ARCHS)
 @pytest.mark.parametrize(
     "collective,algorithm,repeats",
     SHAPES, ids=[f"{c}-{a}" for c, a, _ in SHAPES],
 )
-def test_four_mode_battery(arch, trace, collective, algorithm, repeats):
-    """Warm-repeat workloads across archs and trace settings: all four
-    modes bit-identical on every round (traced runs take the per-span
-    kernel path in every mode)."""
+def test_four_mode_battery(arch, phases, collective, algorithm, repeats):
+    """Warm-repeat workloads across archs: all four modes bit-identical on
+    every round; the ``traced`` cases compare each round's per-phase
+    times (``trace_by_phase``) too."""
     _assert_modes_identical(
         dict(collective=collective, algorithm=algorithm,
-             arch=get_arch(arch), procs=6, eta=180_000, trace=trace),
-        repeats,
+             arch=get_arch(arch), procs=6, eta=180_000),
+        repeats, phases=phases,
     )
 
 
@@ -198,7 +202,7 @@ if HAVE_HYPOTHESIS:
         arch = get_arch("generic")
 
         def run_mix(sim_kw):
-            node = Node(arch, verify=False, trace=False,
+            node = Node(arch, verify=False,
                         sim=Simulator(**sim_kw))
             comm = Comm(node, procs)
             snaps = []

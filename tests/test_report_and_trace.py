@@ -1,9 +1,8 @@
-"""Tests for the report formatting helpers and the ftrace-style tracer."""
+"""Tests for the report formatting helpers."""
 
 import pytest
 
 from repro.bench.report import Series, Table, format_bytes, format_us
-from repro.sim.trace import PHASES, Span, Tracer
 
 
 class TestFormatting:
@@ -49,89 +48,3 @@ class TestTable:
         s = Series("fig", "readers", ["v"])
         s.add_raw_point("16", {"v": 2.0})
         assert "16" in s.render()
-
-
-class TestTracer:
-    def test_disabled_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.record("p", "copy", 0.0, 1.0)
-        assert tr.spans == []
-
-    def test_totals_and_means(self):
-        tr = Tracer(enabled=True)
-        tr.record("p0", "copy", 0.0, 2.0)
-        tr.record("p0", "copy", 5.0, 6.0)
-        tr.record("p1", "lock", 1.0, 4.0)
-        assert tr.total_by_phase() == {"copy": pytest.approx(3.0), "lock": pytest.approx(3.0)}
-        assert tr.mean_by_phase()["copy"] == pytest.approx(1.5)
-
-    def test_filter_by_process(self):
-        tr = Tracer(enabled=True)
-        tr.record("a", "pin", 0.0, 1.0)
-        tr.record("b", "pin", 0.0, 5.0)
-        assert tr.total_by_phase(procs=["a"]) == {"pin": pytest.approx(1.0)}
-        assert tr.breakdown("b") == {"pin": pytest.approx(5.0)}
-
-    def test_clear(self):
-        tr = Tracer(enabled=True)
-        tr.record("a", "pin", 0.0, 1.0)
-        tr.clear()
-        assert tr.spans == []
-
-    def test_span_duration(self):
-        s = Span("p", "syscall", 1.0, 2.5)
-        assert s.duration == pytest.approx(1.5)
-
-    def test_canonical_phases(self):
-        assert PHASES == ("syscall", "check", "lock", "pin", "copy")
-
-
-class TestChromeExport:
-    def test_span_events_and_thread_names(self):
-        tr = Tracer(enabled=True)
-        tr.record("rank0", "copy", 1.0, 3.0, meta=2048)
-        tr.record("rank1", "lock", 0.5, 2.5)
-        events = tr.to_chrome_trace()
-        spans = [e for e in events if e["ph"] == "X"]
-        metas = [e for e in events if e["ph"] == "M"]
-        assert len(spans) == 2 and len(metas) == 2
-        copy = next(e for e in spans if e["name"] == "copy")
-        assert copy["ts"] == 1.0 and copy["dur"] == 2.0
-        assert copy["args"] == {"meta": "2048"}
-        names = {e["args"]["name"] for e in metas}
-        assert names == {"rank0", "rank1"}
-
-    def test_save_roundtrip(self, tmp_path):
-        import json
-
-        tr = Tracer(enabled=True)
-        tr.record("p", "pin", 0.0, 1.0)
-        path = tmp_path / "trace.json"
-        assert tr.save_chrome_trace(str(path)) == 1
-        data = json.loads(path.read_text())
-        assert any(e["name"] == "pin" for e in data)
-
-    def test_full_collective_trace_exports(self, tmp_path):
-        from repro.core.runner import CollectiveSpec, run_collective
-        from repro.machine import make_generic
-
-        spec = CollectiveSpec(
-            "scatter", "throttled_read", make_generic(sockets=1, cores_per_socket=6),
-            procs=6, eta=32 * 1024, params={"k": 2}, trace=True,
-        )
-        run_collective(spec)
-        # the runner owns the node; re-run with an inspectable node instead
-        from repro.mpi import Comm, Node
-
-        node = Node(make_generic(sockets=1, cores_per_socket=4), trace=True)
-        comm = Comm(node, 2)
-        a = comm.allocate(0, 8192)
-        b = comm.allocate(1, 8192)
-
-        def rank(ctx):
-            if ctx.rank == 1:
-                yield from ctx.cma_read(0, b.iov(), a.iov())
-
-        comm.run_ranks(rank)
-        n = node.tracer.save_chrome_trace(str(tmp_path / "t.json"))
-        assert n >= 3  # syscall + check + pin + copy spans

@@ -288,14 +288,14 @@ class TestStickyRouting:
         assert order == ["A", "A", "C"]  # sticky: A finishes before C starts
 
     def test_warm_hint_prefers_matching_worker(self):
-        # Group key embeds the NodePool key in its first four fields.
+        # Group key embeds the NodePool key in its first three fields.
         # Plain LPT would give the first (warm) group to w0; the hint —
         # within the 1.5x-mean load guard — routes it to warm w1 instead.
-        g = ("knl", 12, True, False, False, "cma")
-        h = ("bdw", 8, True, False, False, "cma")
+        g = ("knl", 12, True, False, "cma")
+        h = ("bdw", 8, True, False, "cma")
         plans = build_chunks([1.0, 1.0], [g, h], workers=2)
         router = _Router(
-            plans, workers=2, warm_hint={1: (("knl", 12, True, False),)}
+            plans, workers=2, warm_hint={1: (("knl", 12, True),)}
         )
         assert [p.group for p in router.queues[1]] == [g]
         assert [p.group for p in router.queues[0]] == [h]
