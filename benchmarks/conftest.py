@@ -6,9 +6,11 @@ fall), and reports the regeneration time through pytest-benchmark.
 
 The ``regen`` fixture doubles as a determinism harness: each experiment is
 regenerated once serially (under the benchmark timer, populating a shared
-on-disk cache) and once through the sweep executor, and the two runs must
-produce identical data and rendered tables.  The second run is served from
-the warm cache, so the equality check costs almost nothing.
+on-disk cache) and once more under a ``workers=2`` context, and the two
+runs must produce identical data and rendered tables.  The second run is
+served entirely from the warm cache, so it checks serial == cached and
+costs almost nothing; pooled == serial is checked on whole artifacts by
+``tests/test_sched.py::TestBitIdentity::test_pooled_artifacts_match_serial``.
 """
 
 import math
@@ -51,8 +53,8 @@ def _equal(a, b) -> bool:
 
 @pytest.fixture
 def regen(benchmark, sweep_cache):
-    """Run an experiment serially under the benchmark timer, then again via
-    the sweep executor, assert the two are identical, and return the first."""
+    """Run an experiment serially under the benchmark timer, then again from
+    the warm cache, assert the two are identical, and return the first."""
 
     def _run(exp_id: str):
         with use_context(ExecContext(workers=1, cache=sweep_cache)):
@@ -63,11 +65,11 @@ def regen(benchmark, sweep_cache):
         with use_context(ExecContext(workers=2, cache=sweep_cache)):
             pooled = run_experiment(exp_id, quick=True)
         assert _equal(serial.data, pooled.data), (
-            f"{exp_id}: executor run diverged from serial run"
+            f"{exp_id}: cached run diverged from serial run"
         )
         assert [t.render() for t in serial.tables] == [
             t.render() for t in pooled.tables
-        ], f"{exp_id}: rendered tables diverged between serial and executor runs"
+        ], f"{exp_id}: rendered tables diverged between serial and cached runs"
         return serial
 
     return _run

@@ -27,8 +27,8 @@ def main(argv=None) -> int:
 
         return perfsuite.main(argv[1:])
     if argv and argv[0] == "sched":
-        # Work-stealing scheduler profiler: per-worker timeline (chunks,
-        # steals, idle gaps) as JSON — see repro.bench.schedprof.
+        # Pooled-dispatch profiler: per-worker timeline (chunks, idle
+        # gaps) as JSON — see repro.bench.schedprof.
         from repro.bench import schedprof
 
         return schedprof.main(argv[1:])

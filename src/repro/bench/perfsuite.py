@@ -10,7 +10,7 @@ deterministic work counters:
   pin-free steady state), plus each preset architecture's
   map-amortisation crossover in simulated microseconds;
 * ``sched`` — the mixed fig07+fig13 slice of :mod:`repro.bench.schedprof`
-  through the work-stealing scheduler (points, simulator events), then
+  through pooled sweep dispatch (points, simulator events), then
   served again from a warm result cache (``cache_hits``).
 
 ``--check BASELINE`` compares every counter with the committed
@@ -254,12 +254,11 @@ def probe_xpmem() -> dict:
 
 
 def probe_sched() -> dict:
-    """The mixed slice through the scheduler, then from a warm cache.
+    """The mixed slice through pooled dispatch, then from a warm cache.
 
     Gated: the point count, the simulator events the results represent,
-    and the warm pass's cache hits (every point must be served).  Workers,
-    chunks, steals and the cost model's error depend on the host's CPU
-    count, so they are printed only.
+    and the warm pass's cache hits (every point must be served).  Workers
+    and chunks depend on the host's CPU count, so they are printed only.
     """
     from repro.bench.schedprof import run_slice, slice_specs
     from repro.exec import ExecContext, ResultCache, use_context
@@ -268,11 +267,9 @@ def probe_sched() -> dict:
     results, stats, wall = run_slice("mixed")
     events = sum(r.sim_events for r in results)
     _say("sched", "mixed", events, wall)
-    err = stats.cost_err_pct
     print(
         f"sched  mixed  {stats.points} points on {stats.workers} worker(s): "
-        f"{stats.chunks} chunks, {stats.steals} steals, cost model error "
-        f"{'n/a' if err is None else f'{err:.1f}%'}"
+        f"{stats.chunks} chunks"
     )
     specs = slice_specs("mixed")
     with tempfile.TemporaryDirectory(prefix="repro-perf-") as cache_dir:

@@ -56,13 +56,7 @@ def sweep_summary(stats) -> str:
     if sched_chunks:
         sched_points = getattr(stats, "sched_points", 0) or 0
         mean = sched_points / sched_chunks
-        line += (
-            f"; sched: {sched_chunks} chunks (mean {mean:.1f} pts), "
-            f"{getattr(stats, 'sched_steals', 0)} steals"
-        )
-        err = getattr(stats, "sched_cost_err_pct", None)
-        if err is not None:
-            line += f", cost err {err:.0f}%"
+        line += f"; sched: {sched_chunks} chunks (mean {mean:.1f} pts)"
         fallbacks = getattr(stats, "sched_fallbacks", 0)
         if fallbacks:
             line += f", {fallbacks} fallback pts"

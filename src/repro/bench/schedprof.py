@@ -1,15 +1,13 @@
 """Scheduler profiling CLI: ``python -m repro.bench sched``.
 
 Runs the mixed fig07+fig13 scatter slice (:data:`SLICES`, shared with
-the perf suite's ``sched`` probe) through
-:func:`repro.exec.sched.run_scheduled` with per-chunk profiling on and
-emits a JSON report: scheduling counters (chunks, steals, cost-model
-error) plus a per-worker timeline — which chunks each worker ran, which
-were stolen, and the idle gaps between them.  ``--profile`` keeps the raw
+the perf suite's ``sched`` probe) on a :class:`~repro.exec.sched.StickyPool`
+with per-chunk profiling on and emits a JSON report: dispatch counters
+(chunks, chunk sizes) plus a per-worker timeline — which chunks each
+worker ran and the idle gaps between them.  ``--profile`` keeps the raw
 per-chunk records in the payload; without it only the per-worker
-summaries are emitted.  On a one-CPU host the run is inline and the
-timeline collapses to worker ``0`` — the counters and chunk records are
-still real.
+summaries are emitted.  On a one-CPU host the slice runs in the plain
+in-process loop, one point per chunk record on worker ``0``.
 """
 
 from __future__ import annotations
@@ -76,27 +74,45 @@ def slice_specs(which: str = "mixed"):
 
 
 def run_slice(which: str = "mixed", workers=None, profile: bool = False):
-    """One scheduled run of a slice, cache off.
+    """One run of a slice, cache off.
 
-    The points go through :func:`repro.exec.sched.run_scheduled` exactly as
-    a sweep's misses do (cost-model chunks, warm-pool groups).  Returns
+    The points go through ``StickyPool.run`` exactly as a pooled sweep's
+    misses do (priced, warm-pool groups).  With fewer than two usable CPUs
+    or workers they run in the plain loop instead.  Returns
     ``(results, stats, wall_s)``.
     """
     from repro.exec import resolve_workers
-    from repro.exec.sched import CostModel, run_scheduled
+    from repro.exec.sched import (
+        Chunk, SchedStats, StickyPool, point_cost, usable_cpus,
+    )
     from repro.exec.sweep import _exec_point, _pool_group_key, _slim_point
 
     points = [_slim_point(s) for s in slice_specs(which)]
-    cm = CostModel()
-    t0 = time.perf_counter()
-    results, stats = run_scheduled(
-        _exec_point,
-        points,
-        workers=resolve_workers(workers if workers is not None else "auto"),
-        costs=[cm.cost(p) for p in points],
-        groups=[_pool_group_key(p) for p in points],
-        profile=profile,
+    size = min(
+        resolve_workers(workers if workers is not None else "auto"),
+        usable_cpus(),
+        len(points),
     )
+    t0 = time.perf_counter()
+    if size >= 2:
+        with StickyPool(size) as pool:
+            results, stats = pool.run(
+                _exec_point,
+                points,
+                costs=[point_cost(p) for p in points],
+                groups=[_pool_group_key(p) for p in points],
+                profile=profile,
+            )
+        return results, stats, time.perf_counter() - t0
+    stats = SchedStats(points=len(points))
+    results = []
+    for i, pt in enumerate(points):
+        t_start = time.monotonic()
+        results.append(_exec_point(pt))
+        stats.note_chunk(
+            0, Chunk(i, _pool_group_key(pt), (i,)),
+            t_start - t0, time.monotonic() - t0, profile,
+        )
     return results, stats, time.perf_counter() - t0
 
 
@@ -106,8 +122,7 @@ def build_timeline(stats, keep_chunks: bool = True) -> dict:
     Chunk records carry worker-side monotonic timestamps; on Linux the
     monotonic clock is system-wide, so spans from different worker
     processes share one time base and the idle gaps between a worker's
-    consecutive chunks are directly the time its queue sat empty (or a
-    steal was in flight).
+    consecutive chunks are directly the time it sat waiting for work.
     """
     by_worker: dict = {}
     for rec in stats.profile or []:
@@ -123,7 +138,6 @@ def build_timeline(stats, keep_chunks: bool = True) -> dict:
         entry = {
             "chunks_run": len(recs),
             "points_run": sum(r["points"] for r in recs),
-            "steals": sum(1 for r in recs if r["stolen"]),
             "busy_s": round(sum(r["wall_s"] for r in recs), 6),
             "span_s": round(recs[-1]["end_s"] - recs[0]["start_s"], 6),
             "idle_gaps": len(gaps),
@@ -141,17 +155,13 @@ def run_profile(
     keep_chunks: bool = True,
 ) -> dict:
     _results, stats, wall = run_slice(which, workers, profile=True)
-    err = stats.cost_err_pct
     return {
         "slice": which,
         "points": stats.points,
         "workers": stats.workers,
         "pooled": stats.pooled,
         "chunks": stats.chunks,
-        "steals": stats.steals,
         "chunk_sizes": stats.chunk_sizes,
-        "predicted_cost": round(stats.predicted_cost, 3),
-        "cost_err_pct": round(err, 1) if err is not None else None,
         "fallback_points": stats.fallback_points,
         "wall_s": round(wall, 6),
         "points_per_sec": round(stats.points / wall, 2) if wall > 0 else None,
@@ -162,8 +172,8 @@ def run_profile(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench sched",
-        description="Profile the work-stealing sweep scheduler: per-worker "
-        "timeline (chunks, steals, idle gaps) as JSON.",
+        description="Profile pooled sweep dispatch: per-worker timeline "
+        "(chunks, idle gaps) as JSON.",
     )
     parser.add_argument(
         "--slice",
@@ -174,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         default=None,
-        help="worker count (default: auto = CPU count; inline on 1-CPU hosts)",
+        help="worker count (default: auto = CPU count; plain loop on one CPU)",
     )
     parser.add_argument(
         "--profile",

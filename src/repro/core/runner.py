@@ -267,14 +267,6 @@ class NodePool:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
-    def warm_keys(self) -> tuple:
-        """The pool keys currently held warm — ``(arch_name, procs,
-        verify)`` tuples.  The sweep scheduler's sticky router
-        reads these (workers report them with every completed chunk) to
-        route a group back to the worker whose pool already holds its
-        node."""
-        return tuple(self._entries.keys())
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -284,11 +276,11 @@ _DEFAULT_POOL = NodePool()
 
 
 def default_pool() -> NodePool:
-    """This process's shared warm-node pool (the per-worker registry).
+    """This process's shared warm-node pool.
 
-    Each scheduler worker process has exactly one — the pool
-    :func:`run_collective_pooled` falls back to — so "the worker whose
-    NodePool holds that warm node" is a well-defined routing target.
+    Each sweep worker process has exactly one — the pool
+    :func:`run_collective_pooled` falls back to — so a group of same-node
+    points run back to back on one worker reuses one leased node.
     """
     return _DEFAULT_POOL
 

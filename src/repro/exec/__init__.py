@@ -2,9 +2,10 @@
 
 The evaluation sweeps (Figs 2–18, Tabs III–VII) are embarrassingly
 parallel: every point runs on a fresh or reset simulated node.  This
-package computes cache misses through one dispatcher — the work-stealing
-scheduler of :mod:`repro.exec.sched`, on a pool of sticky worker
-processes or inline — and memoises per-point results and NLLS fit outputs
+package computes cache misses either on a supervised pool of worker
+processes (:mod:`repro.exec.sched`: groups of same-node points handed out
+biggest first to whichever worker is idle) or in a plain in-process loop,
+and memoises per-point results and NLLS fit outputs
 in a content-addressed on-disk cache, while keeping one hard guarantee:
 **parallel == serial == cached, byte for byte**
 (``tests/test_exec_differential.py`` enforces it).

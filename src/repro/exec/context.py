@@ -2,7 +2,7 @@
 
 A context is pushed around a sweep (``with use_context(ExecContext(...))``)
 and every sweep point executed underneath it — collective runs, microbench
-points, NLLS fits — consults its cache and its scheduler pool.  With no
+points, NLLS fits — consults its cache and its worker pool.  With no
 active context everything runs serial and uncached, exactly as the seed
 code did.
 
@@ -18,8 +18,8 @@ Environment knobs (honoured only where no explicit argument wins):
 
 The context also owns the :class:`~repro.exec.sched.CircuitBreaker`: the
 systemic-failure ladder that degrades dispatch ``sched`` → ``serial``
-when the scheduler's pool keeps breaking (worker-level trouble is
-handled below it, by the scheduler's supervision).
+when the worker pool keeps breaking (worker-level trouble is handled
+below it, by the pool's supervision).
 """
 
 from __future__ import annotations
@@ -60,19 +60,12 @@ class SweepStats:
     #: wall seconds spent computing cache misses (the sweep's simulator
     #: cost, as opposed to ``wall_s`` which spans the whole context).
     run_wall_s: float = 0.0
-    #: scheduler counters (zero when every miss ran in the plain loop):
-    #: chunks dispatched, whole-group steals, points routed through the
-    #: scheduler, and points recomputed inline after a pool failure
+    #: pool counters (zero when every miss ran in the plain loop):
+    #: chunks dispatched, points routed through the pool, and points
+    #: salvaged in-process after the pool broke
     sched_chunks: int = 0
-    sched_steals: int = 0
     sched_points: int = 0
     sched_fallbacks: int = 0
-    #: predicted cost total (model units) and worker-side chunk-wall /
-    #: scale-normalised |predicted-actual| sums (seconds) — the report
-    #: line derives the cost-model error percentage from these
-    sched_pred_cost: float = 0.0
-    sched_wall_s: float = 0.0
-    sched_err_s: float = 0.0
     #: corrupt cache entries currently quarantined (count as of the last
     #: sweep; the cache bounds the directory, see repro.exec.cache)
     cache_quarantined: int = 0
@@ -104,25 +97,14 @@ class SweepStats:
         row[2] += hits
 
     def record_sched(self, sstats) -> None:
-        """Fold one scheduled run's :class:`~repro.exec.sched.SchedStats`."""
+        """Fold one pooled run's :class:`~repro.exec.sched.SchedStats`."""
         self.sched_chunks += sstats.chunks
-        self.sched_steals += sstats.steals
         self.sched_points += sstats.points
         self.sched_fallbacks += sstats.fallback_points
-        self.sched_pred_cost += sstats.predicted_cost
-        self.sched_wall_s += sstats.chunk_wall_s
-        self.sched_err_s += sstats.cost_abs_err_s
         self.sched_respawns += sstats.respawns
         self.sched_hung_kills += sstats.hung_kills
         self.sandbox_rescues += sstats.sandbox_rescues
         self.poisoned += sstats.poisoned
-
-    @property
-    def sched_cost_err_pct(self):
-        """Weighted predicted-vs-actual chunk cost error (None: no data)."""
-        if self.sched_wall_s <= 0:
-            return None
-        return 100.0 * self.sched_err_s / self.sched_wall_s
 
     def merge(self, other: "SweepStats") -> None:
         """Fold a child sweep's counters into this one (wall time excluded:
@@ -133,12 +115,8 @@ class SweepStats:
         self.sim_events += other.sim_events
         self.run_wall_s += other.run_wall_s
         self.sched_chunks += other.sched_chunks
-        self.sched_steals += other.sched_steals
         self.sched_points += other.sched_points
         self.sched_fallbacks += other.sched_fallbacks
-        self.sched_pred_cost += other.sched_pred_cost
-        self.sched_wall_s += other.sched_wall_s
-        self.sched_err_s += other.sched_err_s
         self.journal_replayed += other.journal_replayed
         self.sched_respawns += other.sched_respawns
         self.sched_hung_kills += other.sched_hung_kills
@@ -191,7 +169,7 @@ class ExecContext:
     ``cache`` accepts ``None``/``False`` (off), ``True`` (default
     directory), a path, or a :class:`ResultCache`; ``journal`` a path,
     ``False`` (explicitly off), or None (consult ``REPRO_SWEEP_JOURNAL``).
-    The context lazily owns one scheduler pool shared by every sweep run
+    The context lazily owns one worker pool shared by every sweep run
     underneath it; ``use_context`` shuts it down on exit.
     """
 
@@ -211,7 +189,6 @@ class ExecContext:
         self.stats = SweepStats(workers=self.workers)
         self._pool_owner: "ExecContext" = self
         self._sched_pool = None  # None = not created, False = unavailable
-        self._cost_model = None
         self._journal = None
         self._breaker = CircuitBreaker()
 
@@ -237,10 +214,10 @@ class ExecContext:
     def sched_pool(self):
         """The shared :class:`~repro.exec.sched.StickyPool`, or ``None``.
 
-        ``None`` means the scheduler should run inline: serial context, a
-        tripped breaker, a host whose usable-CPU count makes process
-        fan-out a guaranteed loss (the cost model's cheapest plan), or a
-        pool that could not start.
+        ``None`` means sweeps run their misses in a plain in-process
+        loop: serial context, a tripped breaker, a host with one usable
+        CPU (where process fan-out can only lose), or a pool that could
+        not start.
         """
         if self._pool_owner is not self:
             return self._pool_owner.sched_pool()
@@ -275,10 +252,10 @@ class ExecContext:
     def adopt_sched_pool(self, pool) -> None:
         """Hand the context a caller-built :class:`StickyPool`.
 
-        The chaos soak (and tests) use this to exercise scheduler
-        supervision on hosts whose usable-CPU count would make
-        :meth:`sched_pool` choose inline dispatch.  The context owns the
-        pool from here on — :meth:`close` shuts it down.
+        The chaos soak (and tests) use this to exercise pool supervision
+        and pooled dispatch on hosts whose usable-CPU count would make
+        :meth:`sched_pool` return ``None``.  The context owns the pool
+        from here on — :meth:`close` shuts it down.
         """
         if self._pool_owner is not self:
             self._pool_owner.adopt_sched_pool(pool)
@@ -286,14 +263,6 @@ class ExecContext:
         if self._sched_pool not in (None, False):
             self._sched_pool.close()
         self._sched_pool = pool
-
-    def cost_model(self):
-        """The context's (lazily built) scheduler cost model."""
-        if self._cost_model is None:
-            from repro.exec.sched import CostModel
-
-            self._cost_model = CostModel()
-        return self._cost_model
 
     def close(self) -> None:
         if self._pool_owner is self and self._sched_pool not in (None, False):
@@ -338,6 +307,6 @@ def from_env(workers=None, cache=None, journal=None) -> ExecContext:
     ctx = ExecContext(workers=workers, cache=cache, journal=journal)
     if parent is not None and parent.workers == ctx.workers:
         # Nested sweeps (run_experiment under a harness context) share the
-        # parent's scheduler pool rather than paying start-up again.
+        # parent's worker pool rather than paying start-up again.
         ctx._pool_owner = parent
     return ctx

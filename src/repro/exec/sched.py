@@ -1,43 +1,30 @@
-"""Work-stealing sweep scheduler with cost-model chunking and sticky routing.
+"""Greedy sweep dispatch over a supervised pool of worker processes.
 
-This is the one dispatcher behind :func:`repro.exec.sweep.sweep`.  A
-fixed-size chunking over a plain ``ProcessPoolExecutor`` would park a
-whole chunk behind a long-tail point (a large-message contended convoy,
-per Fig 7 of the source paper) while other workers sit idle, and would
-land a point on whichever worker the executor picks — never deliberately
-on the one whose warm :class:`~repro.core.runner.NodePool` already holds
-its node.  Three cooperating pieces avoid both:
+This is the pooled path of :func:`repro.exec.sweep.sweep` (a sweep with
+no pool runs its misses in a plain in-process loop instead).  Two pieces
+decide where a point runs:
 
-* :class:`CostModel` — predicts a per-point cost from the analytic
-  latency model (:mod:`repro.core.model`); unmodeled points fall back to
-  a ``(procs, nbytes, lane)`` heuristic.  Costs only *order* work, they
-  never change results.
-* :func:`build_chunks` — adaptive chunking: points are grouped by their
-  warm-node group key and split into chunks targeting ``total_cost /
-  (workers * oversub)``, so a convoy-heavy point rides alone while
-  trivially cheap points batch up; groups are dispatched biggest-first so
-  the expensive tail starts immediately and small chunks back-fill.
-* :class:`StickyPool` — persistent worker processes with *per-worker*
-  inboxes (a plain ``ProcessPoolExecutor`` cannot address a specific
-  worker, which sticky routing requires).  Groups are LPT-assigned to
-  workers — preferring a worker whose last-reported
-  :func:`~repro.core.runner.NodePool.warm_keys` already contain the
-  group's pool key — and a drained worker steals **whole groups** from
-  the tail of the most loaded victim.  A group with an in-flight chunk is
-  never stolen, so a warm group never runs on two workers concurrently
-  (``tests/test_sched.py`` asserts this), and within a group execution
-  order is input order: exactly the adjacency the warm-node pool needs.
+* :func:`build_chunks` — points are grouped by their warm-node group key
+  (input order kept within a group, the adjacency the warm
+  :class:`~repro.core.runner.NodePool` reuses nodes along) and each group
+  is cut into chunks targeting ``total_price / (workers * oversub)``, so a
+  large-message point rides alone while cheap points batch up.  Groups
+  are sorted biggest first by :func:`point_cost`, a ``procs * bytes *
+  lane`` price: the expensive tail starts immediately and small groups
+  back-fill behind it.  Prices only order work, they never change
+  results.
+* :class:`_Router` — greedy list scheduling: an idle worker finishes its
+  current group's chunks in input order, or else takes the next group
+  off one shared deque.  A group is held by one worker from its first
+  chunk to its last, so a warm group never runs on two workers
+  concurrently (``tests/test_sched.py`` asserts this).
 
 Results stream back as chunks complete (the ``on_result`` callback is how
 :func:`repro.exec.sweep.sweep` overlaps cache writes with the remaining
 compute) and are reassembled in input order, preserving the
-serial == pooled == cached bit-identity contract: chunking, stealing and
-routing change *where and when* a point runs, never its inputs — every
-point still executes on a fresh-or-reset node.
-
-On a host where the pool would lose (one usable CPU, or process start-up
-denied), the same chunking/routing machinery runs inline in-process —
-same results, same stats, no IPC tax.
+serial == pooled == cached bit-identity contract: dispatch changes
+*where and when* a point runs, never its inputs — every point still
+executes on a fresh-or-reset node.
 
 **Supervision.**  The pool watches its workers, not just their pipes:
 
@@ -62,11 +49,12 @@ same results, same stats, no IPC tax.
   :class:`PoisonedPoint` and the sweep completes without it instead of
   failing (the sweep report carries the quarantine);
 * exhausting the respawn budget marks the pool broken and the missing
-  points are recomputed inline, so a sweep always completes.
+  points are salvaged in-process, in input order, so a sweep always
+  completes.
 
 :class:`CircuitBreaker` is the systemic-failure ladder above all of
 this: repeated pool-level breakage degrades the context's dispatch from
-this scheduler to a plain in-process loop.
+this pool to a plain in-process loop.
 """
 
 from __future__ import annotations
@@ -84,14 +72,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.exec import chaos as _chaos
 
 __all__ = [
-    "CostModel",
     "SchedStats",
     "StickyPool",
     "Chunk",
     "CircuitBreaker",
     "PoisonedPoint",
     "build_chunks",
-    "run_scheduled",
+    "point_cost",
     "usable_cpus",
     "resolve_hung_s",
     "resolve_max_respawns",
@@ -99,11 +86,11 @@ __all__ = [
 ]
 
 #: Outstanding-chunk multiple the adaptive chunker targets per worker:
-#: chunk cost aims at ``total / (workers * OVERSUB)`` so every worker has
-#: slack to back-fill behind a straggler without drowning in dispatch.
+#: a chunk's price aims at ``total / (workers * OVERSUB)`` so every worker
+#: has slack to back-fill behind a straggler without drowning in dispatch.
 OVERSUB = 4
 
-#: Hard cap on points per chunk regardless of predicted cost.
+#: Hard cap on points per chunk regardless of price.
 MAX_CHUNK = 32
 
 #: Parent poll interval while waiting on worker results (also the dead-
@@ -233,133 +220,61 @@ class CircuitBreaker:
 
 
 # --------------------------------------------------------------------------
-# Cost model
+# Prices and chunking
 # --------------------------------------------------------------------------
 
+#: relative transfer-cost weight per transport lane (shm double-copies;
+#: mapped windows copy pin-free)
+LANE_FACTOR = {"cma": 1.0, "shm": 1.4, "xpmem": 0.8}
 
-class CostModel:
-    """Predicted per-point cost, in (dimensionless) model units.
 
-    For collective points the analytic model's predicted latency is the
-    cost — the same family of T(eta, p) curves the tuner ranks algorithms
-    with, so relative magnitudes are meaningful.  A point whose algorithm
-    has no closed-form model falls back to ``procs * nbytes`` scaled by a
-    per-lane factor.  Scheduling quality degrades gracefully with cost
-    quality; correctness never depends on it.
+def point_cost(pt: Any) -> float:
+    """Dispatch price of one sweep point: ``procs * bytes * lane factor``.
+
+    Collective points are priced by rank count and message size; other
+    points (microbenches) by their ``readers``/``procs`` and
+    ``nbytes``/``eta`` kwargs, if any.  Prices only order and size the
+    work, never its results.
     """
-
-    #: relative transfer-cost weight per transport lane for the fallback
-    #: heuristic (shm double-copies; mapped windows copy pin-free)
-    LANE_FACTOR = {"cma": 1.0, "shm": 1.4, "xpmem": 0.8}
-
-    def __init__(self):
-        self._models: Dict[Any, Any] = {}
-        self._memo: Dict[Any, float] = {}
-
-    def _model_for(self, arch: Any):
-        key = arch if isinstance(arch, str) else id(arch)
-        model = self._models.get(key)
-        if model is None:
-            from repro.core.model import AnalyticModel
-
-            if isinstance(arch, str):
-                from repro.machine import get_arch
-
-                arch = get_arch(arch)
-            model = AnalyticModel(arch)
-            self._models[key] = model
-        return model
-
-    def heuristic(self, procs: int, nbytes: int, lane: str = "cma") -> float:
+    if getattr(pt, "collective", None) is not None:
+        procs, nbytes = getattr(pt, "procs", 2), getattr(pt, "eta", 4096)
+    else:
+        kwargs = dict(getattr(pt, "kwargs", ()) or ())
+        nbytes = kwargs.get("nbytes") or kwargs.get("eta") or 4096
+        procs = kwargs.get("readers") or kwargs.get("procs") or 1
+    try:
         return (
             max(int(procs), 1)
             * max(int(nbytes), 1)
-            * 1e-3
-            * self.LANE_FACTOR.get(lane, 1.0)
+            * LANE_FACTOR.get(getattr(pt, "lane", "cma"), 1.0)
         )
-
-    def cost(self, pt: Any) -> float:
-        """Predicted cost of one sweep point (never raises)."""
-        coll = getattr(pt, "collective", None)
-        if coll is None:
-            return self._generic_cost(pt)
-        arch = getattr(pt, "arch", None)
-        memo_key = (
-            coll,
-            getattr(pt, "algorithm", None),
-            arch if isinstance(arch, str) else id(arch),
-            getattr(pt, "procs", 0),
-            getattr(pt, "eta", 0),
-            getattr(pt, "params", ()),
-            getattr(pt, "lane", "cma"),
-        )
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        cost = self._collective_cost(pt)
-        self._memo[memo_key] = cost
-        return cost
-
-    def _collective_cost(self, pt: Any) -> float:
-        procs = getattr(pt, "procs", 2)
-        eta = getattr(pt, "eta", 4096)
-        try:
-            model = self._model_for(pt.arch)
-        except Exception:
-            return self.heuristic(procs, eta, getattr(pt, "lane", "cma"))
-        try:
-            return float(
-                model.predict(
-                    pt.collective, pt.algorithm, procs, eta,
-                    **dict(getattr(pt, "params", ()) or ()),
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            return self.heuristic(procs, eta, getattr(pt, "lane", "cma"))
-
-    def _generic_cost(self, pt: Any) -> float:
-        """Non-collective points (microbenches): size-ish kwargs if any."""
-        kwargs = dict(getattr(pt, "kwargs", ()) or ())
-        nbytes = kwargs.get("nbytes") or kwargs.get("eta") or 4096
-        readers = kwargs.get("readers") or kwargs.get("procs") or 1
-        try:
-            return self.heuristic(int(readers), int(nbytes))
-        except (TypeError, ValueError):
-            return 1.0
-
-
-# --------------------------------------------------------------------------
-# Chunking
-# --------------------------------------------------------------------------
+    except (TypeError, ValueError):
+        return 1.0
 
 
 class Chunk:
     """A dispatch unit: consecutive same-group point indices."""
 
-    __slots__ = ("cid", "group", "indices", "cost", "stolen")
+    __slots__ = ("cid", "group", "indices")
 
-    def __init__(self, cid: int, group: Any, indices: Tuple[int, ...], cost: float):
+    def __init__(self, cid: int, group: Any, indices: Tuple[int, ...]):
         self.cid = cid
         self.group = group
         self.indices = indices
-        self.cost = cost
-        self.stolen = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Chunk({self.cid}, n={len(self.indices)}, cost={self.cost:.1f})"
+        return f"Chunk({self.cid}, n={len(self.indices)})"
 
 
 class _GroupPlan:
     """All of one group's chunks, dispatched in order by one worker."""
 
-    __slots__ = ("group", "chunks", "cost", "stolen", "busy")
+    __slots__ = ("group", "chunks", "cost")
 
     def __init__(self, group: Any, chunks: "deque[Chunk]", cost: float):
         self.group = group
         self.chunks = chunks
         self.cost = cost
-        self.stolen = False  # picked up via a steal (rides into chunk stats)
-        self.busy = False    # has an in-flight chunk; never stealable
 
 
 def build_chunks(
@@ -369,15 +284,15 @@ def build_chunks(
     oversub: int = OVERSUB,
     max_chunk: int = MAX_CHUNK,
 ) -> List[_GroupPlan]:
-    """Split points into cost-balanced chunks, grouped and ordered.
+    """Split points into price-balanced chunks, grouped and ordered.
 
     Points are partitioned by ``groups`` (input order preserved within a
     group — the adjacency warm-node reuse depends on); each group is cut
-    into chunks whose predicted cost targets ``total / (workers *
+    into chunks whose summed price targets ``total / (workers *
     oversub)``, capped at ``max_chunk`` points.  With ``groups=None``
-    every chunk becomes its own group, i.e. unrestricted stealing.
-    Returned plans are sorted biggest-cost-first (ties: first appearance),
-    so the LPT assignment below sees the expensive tail before the filler.
+    every chunk becomes its own group, free to run on any worker.
+    Returned plans are sorted biggest-price-first (ties: first
+    appearance), the order the router hands them out in.
     """
     n = len(costs)
     by_group: Dict[Any, List[int]] = {}
@@ -398,140 +313,60 @@ def build_chunks(
     plans: List[_GroupPlan] = []
     cid = 0
     for g in order:
-        chunks: "deque[Chunk]" = deque()
+        priced: List[Tuple[Chunk, float]] = []
         run: List[int] = []
         acc = 0.0
-        gcost = 0.0
         for i in by_group[g]:
             run.append(i)
             acc += costs[i]
             if len(run) >= max_chunk or (target > 0 and acc >= target):
-                chunks.append(Chunk(cid, g, tuple(run), acc))
+                priced.append((Chunk(cid, g, tuple(run)), acc))
                 cid += 1
-                gcost += acc
                 run, acc = [], 0.0
         if run:
-            chunks.append(Chunk(cid, g, tuple(run), acc))
+            priced.append((Chunk(cid, g, tuple(run)), acc))
             cid += 1
-            gcost += acc
         if groups is None:
-            # Ungrouped sweep: one pseudo-group per chunk, so the router
-            # may steal at chunk granularity.
-            for ch in chunks:
+            # Ungrouped sweep: one pseudo-group per chunk, so chunks are
+            # handed out to workers individually.
+            for ch, price in priced:
                 ch.group = ("_chunk", ch.cid)
-                plans.append(_GroupPlan(ch.group, deque([ch]), ch.cost))
+                plans.append(_GroupPlan(ch.group, deque([ch]), price))
         else:
-            plans.append(_GroupPlan(g, chunks, gcost))
+            plans.append(_GroupPlan(
+                g, deque(ch for ch, _ in priced), sum(p for _, p in priced)
+            ))
     plans.sort(key=lambda p: (-p.cost, p.chunks[0].indices[0] if p.chunks else 0))
     return plans
 
 
-def _pool_key_of(group: Any) -> Optional[tuple]:
-    """The warm-node pool key embedded in a sweep group key.
-
-    :func:`repro.exec.sweep._pool_group_key` builds ``(arch_name, procs,
-    verify, not warm, lane)`` — the first three fields are exactly
-    :class:`~repro.core.runner.NodePool`'s entry key.  Foreign group keys
-    simply don't get warm-affinity hints.
-    """
-    if isinstance(group, tuple) and len(group) >= 3:
-        return tuple(group[:3])
-    return None
-
-
 # --------------------------------------------------------------------------
-# Router: sticky assignment + whole-group stealing
+# Router: greedy list scheduling over whole groups
 # --------------------------------------------------------------------------
 
 
 class _Router:
-    """Parent-side dispatch state enforcing the no-concurrent-group rule.
+    """Parent-side greedy dispatch enforcing the no-concurrent-group rule.
 
-    Groups are LPT-assigned (descending cost onto the least-loaded
-    worker), except that a worker whose warm-node pool already holds the
-    group's key is preferred while its load stays under 1.5x the mean —
-    sticky routing pays for itself only until it unbalances the sweep.
-    ``next_for`` dispatches from the worker's own front group (sticky:
-    a group's chunks keep landing on one worker back-to-back); a worker
-    with an empty queue steals a whole non-busy group from the tail of
-    the most-loaded victim.
+    An idle worker finishes the group it holds, chunk by chunk in input
+    order, or else takes the next (biggest remaining) group off one shared
+    deque.  A group stays with its worker from first chunk to last.
     """
 
-    def __init__(
-        self,
-        plans: List[_GroupPlan],
-        workers: int,
-        warm_hint: Optional[Dict[int, Sequence[tuple]]] = None,
-    ):
-        self.steals = 0
-        self.queues: List["deque[_GroupPlan]"] = [deque() for _ in range(workers)]
-        self._busy: Dict[int, _GroupPlan] = {}
-        loads = [0.0] * workers
-        total = sum(p.cost for p in plans)
-        mean = total / workers if workers else 0.0
-        warm_hint = warm_hint or {}
-        for plan in plans:
-            wid = None
-            pkey = _pool_key_of(plan.group)
-            if pkey is not None:
-                warm_wids = [
-                    w for w, keys in warm_hint.items()
-                    if w < workers and pkey in (keys or ())
-                ]
-                if warm_wids:
-                    w = min(warm_wids, key=lambda w: (loads[w], w))
-                    if mean <= 0 or loads[w] + plan.cost <= 1.5 * mean:
-                        wid = w
-            if wid is None:
-                wid = min(range(workers), key=lambda w: (loads[w], w))
-            loads[wid] += plan.cost
-            self.queues[wid].append(plan)
-
-    def _steal_into(self, wid: int) -> bool:
-        """Move one stealable group from the richest victim to ``wid``."""
-        best: Optional[Tuple[float, int, _GroupPlan]] = None
-        for v, q in enumerate(self.queues):
-            if v == wid:
-                continue
-            for plan in reversed(q):  # tail = cheapest-assigned first
-                if plan.busy or not plan.chunks:
-                    continue
-                remaining = sum(c.cost for c in q if not c.busy)
-                if best is None or remaining > best[0]:
-                    best = (remaining, v, plan)
-                break
-        if best is None:
-            return False
-        _, victim, plan = best
-        self.queues[victim].remove(plan)
-        plan.stolen = True
-        self.steals += 1
-        self.queues[wid].append(plan)
-        return True
+    def __init__(self, plans: List[_GroupPlan], workers: int):
+        self._plans: "deque[_GroupPlan]" = deque(plans)
+        self._held: List[Optional[_GroupPlan]] = [None] * workers
 
     def next_for(self, wid: int) -> Optional[Chunk]:
-        """The next chunk ``wid`` should run, stealing if drained."""
-        q = self.queues[wid]
-        while True:
-            while q and not q[0].chunks:
-                q.popleft()
-            if not q:
-                if not self._steal_into(wid):
-                    return None
-                continue
-            plan = q[0]
-            ch = plan.chunks.popleft()
-            plan.busy = True
-            ch.stolen = plan.stolen
-            if not plan.chunks:
-                q.popleft()  # exhausted once this chunk lands
-            self._busy[wid] = plan
-            return ch
-
-    def on_done(self, wid: int) -> None:
-        plan = self._busy.pop(wid, None)
-        if plan is not None:
-            plan.busy = False
+        """The next chunk ``wid`` should run; ``None`` once every group
+        is taken and ``wid``'s own group is drained."""
+        plan = self._held[wid]
+        if plan is None or not plan.chunks:
+            plan = self._plans.popleft() if self._plans else None
+            self._held[wid] = plan
+            if plan is None:
+                return None
+        return plan.chunks.popleft()
 
 
 # --------------------------------------------------------------------------
@@ -541,20 +376,14 @@ class _Router:
 
 @dataclass
 class SchedStats:
-    """What one scheduled run did — folded into the sweep report line."""
+    """What one pooled run did — folded into the sweep report line."""
 
     points: int = 0
     chunks: int = 0
-    steals: int = 0
     workers: int = 1
     pooled: bool = False
     chunk_sizes: List[int] = field(default_factory=list)
-    predicted_cost: float = 0.0
-    #: summed worker-side chunk walls (compute seconds, not wall-clock)
-    chunk_wall_s: float = 0.0
-    #: scale-normalised |predicted - actual| summed over chunks, seconds
-    cost_abs_err_s: float = 0.0
-    #: points recomputed inline after a pool failure
+    #: points salvaged in-process after the pool broke
     fallback_points: int = 0
     #: workers respawned after dying or being killed as hung
     respawns: int = 0
@@ -569,24 +398,10 @@ class SchedStats:
     #: per-chunk timeline records (only when profiling was requested)
     profile: Optional[List[dict]] = None
 
-    @property
-    def cost_err_pct(self) -> Optional[float]:
-        """Weighted predicted-vs-actual cost error, best scale applied.
-
-        Cost units are model-us, walls are host seconds, so the scale
-        between them is fitted (total actual / total predicted) and the
-        error prices only *mis-ranking*: 0% means the model ordered every
-        chunk perfectly, 100% means predictions were uninformative.
-        """
-        if self.chunk_wall_s <= 0:
-            return None
-        return 100.0 * self.cost_abs_err_s / self.chunk_wall_s
-
     def note_chunk(
         self,
         worker: int,
         chunk: Chunk,
-        wall_s: float,
         start_s: float,
         end_s: float,
         profiling: bool,
@@ -602,24 +417,10 @@ class SchedStats:
                     "chunk": chunk.cid,
                     "group": repr(chunk.group),
                     "points": len(chunk.indices),
-                    "predicted_cost": round(chunk.cost, 3),
-                    "stolen": chunk.stolen,
                     "start_s": round(start_s, 6),
                     "end_s": round(end_s, 6),
-                    "wall_s": round(wall_s, 6),
+                    "wall_s": round(end_s - start_s, 6),
                 }
-            )
-
-    def finalize(self, records: List[Tuple[float, float]]) -> None:
-        """Fit the cost scale and accumulate the ranking error."""
-        total_pred = sum(p for p, _ in records)
-        total_wall = sum(w for _, w in records)
-        self.predicted_cost = total_pred
-        self.chunk_wall_s = total_wall
-        if total_pred > 0 and total_wall > 0:
-            scale = total_wall / total_pred
-            self.cost_abs_err_s = sum(
-                abs(p * scale - w) for p, w in records
             )
 
 
@@ -653,20 +454,10 @@ def _send_frame(fd: int, msg: tuple) -> bool:
     return True
 
 
-def _worker_warm_keys() -> tuple:
-    """This worker's warm-node pool keys (best-effort, never raises)."""
-    try:
-        from repro.core.runner import default_pool
-
-        return default_pool().warm_keys()
-    except Exception:
-        return ()
-
-
 def _chaos_point(cst) -> None:
     """Worker-side chaos draw around one point: kill or stall this worker.
 
-    Only scheduler worker processes draw here — the parent, inline
+    Only scheduler worker processes draw here — the parent, in-process
     salvage, and the poison-retry sandbox never do, so chaos is always
     survivable by the supervision layer above it.
     """
@@ -717,8 +508,7 @@ def _worker_main(wid: int, inbox, out_fd, hb=None, cur=None) -> None:
                 return  # pipe gone: parent is tearing us down
             continue
         if not _send_frame(
-            out_fd,
-            ("done", epoch, wid, cid, buf, t0, t1, _worker_warm_keys(), idxs),
+            out_fd, ("done", epoch, wid, cid, buf, t0, t1, idxs)
         ):
             return
 
@@ -741,7 +531,25 @@ def _sandbox_main(conn, fn, point) -> None:
 
 
 class _SchedBroken(RuntimeError):
-    """Internal: the pool is unrecoverable (triggers inline salvage)."""
+    """Internal: the pool is unrecoverable (triggers in-process salvage)."""
+
+
+def _salvage(
+    fn: Callable[[Any], Any],
+    points: Sequence[Any],
+    results: List[Any],
+    got: List[bool],
+    on_result: Optional[Callable[[int, Any], None]],
+    stats: "SchedStats",
+) -> None:
+    """Compute every point not yet in ``results`` in-process, in input order."""
+    for i, pt in enumerate(points):
+        if not got[i]:
+            v = fn(pt)
+            results[i] = v
+            if on_result is not None:
+                on_result(i, v)
+            stats.fallback_points += 1
 
 
 # --------------------------------------------------------------------------
@@ -750,15 +558,13 @@ class _SchedBroken(RuntimeError):
 
 
 class StickyPool:
-    """Persistent addressable workers for sticky, stealing dispatch.
+    """Persistent addressable workers for greedy group dispatch.
 
     Unlike ``ProcessPoolExecutor`` the parent decides *which* worker gets
-    each chunk, which is what warm-node affinity needs; workers keep
-    their module-level :class:`~repro.core.runner.NodePool` warm across
-    sweeps and report its keys with every completion, so the next sweep's
-    router can route same-keyed groups back.  All failure modes degrade
-    to inline recomputation of whatever is missing — never to a wrong or
-    partial result.
+    each chunk, which is what keeps a group on one worker (and its
+    module-level :class:`~repro.core.runner.NodePool` warm for it).  All
+    failure modes degrade to in-process recomputation of whatever is
+    missing — never to a wrong or partial result.
     """
 
     def __init__(
@@ -773,7 +579,7 @@ class StickyPool:
         import multiprocessing as mp
 
         if workers < 2:
-            raise ValueError("StickyPool needs >= 2 workers (run inline instead)")
+            raise ValueError("StickyPool needs >= 2 workers (use a plain loop)")
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else None
@@ -789,8 +595,6 @@ class StickyPool:
         self.respawns = 0
         self._respawn_attempts = [0] * workers
         self._epoch = 0
-        #: wid -> last reported warm-node pool keys
-        self.warm_keys: Dict[int, tuple] = {}
         #: lock-free shared slots: last per-point heartbeat and the global
         #: index of the point each worker is currently executing (-1 idle)
         self._hb = ctx.Array("d", workers, lock=False)
@@ -977,30 +781,30 @@ class StickyPool:
         """Run ``fn`` over ``points``; returns (ordered results, stats).
 
         ``on_result(i, value)`` fires as each point's value arrives
-        (arbitrary order) — the overlapped-cache-write hook.  Exceptions
-        raised by ``fn`` propagate.  A worker death falls back to inline
-        recomputation of the missing points.
+        (arbitrary order) — the overlapped-cache-write hook.  ``costs``
+        (default uniform) are the points' :func:`point_cost` prices and
+        ``groups`` their warm-node group keys.  Exceptions raised by
+        ``fn`` propagate.  Lost workers are respawned and their points
+        re-dispatched; a broken pool computes the missing points
+        in-process, in input order.
         """
         points = list(points)
         n = len(points)
-        if costs is None:
-            costs = [1.0] * n
-        stats = SchedStats(points=n, workers=self.workers, pooled=True)
-        if n == 0:
-            return [], stats
-        if self.broken:
-            stats.pooled = False
-            return _run_inline(
-                fn, points, costs, groups, on_result, profile, stats
-            )
-        plans = build_chunks(costs, groups, self.workers)
-        router = _Router(plans, self.workers, warm_hint=self.warm_keys)
+        stats = SchedStats(
+            points=n, workers=self.workers, pooled=not self.broken
+        )
         results: List[Any] = [None] * n
         got = [False] * n
+        if self.broken or n == 0:
+            _salvage(fn, points, results, got, on_result, stats)
+            return results, stats
+        plans = build_chunks(
+            costs if costs is not None else [1.0] * n, groups, self.workers
+        )
+        router = _Router(plans, self.workers)
         remaining = n
         strikes: Dict[int, int] = {}
         redo: "deque[int]" = deque()
-        records: List[Tuple[float, float]] = []
         self._epoch += 1
         epoch = self._epoch
         t_base = time.monotonic()
@@ -1053,7 +857,7 @@ class StickyPool:
                 if not redo:
                     return
                 i = redo.popleft()
-                ch = Chunk(next_cid, ("_redo", i), (i,), costs[i])
+                ch = Chunk(next_cid, ("_redo", i), (i,))
                 next_cid += 1
             self._inboxes[wid].put(
                 (epoch, ch.cid, fn, [points[i] for i in ch.indices],
@@ -1067,13 +871,12 @@ class StickyPool:
             # kill landed; salvage them (``fill`` dedupes) before the
             # respawn discards its pipe.
             for msg in self._drain_worker(wid):
-                if msg[0] == "done" and msg[1] == epoch and msg[8]:
-                    for i, v in zip(msg[8], pickle.loads(msg[4])):
+                if msg[0] == "done" and msg[1] == epoch and msg[7]:
+                    for i, v in zip(msg[7], pickle.loads(msg[4])):
                         fill(i, v)
             ent = in_flight.pop(wid, None)
             if ent is not None:
                 ch, _t = ent
-                router.on_done(wid)
                 blamed = self._cur[wid]
                 for i in ch.indices:
                     if got[i]:
@@ -1139,7 +942,7 @@ class StickyPool:
                 msg = pending_msgs.popleft()
                 tag = msg[0]
                 if tag == "done":
-                    _, ep, wid, cid, buf, t0w, t1w, warm, idxs = msg
+                    _, ep, wid, cid, buf, t0w, t1w, idxs = msg
                     if ep != epoch:
                         continue  # stale chunk from an aborted run
                     ent = in_flight.pop(wid, None)
@@ -1156,34 +959,20 @@ class StickyPool:
                     vals = pickle.loads(buf)
                     for i, v in zip(ch.indices, vals):
                         fill(i, v)
-                    self.warm_keys[wid] = warm
-                    wall = t1w - t0w
-                    records.append((ch.cost, wall))
                     stats.note_chunk(
-                        wid, ch, wall, t0w - t_base, t1w - t_base, profile
+                        wid, ch, t0w - t_base, t1w - t_base, profile
                     )
-                    router.on_done(wid)
                     dispatch(wid)
                 elif tag == "err":
                     _, ep, wid, cid, exc = msg
                     if ep != epoch:
                         continue
                     in_flight.pop(wid, None)
-                    router.on_done(wid)
                     raise exc
         except _SchedBroken:
             self.broken = True
             self.close()
-            # Salvage: recompute only what's missing, inline, in order.
-            for i in range(n):
-                if not got[i]:
-                    v = fn(points[i])
-                    results[i] = v
-                    if on_result is not None:
-                        on_result(i, v)
-                    stats.fallback_points += 1
-        stats.steals = router.steals
-        stats.finalize(records)
+            _salvage(fn, points, results, got, on_result, stats)
         return results, stats
 
     def _one_shot(self, fn, point) -> Tuple[bool, Any]:
@@ -1229,84 +1018,3 @@ class StickyPool:
                     recv.close()
                 except Exception:
                     pass
-
-
-# --------------------------------------------------------------------------
-# Inline execution (single CPU, pool unavailable, or salvage)
-# --------------------------------------------------------------------------
-
-
-def _run_inline(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    costs: Sequence[float],
-    groups: Optional[Sequence[Any]],
-    on_result: Optional[Callable[[int, Any], None]],
-    profile: bool,
-    stats: SchedStats,
-) -> Tuple[List[Any], SchedStats]:
-    """The same chunk plan executed in-process, big groups first."""
-    n = len(points)
-    plans = build_chunks(costs, groups, workers=1)
-    results: List[Any] = [None] * n
-    records: List[Tuple[float, float]] = []
-    t_base = time.monotonic()
-    for plan in plans:
-        for ch in plan.chunks:
-            t0 = time.monotonic()
-            for i in ch.indices:
-                v = fn(points[i])
-                results[i] = v
-                if on_result is not None:
-                    on_result(i, v)
-            t1 = time.monotonic()
-            wall = t1 - t0
-            records.append((ch.cost, wall))
-            stats.note_chunk(0, ch, wall, t0 - t_base, t1 - t_base, profile)
-    stats.finalize(records)
-    return results, stats
-
-
-def run_scheduled(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    workers: int = 1,
-    costs: Optional[Sequence[float]] = None,
-    groups: Optional[Sequence[Any]] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
-    profile: bool = False,
-    pool: Optional[StickyPool] = None,
-) -> Tuple[List[Any], SchedStats]:
-    """One-shot scheduled run: pooled when it can win, else inline.
-
-    ``pool`` lends a long-lived :class:`StickyPool` (the
-    :class:`~repro.exec.context.ExecContext` owns one per session);
-    without it a throwaway pool is created only when ``workers > 1``
-    *and* the host actually has more than one usable CPU — on a one-CPU
-    host process fan-out is pure IPC loss, so the cost model's cheapest
-    plan is the inline one.
-    """
-    points = list(points)
-    if costs is None:
-        costs = [1.0] * len(points)
-    if pool is not None and not pool.broken:
-        return pool.run(
-            fn, points, costs=costs, groups=groups,
-            on_result=on_result, profile=profile,
-        )
-    workers = min(workers, len(points))
-    if workers > 1 and usable_cpus() > 1:
-        try:
-            own = StickyPool(workers)
-        except Exception:
-            own = None
-        if own is not None:
-            try:
-                return own.run(
-                    fn, points, costs=costs, groups=groups,
-                    on_result=on_result, profile=profile,
-                )
-            finally:
-                own.close()
-    stats = SchedStats(points=len(points), workers=1, pooled=False)
-    return _run_inline(fn, points, costs, groups, on_result, profile, stats)

@@ -11,14 +11,14 @@ entry points:
   :mod:`repro.core.fitting`).
 
 Each checks the active :class:`~repro.exec.context.ExecContext`'s cache
-first, computes the misses through the work-stealing scheduler
-(:mod:`repro.exec.sched`, pooled or inline), stores the computed values
-back, and returns results in input order.  The determinism contract —
-enforced by ``tests/test_exec_differential.py`` — is that the returned
-values are *bit-identical* whether a point was computed serially, in a
-pool worker, or served from a warm cache: every point runs on a fresh or
-reset simulated node, so points share no mutable state, and the simulator
-itself is deterministic.
+first, computes the misses (on the context's worker pool,
+:mod:`repro.exec.sched`, or in a plain in-process loop), stores the
+computed values back, and returns results in input order.  The
+determinism contract — enforced by ``tests/test_exec_differential.py``
+— is that the returned values are *bit-identical* whether a point was
+computed serially, in a pool worker, or served from a warm cache: every
+point runs on a fresh or reset simulated node, so points share no mutable
+state, and the simulator itself is deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.core.runner import CollectiveResult, CollectiveSpec
 from repro.core.runner import run_collective as _run_collective_fresh
 from repro.core.runner import run_collective_pooled as _run_collective_pooled
 from repro.exec import context as _context
-from repro.exec.sched import PoisonedPoint, run_scheduled
+from repro.exec.sched import PoisonedPoint, point_cost
 
 __all__ = [
     "sweep",
@@ -65,20 +65,22 @@ def sweep(
     full values and stays byte-compatible with entries written by older
     code under the same ``CACHE_VERSION``.
 
-    ``group_key`` marks points that share a warm-node pool key: the
-    scheduler routes same-keyed points to one worker back to back, so a
-    leased node is reused instead of rotating through the pool.  Results
-    are still returned in input order, and each point is simulated on a
+    ``group_key`` marks points that share a warm-node pool key: the pool
+    runs same-keyed points on one worker back to back, so a leased node is
+    reused instead of rotating through the pool.  Results are still
+    returned in input order, and each point is simulated on a
     fresh-or-reset node either way, so values are unaffected.
 
-    Dispatch: cache misses go through the work-stealing scheduler
-    (:mod:`repro.exec.sched`) — cost-model chunking, sticky routing,
-    streamed results with cache writes overlapped against the remaining
-    compute, on the context's pool or inline.  With no context, a single
-    miss, or a tripped circuit breaker the misses run in a plain
-    in-process loop instead.  Either way every computed value is decoded,
-    cached and journalled through one callback, and the values are
-    bit-identical (``tests/test_sched.py``).
+    Dispatch: when :meth:`~repro.exec.context.ExecContext.sched_pool`
+    returns a pool, cache misses go through ``pool.run``
+    (:mod:`repro.exec.sched`) — groups priced by :func:`point_cost` and
+    handed out biggest first, results streamed back with cache writes
+    overlapped against the remaining compute.  Otherwise (no context, a
+    serial context, a single miss, one usable CPU or a tripped circuit
+    breaker) the misses run in a plain in-process loop, in input order.
+    Either way every computed value is decoded, cached and journalled
+    through one callback, and the values are bit-identical
+    (``tests/test_sched.py``).
 
     Crash safety: with a journal configured
     (:attr:`~repro.exec.context.ExecContext.journal_dir`) every computed
@@ -150,9 +152,8 @@ def sweep(
     breaker = ctx.breaker if ctx is not None else None
 
     def on_result(j: int, value: Any) -> None:
-        # Scheduled points stream back as chunks complete: decode and
-        # write to the cache *now*, overlapped with the chunks still
-        # computing.
+        # Pooled points stream back as chunks complete: decode and write
+        # to the cache *now*, overlapped with the chunks still computing.
         nonlocal sim_events
         i = miss[j]
         if isinstance(value, PoisonedPoint):
@@ -181,25 +182,22 @@ def sweep(
         if miss:
             miss_points = [points[i] for i in miss]
             t0 = time.perf_counter()
-            # The pool is asked for first: a broken pool may trip the
-            # breaker.  No pool (serial context, one usable CPU) means the
-            # scheduler runs inline.
+            # No pool (serial context, one usable CPU, a tripped breaker)
+            # means the plain loop, in input order.
             pool = ctx.sched_pool() if ctx is not None and len(miss) > 1 else None
-            if ctx is None or len(miss) == 1 or breaker.tripped:
+            if pool is None:
                 for j, pt in enumerate(miss_points):
                     on_result(j, runner(pt))
             else:
-                cost = ctx.cost_model().cost
-                _, sstats = run_scheduled(
+                _, sstats = pool.run(
                     runner,
                     miss_points,
-                    costs=[cost(p) for p in miss_points],
+                    costs=[point_cost(p) for p in miss_points],
                     groups=(
                         [group_key(p) for p in miss_points]
                         if group_key is not None else None
                     ),
                     on_result=on_result,
-                    pool=pool,
                 )
                 ctx.stats.record_sched(sstats)
             run_wall = time.perf_counter() - t0

@@ -196,9 +196,9 @@ def test_sched_profiler_cli_emits_worker_timeline(tmp_path, capsys):
     timeline = payload["workers_timeline"]
     assert timeline
     assert sum(w["points_run"] for w in timeline.values()) == payload["points"]
-    assert (
-        sum(w["steals"] for w in timeline.values()) == payload["steals"]
-    )
+    assert sum(w["chunks_run"] for w in timeline.values()) == payload["chunks"]
+    for key in ("steals", "predicted_cost", "cost_err_pct"):
+        assert key not in payload
     for w in timeline.values():
         assert len(w["chunks"]) == w["chunks_run"]
         for rec in w["chunks"]:

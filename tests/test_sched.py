@@ -1,18 +1,19 @@
-"""The work-stealing sweep scheduler's contract battery.
+"""The pooled sweep dispatcher's contract battery.
 
 Three layers, mirroring DESIGN.md §5:
 
-* **Bit-identity** (hypothesis): whatever the scheduler does — chunking,
-  stealing, sticky routing, cache reads — results must be byte-for-byte
+* **Bit-identity** (hypothesis): whatever dispatch does — chunking,
+  greedy group hand-out, cache reads — results must be byte-for-byte
   what a serial uncached run produces, across ``workers ∈ {1, 2, 8}``,
-  cached and uncached.
+  cached and uncached; whole artifacts render identically pooled and
+  serial.
 * **Routing invariants** (unit): a warm group never runs on two workers
   concurrently (asserted both structurally on :class:`_Router` and
-  empirically from profile timelines of a real :class:`StickyPool`),
-  stealing moves whole non-busy groups only, and chunks respect the cost
+  empirically from profile timelines of a real :class:`StickyPool`), an
+  idle worker takes the next-biggest group, and chunks respect the price
   target and ``MAX_CHUNK``.
-* **Robustness**: worker death salvages inline with identical results;
-  point exceptions propagate without poisoning the pool.
+* **Robustness**: worker death salvages in-process with identical
+  results; point exceptions propagate without poisoning the pool.
 """
 
 import itertools
@@ -27,18 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.exec.sched as sched_mod
+import repro.exec.sweep as sweep_mod
+from repro.bench.figures import run_experiment
 from repro.bench.report import sweep_summary
-from repro.core.model import AnalyticModel
 from repro.core.runner import CollectiveSpec, run_collective
 from repro.exec import ExecContext, ResultCache, use_context
 from repro.exec.sched import (
     MAX_CHUNK,
-    CostModel,
     PoisonedPoint,
     StickyPool,
     _Router,
     build_chunks,
-    run_scheduled,
+    point_cost,
 )
 from repro.exec.sweep import (
     _exec_point,
@@ -138,6 +139,14 @@ def _make_pool(workers, **kwargs):
         pytest.skip(f"cannot start scheduler workers: {exc}")
 
 
+def _pooled_context():
+    """A two-worker context on an explicit pool, so misses go through the
+    dispatcher even where one usable CPU would pick the plain loop."""
+    ctx = ExecContext(workers=2)
+    ctx.adopt_sched_pool(_make_pool(2))
+    return ctx
+
+
 # -- bit-identity battery ----------------------------------------------------
 
 
@@ -172,8 +181,7 @@ class TestBitIdentity:
         specs = _fig07_slice_specs()
         points = [_slim_point(s) for s in specs]
         serial = [_exec_point(p) for p in points]
-        cm = CostModel()
-        costs = [cm.cost(p) for p in points]
+        costs = [point_cost(p) for p in points]
         groups = [_pool_group_key(p) for p in points]
         pool = _make_pool(2)
         try:
@@ -188,16 +196,35 @@ class TestBitIdentity:
 
     def test_on_result_streams_every_point(self):
         seen = {}
-        results, stats = run_scheduled(
-            _double,
-            list(range(10)),
-            workers=1,
-            costs=[1.0] * 10,
-            on_result=lambda i, v: seen.__setitem__(i, v),
-        )
+        pool = _make_pool(2)
+        try:
+            results, stats = pool.run(
+                _double,
+                list(range(10)),
+                on_result=lambda i, v: seen.__setitem__(i, v),
+            )
+        finally:
+            pool.close()
         assert results == [x * 2 for x in range(10)]
         assert seen == {i: i * 2 for i in range(10)}
         assert stats.chunks >= 1
+
+    @pytest.mark.parametrize("exp_id", ["fig07", "fig13"])
+    def test_pooled_artifacts_match_serial(self, exp_id):
+        """A whole artifact, cache off, regenerated serially and through a
+        real two-worker pool: identical data and rendered tables."""
+        with use_context(ExecContext(workers=1)) as serial_ctx:
+            serial = run_experiment(exp_id, quick=True)
+        with use_context(_pooled_context()) as pooled_ctx:
+            pooled = run_experiment(exp_id, quick=True)
+        assert serial_ctx.stats.sched_chunks == 0
+        assert pooled_ctx.stats.cache_hits == 0
+        assert pooled_ctx.stats.sched_points == pooled_ctx.stats.points_run
+        assert pooled_ctx.stats.sched_chunks >= 1
+        assert pooled.data == serial.data
+        assert [t.render() for t in pooled.tables] == [
+            t.render() for t in serial.tables
+        ]
 
 
 # -- routing invariants ------------------------------------------------------
@@ -224,9 +251,9 @@ def _assert_groups_exclusive(profile):
 
 class TestStickyRouting:
     def _uneven_points(self):
-        """Four equal-cost groups, two slow and two fast: LPT pairs them
-        (fast, fast) vs (slow, slow), so the fast worker drains first and
-        a steal is guaranteed while one slow group is still in flight."""
+        """Four equal-price groups alternating fast and slow: both workers
+        are busy at once, and whichever drains first takes the next group
+        while the other's slow group is still in flight."""
         points, groups = [], []
         for gid in range(4):
             dur = 0.08 if gid % 2 else 0.004
@@ -249,29 +276,8 @@ class TestStickyRouting:
         finally:
             pool.close()
         assert results == points
-        assert stats.steals >= 1  # the drained worker stole a slow group
         assert stats.profile and len(stats.profile) == stats.chunks
         _assert_groups_exclusive(stats.profile)
-
-    def test_router_never_steals_a_busy_group(self):
-        # Group A: two single-point chunks on w0; group B: one chunk on w1.
-        plans = build_chunks(
-            [2.0, 2.0, 1.0], ["A", "A", "B"], workers=2, oversub=1, max_chunk=1
-        )
-        router = _Router(plans, workers=2)
-        first = router.next_for(0)
-        assert first.group == "A"  # A is the costliest, LPT-assigned to w0
-        assert router.next_for(1).group == "B"
-        router.on_done(1)
-        # A still has a chunk queued on w0 but is busy: unstealable.
-        assert router.next_for(1) is None
-        assert router.steals == 0
-        router.on_done(0)
-        stolen = router.next_for(1)
-        assert stolen is not None and stolen.group == "A" and stolen.stolen
-        assert router.steals == 1
-        # The stolen group left w0's queue entirely (whole-group steals).
-        assert router.next_for(0) is None
 
     def test_router_dispatches_front_group_to_completion(self):
         plans = build_chunks(
@@ -284,21 +290,27 @@ class TestStickyRouting:
             if ch is None:
                 break
             order.append(ch.group)
-            router.on_done(0)
         assert order == ["A", "A", "C"]  # sticky: A finishes before C starts
 
-    def test_warm_hint_prefers_matching_worker(self):
-        # Group key embeds the NodePool key in its first three fields.
-        # Plain LPT would give the first (warm) group to w0; the hint —
-        # within the 1.5x-mean load guard — routes it to warm w1 instead.
-        g = ("knl", 12, True, False, "cma")
-        h = ("bdw", 8, True, False, "cma")
-        plans = build_chunks([1.0, 1.0], [g, h], workers=2)
-        router = _Router(
-            plans, workers=2, warm_hint={1: (("knl", 12, True),)}
+    def test_idle_worker_takes_next_biggest_group(self):
+        # Prices: A 6 (three chunks), B 4, C 2 — handed out biggest first.
+        plans = build_chunks(
+            [2.0, 2.0, 2.0, 4.0, 2.0],
+            ["A", "A", "A", "B", "C"],
+            workers=2, oversub=1, max_chunk=1,
         )
-        assert [p.group for p in router.queues[1]] == [g]
-        assert [p.group for p in router.queues[0]] == [h]
+        router = _Router(plans, workers=2)
+        first = router.next_for(0)
+        assert (first.group, first.indices) == ("A", (0,))
+        assert router.next_for(1).group == "B"
+        # w1 drained B while w0 still holds A: w1 takes C, never A.
+        assert router.next_for(1).group == "C"
+        # Every group is taken and w1 holds nothing more: None.
+        assert router.next_for(1) is None
+        # A's remaining chunks stay on w0, in input order.
+        rest = [router.next_for(0).indices for _ in range(2)]
+        assert rest == [(1,), (2,)]
+        assert router.next_for(0) is None
 
 
 class TestChunking:
@@ -326,7 +338,7 @@ class TestChunking:
         indices = [i for c in plans[0].chunks for i in c.indices]
         assert indices == list(range(6))
 
-    def test_ungrouped_chunks_are_individually_stealable(self):
+    def test_ungrouped_chunks_are_separate_groups(self):
         plans = build_chunks([1.0] * 4, None, workers=1, oversub=1, max_chunk=2)
         assert len(plans) == 2  # one pseudo-group per chunk
         assert all(len(p.chunks) == 1 for p in plans)
@@ -334,22 +346,12 @@ class TestChunking:
 
 
 class TestCostModel:
-    def test_collective_uses_analytic_model(self):
-        arch = get_arch("knl")
-        spec = CollectiveSpec("scatter", "parallel_read", arch, procs=12,
-                              eta=64 * 1024)
-        pt = _slim_point(spec)
-        cost = CostModel().cost(pt)
-        expect = AnalyticModel(arch).predict(
-            "scatter", "parallel_read", 12, 64 * 1024
-        )
-        assert cost == pytest.approx(expect)
+    """:func:`point_cost`, the ``procs * bytes * lane`` dispatch price."""
 
     def test_bigger_messages_cost_more(self):
         arch = get_arch("knl")
-        cm = CostModel()
         costs = [
-            cm.cost(_slim_point(
+            point_cost(_slim_point(
                 CollectiveSpec("scatter", "parallel_read", arch,
                                procs=12, eta=eta),
             ))
@@ -357,29 +359,10 @@ class TestCostModel:
         ]
         assert costs == sorted(costs) and costs[0] < costs[-1]
 
-    def test_unmodeled_algorithm_falls_back_to_heuristic(self):
-        pt = SimpleNamespace(
-            collective="scatter", algorithm="no_such_alg", arch="knl",
-            procs=12, eta=65536, params=(), lane="cma",
-        )
-        cm = CostModel()
-        assert cm.cost(pt) == pytest.approx(cm.heuristic(12, 65536, "cma"))
-
     def test_microbench_points_price_by_size(self):
-        cm = CostModel()
         small = SimpleNamespace(kwargs=(("nbytes", 1024), ("readers", 2)))
         big = SimpleNamespace(kwargs=(("nbytes", 1 << 20), ("readers", 2)))
-        assert cm.cost(small) < cm.cost(big)
-
-    def test_memoized(self):
-        arch = get_arch("knl")
-        pt = _slim_point(
-            CollectiveSpec("scatter", "parallel_read", arch, procs=12,
-                           eta=64 * 1024),
-        )
-        cm = CostModel()
-        assert cm.cost(pt) == cm.cost(pt)
-        assert len(cm._memo) == 1
+        assert point_cost(small) < point_cost(big)
 
 
 # -- robustness --------------------------------------------------------------
@@ -447,14 +430,25 @@ class TestSchedRobustness:
             pool.close()
         assert results == [10, 12, 14, 16]
 
-    def test_run_scheduled_inline_on_one_cpu(self, monkeypatch):
+    def test_one_cpu_sweep_runs_plain_loop(self, monkeypatch):
         monkeypatch.setattr(sched_mod, "usable_cpus", lambda: 1)
-        results, stats = run_scheduled(
-            _double, list(range(10)), workers=8, costs=[1.0] * 10
-        )
+        with use_context(ExecContext(workers=8)) as ctx:
+            results = sweep("unit.one_cpu", _double, list(range(10)))
         assert results == [x * 2 for x in range(10)]
-        assert not stats.pooled
-        assert stats.chunks >= 1
+        assert ctx.stats.points_run == 10
+        assert ctx.stats.sched_chunks == 0
+
+    def test_broken_pool_runs_in_order_salvage(self):
+        pool = _make_pool(2)
+        pool.close()
+        pool.broken = True
+        seen = []
+        results, stats = pool.run(
+            _double, [3, 1, 2], on_result=lambda i, v: seen.append(i)
+        )
+        assert results == [6, 2, 4]
+        assert seen == [0, 1, 2]
+        assert not stats.pooled and stats.fallback_points == 3
 
 
 # -- context wiring and reporting -------------------------------------------
@@ -463,12 +457,36 @@ class TestSchedRobustness:
 class TestContextIntegration:
     def test_sweep_records_sched_stats(self):
         specs = _fig07_slice_specs()
-        with use_context(ExecContext(workers=2)) as ctx:
+        with use_context(_pooled_context()) as ctx:
             run_specs(specs)
         assert ctx.stats.sched_points == len(specs)
         assert ctx.stats.sched_chunks >= 1
         line = sweep_summary(ctx.stats)
-        assert "sched:" in line and "steals" in line
+        assert f"sched: {ctx.stats.sched_chunks} chunks" in line
+
+    def test_serial_sweep_runs_misses_in_input_order(self, monkeypatch):
+        """No pool: the misses run one after another in input order (not
+        biggest group first), and no dispatcher chunks are recorded."""
+        arch = get_arch("knl")
+        specs = [
+            CollectiveSpec("scatter", "parallel_read", arch, procs=procs,
+                           eta=eta)
+            # two warm-node groups; the 12-rank one is priced far higher
+            for procs, eta in ((4, 16 * 1024), (12, 256 * 1024), (4, 64 * 1024))
+        ]
+        seen = []
+        real = sweep_mod._compute_collective
+
+        def recording(spec, warm):
+            seen.append((spec.procs, spec.eta))
+            return real(spec, warm)
+
+        monkeypatch.setattr(sweep_mod, "_compute_collective", recording)
+        with use_context(ExecContext(workers=1)) as ctx:
+            run_specs(specs)
+        assert seen == [(s.procs, s.eta) for s in specs]
+        assert ctx.stats.points_run == len(specs)
+        assert ctx.stats.sched_chunks == 0
 
     def test_single_miss_runs_plain_loop(self):
         """One miss skips the scheduler: no chunk stats, same value."""
