@@ -15,16 +15,22 @@ Figure 9 — is between three *implementations* of the same schedule:
 ``bruck`` (lg p steps, extra copies) is included for completeness: the
 paper notes it loses for the medium/large messages where CMA applies.
 
-Buffer contract: ``sendbuf`` and ``recvbuf`` both hold p blocks of ``eta``
-bytes; on return ``recvbuf[i]`` is rank i's block for me (i.e. block
-``rank`` of rank i's sendbuf).
+Buffer contract: ``sendbuf`` and ``recvbuf`` both pack p blocks densely in
+rank order; on return ``recvbuf[i]`` is rank i's block for me (i.e. block
+``rank`` of rank i's sendbuf).  Blocks are ``eta`` bytes each.  For
+Alltoallv, ``pairwise`` takes a p x p ``counts`` matrix instead, from the
+point's :class:`~repro.core.common.Blocks` layout: ``counts[s][d]`` is the
+bytes rank s sends rank d, so rank r's sendbuf packs row r and its recvbuf
+packs column r.  Zero-length blocks are never moved.  Skewed rows make
+pairwise steps straggle, the V form's signature cost; the steps still
+pair distinct ranks, so the mm locks never contend.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.core.common import is_power_of_two
+from repro.core.common import blocks_of, is_power_of_two
 from repro.mpi.communicator import RankCtx
 from repro.mpi.pt2pt import p2p_recv, p2p_send
 from repro.sim.engine import Join
@@ -39,28 +45,25 @@ def _self_copy(ctx: RankCtx) -> Generator:
     )
 
 
-def _peer_schedule(rank: int, size: int, step: int) -> int:
-    """Pairwise partner at a given step: XOR for powers of two (perfectly
-    paired), (rank - step) mod p otherwise."""
-    if is_power_of_two(size):
-        return rank ^ step
-    return (rank - step) % size
-
-
 def pairwise(ctx: RankCtx) -> Generator:
     """Native CMA pairwise exchange: T = T_allgather^sm + (p-1)(a + nB + l*n/s)."""
+    blocks = blocks_of(ctx)
+    p, rank = ctx.size, ctx.rank
     op = ctx.next_op()
     addrs = yield from ctx.sm_allgather(("a2a", op), ctx.sendbuf.addr)
-    yield from _self_copy(ctx)
-    eta = ctx.eta
-    for step in range(1, ctx.size):
-        peer = _peer_schedule(ctx.rank, ctx.size, step)
-        # my block inside peer's sendbuf sits at offset rank*eta
-        yield from ctx.cma_read(
-            peer,
-            ctx.recvbuf.iov(peer * eta, eta),
-            (addrs[peer] + ctx.rank * eta, eta),
-        )
+    n, send_off, recv_off = blocks.pair(rank, rank)
+    if n > 0:
+        yield from ctx.memcpy(ctx.recvbuf, recv_off, ctx.sendbuf, send_off, n)
+    pow2 = is_power_of_two(p)
+    for step in range(1, p):
+        # XOR pairs powers of two perfectly; otherwise (rank - step) mod p
+        peer = rank ^ step if pow2 else (rank - step) % p
+        # my block inside peer's sendbuf, and where it lands in mine
+        n, send_off, recv_off = blocks.pair(peer, rank)
+        if n > 0:
+            yield from ctx.cma_read(
+                peer, ctx.recvbuf.iov(recv_off, n), (addrs[peer] + send_off, n)
+            )
     # nobody may reuse its sendbuf until every peer has read from it
     yield from ctx.sm_barrier(("a2a-fin", op))
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+from typing import Callable, Generator, Optional, Sequence
 
 __all__ = [
+    "displacements",
+    "Blocks",
+    "blocks_of",
+    "throttled_chain",
     "nonroot_order",
     "is_power_of_two",
     "chunk_partition",
@@ -16,6 +21,103 @@ __all__ = [
 def nonroot_order(size: int, root: int) -> list[int]:
     """Non-root ranks in the canonical order used by throttled chains."""
     return [r for r in range(size) if r != root]
+
+
+def displacements(counts: Sequence[int]) -> list[int]:
+    """Dense prefix-sum displacements for a counts vector."""
+    out, pos = [], 0
+    for c in counts:
+        if c < 0:
+            raise ValueError(f"negative count {c}")
+        out.append(pos)
+        pos += c
+    return out
+
+
+class Blocks:
+    """Where each rank's block sits in a packed buffer.
+
+    Uniform by default: rank r's block is ``eta`` bytes at ``r * eta``, and
+    nothing is kept per rank.  ``counts`` gives the block sizes instead,
+    packed densely: a vector (Scatterv/Gatherv) or a p x p matrix whose
+    row s is what rank s sends (Alltoallv).  Their prefix sums are taken
+    once, here: the runner builds one instance per point and hands it to
+    every rank as ``ctx.extras["blocks"]``.
+    """
+
+    __slots__ = ("eta", "counts", "displs", "recv_displs")
+
+    def __init__(self, eta: int, counts: Optional[Sequence] = None):
+        self.eta = eta
+        self.counts = counts
+        self.displs = self.recv_displs = None
+        if counts is None:
+            return
+        if isinstance(counts[0], (list, tuple)):
+            self.displs = [displacements(row) for row in counts]
+            self.recv_displs = [displacements(col) for col in zip(*counts)]
+        else:
+            self.displs = displacements(counts)
+
+    @classmethod
+    def of(cls, spec) -> "Blocks":
+        """The layout of a :class:`~repro.core.runner.CollectiveSpec` (or of
+        a stand-in without ``counts``: uniform)."""
+        return cls(spec.eta, getattr(spec, "counts", None))
+
+    def __call__(self, r: int) -> tuple[int, int]:
+        """``(nbytes, offset)`` of rank r's block (vector layouts)."""
+        if self.counts is None:
+            return self.eta, r * self.eta
+        return self.counts[r], self.displs[r]
+
+    def pair(self, s: int, d: int) -> tuple[int, int, int]:
+        """``(nbytes, offset in s's sendbuf, offset in d's recvbuf)`` of the
+        block rank s sends rank d (matrix layouts)."""
+        if self.counts is None:
+            return self.eta, d * self.eta, s * self.eta
+        return self.counts[s][d], self.displs[s][d], self.recv_displs[d][s]
+
+
+def blocks_of(ctx) -> Blocks:
+    """The block layout of the point ``ctx`` runs: the runner's, else (for
+    ranks spawned without one) the uniform layout of ``ctx.eta``."""
+    return ctx.extras.get("blocks") or Blocks(ctx.eta)
+
+
+def throttled_chain(
+    ctx, k: int, name: str, op, move: Callable[[int], Generator]
+) -> Generator:
+    """The k-wave token chain of Section IV-A3, from this rank's side.
+
+    The non-roots, in :func:`nonroot_order`, move their blocks at most
+    ``k`` at a time.  Position ``i`` waits for a token from position
+    ``i - k`` (the first ``k`` start at once), runs ``move(i)``, passes the
+    token on to position ``i + k`` and, if it is in the last wave, acks the
+    root.  The root posts the ``min(k, p-1)`` receives from the last wave
+    in position order: one ack from the last mover would not cover its
+    k-1 concurrent peers.  So there are ceil((p-1)/k) waves, each with
+    contention gamma(k), and no barrier.
+    """
+    nmove = ctx.size - 1
+    fin = (name + "-fin", op)
+
+    def rank_at(pos: int) -> int:  # nonroot_order(size, root)[pos]
+        return pos + (pos >= ctx.root)
+
+    if ctx.is_root:
+        for pos in range(max(0, nmove - k), nmove):
+            yield ctx.ctrl_recv(rank_at(pos), fin)
+        return
+    tok = (name + "-tok", op)
+    pos = ctx.rank - (ctx.rank > ctx.root)
+    if pos - k >= 0:
+        yield ctx.ctrl_recv(rank_at(pos - k), tok)
+    yield from move(pos)
+    if pos + k < nmove:
+        yield ctx.ctrl_send(rank_at(pos + k), tok)
+    if pos >= nmove - k:
+        yield ctx.ctrl_send(ctx.root, fin)
 
 
 def is_power_of_two(n: int) -> bool:

@@ -511,9 +511,8 @@ class AnalyticModel:
 
 
 #: (collective, algorithm) -> bound cost form.  Built once at import: the
-#: tuner's candidate pricing and the scheduler's cost model call
-#: ``predict`` for every candidate and point, so the dispatch must not be
-#: rebuilt (34 closures plus a dict) per call.
+#: tuner's candidate pricing calls ``predict`` for every candidate, so the
+#: dispatch must not be rebuilt (32 closures plus a dict) per call.
 _PREDICT_DISPATCH: dict[tuple[str, str], Callable] = {
     ("scatter", "parallel_read"): lambda m, p, eta, prm: m.scatter_parallel_read(p, eta),
     ("scatter", "sequential_write"): lambda m, p, eta, prm: m.scatter_sequential_write(p, eta),

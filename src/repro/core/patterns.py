@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.common import Blocks
 from repro.kernel.address_space import PERIOD as _PERIOD
 from repro.kernel.address_space import ROW, materialize, runs_nbytes
 
@@ -124,47 +125,40 @@ def expect_runs(buf, off: int, want: list, what: str) -> None:
         )
 
 
-def _send_blocks(spec) -> Iterator[tuple[int, int, int, int, int]]:
-    """``(rank, offset, a, b, n)`` for every block of every send buffer:
-    rank's send buffer holds ``pattern(a, b, n)`` at ``offset``, and ``b``
-    is the block's index in it."""
-    p, eta, root = spec.procs, spec.eta, spec.root
+def _send_blocks(spec, blocks: Blocks) -> Iterator[tuple[int, int, int, int, int]]:
+    """``(rank, offset, a, b, n)`` for every non-empty block of every send
+    buffer: rank's send buffer holds ``pattern(a, b, n)`` at ``offset``,
+    and ``b`` is the block's index in it."""
+    p, root = spec.procs, spec.root
     coll = spec.collective
-    if coll == "scatter":
+    if coll in ("scatter", "scatterv"):
         for d in range(p):
-            yield root, d * eta, root, d, eta
-    elif coll == "alltoall":
+            n, off = blocks(d)
+            if n:
+                yield root, off, root, d, n
+    elif coll in ("alltoall", "alltoallv"):
         for r in range(p):
             for d in range(p):
-                yield r, d * eta, r, d, eta
-    elif coll in ("gather", "allgather", "reduce", "allreduce"):
+                n, off, _ = blocks.pair(r, d)
+                if n:
+                    yield r, off, r, d, n
+    elif coll in ("gather", "gatherv", "allgather", "reduce", "allreduce"):
         for r in range(p):
             if spec.in_place and (
                 coll == "allgather" or (r == root and coll != "allreduce")
             ):
                 continue
-            yield r, 0, r, 0, eta
-    elif coll in ("scatterv", "gatherv", "alltoallv"):
-        from repro.core.vcollectives import displacements
-
-        counts = spec.counts
-        if coll == "scatterv":
-            displs = displacements(counts)
-            for d in range(p):
-                if counts[d]:
-                    yield root, displs[d], root, d, counts[d]
-        elif coll == "gatherv":
-            for r in range(p):
-                if counts[r] and not (r == root and spec.in_place):
-                    yield r, 0, r, 0, counts[r]
-        else:
-            for r in range(p):
-                displs = displacements(counts[r])
-                for d in range(p):
-                    if counts[r][d]:
-                        yield r, displs[d], r, d, counts[r][d]
+            n = blocks(r)[0]
+            if n:
+                yield r, 0, r, 0, n
     elif coll != "bcast":
         raise KeyError(f"unknown collective {coll!r}")
+
+
+def _packed_size(blocks: Blocks, p: int) -> int:
+    """Bytes of a buffer that packs p ranks' blocks: the last one ends it."""
+    n, off = blocks(p - 1)
+    return max(off + n, 1)
 
 
 def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
@@ -172,24 +166,28 @@ def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
     None where a rank does not use that buffer."""
     p, eta, root = spec.procs, spec.eta, spec.root
     coll = spec.collective
+    blocks = Blocks.of(spec)
     sendbufs: list = [None] * p
     recvbufs: list = [None] * p
     #: (rank, offset, n): an in-place block the root or a rank seeds itself
     seeds: list = []
 
-    if coll == "scatter":
-        sendbufs[root] = comm.allocate(root, p * eta, "sendbuf")
+    if coll in ("scatter", "scatterv"):
+        sendbufs[root] = comm.allocate(root, _packed_size(blocks, p), "sendbuf")
         for r in range(p):
-            if r == root and spec.in_place:
-                continue
-            recvbufs[r] = comm.allocate(r, eta, "recvbuf")
-    elif coll == "gather":
-        recvbufs[root] = comm.allocate(root, p * eta, "recvbuf")
+            n = blocks(r)[0]
+            if n and not (r == root and spec.in_place):
+                recvbufs[r] = comm.allocate(r, n, "recvbuf")
+    elif coll in ("gather", "gatherv"):
+        recvbufs[root] = comm.allocate(root, _packed_size(blocks, p), "recvbuf")
         for r in range(p):
-            if r == root and spec.in_place:
-                seeds.append((root, root * eta, eta))
+            n, off = blocks(r)
+            if not n:
                 continue
-            sendbufs[r] = comm.allocate(r, eta, "sendbuf")
+            if r == root and spec.in_place:
+                seeds.append((root, off, n))
+            else:
+                sendbufs[r] = comm.allocate(r, n, "sendbuf")
     elif coll == "bcast":
         for r in range(p):
             recvbufs[r] = comm.allocate(r, eta, "buf")
@@ -201,39 +199,13 @@ def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
                 seeds.append((r, r * eta, eta))
             else:
                 sendbufs[r] = comm.allocate(r, eta, "sendbuf")
-    elif coll == "alltoall":
+    elif coll in ("alltoall", "alltoallv"):
         for r in range(p):
-            sendbufs[r] = comm.allocate(r, p * eta, "sendbuf")
-            recvbufs[r] = comm.allocate(r, p * eta, "recvbuf")
-    elif coll in ("scatterv", "gatherv"):
-        from repro.core.vcollectives import displacements
-
-        counts = spec.counts
-        displs = displacements(counts)
-        total = max(sum(counts), 1)
-        if coll == "scatterv":
-            sendbufs[root] = comm.allocate(root, total, "sendbuf")
-            for r in range(p):
-                if r == root and spec.in_place:
-                    continue
-                if counts[r]:
-                    recvbufs[r] = comm.allocate(r, counts[r], "recvbuf")
-        else:
-            recvbufs[root] = comm.allocate(root, total, "recvbuf")
-            for r in range(p):
-                if r == root and spec.in_place:
-                    if counts[root]:
-                        seeds.append((root, displs[root], counts[root]))
-                    continue
-                if counts[r]:
-                    sendbufs[r] = comm.allocate(r, counts[r], "sendbuf")
-    elif coll == "alltoallv":
-        counts = spec.counts
-        for r in range(p):
-            send_total = max(sum(counts[r]), 1)
-            recv_total = max(sum(counts[s][r] for s in range(p)), 1)
-            sendbufs[r] = comm.allocate(r, send_total, "sendbuf")
-            recvbufs[r] = comm.allocate(r, recv_total, "recvbuf")
+            # row r's and column r's last blocks end r's two buffers
+            n, off, _ = blocks.pair(r, p - 1)
+            sendbufs[r] = comm.allocate(r, max(off + n, 1), "sendbuf")
+            n, _, off = blocks.pair(p - 1, r)
+            recvbufs[r] = comm.allocate(r, max(off + n, 1), "recvbuf")
     elif coll in ("reduce", "allreduce"):
         for r in range(p):
             if coll == "allreduce" or r == root:
@@ -246,7 +218,7 @@ def setup_buffers(comm: "Comm", spec) -> tuple[list, list]:
         raise KeyError(f"unknown collective {coll!r}")
 
     if comm.node.verify:
-        for r, off, a, b, n in _send_blocks(spec):
+        for r, off, a, b, n in _send_blocks(spec, blocks):
             sendbufs[r].write(off, pattern_runs(a, b, n))
         for r, off, n in seeds:
             recvbufs[r].write(off, pattern_runs(r, 0, n))
@@ -259,22 +231,28 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
     are read-only to the collective)."""
     p, eta, root = spec.procs, spec.eta, spec.root
     coll = spec.collective
+    blocks = Blocks.of(spec)
 
     def expect(buf, off, a, b, n, what):
         expect_runs(buf, off, pattern_runs(a, b, n), f"{coll}/{spec.algorithm}: {what}")
 
-    if coll == "scatter":
+    if coll in ("scatter", "scatterv"):
         for r in range(p):
+            n, off = blocks(r)
+            if not n:
+                continue
             if r == root and spec.in_place:
                 expect(
-                    sendbufs[root], root * eta, root, root, eta,
+                    sendbufs[root], off, root, root, n,
                     "root in-place block clobbered",
                 )
-                continue
-            expect(recvbufs[r], 0, root, r, eta, f"rank {r} block")
-    elif coll == "gather":
+            else:
+                expect(recvbufs[r], 0, root, r, n, f"rank {r} block")
+    elif coll in ("gather", "gatherv"):
         for r in range(p):
-            expect(recvbufs[root], r * eta, r, 0, eta, f"root's block from rank {r}")
+            n, off = blocks(r)
+            if n:
+                expect(recvbufs[root], off, r, 0, n, f"root's block from rank {r}")
     elif coll == "bcast":
         for r in range(p):
             expect(recvbufs[r], 0, root, 0, eta, f"rank {r} payload")
@@ -282,44 +260,12 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
         for r in range(p):
             for b in range(p):
                 expect(recvbufs[r], b * eta, b, 0, eta, f"rank {r} block {b}")
-    elif coll == "alltoall":
+    elif coll in ("alltoall", "alltoallv"):
         for r in range(p):
             for s in range(p):
-                expect(recvbufs[r], s * eta, s, r, eta, f"rank {r} block from {s}")
-    elif coll in ("scatterv", "gatherv"):
-        from repro.core.vcollectives import displacements
-
-        counts = spec.counts
-        displs = displacements(counts)
-        for r in range(p):
-            n = counts[r]
-            if n == 0:
-                continue
-            if coll == "gatherv":
-                expect(
-                    recvbufs[root], displs[r], r, 0, n,
-                    f"root's block from rank {r}",
-                )
-            elif r == root and spec.in_place:
-                expect(
-                    sendbufs[root], displs[root], root, root, n,
-                    "root in-place block clobbered",
-                )
-            else:
-                expect(recvbufs[r], 0, root, r, n, f"rank {r} block")
-    elif coll == "alltoallv":
-        from repro.core.vcollectives import displacements
-
-        counts = spec.counts
-        for r in range(p):
-            recv_displs = displacements([counts[s][r] for s in range(p)])
-            for s in range(p):
-                n = counts[s][r]
+                n, _, off = blocks.pair(s, r)
                 if n:
-                    expect(
-                        recvbufs[r], recv_displs[s], s, r, n,
-                        f"rank {r} block from {s}",
-                    )
+                    expect(recvbufs[r], off, s, r, n, f"rank {r} block from {s}")
     elif coll in ("reduce", "allreduce"):
         reduced = _reduce_runs(p, eta)
         targets = range(p) if coll == "allreduce" else [root]
@@ -331,6 +277,6 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
     else:  # pragma: no cover - guarded in setup
         raise KeyError(coll)
 
-    for r, off, a, b, n in _send_blocks(spec):
+    for r, off, a, b, n in _send_blocks(spec, blocks):
         if sendbufs[r] is not None:
             expect(sendbufs[r], off, a, b, n, f"rank {r} sendbuf block {b} modified")

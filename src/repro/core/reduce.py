@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.core.common import chunk_partition, nonroot_order
+from repro.core.common import chunk_partition, throttled_chain
 from repro.mpi.communicator import RankCtx
 
 __all__ = [
@@ -69,30 +69,24 @@ def reduce_gather_throttled(ctx: RankCtx, k: int = 8) -> Generator:
         raise ValueError("throttle factor must be >= 1")
     op = ctx.next_op()
     eta = ctx.eta
-    order = nonroot_order(ctx.size, ctx.root)
+    nstage = ctx.size - 1
     payload = None
     if ctx.is_root:
-        staging = ctx.comm.allocate(ctx.rank, max(len(order), 1) * eta, f"red{op}")
+        staging = ctx.comm.allocate(ctx.rank, max(nstage, 1) * eta, f"red{op}")
         payload = staging.addr
     staging_addr = yield from ctx.sm_bcast(("red-gt", op), payload, root=ctx.root)
-    if ctx.is_root:
-        if not ctx.in_place:
-            yield from ctx.memcpy(ctx.recvbuf, 0, ctx.sendbuf, 0, eta)
-        for pos in range(max(0, len(order) - k), len(order)):
-            yield ctx.ctrl_recv(order[pos], ("red-gt-fin", op))
-        for i in range(len(order)):
-            yield from ctx.combine(ctx.recvbuf, 0, staging, i * eta, eta)
-    else:
-        pos = order.index(ctx.rank)
-        if pos - k >= 0:
-            yield ctx.ctrl_recv(order[pos - k], ("red-gt-tok", op))
-        yield from ctx.cma_write(
+    if ctx.is_root and not ctx.in_place:
+        yield from ctx.memcpy(ctx.recvbuf, 0, ctx.sendbuf, 0, eta)
+    # chain position i writes staging slot i
+    yield from throttled_chain(
+        ctx, k, "red-gt", op,
+        lambda pos: ctx.cma_write(
             ctx.root, ctx.sendbuf.iov(0, eta), (staging_addr + pos * eta, eta)
-        )
-        if pos + k < len(order):
-            yield ctx.ctrl_send(order[pos + k], ("red-gt-tok", op))
-        if pos >= len(order) - k:
-            yield ctx.ctrl_send(ctx.root, ("red-gt-fin", op))
+        ),
+    )
+    if ctx.is_root:
+        for i in range(nstage):
+            yield from ctx.combine(ctx.recvbuf, 0, staging, i * eta, eta)
 
 
 def reduce_binomial(ctx: RankCtx) -> Generator:

@@ -19,7 +19,6 @@ from repro.core import gather as _gather
 from repro.core import p2p_colls as _p2p
 from repro.core import reduce as _reduce
 from repro.core import scatter as _scatter
-from repro.core import vcollectives as _vcoll
 from repro.core import xpmemcoll as _xp
 
 __all__ = ["AlgorithmInfo", "ALGORITHMS", "get_algorithm", "algorithms_for"]
@@ -296,18 +295,19 @@ ALGORITHMS: dict[str, dict[str, AlgorithmInfo]] = {
             description="segmented pipeline: contention-free, syscall-lean",
         ),
     },
-    # extension collectives: the vector variants (variable block sizes)
+    # extension collectives: the vector variants (variable block sizes) run
+    # the plain designs over the spec's counts
     "scatterv": {
         "parallel_read": AlgorithmInfo(
-            "scatterv", "parallel_read", _plain(_vcoll.scatterv_parallel_read)
+            "scatterv", "parallel_read", _plain(_scatter.parallel_read)
         ),
         "sequential_write": AlgorithmInfo(
-            "scatterv", "sequential_write", _plain(_vcoll.scatterv_sequential_write)
+            "scatterv", "sequential_write", _plain(_scatter.sequential_write)
         ),
         "throttled_read": AlgorithmInfo(
             "scatterv",
             "throttled_read",
-            _wrap(_vcoll.scatterv_throttled_read),
+            _wrap(_scatter.throttled_read),
             tunable=("k",),
             validity=_needs_k(1),
         ),
@@ -316,21 +316,21 @@ ALGORITHMS: dict[str, dict[str, AlgorithmInfo]] = {
         "pairwise": AlgorithmInfo(
             "alltoallv",
             "pairwise",
-            _plain(_vcoll.alltoallv_pairwise),
+            _plain(_alltoall.pairwise),
             description="contention-free pairwise exchange, p x p counts",
         ),
     },
     "gatherv": {
         "parallel_write": AlgorithmInfo(
-            "gatherv", "parallel_write", _plain(_vcoll.gatherv_parallel_write)
+            "gatherv", "parallel_write", _plain(_gather.parallel_write)
         ),
         "sequential_read": AlgorithmInfo(
-            "gatherv", "sequential_read", _plain(_vcoll.gatherv_sequential_read)
+            "gatherv", "sequential_read", _plain(_gather.sequential_read)
         ),
         "throttled_write": AlgorithmInfo(
             "gatherv",
             "throttled_write",
-            _wrap(_vcoll.gatherv_throttled_write),
+            _wrap(_gather.throttled_write),
             tunable=("k",),
             validity=_needs_k(1),
         ),

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core import patterns
+from repro.core.common import Blocks
 from repro.core.registry import get_algorithm
 from repro.machine.arch import Architecture
 from repro.mpi.communicator import Comm, Node
@@ -44,8 +45,8 @@ class CollectiveSpec:
     in_place: bool = False
     params: dict = field(default_factory=dict)
     verify: bool = True  # move + check buffer contents (slower, thorough)
-    #: per-rank block sizes for the V-variants (scatterv/gatherv);
-    #: defaults to eta for every rank
+    #: per-rank block sizes for the V-variants: a vector for scatterv/
+    #: gatherv, a p x p matrix for alltoallv; defaults to eta everywhere
     counts: Optional[list[int]] = None
     #: armed deterministic fault plan (:class:`repro.faults.FaultPlan`),
     #: or None — the default, bit-identical to the pre-fault runner.
@@ -156,9 +157,8 @@ def _execute(spec: CollectiveSpec, fn, node: Node, comm: Comm) -> CollectiveResu
     sendbufs, recvbufs = patterns.setup_buffers(comm, spec)
 
     procs = []
-    extra_kw = {}
-    if spec.counts is not None:
-        extra_kw["counts"] = spec.counts
+    # one layout per point: every rank reads the same prefix sums
+    blocks = Blocks.of(spec)
     for rank in range(spec.procs):
         procs.append(
             comm.spawn_rank(
@@ -169,7 +169,7 @@ def _execute(spec: CollectiveSpec, fn, node: Node, comm: Comm) -> CollectiveResu
                 sendbuf=sendbufs[rank],
                 recvbuf=recvbufs[rank],
                 in_place=spec.in_place,
-                **extra_kw,
+                blocks=blocks,
             )
         )
     node.sim.run_all(procs)

@@ -1,4 +1,4 @@
-"""One-to-all personalized: MPI_Scatter (paper Section IV-A).
+"""One-to-all personalized: MPI_Scatter and MPI_Scatterv (paper Section IV-A).
 
 Three algorithm families, all *native* CMA designs (addresses exchanged
 through shared-memory control collectives, then direct syscalls — no
@@ -15,94 +15,84 @@ RTS/CTS per transfer):
   ceil((p-1)/k) waves with contention gamma(k).  ``parallel_read`` and
   ``sequential_write`` are the k = p-1 and k = 1 special cases.
 
-Buffer contract: the root's ``sendbuf`` holds p blocks of ``eta`` bytes in
-rank order; every rank's ``recvbuf`` holds one block.  With ``in_place``
-the root keeps its block in ``sendbuf`` (no self-copy), matching
-MPI_IN_PLACE semantics.
+Buffer contract: the root's ``sendbuf`` packs the p blocks densely in rank
+order; every rank's ``recvbuf`` holds its own block.  Blocks are ``eta``
+bytes each, or — for Scatterv — ``counts[r]`` bytes for rank r, from the
+point's :class:`~repro.core.common.Blocks` layout.  A zero-length block is
+never moved, and its rank has no ``recvbuf``.  Unequal blocks make a
+throttled wave finish with its largest block: the chain keeps the paper's
+position order, so the imbalance shows as wave straggling.  With
+``in_place`` the root keeps its block in ``sendbuf`` (no self-copy),
+matching MPI_IN_PLACE semantics.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.core.common import nonroot_order
+from repro.core.common import Blocks, blocks_of, nonroot_order, throttled_chain
 from repro.mpi.communicator import RankCtx
 
 __all__ = ["parallel_read", "sequential_write", "throttled_read"]
 
 
-def _root_self_copy(ctx: RankCtx) -> Generator:
+def _root_self_copy(ctx: RankCtx, blocks: Blocks) -> Generator:
     """Root moves its own block sendbuf[root] -> recvbuf (skipped in-place)."""
-    if not ctx.in_place:
-        yield from ctx.memcpy(
-            ctx.recvbuf, 0, ctx.sendbuf, ctx.root * ctx.eta, ctx.eta
-        )
+    n, off = blocks(ctx.root)
+    if not ctx.in_place and n > 0:
+        yield from ctx.memcpy(ctx.recvbuf, 0, ctx.sendbuf, off, n)
+
+
+def _read_own(ctx: RankCtx, blocks: Blocks, src_addr: int) -> Generator:
+    """A non-root reads its block out of the root's sendbuf at ``src_addr``."""
+    n, off = blocks(ctx.rank)
+    if n > 0:
+        yield from ctx.cma_read(ctx.root, ctx.recvbuf.iov(0, n), (src_addr + off, n))
 
 
 def parallel_read(ctx: RankCtx) -> Generator:
     """All non-roots read concurrently: T = T_bcast^sm + a + nB + l*g(p)*n/s + T_gather^sm."""
+    blocks = blocks_of(ctx)
     op = ctx.next_op()
     payload = ctx.sendbuf.addr if ctx.is_root else None
     src_addr = yield from ctx.sm_bcast(("sc-pr", op), payload, root=ctx.root)
     if ctx.is_root:
-        yield from _root_self_copy(ctx)
+        yield from _root_self_copy(ctx, blocks)
     else:
-        yield from ctx.cma_read(
-            ctx.root,
-            ctx.recvbuf.iov(0, ctx.eta),
-            (src_addr + ctx.rank * ctx.eta, ctx.eta),
-        )
+        yield from _read_own(ctx, blocks, src_addr)
     # completion: root learns every block has been read (sendbuf reusable)
     yield from ctx.sm_gather(("sc-pr-fin", op), value=True, root=ctx.root)
 
 
 def sequential_write(ctx: RankCtx) -> Generator:
     """Root writes one block at a time: p-1 uncontended transfers."""
+    blocks = blocks_of(ctx)
     op = ctx.next_op()
-    value = None if ctx.is_root else ctx.recvbuf.addr
+    value = None if ctx.is_root or ctx.recvbuf is None else ctx.recvbuf.addr
     addrs = yield from ctx.sm_gather(("sc-sw", op), value, root=ctx.root)
     if ctx.is_root:
         for dst in nonroot_order(ctx.size, ctx.root):
-            yield from ctx.cma_write(
-                dst,
-                ctx.sendbuf.iov(dst * ctx.eta, ctx.eta),
-                (addrs[dst], ctx.eta),
-            )
-        yield from _root_self_copy(ctx)
+            n, off = blocks(dst)
+            if n > 0:
+                yield from ctx.cma_write(
+                    dst, ctx.sendbuf.iov(off, n), (addrs[dst], n)
+                )
+        yield from _root_self_copy(ctx, blocks)
     # completion: non-roots learn their block has landed
     yield from ctx.sm_bcast(("sc-sw-fin", op), True, root=ctx.root)
 
 
 def throttled_read(ctx: RankCtx, k: int) -> Generator:
-    """At most ``k`` concurrent readers, chained by pt2pt tokens.
-
-    Non-root reader at chain position ``i`` blocks on a token from position
-    ``i - k`` (positions < k start immediately), reads its block, then
-    unblocks position ``i + k``.  The root posts ``min(k, p-1)`` receives
-    from the readers of the last wave — a single ack from the last reader
-    would not cover its k-1 concurrent peers (Section IV-A3).
-    """
+    """At most ``k`` concurrent readers, chained by pt2pt tokens
+    (:func:`~repro.core.common.throttled_chain`)."""
     if k < 1:
         raise ValueError("throttle factor must be >= 1")
+    blocks = blocks_of(ctx)
     op = ctx.next_op()
     payload = ctx.sendbuf.addr if ctx.is_root else None
     src_addr = yield from ctx.sm_bcast(("sc-tr", op), payload, root=ctx.root)
-    order = nonroot_order(ctx.size, ctx.root)
-    nread = len(order)
     if ctx.is_root:
-        yield from _root_self_copy(ctx)
-        for pos in range(max(0, nread - k), nread):
-            yield ctx.ctrl_recv(order[pos], ("sc-tr-fin", op))
-    else:
-        pos = order.index(ctx.rank)
-        if pos - k >= 0:
-            yield ctx.ctrl_recv(order[pos - k], ("sc-tr-tok", op))
-        yield from ctx.cma_read(
-            ctx.root,
-            ctx.recvbuf.iov(0, ctx.eta),
-            (src_addr + ctx.rank * ctx.eta, ctx.eta),
-        )
-        if pos + k < nread:
-            yield ctx.ctrl_send(order[pos + k], ("sc-tr-tok", op))
-        if pos >= nread - k:
-            yield ctx.ctrl_send(ctx.root, ("sc-tr-fin", op))
+        yield from _root_self_copy(ctx, blocks)
+    yield from throttled_chain(
+        ctx, k, "sc-tr", op, lambda pos: _read_own(ctx, blocks, src_addr)
+    )

@@ -64,7 +64,7 @@ class Tuner:
     """Model-driven algorithm selection for one architecture.
 
     ``choose`` memoises per instance behind a *bounded* LRU
-    (``choose_cache_size`` entries).  The memo used to be a
+    (:attr:`CHOOSE_CACHE_SIZE` entries).  The memo used to be a
     ``functools.lru_cache`` on the method itself, which keys on ``self``:
     one shared class-level cache that pinned every tuner ever constructed
     (and its architecture tables) for the life of the process — under
@@ -73,15 +73,13 @@ class Tuner:
     :meth:`choose_cache_stats`.
     """
 
-    #: default per-instance ``choose`` memo bound
+    #: per-instance ``choose`` memo bound
     CHOOSE_CACHE_SIZE = 4096
 
-    def __init__(self, arch: Architecture, choose_cache_size: Optional[int] = None):
+    def __init__(self, arch: Architecture):
         self.arch = arch
         self.model = AnalyticModel(arch)
-        if choose_cache_size is None:
-            choose_cache_size = self.CHOOSE_CACHE_SIZE
-        self._choose_cached = lru_cache(maxsize=choose_cache_size)(
+        self._choose_cached = lru_cache(maxsize=self.CHOOSE_CACHE_SIZE)(
             self._choose_fresh
         )
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.common import (
+    Blocks,
     chunk_partition,
     is_power_of_two,
     knomial_parent_children,
@@ -21,6 +22,25 @@ class TestNonrootOrder:
 
     def test_length(self):
         assert len(nonroot_order(8, 0)) == 7
+
+
+class TestBlocks:
+    def test_uniform(self):
+        b = Blocks(10)
+        assert [b(r) for r in range(3)] == [(10, 0), (10, 10), (10, 20)]
+        assert b.pair(2, 1) == (10, 10, 20)
+
+    def test_counts_vector_packs_densely(self):
+        b = Blocks(10, [3, 0, 5])
+        assert [b(r) for r in range(3)] == [(3, 0), (0, 3), (5, 3)]
+
+    def test_counts_matrix_rows_send_columns_receive(self):
+        b = Blocks(10, [[1, 2], [3, 4]])
+        # s -> d sits at row s's prefix sum of d in s's sendbuf, and at
+        # column d's prefix sum of s in d's recvbuf
+        assert b.pair(1, 0) == (3, 0, 1)
+        assert b.pair(0, 1) == (2, 1, 0)
+        assert b.pair(1, 1) == (4, 3, 2)
 
 
 class TestPowerOfTwo:

@@ -32,7 +32,7 @@ from repro.core.patterns import (
     verify_buffers,
 )
 from repro.core.runner import CollectiveSpec, run_collective
-from repro.core.vcollectives import displacements
+from repro.core.common import displacements
 from repro.machine import get_arch, make_generic
 from repro.mpi import Comm, Node
 

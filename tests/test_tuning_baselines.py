@@ -232,8 +232,9 @@ class TestTunerMemo:
         assert stats["misses"] == 1
         assert stats["maxsize"] == Tuner.CHOOSE_CACHE_SIZE
 
-    def test_memo_is_bounded(self):
-        t = Tuner(get_arch("knl"), choose_cache_size=4)
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(Tuner, "CHOOSE_CACHE_SIZE", 4)
+        t = Tuner(get_arch("knl"))
         for eta in (1, 2, 3, 4, 5, 6):
             t.choose("bcast", eta, 8)
         stats = t.choose_cache_stats()
