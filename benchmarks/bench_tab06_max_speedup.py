@@ -8,9 +8,12 @@ collectives show order-of-magnitude peaks; non-personalized show
 small-multiple peaks.
 """
 
+import pytest
 
-def bench_tab06_max_speedup(regen):
-    exp = regen("tab06")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     grid = exp.data["grid"]
 
     for (arch, coll, lib), (speedup, _at) in grid.items():
@@ -26,3 +29,14 @@ def bench_tab06_max_speedup(regen):
 
     a2a_peak = max(s for (a, c, l), (s, _) in grid.items() if c == "alltoall")
     assert 1.05 < a2a_peak < 10.0
+
+
+def bench_tab06_max_speedup(regen):
+    _check_shapes(regen("tab06"))
+
+
+@pytest.mark.slow
+def bench_tab06_max_speedup_full():
+    """The same shapes on the paper's full axes (POWER8 at 160 ranks),
+    run serially."""
+    _check_shapes(run_experiment("tab06", quick=False))

@@ -75,6 +75,10 @@ class CollectiveSpec:
             raise ValueError("eta must be >= 1 byte")
         if not (0 <= self.root < self.procs):
             raise ValueError(f"root {self.root} out of range for p={self.procs}")
+        if self.in_place and self.collective == "allreduce":
+            # patterns give allreduce no in-place form: every rank keeps
+            # its operand apart from the result
+            raise ValueError("allreduce has no in-place form")
         if self.collective in ("scatterv", "gatherv"):
             if self.counts is None:
                 self.counts = [self.eta] * self.procs

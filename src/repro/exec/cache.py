@@ -60,7 +60,8 @@ __all__ = [
 #: v3: transport-lane spec field (xpmem vs cma points must never collide)
 #: + CollectiveResult mapped-window counters.
 #: v4: no ``trace`` spec field; every result carries its phase times.
-CACHE_VERSION = "repro-exec-v4"
+#: v5: no node-wide shm eager pool (POWER8 at 160 ranks no longer queues).
+CACHE_VERSION = "repro-exec-v5"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_FSYNC = "REPRO_CACHE_FSYNC"

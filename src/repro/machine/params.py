@@ -64,7 +64,9 @@ class ModelParams:
     #: and its copies run at DRAM cost (Section VII-F's ~2 MB Broadwell knee)
     shm_cache_bytes: int = 1 << 20
     shm_large_factor: float = 2.0  # copy slowdown once cache-busting
-    shm_segment_slots: int = 64  # eager-pool chunk slots per node
+    #: unread (each shm transfer owns its ring); kept because e2ebench's
+    #: point keys hash repr(params), so dropping it moves every ref
+    shm_segment_slots: int = 64
 
     # --- plain memcpy (root copying its own block) ---
     memcpy_gbps: float = 6.0

@@ -14,7 +14,6 @@ plays three roles:
   (Fig. 9, Fig. 18's small-message regime).
 """
 
-from repro.shm.segment import SegmentPool
 from repro.shm.transport import ShmTransport, CHUNK_TAGS
 from repro.shm.collectives import (
     sm_bcast,
@@ -24,7 +23,6 @@ from repro.shm.collectives import (
 )
 
 __all__ = [
-    "SegmentPool",
     "ShmTransport",
     "CHUNK_TAGS",
     "sm_bcast",

@@ -16,27 +16,31 @@ No kernel involvement, hence no mm-lock contention: this is why
 shared-memory Bcast stays competitive below ~2 MB on Broadwell
 (Section VII-F).
 
+Each transfer owns its ring; there is no node-wide eager pool.  That is
+how the baseline libraries lay out their eager buffers too (MVAPICH2 and
+Intel MPI give each pair of ranks its own queue), so a dense two-copy
+Alltoall pays its two copies per message but never queues on another
+pair's slots.
+
 With one slot a multi-chunk transfer is a strict ping-pong: after chunk 0
 the sender and the receiver take turns adding ``n*shm_beta +
-shm_chunk_overhead`` to the clock, and the only state they share with
-anyone else is the segment semaphore.  When the pool cannot run out
-(:attr:`ShmTransport.collapse`) the train is *collapsed*: chunk 0 goes
-exactly as in the per-chunk protocol but carries the whole message's
-runs, the receiver folds the remaining turns into one absolute wake-up
-(:class:`~repro.sim.engine.WakeAt`) and then runs the same end cascade
-(write, release, final credit).  The transfer holds one slot throughout.
-It is exact because the fold is the same float additions in the same
-order as the per-chunk delays, the end cascade is unchanged, and
-:class:`~repro.shm.segment.SegmentPool` raises if a slot acquire would
-have to wait while a train holds a slot, or a train starts with acquires
-queued — the only ways the two protocols could part.
+shm_chunk_overhead`` to the clock, and they share no state with any
+other flow (chunks and credits match on the transfer's own tag).  So the
+train is *collapsed*: chunk 0 goes exactly as in the per-chunk protocol
+but carries the whole message's runs, the receiver folds the remaining
+turns into one absolute wake-up (:class:`~repro.sim.engine.WakeAt`) and
+then runs the same end cascade (write, final credit).  It is exact
+because the fold is the same float additions in the same order as the
+per-chunk delays, the end cascade is unchanged, and with no shared slot
+state nothing outside the pair can observe or delay the turns in
+between.  The per-chunk loop stays as the test oracle
+(:attr:`ShmTransport.collapse`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.shm.segment import SegmentPool
 from repro.sim.channels import Mailbox, Recv, Send
 from repro.sim.engine import Delay, WakeAt
 
@@ -69,19 +73,15 @@ class ShmTransport:
         self.params = params
         self.verify = verify
         self.mailboxes = [Mailbox(sim, owner=r) for r in range(nranks)]
-        self.segment = SegmentPool(sim, params, params.shm_segment_slots)
         self.ctrl_messages = 0
-        #: collapse multi-chunk trains (module docstring).  True when the
-        #: pool cannot run out: each rank drives at most one sender at a
-        #: time, holding one slot.  Flows beyond that (fault-fallback
-        #: helpers) must switch it off; the per-chunk loop is the oracle.
-        self.collapse = params.shm_segment_slots >= nranks
+        #: collapse multi-chunk trains (module docstring); tests switch it
+        #: off to run the per-chunk loop as the oracle
+        self.collapse = True
 
     def reset(self) -> None:
-        """Empty all mailboxes, restore segment slots, zero the ctrl count."""
+        """Empty all mailboxes and zero the ctrl count."""
         for mb in self.mailboxes:
             mb.reset()
-        self.segment.reset()
         self.ctrl_messages = 0
 
     def mailbox(self, rank: int) -> Mailbox:
@@ -153,10 +153,6 @@ class ShmTransport:
             if in_flight >= _RING_SLOTS:
                 yield Recv(self.mailboxes[src], src=dst, tag=("shm-credit", tag))
                 in_flight -= 1
-            # claim a slot in the node's eager pool (blocks on exhaustion)
-            yield self.segment.acquire_slot()
-            if train:
-                self.segment.begin_train()
             # copy-in: one pass over the chunk at shm bandwidth
             yield Delay(min(n, chunk) * p.shm_beta + p.shm_chunk_overhead)
             payload = None
@@ -215,11 +211,7 @@ class ShmTransport:
             if self.verify and out is not None and payload is not None:
                 buf, off = out
                 buf.write(off + got, payload)
-            # chunk drained: return the segment slot, credit the sender
-            yield (
-                self.segment.release_slot() if n <= chunk
-                else self.segment.end_train()
-            )
+            # chunk drained: credit the sender
             yield Send(
                 self.mailboxes[src],
                 src=me,

@@ -29,7 +29,7 @@ from repro.sim.engine import (
     FaultConvoy,
     Join,
 )
-from repro.sim.resources import Mutex, Semaphore
+from repro.sim.resources import Mutex
 from repro.sim.channels import Mailbox, Message, Send, Recv, ANY
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "FaultConvoy",
     "Join",
     "Mutex",
-    "Semaphore",
     "Mailbox",
     "Message",
     "Send",

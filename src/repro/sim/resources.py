@@ -24,7 +24,7 @@ from repro.sim.engine import SimError, _K_CGRANT
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import SimProcess, Simulator
 
-__all__ = ["Mutex", "Semaphore"]
+__all__ = ["Mutex"]
 
 
 class Mutex:
@@ -195,73 +195,3 @@ class Mutex:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         h = self.holder.name if self.holder else None
         return f"<Mutex {self.name} holder={h} waiters={len(self._waiters)}>"
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeups.
-
-    Used for pooled capacities (shared-segment slots): ``Acquire`` takes a
-    unit (blocking when none remain — the backpressure), ``Release``
-    returns one.  Unlike :class:`Mutex` there is no holder identity:
-    any process may release, which is exactly how a receiver frees a slot
-    the sender acquired.
-
-    Tracks ``total_wait_us``/``max_waiters`` the same way :class:`Mutex`
-    does, so slot backpressure shows up in stats next to lock contention.
-    """
-
-    __slots__ = ("sim", "name", "capacity", "available", "_waiters",
-                 "acquisitions", "total_wait_us", "max_waiters")
-
-    def __init__(self, sim: "Simulator", capacity: int, name: str = "sem"):
-        if capacity < 1:
-            raise SimError(f"semaphore capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.available = capacity
-        self._waiters: deque[tuple["SimProcess", float]] = deque()
-        self.acquisitions = 0
-        self.total_wait_us = 0.0
-        self.max_waiters = 0
-
-    def reset(self) -> None:
-        """Restore full capacity and drop waiters/statistics."""
-        self.available = self.capacity
-        self._waiters.clear()
-        self.acquisitions = 0
-        self.total_wait_us = 0.0
-        self.max_waiters = 0
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - self.available
-
-    # -- engine internals ----------------------------------------------------
-
-    def _acquire(self, proc: "SimProcess") -> None:
-        if self.available > 0:
-            self.available -= 1
-            self.acquisitions += 1
-            self.sim._schedule_resume(0.0, proc, None)
-        else:
-            self._waiters.append((proc, self.sim.now))
-            if len(self._waiters) > self.max_waiters:
-                self.max_waiters = len(self._waiters)
-
-    def _release(self, proc: "SimProcess") -> None:
-        if self._waiters:
-            nxt, since = self._waiters.popleft()
-            self.acquisitions += 1
-            self.total_wait_us += self.sim.now - since
-            self.sim._schedule_resume(0.0, nxt, None)
-        else:
-            if self.available >= self.capacity:
-                raise SimError(f"{self.name}: release past capacity")
-            self.available += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Semaphore {self.name} {self.available}/{self.capacity} "
-            f"waiters={len(self._waiters)}>"
-        )

@@ -281,6 +281,11 @@ class TestRunnerInterface:
             CollectiveSpec("scatter", "parallel_read", arch, procs=4, eta=0)
         with pytest.raises(ValueError):
             CollectiveSpec("scatter", "parallel_read", arch, procs=4, root=4)
+        with pytest.raises(ValueError, match="allreduce has no in-place"):
+            CollectiveSpec(
+                "allreduce", "reduce_bcast", arch, procs=4, in_place=True,
+                params={"k": 2},
+            )
 
     def test_plain_algorithms_reject_params(self):
         with pytest.raises(TypeError):

@@ -245,59 +245,3 @@ def test_contention_profile_decrements_on_release():
     assert lock.contention_profile(0) == (0, 0)
     assert lock._socket_counts == {}
 
-
-def test_semaphore_blocks_at_capacity_and_wakes_fifo():
-    from repro.sim import Semaphore
-
-    sim = Simulator()
-    sem = Semaphore(sim, capacity=2, name="slots")
-    order = []
-
-    def proc(tag):
-        yield Acquire(sem)
-        order.append(("in", tag, sim.now))
-        yield Delay(2.0)
-        yield Release(sem)
-
-    for tag in range(4):
-        sim.spawn(proc(tag))
-    sim.run()
-    assert [o[1] for o in order] == [0, 1, 2, 3]
-    # 0 and 1 enter instantly; 2 and 3 wait one full hold each
-    assert [o[2] for o in order] == pytest.approx([0.0, 0.0, 2.0, 2.0])
-
-
-def test_semaphore_wait_statistics():
-    from repro.sim import Semaphore
-
-    sim = Simulator()
-    sem = Semaphore(sim, capacity=1, name="slots")
-
-    def proc():
-        yield Acquire(sem)
-        yield Delay(3.0)
-        yield Release(sem)
-
-    for _ in range(3):
-        sim.spawn(proc())
-    sim.run()
-    assert sem.acquisitions == 3
-    # second waits 3, third waits 6
-    assert sem.total_wait_us == pytest.approx(9.0)
-    assert sem.max_waiters == 2
-    assert sem.available == sem.capacity
-
-
-def test_semaphore_release_past_capacity_fails():
-    from repro.sim import Semaphore
-
-    sim = Simulator()
-    sem = Semaphore(sim, capacity=1, name="slots")
-
-    def proc():
-        yield Release(sem)
-
-    p = sim.spawn(proc())
-    sim.run()
-    assert p.state == "failed"
-    assert isinstance(p.error, SimError)
