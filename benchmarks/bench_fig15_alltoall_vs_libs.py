@@ -6,9 +6,12 @@ a few percent for the largest messages, where raw data movement dominates
 every design.
 """
 
+import pytest
 
-def bench_fig15_alltoall_vs_libs(regen):
-    exp = regen("fig15")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     for name, d in exp.data.items():
         grid = d["grid"]
         sizes = sorted(grid)
@@ -23,3 +26,13 @@ def bench_fig15_alltoall_vs_libs(regen):
         assert max(gains.values()) > 1.05, name
         # ...but only modest improvement at the top end (bandwidth-bound)
         assert gains[sizes[-1]] < 2.0, name
+
+
+def bench_fig15_alltoall_vs_libs(regen):
+    _check_shapes(regen("fig15"))
+
+
+@pytest.mark.slow
+def bench_fig15_alltoall_vs_libs_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig15", quick=False))

@@ -37,7 +37,8 @@ def sweep_summary(stats) -> str:
     """One-line execution summary for a sweep (duck-typed
     :class:`~repro.exec.context.SweepStats`): how many points actually ran
     vs. came from the cache, on how many workers, and what the run points
-    cost in simulator events / compute wall time.  When the stats carry a
+    cost in simulator events / compute wall time, and how many cache
+    entries were published in how many group commits.  When the stats carry a
     per-kind breakdown (``by_kind``), each kind's run/hit counts are
     appended, so a table-compile run's cache misses can't hide inside a
     figure sweep's aggregate hit count."""
@@ -60,6 +61,12 @@ def sweep_summary(stats) -> str:
         fallbacks = getattr(stats, "sched_fallbacks", 0)
         if fallbacks:
             line += f", {fallbacks} fallback pts"
+    flushes = getattr(stats, "cache_flushes", 0)
+    if flushes:
+        line += (
+            f"; cache: {getattr(stats, 'cache_puts', 0)} puts "
+            f"in {flushes} flushes"
+        )
     quarantined = getattr(stats, "cache_quarantined", 0)
     if quarantined:
         line += f"; {quarantined} quarantined"

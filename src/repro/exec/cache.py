@@ -15,20 +15,29 @@ and the caller recomputes and overwrites.  Quarantine is bounded: it
 keeps at most :data:`DEFAULT_MAX_QUARANTINE` entries (oldest evicted), so
 a recurring corruption source cannot grow the directory without limit.
 
-``get_many`` / ``put_many`` are the sweep-facing batched forms: one call
-covers a whole point list, amortising shard-directory bookkeeping (and,
-for writes, the ``mkdir`` probe per shard) across the batch instead of
-paying it per point.
+``get_many`` is the sweep-facing batched read: one ``scandir`` per shard
+directory touched instead of one failed ``open`` per missing key.
 
-Writes are crash-safe, not just atomic: the entry is written to a temp
-file *in the same shard*, flushed and fsync'd, then ``os.replace``'d over
-the target — a kill between write and rename leaves only a stray
-``.tmp-`` file (never a truncated envelope), and a kill after the rename
-leaves a fully durable entry.  ``REPRO_CACHE_FSYNC=0`` trades the
-power-loss guarantee for write speed (the rename alone already protects
-against process death).  Under an armed chaos plan (:mod:`repro.exec.chaos`)
-``put`` is also the injection site for ``corrupt`` / ``truncate`` /
-``tear`` attacks, which the CRC quarantine must absorb.
+Writes are group-committed.  Inside :meth:`ResultCache.batch` (re-entrant;
+:func:`~repro.exec.sweep.sweep` and :func:`~repro.exec.sweep.cached_call`
+open one around their cache work) ``put`` pickles the entry at once but
+only stages it, and reads serve staged entries as fresh copies.  The
+outermost batch publishes everything staged when it closes, normally or
+by an exception, and so does the first ``put`` that finds the oldest
+staged entry :data:`MAX_STAGE_AGE_S` old.  Outside a batch ``put``
+publishes its one entry at once.
+
+Publication is crash-safe, not just atomic, and takes three passes: every
+entry is written to a temp file *in its shard*, every temp file is
+fsync'd, then each is ``os.replace``'d over its target.  No entry becomes
+visible before the disk holds it: a kill mid-publication leaves stray
+``.tmp-`` files and whole entries, never a truncated envelope, and a kill
+mid-batch loses only what was staged (about a second of computed points,
+which the sweep journal, :mod:`repro.exec.journal`, still records).
+Under an armed chaos plan (:mod:`repro.exec.chaos`) every staged entry
+draws a ``corrupt`` / ``truncate`` / ``tear`` attack, in ``put`` order,
+which lands when the entry is published and which the CRC quarantine
+must absorb.
 """
 
 from __future__ import annotations
@@ -36,9 +45,13 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.exec import chaos as _chaos
 from repro.exec.keying import digest
@@ -47,10 +60,9 @@ __all__ = [
     "ResultCache",
     "CACHE_VERSION",
     "ENV_CACHE_DIR",
-    "ENV_CACHE_FSYNC",
     "DEFAULT_MAX_QUARANTINE",
+    "MAX_STAGE_AGE_S",
     "default_cache_dir",
-    "resolve_cache_fsync",
 ]
 
 #: Code-version salt baked into every key and entry.  Bump whenever the
@@ -64,7 +76,6 @@ __all__ = [
 CACHE_VERSION = "repro-exec-v5"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_FSYNC = "REPRO_CACHE_FSYNC"
 
 #: hex-prefix length of a key's shard directory (256 shards)
 _SHARD_WIDTH = 2
@@ -73,6 +84,13 @@ _SHARD_WIDTH = 2
 #: beyond it the oldest files are evicted so a recurring corruption
 #: source (bad disk, torn writer) cannot grow the directory unboundedly.
 DEFAULT_MAX_QUARANTINE = 64
+
+#: an open batch publishes at the first ``put`` that finds its oldest
+#: staged entry this many seconds old, bounding what a kill can lose
+MAX_STAGE_AGE_S = 1.0
+
+#: the staging clock (a module global so tests can substitute a fake one)
+_clock = time.monotonic
 
 _QUARANTINE_DIR = "quarantine"
 
@@ -84,12 +102,30 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-exec"
 
 
-def resolve_cache_fsync(fsync: Optional[bool] = None) -> bool:
-    """Explicit argument > ``REPRO_CACHE_FSYNC`` > on."""
-    if fsync is not None:
-        return bool(fsync)
-    raw = os.environ.get(ENV_CACHE_FSYNC, "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
+class _Staged(NamedTuple):
+    """One entry awaiting publication."""
+
+    path: Path
+    #: the pickled value (what the CRC covers and staged reads unpickle)
+    payload: bytes
+    #: the pickled envelope: the exact bytes the entry file will hold
+    blob: bytes
+    #: the chaos attack drawn for this entry, or None
+    attack: Any
+
+
+def _fsync_path(path: str) -> bool:
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        os.fsync(fd)
+        return True
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
 
 
 class ResultCache:
@@ -111,17 +147,23 @@ class ResultCache:
         root: Optional[os.PathLike | str] = None,
         salt: str = CACHE_VERSION,
         max_quarantine: int = DEFAULT_MAX_QUARANTINE,
-        fsync: Optional[bool] = None,
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt
-        self.fsync = resolve_cache_fsync(fsync)
         self.max_quarantine = max(int(max_quarantine), 1)
         #: entries found corrupt and moved aside since construction
         self.quarantined = 0
-        #: shard directories already mkdir'd by this instance — ``put``
-        #: pays the probe once per shard, not once per entry
+        #: publications made since construction, and the entries in them
+        self.flushes = 0
+        self.flushed = 0
+        #: shard directories already mkdir'd by this instance — a
+        #: publication pays the probe once per shard, not once per entry
         self._dirs_made: set = set()
+        #: key -> entry staged by an open batch, in ``put`` order
+        self._staged: Dict[str, _Staged] = {}
+        self._staged_since = 0.0
+        self._depth = 0
+        self._pid = os.getpid()
 
     def key_for(self, kind: str, payload: Any) -> str:
         return digest(kind, payload, self.salt)
@@ -159,6 +201,15 @@ class ResultCache:
             return "stale", None
         return "corrupt", None
 
+    def _read_staged(self, key: str) -> Optional[Tuple[bool, Any]]:
+        """A staged entry as a disk hit would serve it (a fresh copy), or
+        None when ``key`` is not staged.  An entry drawn for a chaos
+        attack reads as the disk holds it until its publication."""
+        entry = self._staged.get(key)
+        if entry is None or entry.attack is not None:
+            return None
+        return True, pickle.loads(entry.payload)
+
     def _dispose(self, status: str, path: Path) -> None:
         if status == "stale":
             try:
@@ -170,6 +221,9 @@ class ResultCache:
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; corrupted/stale entries count as misses."""
+        staged = self._read_staged(key)
+        if staged is not None:
+            return staged
         path = self.path_for(key)
         status, value = self._read_entry(path)
         if status == "hit":
@@ -201,6 +255,10 @@ class ResultCache:
 
         out: List[Tuple[bool, Any]] = []
         for key in keys:
+            staged = self._read_staged(key)
+            if staged is not None:
+                out.append(staged)
+                continue
             path = self.path_for(key)
             if path.name in names_in(path.parent):
                 status, value = self._read_entry(path)
@@ -211,12 +269,7 @@ class ResultCache:
             out.append((False, None))
         return out
 
-    # -- writes --------------------------------------------------------------
-
-    def _ensure_dir(self, parent: Path) -> None:
-        if parent not in self._dirs_made:
-            parent.mkdir(parents=True, exist_ok=True)
-            self._dirs_made.add(parent)
+    # -- quarantine ----------------------------------------------------------
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (or delete it if that fails), then
@@ -261,52 +314,142 @@ class ResultCache:
         except OSError:
             return 0
 
+    # -- writes --------------------------------------------------------------
+
+    @property
+    def batching(self) -> bool:
+        """Whether a :meth:`batch` is open (``put`` only stages)."""
+        return self._depth > 0
+
+    @contextmanager
+    def batch(self) -> Iterator["ResultCache"]:
+        """Group-commit the ``put`` calls made inside.
+
+        Re-entrant: a nested batch joins the outer one, and only the
+        outermost exit publishes — on a normal exit and on an exception
+        alike, so a failing sweep still keeps the points it completed.
+        """
+        self._forget_parent_batch()
+        self._depth += 1
+        try:
+            yield self
+        finally:
+            self._depth -= 1
+            if self._depth == 0 and self._staged:
+                self.put_many(())
+
     def put(self, key: str, value: Any) -> None:
-        path = self.path_for(key)
+        """A one-entry :meth:`put_many`."""
+        self.put_many(((key, value),))
+
+    def put_many(self, pairs: Iterable[Tuple[str, Any]]) -> None:
+        """Stage ``pairs``, then publish everything staged — unless a
+        batch is open and its oldest entry is younger than
+        :data:`MAX_STAGE_AGE_S`."""
+        self._forget_parent_batch()
+        for key, value in pairs:
+            self._stage(key, value)
+        if self._staged and (
+            self._depth == 0
+            or _clock() - self._staged_since >= MAX_STAGE_AGE_S
+        ):
+            entries = list(self._staged.values())
+            self._staged = {}
+            self._publish(entries)
+
+    def _forget_parent_batch(self) -> None:
+        # A forked pool worker inherits its parent's open batch: it must
+        # neither publish the parent's entries nor wait on its batch.
+        if self._pid != os.getpid():
+            self._pid = os.getpid()
+            self._staged = {}
+            self._depth = 0
+
+    def _stage(self, key: str, value: Any) -> None:
+        """Pickle ``value`` into its envelope now (a caller mutating the
+        value afterwards cannot change what gets published) and draw its
+        chaos attack in ``put`` order."""
         cst = _chaos.state()
         attack = cst.draw("cache") if cst is not None else None
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            self._ensure_dir(path.parent)
-            try:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            except FileNotFoundError:
-                # Shard dir removed externally since we memoised it.
-                self._dirs_made.discard(path.parent)
-                self._ensure_dir(path.parent)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    pickle.dump(
-                        {
-                            "salt": self.salt,
-                            "crc": zlib.crc32(payload),
-                            "payload": payload,
-                        },
-                        f,
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    f.flush()
-                    if self.fsync:
-                        # Durable before visible: the rename below must
-                        # never publish an entry the disk doesn't hold yet.
-                        os.fsync(f.fileno())
+        except pickle.PicklingError:
+            return
+        blob = pickle.dumps(
+            {"salt": self.salt, "crc": zlib.crc32(payload), "payload": payload},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        if not self._staged:
+            self._staged_since = _clock()
+        self._staged[key] = _Staged(self.path_for(key), payload, blob, attack)
+
+    def _publish(self, entries: List[_Staged]) -> None:
+        """Make ``entries`` durable, then visible: write every temp file,
+        fsync each, then rename each over its target.  Best-effort per
+        entry; a temp file that is not renamed is removed (except under a
+        chaos ``tear``)."""
+        self.flushes += 1
+        self.flushed += len(entries)
+        pending: Dict[str, _Staged] = {}
+        try:
+            for entry in entries:
+                tmp = self._write_temp(entry)
+                if tmp is not None:
+                    pending[tmp] = entry
+            synced = [tmp for tmp in pending if _fsync_path(tmp)]
+            for tmp in synced:
+                entry = pending[tmp]
+                attack = entry.attack
                 if attack is not None and attack.kind == "tear":
                     # Chaos: abandon the swap mid-publication — exactly
-                    # the state a kill between write and replace leaves
+                    # the state a kill between fsync and replace leaves
                     # (a stray .tmp- file, target untouched).
-                    return
-                os.replace(tmp, path)
-            except BaseException:
+                    del pending[tmp]
+                    continue
+                try:
+                    os.replace(tmp, entry.path)
+                except OSError:
+                    continue
+                del pending[tmp]
+                if attack is not None:
+                    self._chaos_mangle(entry.path, attack.kind)
+        finally:
+            for tmp in pending:
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
-                raise
-            if attack is not None:
-                self._chaos_mangle(path, attack.kind)
-        except (OSError, pickle.PicklingError):
+
+    def _write_temp(self, entry: _Staged) -> Optional[str]:
+        """Write ``entry`` to a fresh ``.tmp-`` file in its shard; returns
+        its path, or None when the shard is unwritable."""
+        parent = entry.path.parent
+        try:
+            if parent not in self._dirs_made:
+                parent.mkdir(parents=True, exist_ok=True)
+                self._dirs_made.add(parent)
+            try:
+                fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
+            except FileNotFoundError:
+                # Shard dir removed externally since we memoised it.
+                parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-")
+        except OSError:
+            return None
+        written = False
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(entry.blob)
+            written = True
+        except OSError:
             pass
+        finally:
+            if not written:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+        return tmp if written else None
 
     def _chaos_mangle(self, path: Path, kind: str) -> None:
         """Damage the just-published entry at rest (chaos ``corrupt`` /
@@ -326,9 +469,3 @@ class ResultCache:
                     f.truncate(max(size // 2, 1))
         except OSError:
             pass
-
-    def put_many(self, pairs: Iterable[Tuple[str, Any]]) -> None:
-        """Batched :meth:`put` — same atomic per-entry writes, shard-dir
-        creation amortised across the batch (see :meth:`_ensure_dir`)."""
-        for key, value in pairs:
-            self.put(key, value)

@@ -66,6 +66,11 @@ class SweepStats:
     sched_chunks: int = 0
     sched_points: int = 0
     sched_fallbacks: int = 0
+    #: cache entries published and the publications that carried them
+    #: (each top-level sweep or fit publishes once, plus once a second
+    #: on long sweeps; see repro.exec.cache)
+    cache_puts: int = 0
+    cache_flushes: int = 0
     #: corrupt cache entries currently quarantined (count as of the last
     #: sweep; the cache bounds the directory, see repro.exec.cache)
     cache_quarantined: int = 0
@@ -117,6 +122,8 @@ class SweepStats:
         self.sched_chunks += other.sched_chunks
         self.sched_points += other.sched_points
         self.sched_fallbacks += other.sched_fallbacks
+        self.cache_puts += other.cache_puts
+        self.cache_flushes += other.cache_flushes
         self.journal_replayed += other.journal_replayed
         self.sched_respawns += other.sched_respawns
         self.sched_hung_kills += other.sched_hung_kills

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import inspect
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.runner import CollectiveResult, CollectiveSpec
 from repro.core.runner import run_collective as _run_collective_fresh
@@ -45,6 +48,26 @@ __all__ = [
 ]
 
 _MISS = object()
+
+
+@contextmanager
+def _group_commit(ctx) -> Iterator[None]:
+    """Hold the context cache's writes in one
+    :meth:`~repro.exec.cache.ResultCache.batch`; the outermost batch counts
+    its publications into the context's stats."""
+    cache = ctx.cache if ctx is not None else None
+    if cache is None:
+        yield
+        return
+    outer = not cache.batching
+    flushes, flushed = cache.flushes, cache.flushed
+    try:
+        with cache.batch():
+            yield
+    finally:
+        if outer:
+            ctx.stats.cache_flushes += cache.flushes - flushes
+            ctx.stats.cache_puts += cache.flushed - flushed
 
 
 def sweep(
@@ -74,18 +97,25 @@ def sweep(
     Dispatch: when :meth:`~repro.exec.context.ExecContext.sched_pool`
     returns a pool, cache misses go through ``pool.run``
     (:mod:`repro.exec.sched`) — groups priced by :func:`point_cost` and
-    handed out biggest first, results streamed back with cache writes
-    overlapped against the remaining compute.  Otherwise (no context, a
-    serial context, a single miss, one usable CPU or a tripped circuit
-    breaker) the misses run in a plain in-process loop, in input order.
-    Either way every computed value is decoded, cached and journalled
-    through one callback, and the values are bit-identical
-    (``tests/test_sched.py``).
+    handed out biggest first, results streamed back as chunks complete.
+    Otherwise (no context, a serial context, a single miss, one usable CPU
+    or a tripped circuit breaker) the misses run in a plain in-process
+    loop, in input order.  Either way every computed value is decoded,
+    staged into the cache and journalled through one callback, and the
+    values are bit-identical (``tests/test_sched.py``).
+
+    Cache writes are group-committed: the sweep runs inside one
+    :meth:`~repro.exec.cache.ResultCache.batch` (a sweep nested in another
+    sweep or in :func:`cached_call` joins the outer one), so the outermost
+    publishes the computed values in one fsync pass when it ends — or
+    raises — and a long sweep publishes about once a second
+    (:data:`~repro.exec.cache.MAX_STAGE_AGE_S`).
 
     Crash safety: with a journal configured
     (:attr:`~repro.exec.context.ExecContext.journal_dir`) every computed
     value is appended to a write-ahead log before the sweep moves on;
-    re-running the same sweep after a kill replays the logged points —
+    re-running the same sweep after a kill replays the logged points
+    (including any a kill caught staged but not yet published) —
     values bit-identical, cache state restored — and only computes the
     rest.  Points quarantined by the scheduler's poison ladder arrive as
     :class:`~repro.exec.sched.PoisonedPoint` markers in the result list
@@ -118,6 +148,7 @@ def sweep(
     # on-disk state an uninterrupted one would have.
     jlog = None
     replayed = 0
+    replay_put: List[Tuple[str, Any]] = []
     journal = ctx.journal() if ctx is not None else None
     if journal is not None and miss:
         if cache is not None:
@@ -133,7 +164,6 @@ def sweep(
         jlog = journal.open_sweep(kind, digests)
         if jlog.replayed:
             still: List[int] = []
-            replay_put = []
             for i in miss:
                 value = jlog.replayed.get(i, _MISS)
                 if value is _MISS:
@@ -144,16 +174,14 @@ def sweep(
                 if cache is not None:
                     replay_put.append((keys[i], value))
             miss = still
-            if replay_put:
-                cache.put_many(replay_put)
 
     run_wall = 0.0
     sim_events = 0
     breaker = ctx.breaker if ctx is not None else None
 
     def on_result(j: int, value: Any) -> None:
-        # Pooled points stream back as chunks complete: decode and write
-        # to the cache *now*, overlapped with the chunks still computing.
+        # Pooled points stream back as chunks complete: decode, stage into
+        # the cache's batch and journal each one as it arrives.
         nonlocal sim_events
         i = miss[j]
         if isinstance(value, PoisonedPoint):
@@ -179,28 +207,37 @@ def sweep(
             jlog.record(i, value)
 
     try:
-        if miss:
-            miss_points = [points[i] for i in miss]
-            t0 = time.perf_counter()
-            # No pool (serial context, one usable CPU, a tripped breaker)
-            # means the plain loop, in input order.
-            pool = ctx.sched_pool() if ctx is not None and len(miss) > 1 else None
-            if pool is None:
-                for j, pt in enumerate(miss_points):
-                    on_result(j, runner(pt))
-            else:
-                _, sstats = pool.run(
-                    runner,
-                    miss_points,
-                    costs=[point_cost(p) for p in miss_points],
-                    groups=(
-                        [group_key(p) for p in miss_points]
-                        if group_key is not None else None
-                    ),
-                    on_result=on_result,
+        # One group commit for the sweep's writes (nested sweeps join the
+        # outermost): entries are staged as they arrive and published,
+        # durable, when it closes — also when a point raises.
+        with _group_commit(ctx):
+            if replay_put:
+                cache.put_many(replay_put)
+            if miss:
+                miss_points = [points[i] for i in miss]
+                t0 = time.perf_counter()
+                # No pool (serial context, one usable CPU, a tripped breaker)
+                # means the plain loop, in input order.
+                pool = (
+                    ctx.sched_pool()
+                    if ctx is not None and len(miss) > 1 else None
                 )
-                ctx.stats.record_sched(sstats)
-            run_wall = time.perf_counter() - t0
+                if pool is None:
+                    for j, pt in enumerate(miss_points):
+                        on_result(j, runner(pt))
+                else:
+                    _, sstats = pool.run(
+                        runner,
+                        miss_points,
+                        costs=[point_cost(p) for p in miss_points],
+                        groups=(
+                            [group_key(p) for p in miss_points]
+                            if group_key is not None else None
+                        ),
+                        on_result=on_result,
+                    )
+                    ctx.stats.record_sched(sstats)
+                run_wall = time.perf_counter() - t0
     except BaseException:
         # The sweep did NOT complete: keep the journal for the resume.
         if jlog is not None:
@@ -487,23 +524,26 @@ def sweep_microbench(fn_name: str, calls: Sequence[Tuple[Any, tuple, dict]]) -> 
 def cached_call(kind: str, payload: Any, compute: Callable[[], Any]) -> Any:
     """Memoise one expensive computation in the active context's cache.
 
-    With no context (or no cache) this is just ``compute()``.
+    With no context (or no cache) this is just ``compute()``.  The
+    computation runs inside one cache batch, so the sweeps it makes (a
+    fit's microbenchmarks) are published together with its own value.
     """
     ctx = _context.current()
     if ctx is None or ctx.cache is None:
         return compute()
-    key = ctx.cache.key_for(kind, payload)
-    hit, value = ctx.cache.get(key)
-    ctx.stats.points_total += 1
-    if hit:
-        ctx.stats.cache_hits += 1
-        ctx.stats.record_kind(kind, 1, 0, 1)
-        return value
-    t0 = time.perf_counter()
-    value = compute()
-    ctx.stats.run_wall_s += time.perf_counter() - t0
-    ctx.stats.points_run += 1
-    ctx.stats.sim_events += getattr(value, "sim_events", 0) or 0
-    ctx.stats.record_kind(kind, 1, 1, 0)
-    ctx.cache.put(key, value)
+    with _group_commit(ctx):
+        key = ctx.cache.key_for(kind, payload)
+        hit, value = ctx.cache.get(key)
+        ctx.stats.points_total += 1
+        if hit:
+            ctx.stats.cache_hits += 1
+            ctx.stats.record_kind(kind, 1, 0, 1)
+            return value
+        t0 = time.perf_counter()
+        value = compute()
+        ctx.stats.run_wall_s += time.perf_counter() - t0
+        ctx.stats.points_run += 1
+        ctx.stats.sim_events += getattr(value, "sim_events", 0) or 0
+        ctx.stats.record_kind(kind, 1, 1, 0)
+        ctx.cache.put(key, value)
     return value

@@ -8,6 +8,7 @@ misses and be recomputed silently.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.report import sweep_summary
 from repro.core.runner import CollectiveSpec
 from repro.exec import ExecContext, ResultCache, use_context
-from repro.exec.sweep import cached_call
+from repro.exec.sweep import cached_call, sweep
 from repro.machine import make_generic
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -302,3 +304,264 @@ def test_put_get_roundtrip_and_atomicity(tmp_path):
     hit, value = cache.get(key)
     assert hit and value == {"value": [1, 2, 3]}
     assert not list((tmp_path / "cache").rglob("*.tmp*")), "no temp litter"
+
+
+# -- group commit ------------------------------------------------------------
+
+
+def _visible(root) -> list:
+    """Published entries under ``root`` (temp files and quarantine aside)."""
+    return sorted(
+        p for p in Path(root).rglob("*.pkl") if "quarantine" not in p.parts
+    )
+
+
+def _square(x):
+    return x * x
+
+
+def _raise_at_3(i):
+    if i == 3:
+        raise RuntimeError("point 3 fails")
+    return {"i": i}
+
+
+def _kill_value(i):
+    return {"i": i, "sq": i * i, "pad": b"x" * (40 * i)}
+
+
+_KILL_SCRIPT = """
+import os, signal, sys
+import repro.exec.cache as cache_mod
+from repro.exec import ExecContext, ResultCache, use_context
+from repro.exec.sweep import sweep
+
+mode, root = sys.argv[1], sys.argv[2]
+now = [0.0]
+cache_mod._clock = lambda: now[0]
+
+
+def runner(i):
+    if mode == "compute" and i == 6:
+        os.kill(os.getpid(), signal.SIGKILL)
+    now[0] += 0.4  # so the one-second bound publishes points 0-3 mid-sweep
+    return {"i": i, "sq": i * i, "pad": b"x" * (40 * i)}
+
+
+if mode == "publish":
+    real_replace, done = os.replace, [0]
+
+    def replace(src, dst):
+        if done[0] == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        done[0] += 1
+        real_replace(src, dst)
+
+    os.replace = replace
+
+with use_context(ExecContext(workers=1, cache=ResultCache(root), journal=False)):
+    sweep("kill-test", runner, list(range(12)))
+"""
+
+
+class TestGroupCommit:
+    """Writes inside a batch are staged, then published in one pass that
+    makes every entry durable before any becomes visible."""
+
+    def test_staged_entries_appear_only_when_outermost_batch_closes(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        keys = [cache.key_for("gc", i) for i in range(6)]
+        with cache.batch():
+            for i, key in enumerate(keys):
+                cache.put(key, i)
+            assert _visible(cache.root) == []
+            assert cache.get(keys[2]) == (True, 2)  # served from staging
+            assert cache.get_many(keys) == [(True, i) for i in range(6)]
+        assert len(_visible(cache.root)) == 6
+        assert (cache.flushes, cache.flushed) == (1, 6)
+        fresh = ResultCache(cache.root)
+        assert fresh.get_many(keys) == [(True, i) for i in range(6)]
+        assert not list(cache.root.rglob(".tmp-*")), "no temp litter"
+
+    def test_nested_batches_join_the_outer_one(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with cache.batch():
+            cache.put(cache.key_for("gc", "outer"), "outer")
+            with cache.batch():
+                assert cache.batching
+                cache.put(cache.key_for("gc", "inner"), "inner")
+            assert cache.batching and cache.flushes == 0
+            assert _visible(cache.root) == []
+        assert not cache.batching
+        assert len(_visible(cache.root)) == 2
+        assert cache.flushes == 1
+
+    def test_put_outside_a_batch_publishes_at_once(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(cache.key_for("gc", 1), 1)
+        assert len(_visible(cache.root)) == 1
+        assert (cache.flushes, cache.flushed) == (1, 1)
+
+    def test_forked_child_publishes_its_own_puts_only(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        parent_key = cache.key_for("gc-fork", "parent")
+        child_key = cache.key_for("gc-fork", "child")
+        with cache.batch():
+            cache.put(parent_key, "parent")
+            pid = os.fork()
+            if pid == 0:  # a pool worker: it inherits the open batch
+                code = 1
+                try:
+                    cache.put(child_key, "child")
+                    code = 2 if cache.batching else 0
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert [p.stem for p in _visible(cache.root)] == [child_key]
+        assert sorted(p.stem for p in _visible(cache.root)) == sorted(
+            [parent_key, child_key]
+        )
+
+    def test_raising_sweep_still_publishes_completed_points(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with use_context(ExecContext(workers=1, cache=cache)) as ctx:
+            with pytest.raises(RuntimeError, match="point 3"):
+                sweep("gc-raise", _raise_at_3, list(range(6)))
+        assert len(_visible(cache.root)) == 3
+        fresh = ResultCache(cache.root)
+        keys = [fresh.key_for("gc-raise", i) for i in range(6)]
+        assert fresh.get_many(keys) == (
+            [(True, {"i": i}) for i in range(3)] + [(False, None)] * 3
+        )
+        assert (ctx.stats.cache_puts, ctx.stats.cache_flushes) == (3, 1)
+
+    def test_every_fsync_runs_before_the_first_replace(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        with cache.batch():
+            for i in range(8):
+                cache.put(cache.key_for("gc-order", i), i)
+            assert events == []
+        assert events == ["fsync"] * 8 + ["replace"] * 8
+
+    def test_staged_hit_is_a_fresh_copy(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = cache.key_for("gc-copy", 0)
+        value = {"rows": [1, 2]}
+        with cache.batch():
+            cache.put(key, value)
+            value["rows"].append("mutated after put")
+            hit, got = cache.get(key)
+            assert hit and got == {"rows": [1, 2]}
+            got["rows"].append("mutated after get")
+            [(hit, again)] = cache.get_many([key])
+            assert hit and again == {"rows": [1, 2]} and again is not got
+        # The published bytes are those of the value as it was put.
+        ref = ResultCache(tmp_path / "ref")
+        ref.put(key, {"rows": [1, 2]})
+        assert cache.path_for(key).read_bytes() == (
+            ref.path_for(key).read_bytes()
+        )
+
+    def test_one_second_bound_publishes_mid_sweep(self, tmp_path, monkeypatch):
+        import repro.exec.cache as cache_mod
+
+        now = [0.0]
+        monkeypatch.setattr(cache_mod, "_clock", lambda: now[0])
+        cache = ResultCache(tmp_path / "cache")
+        seen = []
+
+        def tick(i):
+            seen.append(len(_visible(cache.root)))
+            now[0] += 0.4
+            return i
+
+        with use_context(ExecContext(workers=1, cache=cache)) as ctx:
+            assert sweep("gc-age", tick, list(range(6))) == list(range(6))
+        # staged at t=0.4..1.6; the put at 1.6 finds the oldest 1.2 s old
+        assert seen == [0, 0, 0, 0, 4, 4]
+        assert (ctx.stats.cache_puts, ctx.stats.cache_flushes) == (6, 2)
+        assert "6 puts in 2 flushes" in sweep_summary(ctx.stats)
+
+    def test_cached_call_publishes_its_nested_sweep_once(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+
+        def fit():
+            return sum(sweep("gc-inner", _square, [1, 2, 3]))
+
+        with use_context(ExecContext(workers=1, cache=cache)) as ctx:
+            assert cached_call("gc-fit", ("p",), fit) == 14
+        assert len(_visible(cache.root)) == 4
+        assert (ctx.stats.cache_puts, ctx.stats.cache_flushes) == (4, 1)
+
+    @pytest.mark.parametrize("kind", ["corrupt", "truncate", "tear"])
+    def test_chaos_attacks_land_on_batched_entries(
+        self, tmp_path, monkeypatch, kind
+    ):
+        from repro.exec import chaos
+
+        cache = ResultCache(tmp_path / "cache")
+        keys = [cache.key_for("gc-chaos", i) for i in range(4)]
+        monkeypatch.setenv(chaos.ENV_CHAOS, f"1:{kind}@1.0")
+        chaos.reset_state()
+        try:
+            with cache.batch():
+                for i, key in enumerate(keys):
+                    cache.put(key, list(range(50 + i)))
+                # an attacked entry reads as the disk holds it: absent
+                assert cache.get_many(keys) == [(False, None)] * 4
+        finally:
+            monkeypatch.delenv(chaos.ENV_CHAOS)
+            chaos.reset_state()
+        fresh = ResultCache(cache.root)
+        assert fresh.get_many(keys) == [(False, None)] * 4
+        if kind == "tear":
+            assert _visible(cache.root) == []
+            assert len(list(cache.root.rglob(".tmp-*"))) == 4
+        else:
+            assert fresh.quarantine_count() == 4
+        fresh.put_many((key, i) for i, key in enumerate(keys))
+        assert fresh.get_many(keys) == [(True, i) for i in range(4)]
+
+    @pytest.mark.parametrize("mode", ["compute", "publish"])
+    def test_sigkill_mid_batch_leaves_only_whole_entries(self, tmp_path, mode):
+        root = tmp_path / "cache"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = REPO_SRC
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_SCRIPT, mode, str(root)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == -9, proc.stderr
+        visible = _visible(root)
+        # compute: points 0-3 were published before the kill at point 6;
+        # publish: the kill came after two of the four renames.
+        assert len(visible) == (4 if mode == "compute" else 2)
+        cache = ResultCache(root)
+        for path in visible:
+            assert cache.get(path.stem)[0], f"{path.name} fails its CRC"
+        assert cache.quarantine_count() == 0
+        expected = [pickle.dumps(_kill_value(i)) for i in range(12)]
+        for _ in range(2):  # recompute the rest, then serve it all warm
+            with use_context(ExecContext(workers=1, cache=root)) as ctx:
+                again = sweep("kill-test", _kill_value, list(range(12)))
+            assert [pickle.dumps(v) for v in again] == expected
+        assert ctx.stats.cache_hits == 12
