@@ -12,8 +12,11 @@ The pipeline mirrors the paper exactly:
    'lock' + 'pin' span total bit for bit, so the sweep runs untraced on
    the engine's convoy fast path.
 3. Fit ``gamma(c) = 1 + g1*(c-1) + g2*(c-1)^2`` with
-   ``scipy.optimize.curve_fit`` (Levenberg-Marquardt — the Marquardt
-   citation in the paper), optionally with the socket-spill knee.
+   ``scipy.optimize.curve_fit``, optionally with the socket-spill knee.
+   The paper cites Marquardt's Levenberg-Marquardt method; the
+   coefficients here are bounded to be non-negative, and ``curve_fit``
+   with ``bounds`` runs the Trust Region Reflective (TRF) solver
+   instead.
 
 Because the simulator's contention is *emergent* (queueing on a bounced
 lock, nothing closed-form), the fit is a real inference step: tests check

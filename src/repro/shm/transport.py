@@ -202,9 +202,16 @@ class ShmTransport:
             else:
                 # chunk 0's copy-out, then copy-in and copy-out of each
                 # later chunk: the per-chunk delays' additions, in order
-                t = self.sim.now + (chunk * p.shm_beta + p.shm_chunk_overhead)
-                for k in range(chunk, n, chunk):
-                    c = min(chunk, n - k) * p.shm_beta + p.shm_chunk_overhead
+                beta = p.shm_beta
+                ovh = p.shm_chunk_overhead
+                full = chunk * beta + ovh
+                t = self.sim.now + full
+                for _ in range(n // chunk - 1):
+                    t += full
+                    t += full
+                rem = n % chunk
+                if rem:
+                    c = rem * beta + ovh
                     t += c
                     t += c
                 yield WakeAt(t)

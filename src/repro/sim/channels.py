@@ -5,6 +5,13 @@ RTS/CTS rendezvous packets).  Transfer cost is whatever latency the caller
 passes to ``Send``; the shared-memory transport layer decides that number.
 Matching follows MPI semantics: a receive selects the oldest message whose
 (source, tag) match, with ``ANY`` wildcards.
+
+``Send`` and ``Recv`` carry data only: :meth:`Simulator.run
+<repro.sim.engine.Simulator.run>` dispatches them itself (and
+``Simulator._dispatch`` for a process resumed by an exception).  A send
+becomes a ``_K_DELIVER`` record that calls :meth:`Mailbox.deliver`; a
+receive scans the queue like :meth:`Mailbox._post`, which the out-of-line
+path calls and the run loop open-codes.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ class Mailbox:
         self._queue.append(msg)
 
     def _post(self, proc: "SimProcess", src: Any, tag: Any) -> None:
+        """Post a receive: resume ``proc`` with the oldest queued match, or
+        wait for :meth:`deliver`.  ``Simulator.run`` open-codes this scan;
+        keep both in sync."""
         for i, msg in enumerate(self._queue):
             if _matches(msg, src, tag):
                 del self._queue[i]
@@ -116,13 +126,6 @@ class Send(Command):
         self.latency = latency
         self.overhead = overhead
 
-    def _dispatch(self, sim: "Simulator", proc: "SimProcess") -> None:
-        msg = Message(self.src, self.tag, self.payload, sim.now)
-        # Delivery is scheduled before the sender's continuation: at equal
-        # latency/overhead the receiver's wakeup keeps its FIFO precedence.
-        sim._schedule_deliver(self.latency, self.mailbox, msg)
-        sim._schedule_resume(self.overhead, proc, None)
-
 
 class Recv(Command):
     """Block until a matching message is available; evaluates to it."""
@@ -133,6 +136,3 @@ class Recv(Command):
         self.mailbox = mailbox
         self.src = src
         self.tag = tag
-
-    def _dispatch(self, sim: "Simulator", proc: "SimProcess") -> None:
-        self.mailbox._post(proc, self.src, self.tag)

@@ -501,14 +501,6 @@ class Simulator:
                 self._heap, (self.now + dt, next(self._seq), _K_RESUME, proc, value)
             )
 
-    def _schedule_throw(self, dt: float, proc: "SimProcess", exc: BaseException) -> None:
-        """Resume ``proc`` by raising ``exc`` inside it after ``dt``."""
-        self._push(dt, _K_THROW, proc, exc)
-
-    def _schedule_deliver(self, dt: float, mailbox, msg) -> None:
-        """Deliver ``msg`` to ``mailbox`` after ``dt`` (channel transit)."""
-        self._push(dt, _K_DELIVER, mailbox, msg)
-
     def schedule(self, dt: float, fn: Callable[[], None]) -> None:
         """Run callback ``fn`` at ``now + dt``."""
         if dt < 0:
@@ -549,6 +541,10 @@ class Simulator:
         events, which in this codebase always indicates a protocol bug
         (e.g. a collective waiting for a notification nobody sends).
         """
+        # Channel commands are defined on top of this module, so their
+        # classes are looked up here, once per run, not at import time.
+        from repro.sim.channels import ANY, Message, Recv, Send
+
         heap = self._heap
         ready = self._ready
         ready_append = ready.append
@@ -771,10 +767,84 @@ class Simulator:
                 except BaseException as exc:
                     finish(proc, None, exc)
                     continue
-                # -- inline _dispatch(proc, cmd) for the hot commands --
+                # -- inline _dispatch(proc, cmd) for the hot commands, the
+                # most frequent first (channel traffic leads on the library
+                # pt2pt paths, then the kernel's fused records) --
                 tc = cmd.__class__
                 try:
-                    if tc is Delay:
+                    if tc is Send:
+                        # Delivery is scheduled before the sender's
+                        # continuation: at equal latency/overhead the
+                        # receiver's wakeup keeps its FIFO precedence.
+                        proc.state = _BLOCKED
+                        msg = Message(cmd.src, cmd.tag, cmd.payload, now)
+                        dt = cmd.latency
+                        if dt == 0.0 and use_ready:
+                            ready_append((next_seq(), _K_DELIVER, cmd.mailbox, msg))
+                        else:
+                            heappush(
+                                heap,
+                                (now + dt, next_seq(), _K_DELIVER, cmd.mailbox, msg),
+                            )
+                        dt = cmd.overhead
+                        if dt == 0.0 and use_ready:
+                            ready_append((next_seq(), _K_RESUME, proc, None))
+                        else:
+                            heappush(
+                                heap, (now + dt, next_seq(), _K_RESUME, proc, None)
+                            )
+                    elif tc is Recv:
+                        # Mailbox._post: take the oldest queued match, or
+                        # post the receive for Mailbox.deliver to complete.
+                        proc.state = _BLOCKED
+                        mb = cmd.mailbox
+                        src = cmd.src
+                        tag = cmd.tag
+                        queue = mb._queue
+                        for i, msg in enumerate(queue):
+                            if (src is ANY or msg.src == src) and (
+                                tag is ANY or msg.tag == tag
+                            ):
+                                del queue[i]
+                                if use_ready:
+                                    ready_append((next_seq(), _K_RESUME, proc, msg))
+                                else:
+                                    heappush(
+                                        heap, (now, next_seq(), _K_RESUME, proc, msg)
+                                    )
+                                break
+                        else:
+                            mb._posted.append((proc, src, tag))
+                    elif tc is DelayChain:
+                        proc.state = _BLOCKED
+                        dt = cmd.d1
+                        if dt == 0.0 and use_ready:
+                            ready_append((next_seq(), _K_CHAIN, proc, cmd.d2))
+                        else:
+                            heappush(
+                                heap, (now + dt, next_seq(), _K_CHAIN, proc, cmd.d2)
+                            )
+                    elif tc is PinConvoy or tc is FaultConvoy:
+                        proc.state = _BLOCKED
+                        proc.convoy = _Convoy(proc, cmd)
+                        cmd.lock._members += 1
+                        cmd.lock._acquire(proc)
+                    elif tc is Join:
+                        target = cmd.proc
+                        proc.state = _BLOCKED
+                        tstate = target.state
+                        if tstate is _DONE or tstate is _FAILED:
+                            if tstate is _DONE:
+                                jk, jv = _K_RESUME, target.result
+                            else:
+                                jk, jv = _K_THROW, target.error
+                            if use_ready:
+                                ready_append((next_seq(), jk, proc, jv))
+                            else:
+                                heappush(heap, (now, next_seq(), jk, proc, jv))
+                        else:
+                            target._joiners.append(proc)
+                    elif tc is Delay:
                         proc.state = _BLOCKED
                         dt = cmd.dt
                         if dt == 0.0 and use_ready:
@@ -803,20 +873,6 @@ class Simulator:
                             ready_append((next_seq(), _K_RESUME, proc, None))
                         else:
                             heappush(heap, (now, next_seq(), _K_RESUME, proc, None))
-                    elif tc is DelayChain:
-                        proc.state = _BLOCKED
-                        dt = cmd.d1
-                        if dt == 0.0 and use_ready:
-                            ready_append((next_seq(), _K_CHAIN, proc, cmd.d2))
-                        else:
-                            heappush(
-                                heap, (now + dt, next_seq(), _K_CHAIN, proc, cmd.d2)
-                            )
-                    elif tc is PinConvoy or tc is FaultConvoy:
-                        proc.state = _BLOCKED
-                        proc.convoy = _Convoy(proc, cmd)
-                        cmd.lock._members += 1
-                        cmd.lock._acquire(proc)
                     else:
                         dispatch(proc, cmd)
                 except BaseException as exc:
@@ -888,6 +944,8 @@ class Simulator:
     def _dispatch(self, proc: SimProcess, cmd: Any) -> None:
         # Protocol errors (double release, bad iovec, ...) fail the process
         # that issued the command, like a raise at the yield.
+        from repro.sim.channels import Message, Recv, Send
+
         try:
             tc = type(cmd)
             if tc is Delay:
@@ -930,11 +988,14 @@ class Simulator:
                     self._push(0.0, _K_THROW, proc, target.error)
                 else:
                     target._joiners.append(proc)
-            elif isinstance(cmd, Command):
-                # Channel commands (Send/Recv) know how to dispatch themselves
-                # to avoid a circular import; see repro.sim.channels.
+            elif tc is Send:
                 proc.state = _BLOCKED
-                cmd._dispatch(self, proc)  # type: ignore[attr-defined]
+                msg = Message(cmd.src, cmd.tag, cmd.payload, self.now)
+                self._push(cmd.latency, _K_DELIVER, cmd.mailbox, msg)
+                self._push(cmd.overhead, _K_RESUME, proc, None)
+            elif tc is Recv:
+                proc.state = _BLOCKED
+                cmd.mailbox._post(proc, cmd.src, cmd.tag)
             else:
                 self._finish(
                     proc,

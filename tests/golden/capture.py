@@ -15,18 +15,27 @@ that no longer exists: their ``trace_by_phase`` holds span totals and their
 now comes from the kernels' phase counters, with :func:`phase_mismatches`;
 :func:`capture` records neither field for them.
 
+:func:`capture_p2p` records the library point-to-point paths (the
+baselines' eager shm trains and rendezvous RTS/CTS/FIN traffic) into
+``p2p_parity.json`` (``tests/test_p2p_golden.py``), including
+``sim_events``: any change to the channel message path must keep the
+engine's record count as well as its simulated times.
+
 Regenerate only when a change is *supposed* to alter simulated results —
 which also means bumping ``repro.exec.cache.CACHE_VERSION``::
 
-    PYTHONPATH=src python tests/golden/capture.py
+    PYTHONPATH=src python tests/golden/capture.py         # engine_parity.json
+    PYTHONPATH=src python tests/golden/capture.py --p2p   # p2p_parity.json
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).with_name("engine_parity.json")
+P2P_PATH = Path(__file__).with_name("p2p_parity.json")
 
 FIG03_POINTS = [
     (arch, readers, nbytes)
@@ -51,6 +60,56 @@ XPMEM_SPECS = [
     ("scatter", "xpmem_read", 64 * 1024),
     ("bcast", "xpmem_read", 256 * 1024),
 ]
+
+
+#: force-eager threshold of ``repro.core.p2p_colls`` (two-copy shm trains)
+_EAGER = 1 << 62
+
+#: library pt2pt designs: rendezvous (threshold 0) and eager variants
+P2P_DESIGNS = [
+    ("alltoall", "pairwise_pt2pt", {}),
+    ("alltoall", "pairwise_shm", {}),
+    ("scatter", "fanout_rndv", {}),
+    ("gather", "fanin_rndv", {}),
+] + [
+    (coll, alg, {"threshold": th})
+    for coll, alg in (
+        ("scatter", "binomial_p2p"),
+        ("gather", "binomial_p2p"),
+        ("bcast", "binomial_p2p"),
+        ("allgather", "ring_p2p"),
+    )
+    for th in (0, _EAGER)
+]
+
+#: (arch, procs, verify) slices; 20,000 B is two 8 KiB shm chunks plus a
+#: remainder, so the eager trains collapse with a short last chunk
+P2P_SLICES = [("knl", 16, False), ("knl", 7, True), ("broadwell", 12, True)]
+P2P_ETAS = (4096, 20_000, 64 * 1024)
+
+
+def capture_p2p() -> dict:
+    from repro.core.runner import CollectiveSpec, run_collective
+    from repro.machine import get_arch
+
+    out = {}
+    for arch, procs, verify in P2P_SLICES:
+        for coll, alg, params in P2P_DESIGNS:
+            for eta in P2P_ETAS:
+                spec = CollectiveSpec(
+                    coll, alg, get_arch(arch), procs=procs, eta=eta,
+                    params=params, verify=verify,
+                )
+                res = run_collective(spec)
+                key = f"{arch}/{procs}/{coll}/{alg}/{json.dumps(params)}/{eta}"
+                out[key] = {
+                    "latency_us": res.latency_us,
+                    "per_rank_us": res.per_rank_us,
+                    "ctrl_messages": res.ctrl_messages,
+                    "cma_reads": res.cma_reads,
+                    "sim_events": res.sim_events,
+                }
+    return out
 
 
 def capture() -> dict:
@@ -142,6 +201,10 @@ def phase_mismatches(ref: dict, got: dict, exact=()) -> list:
 
 
 def main() -> None:
+    if "--p2p" in sys.argv[1:]:
+        P2P_PATH.write_text(json.dumps(capture_p2p(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {P2P_PATH}")
+        return
     data = capture()
     del data["xpmem_phases"]
     GOLDEN_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

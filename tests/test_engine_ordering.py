@@ -7,6 +7,10 @@ contract — ``run(until=)`` boundary semantics, FIFO fairness at equal
 timestamps, fused-command equivalence — and a randomized stress test
 asserts that the fast path and the heap-only path
 (``Simulator(use_ready_queue=False)``) produce identical resume traces.
+The channel commands (``Send``/``Recv``/``Join``) are open-coded in the
+run loop and again in the out-of-line ``Simulator._dispatch``, which a
+process reaches only after being woken by an exception; both copies must
+schedule the same records in the same order.
 """
 
 import random
@@ -14,13 +18,18 @@ import random
 import pytest
 
 from repro.sim import (
+    ANY,
     Acquire,
     Delay,
     DelayChain,
     HoldRelease,
     Join,
+    Mailbox,
+    Message,
     Mutex,
+    Recv,
     Release,
+    Send,
     SimError,
     Simulator,
 )
@@ -300,19 +309,52 @@ def test_holdrelease_by_non_holder_fails_the_process():
 
 def _mixed_workload(sim, trace, seed):
     """A randomized tangle of delays, zero-delays, locks, fused commands,
-    spawns, and joins.  Appends (pid-tag, step, sim.now) on every resume."""
+    messages, spawns, and joins.  Appends (pid-tag, step, sim.now) on
+    every resume, and each received message's payload.
+
+    A worker's own mailbox carries messages to itself, matched on (src,
+    tag); a latency above the send overhead makes the receive post before
+    the delivery, the other way round the message queues first, behind
+    decoys that are never received.  The
+    shared mailbox carries messages between workers, received with ``ANY``
+    wildcards; a worker receives there only when more messages have been
+    sent to it than received, so no receive waits forever."""
     rng = random.Random(seed)
     locks = [Mutex(sim, f"l{i}") for i in range(3)]
+    own = {}
+    shared = Mailbox(sim, owner=-1)
+    unclaimed = [0]
 
     def worker(tag, depth):
+        box = own[tag] = Mailbox(sim, owner=len(own))
         for step in range(rng.randint(3, 10)):
             trace.append((tag, step, sim.now))
             roll = rng.random()
-            if roll < 0.30:
+            if roll < 0.20:
                 yield Delay(0.0)
-            elif roll < 0.55:
+            elif roll < 0.35:
                 yield Delay(rng.choice([0.5, 1.0, 1.0, 2.5]))
-            elif roll < 0.70:
+            elif roll < 0.45:
+                if rng.random() < 0.5:
+                    # never received: later receives scan past it
+                    yield Send(box, src=box.owner, tag=("decoy", step))
+                yield Send(box, src=box.owner, tag=step, payload=(tag, step),
+                           latency=rng.choice([0.0, 0.5, 1.0]),
+                           overhead=rng.choice([0.0, 0.5]))
+                msg = yield Recv(box, src=box.owner, tag=step)
+                trace.append((tag, "own", msg.payload, msg.sent_at))
+            elif roll < 0.55:
+                if unclaimed[0] and rng.random() < 0.6:
+                    unclaimed[0] -= 1
+                    msg = yield Recv(shared, src=ANY, tag=ANY)
+                    trace.append((tag, "shared", msg.payload, msg.sent_at))
+                else:
+                    unclaimed[0] += 1
+                    yield Send(shared, src=box.owner, tag=tag,
+                               payload=(tag, step),
+                               latency=rng.choice([0.0, 0.0, 1.0, 1.5]),
+                               overhead=rng.choice([0.0, 0.5]))
+            elif roll < 0.65:
                 lock = rng.choice(locks)
                 yield Acquire(lock)
                 if rng.random() < 0.5:
@@ -350,3 +392,92 @@ def test_ready_queue_trace_identical_to_heap_only(seed):
     assert trace_fast == trace_slow
     assert fast.now == slow.now
     assert fast.events_processed == slow.events_processed
+
+
+# -- the out-of-line dispatch path ≡ the inlined run loop ---------------------
+
+
+class _Boom(Exception):
+    pass
+
+
+class _CountingSimulator(Simulator):
+    """Records the command types that reach the out-of-line dispatch."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.out_of_line = []
+
+    def _dispatch(self, proc, cmd):
+        self.out_of_line.append(type(cmd).__name__)
+        super()._dispatch(proc, cmd)
+
+
+def _channel_program(sim, trace, woken_by_throw):
+    """Before each of ``Send``, ``Recv(ANY, ANY)`` and ``Join`` the main
+    process joins a target that finishes at the same time; with
+    ``woken_by_throw`` the target fails and the joiner catches the error,
+    so the next command it yields is dispatched by ``Simulator._throw``
+    instead of the run loop.  A peer, whose receive is posted first,
+    records when the message wakes it.  The delivery record of a
+    zero-latency message is scheduled before the sender's continuation,
+    so the peer's wakeup runs before anything the sender schedules next."""
+    mb_main = Mailbox(sim, owner=0)
+    mb_peer = Mailbox(sim, owner=1)
+
+    def target(k):
+        yield Delay(1.0)
+        if woken_by_throw:
+            raise _Boom(k)
+        return k
+
+    def peer():
+        msg = yield Recv(mb_peer, src=0, tag="ping")
+        trace.append(("peer", "got", msg.payload, sim.now))
+        yield Send(mb_main, src=1, tag="pong", payload="p", latency=0.5)
+        trace.append(("peer", "sent", sim.now))
+        return "peer-done"
+
+    def main():
+        peer_proc = sim.spawn(peer())
+        cmds = [
+            lambda: Send(mb_peer, src=0, tag="ping", payload="m"),
+            lambda: Recv(mb_main, src=ANY, tag=ANY),
+            lambda: Join(peer_proc),
+        ]
+        for k, make in enumerate(cmds):
+            try:
+                got = yield Join(sim.spawn(target(k)))
+            except _Boom as exc:
+                got = exc.args[0]
+            trace.append(("main", "woken", got, sim.now))
+            value = yield make()
+            if isinstance(value, Message):
+                value = (value.src, value.tag, value.payload)
+            trace.append(("main", k, value, sim.now))
+            yield Delay(0.0)
+            trace.append(("main", k, "settled", sim.now))
+
+    sim.spawn(main())
+
+
+@pytest.mark.parametrize("use_ready", [True, False])
+def test_out_of_line_channel_dispatch_matches_run_loop(use_ready):
+    traces = {}
+    for woken_by_throw in (False, True):
+        sim = _CountingSimulator(use_ready_queue=use_ready)
+        trace = []
+        _channel_program(sim, trace, woken_by_throw)
+        sim.run()
+        traces[woken_by_throw] = (trace, sim.now, sim.events_processed)
+        if woken_by_throw:
+            assert sim.out_of_line == ["Send", "Recv", "Join"]
+        else:
+            assert sim.out_of_line == []
+    assert traces[True] == traces[False]
+    trace = traces[False][0]
+    # the ping's delivery runs before the sender's continuation, whose
+    # zero delay then queues behind the peer's wakeup
+    assert trace.index(("peer", "got", "m", 1.0)) < trace.index(
+        ("main", 0, "settled", 1.0)
+    )

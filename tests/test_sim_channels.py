@@ -140,6 +140,30 @@ def test_fifo_order_among_matching_messages():
     assert r.result == [0, 1, 2, 3, 4]
 
 
+def test_fifo_order_among_queued_messages():
+    # every message is queued before the first receive is posted, so each
+    # receive scans the queue: it takes the oldest match, skipping others
+    sim = Simulator()
+    box = _box(sim)
+
+    def sender():
+        for i in range(6):
+            yield Send(box, src=i % 2, tag="odd" if i % 3 else "even", payload=i)
+
+    def receiver():
+        yield Delay(1.0)
+        out = []
+        for src, tag in ((1, "odd"), (ANY, "even"), (ANY, ANY), (0, ANY)):
+            msg = yield Recv(box, src=src, tag=tag)
+            out.append(msg.payload)
+        return out, box.pending
+
+    sim.spawn(sender())
+    r = sim.spawn(receiver())
+    sim.run()
+    assert r.result == ([1, 0, 2, 4], 2)
+
+
 def test_multiple_posted_receivers_fifo():
     sim = Simulator()
     box = _box(sim)
