@@ -4,9 +4,12 @@ Shape criteria (paper Section IV-B4): trends mirror Scatter — throttled
 writes win the medium/large range, with k ~ 4-8 on KNL and ~10 on POWER8.
 """
 
+import pytest
 
-def bench_fig08_gather_algos(regen):
-    exp = regen("fig08")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     knl = exp.data["knl"]["grid"]
     big = max(knl)
 
@@ -27,3 +30,13 @@ def bench_fig08_gather_algos(regen):
         row = grid[max(grid)]
         best = min(row, key=row.get)
         assert best.startswith("thr-"), name
+
+
+def bench_fig08_gather_algos(regen):
+    _check_shapes(regen("fig08"))
+
+
+@pytest.mark.slow
+def bench_fig08_gather_algos_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig08", quick=False))

@@ -5,9 +5,12 @@ on every architecture; scatter-allgather has overhead for small messages
 but wins the large-message range through contention avoidance.
 """
 
+import pytest
 
-def bench_fig11_bcast_algos(regen):
-    exp = regen("fig11")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     for name, d in exp.data.items():
         grid = d["grid"]
         sizes = sorted(grid)
@@ -26,3 +29,13 @@ def bench_fig11_bcast_algos(regen):
     best_knom = min(v for k, v in knl[big].items() if k.startswith("knom-"))
     assert knl[big]["scat-allg"] < 1.1 * best_knom
     assert knl[big]["scat-allg"] < knl[big]["dir-read"]
+
+
+def bench_fig11_bcast_algos(regen):
+    _check_shapes(regen("fig11"))
+
+
+@pytest.mark.slow
+def bench_fig11_bcast_algos_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig11", quick=False))

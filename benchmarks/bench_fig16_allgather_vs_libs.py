@@ -5,9 +5,12 @@ range (1.5-2x on KNL in the paper) and keeps an edge through the largest
 sizes; socket awareness helps the two-socket Broadwell most.
 """
 
+import pytest
 
-def bench_fig16_allgather_vs_libs(regen):
-    exp = regen("fig16")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     # Gains vs the *best* baseline compress toward parity here because our
     # baseline pt2pt ring shares the native single-copy data path (real
     # 2017 stacks were heavier — see EXPERIMENTS.md); the paper's multi-x
@@ -29,3 +32,13 @@ def bench_fig16_allgather_vs_libs(regen):
     bdw = exp.data["broadwell"]["grid"]
     big = max(bdw)
     assert max(bdw[big][l] for l in libs) > 1.5 * bdw[big]["proposed"]
+
+
+def bench_fig16_allgather_vs_libs(regen):
+    _check_shapes(regen("fig16"))
+
+
+@pytest.mark.slow
+def bench_fig16_allgather_vs_libs_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig16", quick=False))

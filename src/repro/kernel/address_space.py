@@ -51,6 +51,7 @@ __all__ = [
     "AddressSpace",
     "AddressSpaceManager",
     "copy_iov_bytes",
+    "iov_pages",
     "materialize",
     "runs_nbytes",
     "PERIOD",
@@ -439,18 +440,16 @@ class AddressSpace:
         raw = _raw(data)
         return self.scatter_runs(iov, [(len(raw), raw)])
 
-    def total_pages(self, iov: Iterable[tuple[int, int]]) -> int:
-        """Pages spanned by an iovec list (each entry rounded up separately,
-        matching per-iovec pinning in ``process_vm_rw``)."""
-        ps = self.page_size
-        total = 0
-        for addr, ln in iov:
-            if ln == 0:
-                continue
-            first = addr // ps
-            last = (addr + ln - 1) // ps
-            total += last - first + 1
-        return total
+
+def iov_pages(iov: Iterable[tuple[int, int]], page_size: int) -> int:
+    """Pages spanned by an iovec list (each entry rounded up separately,
+    matching per-iovec pinning in ``process_vm_rw``)."""
+    total = 0
+    for addr, ln in iov:
+        if ln == 0:
+            continue
+        total += (addr + ln - 1) // page_size - addr // page_size + 1
+    return total
 
 
 def copy_iov_bytes(

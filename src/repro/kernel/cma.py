@@ -21,13 +21,24 @@ trick the paper uses to isolate T1..T4 (Table III); ``step_timings`` in
 The time charged to each step is summed as it is scheduled, on every run
 (:meth:`CMAKernel.phase_times`); that is the breakdown the paper reads
 from ftrace (Fig. 4).
+
+Step 3's batch plan — each batch's page count and pro-rata copy time —
+depends only on the transfer's shape ``(npages, ncopy, beta)`` and the
+kernel's fixed ``pin_batch``.  Each kernel builds it once per shape and
+keeps it until :meth:`CMAKernel.reset`: within one run every rank usually
+moves the same block size, so nearly every call reuses a plan, and the
+calls that share it share its exact floats.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
-from repro.kernel.address_space import AddressSpaceManager, copy_iov_bytes
+from repro.kernel.address_space import (
+    AddressSpaceManager,
+    copy_iov_bytes,
+    iov_pages,
+)
 from repro.kernel.errors import CMAError, EFAULT, EINTR, EINVAL, EPERM, ESRCH
 from repro.kernel.pagelock import MMLock
 from repro.sim.engine import (
@@ -66,16 +77,6 @@ def iovec_total(iov: Iovec) -> int:
     return total
 
 
-def _iov_pages(iov: Iovec, page_size: int) -> int:
-    """Pages spanned by an iovec (per-entry rounding, like total_pages)."""
-    total = 0
-    for addr, ln in iov:
-        if ln == 0:
-            continue
-        total += (addr + ln - 1) // page_size - addr // page_size + 1
-    return total
-
-
 def _page_prefix_bytes(iov: Iovec, page_size: int, max_pages: int) -> int:
     """Bytes of ``iov`` covered by its first ``max_pages`` pages."""
     pages = 0
@@ -96,6 +97,31 @@ def _page_prefix_bytes(iov: Iovec, page_size: int, max_pages: int) -> int:
         nbytes += (first + take) * page_size - addr
         break
     return nbytes
+
+
+def _pin_plan(
+    npages: int, ncopy: int, beta: float, pin_batch: int
+) -> tuple[tuple[tuple[int, float], ...], float]:
+    """The pin loop's batch plan: ``((pages, copy_dt), ...)`` and its sum.
+
+    Batches hold ``pin_batch`` pages (the last one the rest); each copies
+    its pro-rata share of ``ncopy`` bytes, cut by integer arithmetic, at
+    ``beta`` µs per byte.  The total is the float sum of the shares in
+    batch order.
+    """
+    batches = []
+    copy = 0.0
+    done_pages = 0
+    done_bytes = 0
+    while done_pages < npages:
+        b = min(pin_batch, npages - done_pages)
+        done_pages += b
+        batch_bytes = ncopy * done_pages // npages - done_bytes
+        done_bytes += batch_bytes
+        dt = batch_bytes * beta
+        copy += dt
+        batches.append((b, dt))
+    return tuple(batches), copy
 
 
 def _truncate_at_page_boundary(
@@ -148,6 +174,12 @@ class CMAKernel:
         self.syscall_us = 0.0
         self.check_us = 0.0
         self.copy_us = 0.0
+        #: pin-batch plans by ``(npages, ncopy, beta)`` (see
+        #: :func:`_pin_plan`); cleared on reset, so it holds one run's shapes
+        self._plans: dict = {}
+        #: the syscall-entry + access-check record of an unscaled call;
+        #: the engine never mutates a command, so every call yields it
+        self._entry = DelayChain(params.alpha_syscall, params.alpha_check)
 
     def register(self, pid: int, socket: int = 0) -> None:
         """Create the address space + mm lock for a new process.
@@ -192,6 +224,7 @@ class CMAKernel:
         self.syscall_us = 0.0
         self.check_us = 0.0
         self.copy_us = 0.0
+        self._plans.clear()
         for mm in self._mm_locks.values():
             mm.reset()
         self.manager.reset_spaces()
@@ -280,6 +313,13 @@ class CMAKernel:
         An ESRCH/EPERM/injected errno therefore surfaces after the whole
         entry+check time, ``alpha_syscall + alpha_check``.  Each phase's
         charged time is added to its counter as it is scheduled.
+
+        What never changes between calls is built once per kernel: an
+        unscaled call yields the kernel's one entry+check record, and the
+        batch plan comes from the per-kernel memo keyed by the transfer's
+        shape ``(npages, ncopy, beta)``, looked up after a partial fault
+        has truncated the transfer (a straggler's scale is already folded
+        into ``beta``).  Both pin loops read the same plan tuple.
         """
         p = self.params
 
@@ -300,7 +340,7 @@ class CMAKernel:
                     "writev" if write else "readv",
                     pid,
                     caller.pid,
-                    pages=_iov_pages(remote_iov, p.page_size),
+                    pages=iov_pages(remote_iov, p.page_size),
                 )
             scale = fs.scale(caller.pid)
 
@@ -311,9 +351,13 @@ class CMAKernel:
         if not remote_iov:
             yield Delay(t_sys)
             return 0
-        t_check = p.alpha_check if scale == 1.0 else p.alpha_check * scale
-        self.check_us += t_check
-        yield DelayChain(t_sys, t_check)
+        if scale == 1.0:
+            self.check_us += p.alpha_check
+            yield self._entry
+        else:
+            t_check = p.alpha_check * scale
+            self.check_us += t_check
+            yield DelayChain(t_sys, t_check)
         remote_space = self.manager.get(pid)  # raises ESRCH
         if pid in self.denied_pids:
             raise CMAError(EPERM, f"ptrace access to pid {pid} denied")
@@ -336,7 +380,7 @@ class CMAKernel:
         # transfer; copy bytes are apportioned to batches pro rata.  A
         # batch's pin hold, release and copy share ride one HoldRelease
         # record — or, by default, the whole loop rides one PinConvoy.
-        npages = remote_space.total_pages(remote_iov)
+        npages = iov_pages(remote_iov, remote_space.page_size)
         ncopy = min(local_total, remote_total)
         if fault is not None and fault.kind == "partial":
             npages, ncopy = _truncate_at_page_boundary(
@@ -346,23 +390,14 @@ class CMAKernel:
         if scale != 1.0:
             beta *= scale
         mm = self._mm_locks[pid]
-        # The batch plan: batch sizes and pro-rata copy shares are pure
-        # integer arithmetic, so both pin loops below run the same floats.
-        # hold_time is evaluated at each grant, where the contender set
-        # is live.
-        pin_batch = p.pin_batch
-        batches = []
-        copy = 0.0
-        done_pages = 0
-        done_bytes = 0
-        while done_pages < npages:
-            b = min(pin_batch, npages - done_pages)
-            done_pages += b
-            batch_bytes = ncopy * done_pages // npages - done_bytes
-            done_bytes += batch_bytes
-            dt = batch_bytes * beta
-            copy += dt
-            batches.append((b, dt))
+        # The batch plan, shared by every call of the same shape (both pin
+        # loops below read the same tuple); hold_time is evaluated at each
+        # grant, where the contender set is live.
+        key = (npages, ncopy, beta)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _pin_plan(npages, ncopy, beta, p.pin_batch)
+        batches, copy = plan
         self.copy_us += copy
         if self.sim.use_pin_convoy:
             yield PinConvoy(

@@ -87,7 +87,14 @@ class DeadlockError(SimError):
 
 
 class Command:
-    """Marker base class for values a process may yield to the engine."""
+    """Marker base class for values a process may yield to the engine.
+
+    The engine only reads a command's fields and never mutates it, so a
+    process may yield one instance any number of times, and several
+    processes may share it (the CMA kernel yields one syscall-entry
+    :class:`DelayChain` per kernel, and one batch plan tuple rides every
+    :class:`PinConvoy` of the same shape).
+    """
 
     __slots__ = ()
 
@@ -1160,7 +1167,9 @@ class Simulator:
                 conv.done = (now, vs, _K_CDONE, conv, vs)
                 heapq.heappush(heap, conv.done)
                 return False
-            self._convoy_cross(now, vs)
+            # cross only if some collapsed record is due before (now, vs)
+            if vq and (vq[0][0] < now or (vq[0][0] == now and vq[0][1] <= vs)):
+                self._convoy_cross(now, vs)
         times = conv.times
         p = conv.p
         last = len(times) - 1

@@ -15,14 +15,15 @@ from repro.kernel import (
 )
 from repro.kernel.cma import IOV_MAX
 from repro.kernel.errors import EINVAL, EPERM, ESRCH
+from repro.faults import FaultPlan, FaultSpec
 from repro.machine import make_generic
-from repro.sim import Simulator
+from repro.sim import PinConvoy, Simulator
 
 
-def make_node(nprocs=4, arch=None, verify=True):
+def make_node(nprocs=4, arch=None, verify=True, **sim_kw):
     """Minimal kernel-level test node: sim + spaces + pinned processes."""
     arch = arch or make_generic(sockets=1, cores_per_socket=max(nprocs, 2))
-    sim = Simulator()
+    sim = Simulator(**sim_kw)
     mgr = AddressSpaceManager(arch.params.page_size)
     cma = CMAKernel(sim, mgr, arch.params, verify=verify)
     procs = []
@@ -228,6 +229,158 @@ class TestStepTriggering:
         t3, _ = self._timed(lambda d: [], lambda s: [s.iov()], nbytes=n)
         t4, _ = self._timed(lambda d: [d.iov()], lambda s: [s.iov()], nbytes=n)
         assert t1 < t2 < t3 < t4
+
+
+def _loop_plan(npages, ncopy, beta, pin_batch):
+    """The pin loop's batch plan, built the way every call once built it."""
+    batches = []
+    copy = 0.0
+    done_pages = 0
+    done_bytes = 0
+    while done_pages < npages:
+        b = min(pin_batch, npages - done_pages)
+        done_pages += b
+        batch_bytes = ncopy * done_pages // npages - done_bytes
+        done_bytes += batch_bytes
+        dt = batch_bytes * beta
+        copy += dt
+        batches.append((b, dt))
+    return batches, copy
+
+
+def _tap(gen, seen):
+    """Forward a syscall generator, recording every PinConvoy it yields."""
+    value = None
+    try:
+        while True:
+            cmd = gen.send(value)
+            if isinstance(cmd, PinConvoy):
+                seen.append(cmd)
+            value = yield cmd
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestPinPlanMemo:
+    """Each kernel builds a transfer shape's batch plan once and reuses it;
+    the memoized plan is exactly what the per-call loop built."""
+
+    @pytest.mark.parametrize("pin_batch", [4, 16])
+    @pytest.mark.parametrize("straggle", [1.0, 2.5])
+    def test_memo_matches_loop(self, pin_batch, straggle):
+        arch = make_generic(sockets=2, cores_per_socket=2, pin_batch=pin_batch)
+        params = arch.params
+        ps = params.page_size
+        sim, cma, procs, _ = make_node(4, arch=arch, verify=False)
+        if straggle != 1.0:
+            cma.set_faults(
+                FaultPlan(
+                    seed=0, specs=(FaultSpec("straggler", factor=straggle),)
+                ).arm()
+            )
+        owner = procs[0]
+        same = next(p for p in procs[1:] if p.socket == owner.socket)
+        other = next(p for p in procs if p.socket != owner.socket)
+        space = cma.manager.get(owner.pid)
+        for caller in (same, other):
+            beta = params.beta
+            if caller.socket != owner.socket:
+                beta *= params.inter_socket_beta
+            if straggle != 1.0:
+                beta *= straggle
+            for npages in (1, 15, 16, 17, 100, 257):
+                span = npages * ps
+                remote = space.allocate(span)
+                spans = {0, 1, ps + 1, span // 2, span - 1, span}
+                for ncopy in sorted(n for n in spans if n <= span):
+                    local = []
+                    if ncopy:
+                        buf = cma.manager.get(caller.pid).allocate(ncopy)
+                        local = [buf.iov()]
+                    before = cma.copy_us
+
+                    def reader():
+                        return (yield from cma.process_vm_readv(
+                            caller, owner.pid, local, [remote.iov()]
+                        ))
+
+                    p = run_proc(sim, reader(), caller)
+                    sim.run_all([p])
+                    assert p.result == ncopy
+                    want, want_copy = _loop_plan(npages, ncopy, beta, pin_batch)
+                    batches, copy = cma._plans[(npages, ncopy, beta)]
+                    assert type(batches) is tuple
+                    assert list(batches) == want  # floats compared with ==
+                    assert copy == want_copy
+                    assert cma.copy_us == before + want_copy
+        cma.reset()
+        assert cma._plans == {}
+
+    def test_concurrent_readers_share_one_plan(self):
+        sim, cma, procs, _ = make_node(6, verify=False)
+        nbytes = 40 * 4096
+        bufs = {p.pid: cma.manager.get(p.pid).allocate(nbytes) for p in procs}
+        seen = []
+        # three readers on rank 0's mm lock, two on rank 1's
+        pairs = [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1)]
+
+        def reader(me, owner):
+            return (yield from _tap(
+                cma.read_simple(me, owner.pid, bufs[me.pid].iov(),
+                                bufs[owner.pid].iov()),
+                seen,
+            ))
+
+        ps = [run_proc(sim, reader(procs[r], procs[o]), procs[r])
+              for r, o in pairs]
+        sim.run_all(ps)
+        assert [p.result for p in ps] == [nbytes] * len(pairs)
+        assert len(seen) == len(pairs)
+        assert len(cma._plans) == 1
+        (plan,) = cma._plans.values()
+        assert all(cmd.batches is plan[0] for cmd in seen)
+
+    def test_partial_faults_match_unfused_reference(self):
+        def run(**sim_kw):
+            arch = make_generic(sockets=2, cores_per_socket=2, pin_batch=4)
+            sim, cma, procs, _ = make_node(4, arch=arch, verify=False, **sim_kw)
+            cma.set_faults(FaultPlan(seed=3, specs=(
+                FaultSpec("partial", prob=0.5),
+                FaultSpec("straggler", factor=1.5, pid=procs[2].pid),
+            )).arm())
+            sizes = (3 * 4096, 17 * 4096 + 5, 64 * 4096, 9 * 4096 - 1)
+            owner = cma.manager.get(procs[0].pid)
+            remotes = [owner.allocate(n) for n in sizes]
+
+            def reader(me):
+                got = []
+                for _ in range(3):
+                    for n, remote in zip(sizes, remotes):
+                        local = cma.manager.get(me.pid).allocate(n)
+                        got.append((yield from cma.read_simple(
+                            me, procs[0].pid, local.iov(), remote.iov()
+                        )))
+                        got.append(sim.now)
+                return got
+
+            ps = [run_proc(sim, reader(p), p) for p in procs[1:]]
+            sim.run_all(ps)
+            mm = cma._mm_locks[procs[0].pid]
+            return (
+                [p.result for p in ps],
+                cma.phase_times(),
+                cma._plans,
+                cma.faults.counts(),
+                (mm.pages_pinned, mm.mutex.acquisitions,
+                 mm.mutex.total_wait_us, mm.mutex.total_hold_us),
+            )
+
+        fused = run()
+        oracle = run(use_pin_convoy=False)
+        assert fused == oracle
+        assert fused[3].get("partial", 0) > 0
+        # a truncated call keys the memo by its shortened page count
+        assert any(k[0] not in (3, 18, 64, 9) for k in fused[2])
 
 
 def one_to_all_latency(readers, nbytes, arch=None, same_buffer=True):

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     DeadlockError,
     Delay,
+    DelayChain,
     Join,
     Mutex,
     Acquire,
@@ -272,3 +273,51 @@ def test_wake_at_now_and_in_the_past():
     sim.run()
     assert now.result == 1.0
     assert past.state == "failed" and isinstance(past.error, SimError)
+
+
+@pytest.mark.parametrize("use_ready_queue", [True, False])
+def test_shared_commands_match_fresh_ones(use_ready_queue):
+    """The engine never mutates a command: processes that yield one shared
+    DelayChain/Delay instance, with ties at equal times, run exactly like
+    processes that build a fresh instance per yield."""
+    shapes = {
+        "chain": (DelayChain, (0.7, 0.3)),
+        "chain0": (DelayChain, (0.0, 0.5)),
+        "tail0": (DelayChain, (0.5, 0.0)),
+        "delay": (Delay, (1.0,)),
+        "zero": (Delay, (0.0,)),
+    }
+    patterns = [
+        ["chain", "delay", "zero", "chain0", "tail0"] * 3,
+        ["delay", "chain", "tail0", "zero", "chain0"] * 3,
+        ["chain0", "chain", "delay", "delay", "zero"] * 3,
+        ["chain", "delay", "zero", "chain0", "tail0"] * 3,
+    ]
+
+    def run(share):
+        sim = Simulator(use_ready_queue=use_ready_queue)
+        shared = {k: cls(*args) for k, (cls, args) in shapes.items()}
+        trace = []
+
+        def proc(name, pattern):
+            for i, k in enumerate(pattern):
+                if share:
+                    cmd = shared[k]
+                else:
+                    cls, args = shapes[k]
+                    cmd = cls(*args)
+                yield cmd
+                trace.append((name, i, sim.now))
+
+        for n, pattern in enumerate(patterns):
+            sim.spawn(proc(f"p{n}", pattern))
+        end = sim.run()
+        return trace, end, sim.events_processed
+
+    shared, fresh = run(True), run(False)
+    assert shared == fresh
+    # the identical first and last patterns tie at every step
+    ties = {}
+    for name, i, t in shared[0]:
+        ties.setdefault((i, t), set()).add(name)
+    assert any(len(names) > 1 for names in ties.values())
