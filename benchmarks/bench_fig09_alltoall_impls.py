@@ -6,9 +6,12 @@ medium range (no RTS/CTS per transfer); for the largest messages the two
 CMA variants converge (control traffic is amortized away).
 """
 
+import pytest
 
-def bench_fig09_alltoall_impls(regen):
-    exp = regen("fig09")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     for name, d in exp.data.items():
         grid = d["grid"]
         sizes = sorted(grid)
@@ -23,3 +26,13 @@ def bench_fig09_alltoall_impls(regen):
         assert max(gains) > 1.05, name
         # convergence at the largest size: RTS/CTS no longer matters much
         assert gains[-1] < gains[0] or gains[-1] < 1.2, name
+
+
+def bench_fig09_alltoall_impls(regen):
+    _check_shapes(regen("fig09"))
+
+
+@pytest.mark.slow
+def bench_fig09_alltoall_impls_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig09", quick=False))

@@ -6,12 +6,14 @@ shm-based libraries there) and CMA wins beyond; on POWER8 the k-nomial
 read wins from a few tens of KB; overall 3-4x reduction in the large range.
 """
 
+import pytest
+
+from repro.bench.figures import run_experiment
 from repro.core.tuning import Tuner
 from repro.machine import get_arch
 
 
-def bench_fig18_bcast_vs_libs(regen):
-    exp = regen("fig18")
+def _check_shapes(exp):
     for name, d in exp.data.items():
         grid = d["grid"]
         for eta, row in grid.items():
@@ -31,3 +33,13 @@ def bench_fig18_bcast_vs_libs(regen):
         "knomial",
         "scatter_allgather",
     )
+
+
+def bench_fig18_bcast_vs_libs(regen):
+    _check_shapes(regen("fig18"))
+
+
+@pytest.mark.slow
+def bench_fig18_bcast_vs_libs_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig18", quick=False))

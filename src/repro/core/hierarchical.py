@@ -54,7 +54,7 @@ def _verify_root(rootbuf, world: int, eta: int) -> None:
     for g in range(world):
         expect_runs(
             rootbuf, g * eta, pattern_runs(g, 0, eta),
-            f"multi-node gather: root's block from global rank {g}",
+            "multi-node gather: root's block from global rank {}", g,
         )
 
 

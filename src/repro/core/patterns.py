@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.common import Blocks
 from repro.kernel.address_space import PERIOD as _PERIOD
-from repro.kernel.address_space import ROW, materialize, runs_nbytes
+from repro.kernel.address_space import ROW, materialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.communicator import Comm
@@ -105,20 +105,24 @@ def _reduce_expected(p: int, eta: int) -> np.ndarray:
     return materialize(_reduce_runs(p, eta))
 
 
-def expect_runs(buf, off: int, want: list, what: str) -> None:
+def expect_runs(buf, off: int, want: list, what: str, *args) -> None:
     """Raise :class:`VerificationError` unless ``buf`` holds the bytes of
-    the run list ``want`` at ``off``; the message names ``what``, the first
-    bad byte's offset within ``want``, and the got/want values there.
+    the one-run list ``want`` at ``off``; the message names ``what``
+    (filled in from ``args`` with :meth:`str.format`, and only on a miss),
+    the first bad byte's offset within ``want``, and the got/want values
+    there.
 
     Equal canonical runs pass without touching bytes; anything else is
     decided by a byte compare, so this passes exactly when one would.
     """
     if buf.holds(off, want):
         return
-    got = buf.view(off, runs_nbytes(want))
+    got = buf.view(off, want[0][0])
     want = materialize(want)
     if not np.array_equal(got, want):
         bad = int(np.argmax(got != want))
+        if args:
+            what = what.format(*args)
         raise VerificationError(
             f"{what}: first mismatch at byte {bad} "
             f"(got {got[bad]}, want {want[bad]})"
@@ -233,50 +237,67 @@ def verify_buffers(comm: "Comm", spec, sendbufs, recvbufs) -> None:
     coll = spec.collective
     blocks = Blocks.of(spec)
 
-    def expect(buf, off, a, b, n, what):
-        expect_runs(buf, off, pattern_runs(a, b, n), f"{coll}/{spec.algorithm}: {what}")
-
+    # each check passes its message as a template: a passing block
+    # formats nothing
+    head = f"{coll}/{spec.algorithm}"
     if coll in ("scatter", "scatterv"):
         for r in range(p):
             n, off = blocks(r)
             if not n:
                 continue
             if r == root and spec.in_place:
-                expect(
-                    sendbufs[root], off, root, root, n,
-                    "root in-place block clobbered",
+                expect_runs(
+                    sendbufs[root], off, pattern_runs(root, root, n),
+                    "{}: root in-place block clobbered", head,
                 )
             else:
-                expect(recvbufs[r], 0, root, r, n, f"rank {r} block")
+                expect_runs(
+                    recvbufs[r], 0, pattern_runs(root, r, n),
+                    "{}: rank {} block", head, r,
+                )
     elif coll in ("gather", "gatherv"):
         for r in range(p):
             n, off = blocks(r)
             if n:
-                expect(recvbufs[root], off, r, 0, n, f"root's block from rank {r}")
+                expect_runs(
+                    recvbufs[root], off, pattern_runs(r, 0, n),
+                    "{}: root's block from rank {}", head, r,
+                )
     elif coll == "bcast":
         for r in range(p):
-            expect(recvbufs[r], 0, root, 0, eta, f"rank {r} payload")
+            expect_runs(
+                recvbufs[r], 0, pattern_runs(root, 0, eta),
+                "{}: rank {} payload", head, r,
+            )
     elif coll == "allgather":
         for r in range(p):
             for b in range(p):
-                expect(recvbufs[r], b * eta, b, 0, eta, f"rank {r} block {b}")
+                expect_runs(
+                    recvbufs[r], b * eta, pattern_runs(b, 0, eta),
+                    "{}: rank {} block {}", head, r, b,
+                )
     elif coll in ("alltoall", "alltoallv"):
         for r in range(p):
             for s in range(p):
                 n, _, off = blocks.pair(s, r)
                 if n:
-                    expect(recvbufs[r], off, s, r, n, f"rank {r} block from {s}")
+                    expect_runs(
+                        recvbufs[r], off, pattern_runs(s, r, n),
+                        "{}: rank {} block from {}", head, r, s,
+                    )
     elif coll in ("reduce", "allreduce"):
         reduced = _reduce_runs(p, eta)
         targets = range(p) if coll == "allreduce" else [root]
         for r in targets:
             expect_runs(
-                recvbufs[r], 0, reduced,
-                f"{coll}/{spec.algorithm}: rank {r} reduction",
+                recvbufs[r], 0, reduced, "{}: rank {} reduction", head, r
             )
     else:  # pragma: no cover - guarded in setup
         raise KeyError(coll)
 
     for r, off, a, b, n in _send_blocks(spec, blocks):
         if sendbufs[r] is not None:
-            expect(sendbufs[r], off, a, b, n, f"rank {r} sendbuf block {b} modified")
+            expect_runs(
+                sendbufs[r], off, pattern_runs(a, b, n),
+                "{}: rank {} sendbuf block {} modified", head, r, b,
+            )

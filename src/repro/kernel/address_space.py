@@ -26,7 +26,11 @@ demand, for error values, tests and inspection; the data path never does.
 
 Data moves as detached *run lists*: ``[(length, value), ...]`` covering
 consecutive bytes, with phases relative to the list's first byte, so a
-list can ride a mailbox or a wire and land at any offset.
+list can ride a mailbox or a wire and land at any offset.  A kernel copy
+(:func:`copy_iov_bytes`) walks the aligned pieces of its two iovec lists
+(:func:`_iov_pieces`) and moves each piece with one read of its source
+range and one splice into its destination, never cutting or re-measuring
+a run list; :meth:`Buffer._splice` merges equal neighbours as it appends.
 
 Every content access in the kernel and MPI layers is gated on the node's
 ``verify`` flag, so an unverified (timing-only) run's buffers keep the
@@ -39,7 +43,7 @@ tests rely on to catch mis-computed offsets in collective algorithms.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional
 
 import numpy as np
@@ -194,7 +198,7 @@ class Buffer:
         """Runs of ``[offset, offset + nbytes)`` with phases relative to
         buffer offset ``origin``."""
         starts, values = self._starts, self._values
-        i = bisect.bisect_right(starts, offset) - 1
+        i = bisect_right(starts, offset) - 1
         last = len(starts) - 1
         end = offset + nbytes
         out = []
@@ -228,34 +232,67 @@ class Buffer:
             self._splice(offset, pos, new_s, new_v)
 
     def _splice(self, a: int, b: int, new_s: list, new_v: list) -> None:
-        """Replace the runs over ``[a, b)`` by ``new_s``/``new_v`` and merge
-        equal neighbours, keeping the run list canonical."""
+        """Replace the runs over ``[a, b)`` by ``new_s``/``new_v``, keeping
+        the run list canonical.
+
+        The left neighbour, the left remainder, the new runs, the right
+        remainder and the right neighbour are appended in that order, each
+        merged into the last kept run when both are equal phase tuples,
+        and the result replaces the old entries in one slice assignment.
+        """
         starts, values = self._starts, self._values
-        i = bisect.bisect_right(starts, a) - 1  # the run holding byte a
-        j = bisect.bisect_left(starts, b, i + 1)  # first run from b on
-        lo = i - 1 if i else 0  # a neighbour each side may merge
-        hi = j + 1 if j < len(starts) else j
-        seq_s, seq_v = starts[lo:i], values[lo:i]
+        i = bisect_right(starts, a) - 1  # the run holding byte a
+        j = bisect_left(starts, b, i + 1)  # first run from b on
+        nruns = len(starts)
+        ms, mv = [], []
+        # ``last``: the last kept value when it is a phase tuple, else None
+        last = None
+        if i:  # the left neighbour
+            lo = i - 1
+            last = values[lo]
+            ms.append(starts[lo])
+            mv.append(last)
+        else:
+            lo = 0
         s = starts[i]
-        if s < a:
-            v = values[i]
-            seq_s.append(s)
-            seq_v.append(v if type(v) is tuple else v[: a - s])
-        seq_s += new_s
-        seq_v += new_v
-        if (starts[j] if j < len(starts) else self.nbytes) > b:
-            s, v = starts[j - 1], values[j - 1]
-            seq_s.append(b)
-            seq_v.append(v if type(v) is tuple else v[b - s :])
-        seq_s += starts[j:hi]
-        seq_v += values[j:hi]
-        ms, mv = [seq_s[0]], [seq_v[0]]
-        for s, v in zip(seq_s[1:], seq_v[1:]):
-            prev = mv[-1]
-            if type(v) is tuple and type(prev) is tuple and v == prev:
-                continue
+        if s < a:  # the left remainder
+            last = values[i]
+            if type(last) is not tuple:
+                last = last[: a - s]
+            ms.append(s)
+            mv.append(last)
+        if type(last) is not tuple:
+            last = None
+        for s, v in zip(new_s, new_v):
+            if type(v) is tuple:
+                if v == last:
+                    continue
+                last = v
+            else:
+                last = None
             ms.append(s)
             mv.append(v)
+        if j < nruns:
+            hi = j + 1
+            end = starts[j]
+        else:
+            hi = j
+            end = self.nbytes
+        if end > b:  # the right remainder
+            s, v = starts[j - 1], values[j - 1]
+            if type(v) is not tuple:
+                ms.append(b)
+                mv.append(v[b - s :])
+                last = None
+            elif v != last:
+                ms.append(b)
+                mv.append(v)
+                last = v
+        if j < hi:  # the right neighbour
+            v = values[j]
+            if type(v) is not tuple or v != last:
+                ms.append(starts[j])
+                mv.append(v)
         starts[lo:hi] = ms
         values[lo:hi] = mv
 
@@ -280,20 +317,27 @@ class Buffer:
         self._put(offset, _combine(self._get(offset, n, offset), runs), offset)
 
     def holds(self, offset: int, runs: list) -> bool:
-        """True if the range from ``offset`` is canonically ``runs``.
+        """True if the range from ``offset`` is canonically the one-run
+        list ``runs``: one phase-tuple run of this buffer covers it, with
+        the same phases.
 
         True implies the bytes are equal; False does not imply they
         differ (a raw run, or a different phase multiset, may spell the
         same bytes), so callers fall back to :meth:`view` to decide.
         """
-        runs = [r for r in runs if r[0]]
-        mine = self.read(offset, runs_nbytes(runs))
-        if len(mine) != len(runs):
-            return False
-        for (n, v), (m, w) in zip(mine, runs):
-            if n != m or type(v) is not tuple or type(w) is not tuple or v != w:
-                return False
-        return True
+        [(n, w)] = runs
+        self._check(offset, n, "read")
+        if not n:
+            return True
+        starts = self._starts
+        i = bisect_right(starts, offset) - 1
+        v = self._values[i]
+        return (
+            (starts[i + 1] if i + 1 < len(starts) else self.nbytes) >= offset + n
+            and type(v) is tuple
+            and type(w) is tuple
+            and _shift(v, offset) == w
+        )
 
     def write_bytes(self, offset: int, data) -> None:
         """Overwrite bytes from ``offset`` with raw bytes from outside the
@@ -362,7 +406,7 @@ class AddressSpace:
         pages = -(-nbytes // self.page_size)
         # leave one guard page between allocations so off-by-one iovecs fault
         self._next_addr += (pages + 1) * self.page_size
-        idx = bisect.bisect_left(self._starts, addr)
+        idx = bisect_left(self._starts, addr)
         self._starts.insert(idx, addr)
         self._buffers.insert(idx, buf)
         return buf
@@ -382,7 +426,7 @@ class AddressSpace:
 
     def resolve(self, addr: int, nbytes: int) -> tuple[Buffer, int]:
         """Map (addr, len) to (buffer, offset); EFAULT if out of bounds."""
-        idx = bisect.bisect_right(self._starts, addr) - 1
+        idx = bisect_right(self._starts, addr) - 1
         if idx >= 0:
             buf = self._buffers[idx]
             if addr + nbytes <= buf.end and addr >= buf.addr:
@@ -392,53 +436,31 @@ class AddressSpace:
             f"pid {self.pid}: [{addr:#x}, {addr + nbytes:#x}) not mapped",
         )
 
-    def gather_runs(
-        self, iov: Iterable[tuple[int, int]], nbytes: Optional[int] = None
-    ) -> list:
-        """The run list named by an iovec list, up to ``nbytes`` bytes.
-
-        Every range resolves in full (EFAULT past a buffer's end) even when
-        ``nbytes`` stops short of it, as the syscall checks every iovec.
-        """
-        out: list = []
-        pos = 0
+    def gather_bytes(self, iov: Iterable[tuple[int, int]]) -> np.ndarray:
+        """The bytes named by an iovec list, materialized (a fresh copy)."""
+        parts = [np.zeros(0, dtype=np.uint8)]
         for addr, ln in iov:
-            if ln == 0:
-                continue
-            buf, off = self.resolve(addr, ln)
-            take = ln if nbytes is None else min(ln, nbytes - pos)
-            if take > 0:
-                out += buf._get(off, take, off - pos)
-                pos += take
-        return out
+            if ln:
+                buf, off = self.resolve(addr, ln)
+                parts.append(materialize(buf._get(off, ln, off)))
+        return np.concatenate(parts)
 
-    def scatter_runs(self, iov: Iterable[tuple[int, int]], runs: list) -> int:
-        """Write a run list across the ranges of an iovec list.
-
-        Stops when the runs run out (partial fills are allowed, mirroring
-        the syscall's byte-count return).  Returns bytes written.
-        """
-        total = runs_nbytes(runs)
+    def scatter_bytes(self, iov: Iterable[tuple[int, int]], data) -> int:
+        """Write raw ``data`` across an iovec list, stopping when the data
+        runs out (a partial fill, like the syscall's byte count); returns
+        bytes written."""
+        raw = _raw(data)
+        total = len(raw)
         pos = 0
         for addr, ln in iov:
             if pos >= total:
                 break
             take = min(ln, total - pos)
-            if take == 0:
-                continue
-            buf, off = self.resolve(addr, take)
-            buf._put(off, _cut(runs, pos, pos + take), off - pos)
-            pos += take
+            if take:
+                buf, off = self.resolve(addr, take)
+                buf._put(off, [(take, raw[pos : pos + take])], off)
+                pos += take
         return pos
-
-    def gather_bytes(self, iov: Iterable[tuple[int, int]]) -> np.ndarray:
-        """The bytes named by an iovec list, materialized (a fresh copy)."""
-        return materialize(self.gather_runs(iov))
-
-    def scatter_bytes(self, iov: Iterable[tuple[int, int]], data) -> int:
-        """Write raw ``data`` across an iovec list; returns bytes written."""
-        raw = _raw(data)
-        return self.scatter_runs(iov, [(len(raw), raw)])
 
 
 def iov_pages(iov: Iterable[tuple[int, int]], page_size: int) -> int:
@@ -452,21 +474,98 @@ def iov_pages(iov: Iterable[tuple[int, int]], page_size: int) -> int:
     return total
 
 
+def _iov_skip(iov: list[tuple[int, int]], skip: int) -> list[tuple[int, int]]:
+    """``iov`` without its first ``skip`` bytes: where a short count resumes."""
+    if not skip:
+        return iov
+    out = []
+    for addr, n in iov:
+        if skip >= n:
+            skip -= n
+            continue
+        out.append((addr + skip, n - skip))
+        skip = 0
+    return out
+
+
+def _iov_pieces(local, remote, skip: int, nbytes: int) -> list:
+    """Aligned ``(local_addr, remote_addr, n)`` pieces of two iovec lists,
+    covering ``nbytes`` of their byte streams after the first ``skip``."""
+    local, remote = _iov_skip(local, skip), _iov_skip(remote, skip)
+    out = []
+    i = j = loff = roff = 0
+    while nbytes > 0:
+        (la, ln), (ra, rn) = local[i], remote[j]
+        n = min(ln - loff, rn - roff, nbytes)
+        if n > 0:
+            out.append((la + loff, ra + roff, n))
+        loff += n
+        roff += n
+        nbytes -= n
+        if loff == ln:
+            i, loff = i + 1, 0
+        if roff == rn:
+            j, roff = j + 1, 0
+    return out
+
+
 def copy_iov_bytes(
     src_space: AddressSpace,
-    src_iov: Iterable[tuple[int, int]],
+    src_iov: list[tuple[int, int]],
     dst_space: AddressSpace,
-    dst_iov: Iterable[tuple[int, int]],
+    dst_iov: list[tuple[int, int]],
     nbytes: int,
 ) -> int:
     """Copy up to ``nbytes`` bytes from ``src_iov`` ranges to ``dst_iov``.
 
-    Every source range resolves in full, destination ranges only as far as
-    the data reaches.  The source runs are snapshotted before any write,
-    so a copy within one buffer behaves like ``memmove``.  Returns bytes
-    written.
+    The copy walks the aligned pieces of the two iovec lists
+    (:func:`_iov_pieces`) and moves each with one :meth:`Buffer._get`
+    and one :meth:`Buffer._put`, phases relative to the piece's first
+    byte, so runs are never cut or re-measured.  Every source range
+    resolves in full (EFAULT even past ``nbytes``), destination ranges
+    only as far as the data reaches, each when the walk enters it.
+    Every source piece is read before any is written, so a copy within
+    one buffer behaves like ``memmove``.  Returns bytes written.
     """
-    return dst_space.scatter_runs(dst_iov, src_space.gather_runs(src_iov, nbytes))
+    srcs = []  # (length, buffer) of every non-empty source range
+    total = 0
+    for addr, ln in src_iov:
+        if ln:
+            srcs.append((ln, src_space.resolve(addr, ln)[0]))
+            total += ln
+    dst_total = 0
+    for _, ln in dst_iov:
+        dst_total += ln
+    if dst_total < total:
+        total = dst_total
+    if nbytes < total:
+        total = nbytes
+    if total <= 0:
+        return 0
+    pieces = _iov_pieces(src_iov, dst_iov, 0, total)
+    got = []
+    k = left = 0
+    for sa, _, n in pieces:
+        if not left:  # the piece opens the next source range
+            left, buf = srcs[k]
+            k += 1
+        off = sa - buf.addr
+        got.append(buf._get(off, n, off))
+        left -= n
+    ranges = iter(dst_iov)
+    pos = left = 0
+    for (_, da, n), runs in zip(pieces, got):
+        if not left:  # the piece opens the next non-empty destination range
+            addr, ln = next(ranges)
+            while not ln:
+                addr, ln = next(ranges)
+            left = min(ln, total - pos)
+            buf = dst_space.resolve(addr, left)[0]
+        off = da - buf.addr
+        buf._put(off, runs, off)
+        left -= n
+        pos += n
+    return total
 
 
 class AddressSpaceManager:

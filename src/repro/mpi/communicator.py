@@ -23,6 +23,7 @@ from repro.kernel import (
     XpmemKernel,
     iovec_total,
 )
+from repro.kernel.address_space import _iov_pieces, _iov_skip
 from repro.kernel.errors import CMAError, EFAULT, EINTR, ENOENT, EPERM, ESRCH
 from repro.machine.arch import Architecture
 from repro.shm import ShmTransport
@@ -34,39 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan, FaultState
 
 __all__ = ["Node", "Comm", "RankCtx"]
-
-
-def _iov_skip(iov: list[tuple[int, int]], skip: int) -> list[tuple[int, int]]:
-    """``iov`` without its first ``skip`` bytes: where a short count resumes."""
-    if not skip:
-        return iov
-    out = []
-    for addr, n in iov:
-        if skip >= n:
-            skip -= n
-            continue
-        out.append((addr + skip, n - skip))
-        skip = 0
-    return out
-
-
-def _iov_pieces(local, remote, skip: int, nbytes: int):
-    """Aligned ``(local_addr, remote_addr, n)`` pieces of two iovec lists,
-    covering ``nbytes`` of their byte streams after the first ``skip``."""
-    local, remote = _iov_skip(local, skip), _iov_skip(remote, skip)
-    i = j = loff = roff = 0
-    while nbytes > 0:
-        (la, ln), (ra, rn) = local[i], remote[j]
-        n = min(ln - loff, rn - roff, nbytes)
-        if n > 0:
-            yield la + loff, ra + roff, n
-        loff += n
-        roff += n
-        nbytes -= n
-        if loff == ln:
-            i, loff = i + 1, 0
-        if roff == rn:
-            j, roff = j + 1, 0
 
 
 class Node:

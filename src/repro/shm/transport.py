@@ -96,12 +96,7 @@ class ShmTransport:
         self.ctrl_messages += 1
         t = self.params.t_ctrl
         return Send(
-            self.mailboxes[dst],
-            src=src,
-            tag=tag,
-            payload=payload,
-            latency=t,
-            overhead=t * 0.5,
+            self.mailboxes[dst], src, tag, payload, latency=t, overhead=t * 0.5
         )
 
     def ctrl_send_flag(
@@ -112,16 +107,16 @@ class ShmTransport:
         so unlike :meth:`ctrl_send` there is no sender-side overhead."""
         return Send(
             self.mailboxes[dst],
-            src=src,
-            tag=tag,
-            payload=payload,
+            src,
+            tag,
+            payload,
             latency=self.params.t_ctrl * 0.5,
             overhead=0.0,
         )
 
     def ctrl_recv(self, me: int, src: Any, tag: Any) -> Recv:
         """Command: block for a matching control message."""
-        return Recv(self.mailboxes[me], src=src, tag=tag)
+        return Recv(self.mailboxes[me], src, tag)
 
     # -- two-copy data plane ---------------------------------------------------
 

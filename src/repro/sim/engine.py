@@ -1154,6 +1154,11 @@ class Simulator:
         The records sharing the end time still run one by one in
         sequence order: whenever one of them is next behind a queued
         record, ``_K_CDONE`` is pushed again with its sequence number.
+        A record that runs under a newer sequence number than its
+        ``_K_CDONE`` entry first crosses every collapsed record due before
+        it: the convoy may finish here, and its process may then acquire
+        another collapsed convoy's lock, whose expansion assumes those
+        records crossed.
         """
         heap = self._heap
         ready = self._ready

@@ -293,6 +293,53 @@ class TestCopyIovBytes:
         assert n == 6
         assert list(buf.data) == [0, 1, 0, 1, 2, 3, 4, 5]
 
+    def test_multi_piece_self_aliasing_copy_reads_before_writing(self, mgr):
+        from repro.kernel.address_space import copy_iov_bytes
+
+        space = mgr.create(1)
+        buf = self._filled(space, 16)
+        # two source pieces; the first one's destination overlaps the
+        # second one's source, so every piece must be read before any
+        # is written
+        n = copy_iov_bytes(
+            space, [(buf.addr, 4), (buf.addr + 4, 4)],
+            space, [(buf.addr + 2, 8)], 8,
+        )
+        assert n == 8
+        assert list(buf.data[:10]) == [0, 1, 0, 1, 2, 3, 4, 5, 6, 7]
+        assert list(buf.data[10:]) == list(range(10, 16))
+
+    def test_source_range_past_nbytes_still_faults(self, mgr):
+        from repro.kernel.address_space import copy_iov_bytes
+
+        src_space, dst_space = mgr.create(1), mgr.create(2)
+        src = self._filled(src_space, 8, start=1)
+        dst = dst_space.allocate(8)
+        # the second source range is unmapped (past src's end, in the
+        # guard page); nbytes covers only the first, yet it resolves
+        with pytest.raises(CMAError) as exc:
+            copy_iov_bytes(
+                src_space, [src.iov(), (src.end, 4)], dst_space, [dst.iov()], 8
+            )
+        assert exc.value.errno == EFAULT
+        assert not dst.data.any()  # nothing was written
+
+    def test_destination_range_past_data_does_not_fault(self, mgr):
+        from repro.kernel.address_space import copy_iov_bytes
+
+        src_space, dst_space = mgr.create(1), mgr.create(2)
+        src = self._filled(src_space, 8, start=1)
+        dst = dst_space.allocate(16)
+        # the data ends inside the first destination range: the rest of
+        # it and the unmapped second range are never resolved
+        n = copy_iov_bytes(
+            src_space, [src.iov()], dst_space,
+            [(dst.addr + 8, 16), (dst.end + 64, 8)], 8,
+        )
+        assert n == 8
+        assert list(dst.data[8:]) == list(range(1, 9))
+        assert not dst.data[:8].any()
+
     def test_matches_gather_then_scatter(self, mgr):
         from repro.kernel.address_space import copy_iov_bytes
 

@@ -674,6 +674,21 @@ def test_convoy_finishing_on_a_release_of_another(extra):
     assert sim.convoys_expanded == 1
 
 
+def test_finishing_convoy_crosses_a_tied_record_first():
+    """The second convoy's last record is re-sequenced by a crossing, and
+    the first convoy's release of its first batch is due at the same
+    float time with a sequence number between the second's ``_K_CDONE``
+    record and that last record.  ``_convoy_turn`` must cross the
+    release before the second convoy finishes: its process then acquires
+    the first convoy's lock, and the expansion that triggers assumes
+    every record due before it has been crossed, so the lock is found
+    free in the copy gap, as in the oracle."""
+    sim = _assert_members_match_oracle(
+        [(0, PLAN, 2 * L_PAGE, 0.0), (1, [(2, 0.0)] * 3, 0.0, 0.0)]
+    )
+    assert (sim.convoys_collapsed, sim.convoys_expanded) == (3, 1)
+
+
 @pytest.mark.parametrize("batch", range(len(GAP_PLAN)))
 @pytest.mark.parametrize("at", sorted(_AT))
 def test_lockstep_convoys_with_a_tied_interloper(batch, at):

@@ -203,7 +203,7 @@ class TestScheduledFaults:
         assert r.fallbacks == 0
 
     def test_iovec_resume_and_fallback_pieces(self):
-        from repro.mpi.communicator import _iov_pieces, _iov_skip
+        from repro.kernel.address_space import _iov_pieces, _iov_skip
 
         local = [(100, 10), (200, 0), (300, 5)]
         remote = [(1000, 4), (2000, 11)]

@@ -5,7 +5,8 @@ instead of bytes.  The byte semantics they replace are kept here, in the
 test, as the oracle: every operation sequence is applied both to runs and
 to plain numpy arrays, and the materialized runs must equal the arrays
 byte for byte.  Operations cover pattern fills, raw writes, integer fills,
-``copy_iov_bytes`` with multi-entry, partial and self-aliasing iovecs, and
+``copy_iov_bytes`` with multi-entry, partial and self-aliasing iovecs
+(among them shifted windows over one buffer, several ranges a side), and
 the read-then-write / read-then-add pairs ``Comm.memcpy`` and
 ``Comm.combine`` perform.
 """
@@ -43,6 +44,14 @@ def _ranges(draw, sizes, max_entries=3):
     return out
 
 
+def _tiles(draw, i, off, ln):
+    """2..4 (buffer index, offset, length) ranges tiling ``[off, off + ln)``
+    of buffer ``i``, ``ln >= 2``."""
+    cuts = draw(st.lists(st.integers(1, ln - 1), min_size=1, max_size=3, unique=True))
+    bounds = [0, *sorted(cuts), ln]
+    return [(i, off + lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
 @st.composite
 def programs(draw):
     """A list of operations over the buffers built from ``SIZES``."""
@@ -70,6 +79,15 @@ def programs(draw):
             ops.append((kind, s, i, off, draw(st.binary(min_size=0, max_size=n - off))))
         elif kind == "fill":
             ops.append((kind, s, i, draw(st.integers(0, 255))))
+        elif kind == "copy" and draw(st.booleans()):
+            # a shifted window over one buffer: the copy overlaps itself
+            # across several pieces, so it must read them all first
+            ln = draw(st.integers(2, n))
+            soff = draw(st.integers(0, n - ln))
+            doff = draw(st.integers(max(0, soff - ln + 1), min(n - ln, soff + ln - 1)))
+            src = _tiles(draw, i, soff, ln)
+            dst = _tiles(draw, i, doff, ln)
+            ops.append((kind, s, src, s, dst, draw(st.integers(0, ln))))
         elif kind == "copy":
             t = draw(st.integers(0, 1))
             src = _ranges(draw, SIZES[s])
