@@ -32,8 +32,7 @@ from typing import Generator
 
 from repro.core.common import blocks_of, is_power_of_two
 from repro.mpi.communicator import RankCtx
-from repro.mpi.pt2pt import p2p_recv, p2p_send
-from repro.sim.engine import Join
+from repro.mpi.pt2pt import p2p_sendrecv
 
 __all__ = ["pairwise", "pairwise_pt2pt", "pairwise_shm", "bruck"]
 
@@ -80,32 +79,19 @@ def _pairwise_over_p2p(ctx: RankCtx, threshold: int) -> Generator:
         else:
             to = (ctx.rank + step) % ctx.size
             frm = (ctx.rank - step) % ctx.size
-        send = ctx.spawn_helper(
-            p2p_send(
-                ctx,
-                to,
-                ("a2a", op, step, ctx.rank),
-                ctx.sendbuf,
-                offset=to * eta,
-                nbytes=eta,
-                threshold=threshold,
-            ),
-            name=f"a2a-send{step}",
+        yield from p2p_sendrecv(
+            ctx,
+            to,
+            ("a2a", op, step, ctx.rank),
+            ctx.sendbuf,
+            to * eta,
+            frm,
+            ("a2a", op, step, frm),
+            ctx.recvbuf,
+            frm * eta,
+            eta,
+            threshold,
         )
-        recv = ctx.spawn_helper(
-            p2p_recv(
-                ctx,
-                frm,
-                ("a2a", op, step, frm),
-                ctx.recvbuf,
-                offset=frm * eta,
-                nbytes=eta,
-                threshold=threshold,
-            ),
-            name=f"a2a-recv{step}",
-        )
-        yield Join(send)
-        yield Join(recv)
 
 
 def pairwise_pt2pt(ctx: RankCtx) -> Generator:

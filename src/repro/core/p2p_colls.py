@@ -20,8 +20,7 @@ from typing import Generator
 
 from repro.core.common import nonroot_order
 from repro.mpi.communicator import RankCtx
-from repro.mpi.pt2pt import p2p_recv, p2p_send
-from repro.sim.engine import Join
+from repro.mpi.pt2pt import p2p_recv, p2p_send, p2p_sendrecv
 
 __all__ = [
     "bcast_binomial_p2p",
@@ -256,19 +255,8 @@ def allgather_ring_p2p(ctx: RankCtx, threshold: int) -> Generator:
     for s in range(p - 1):
         send_block = (ctx.rank - s) % p
         recv_block = (ctx.rank - s - 1) % p
-        snd = ctx.spawn_helper(
-            p2p_send(
-                ctx, right, ("agp", op, s), ctx.recvbuf,
-                offset=send_block * eta, nbytes=eta, threshold=threshold,
-            ),
-            name=f"agp-s{s}",
+        yield from p2p_sendrecv(
+            ctx, right, ("agp", op, s), ctx.recvbuf, send_block * eta,
+            left, ("agp", op, s), ctx.recvbuf, recv_block * eta, eta,
+            threshold,
         )
-        rcv = ctx.spawn_helper(
-            p2p_recv(
-                ctx, left, ("agp", op, s), ctx.recvbuf,
-                offset=recv_block * eta, nbytes=eta, threshold=threshold,
-            ),
-            name=f"agp-r{s}",
-        )
-        yield Join(snd)
-        yield Join(rcv)

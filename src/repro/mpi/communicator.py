@@ -488,8 +488,10 @@ class RankCtx:
     def spawn_helper(self, gen: Generator, name: str) -> SimProcess:
         """Run a sub-operation concurrently *as this rank* (same pid/socket).
 
-        This is how nonblocking pt2pt (isend/irecv) is expressed: the helper
-        process shares the rank's identity so CMA contention accounting and
+        For flows one generator cannot interleave, such as the eager
+        halves of :func:`~repro.mpi.pt2pt.p2p_sendrecv` (a rendezvous
+        exchange runs in the rank's own generator).  The helper process
+        shares the rank's identity so CMA contention accounting and
         address-space resolution stay correct.  Wait on it with ``Join``.
         """
         place = self.comm.placement_of(self.rank)

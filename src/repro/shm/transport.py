@@ -99,6 +99,19 @@ class ShmTransport:
             self.mailboxes[dst], src, tag, payload, latency=t, overhead=t * 0.5
         )
 
+    def ctrl_post(
+        self, src: int, dst: int, tag: Any, payload: Any = None
+    ) -> Send:
+        """Command: a counted control message whose sender goes on at once.
+
+        Delivered like :meth:`ctrl_send`, but the sender-side overhead is
+        not charged: for a caller that next waits at least ``t_ctrl`` for
+        a reply, it would end before that wait does."""
+        self.ctrl_messages += 1
+        return Send(
+            self.mailboxes[dst], src, tag, payload, latency=self.params.t_ctrl
+        )
+
     def ctrl_send_flag(
         self, src: int, dst: int, tag: Any, payload: Any = None
     ) -> Send:
