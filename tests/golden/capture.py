@@ -19,10 +19,17 @@ now comes from the kernels' phase counters, with :func:`phase_mismatches`;
 baselines' eager shm trains and rendezvous RTS/CTS/FIN traffic) into
 ``p2p_parity.json`` (``tests/test_p2p_golden.py``), including
 ``sim_events``: any change to the channel message path must keep the
-engine's record count as well as its simulated times.
+engine's record count as well as its simulated times.  The pairwise and
+ring designs' rendezvous entries count the exchanges of
+:func:`repro.mpi.pt2pt.p2p_sendrecv`, which run in the rank's own
+generator and deliver no CTS: six records fewer per message than the
+spawned send/receive helpers that were recorded before, at the same
+times and counts.
 
 Regenerate only when a change is *supposed* to alter simulated results —
-which also means bumping ``repro.exec.cache.CACHE_VERSION``::
+which also means bumping ``repro.exec.cache.CACHE_VERSION`` — or, for
+``p2p_parity.json``, when a change only lowers ``sim_events``: then diff
+the two files and check that no other field moved::
 
     PYTHONPATH=src python tests/golden/capture.py         # engine_parity.json
     PYTHONPATH=src python tests/golden/capture.py --p2p   # p2p_parity.json

@@ -4,10 +4,14 @@
 messages, CMA reads and ``sim_events`` for the pt2pt designs the library
 models run (rendezvous RTS/CTS/FIN transfers and eager two-copy shm
 trains, including trains whose last chunk is short) on a KNL and a
-Broadwell slice.  Every channel ``Send``/``Recv`` of these runs goes
-through the engine's message path, so any change to it must reproduce
-these numbers bit for bit, record count included.  The comparison is
-exact equality; see ``tests/golden/capture.py`` to regenerate.
+Broadwell slice.  The pairwise and ring designs step through
+``p2p_sendrecv``, whose rendezvous exchanges run in the rank's own
+generator with the CTS counted but not delivered; their eager exchanges
+still spawn two helpers.  Every channel ``Send``/``Recv`` of these runs
+goes through the engine's message path, so any change to it must
+reproduce these numbers bit for bit, record count included.  The
+comparison is exact equality; see ``tests/golden/capture.py`` to
+regenerate.
 """
 
 import importlib.util
