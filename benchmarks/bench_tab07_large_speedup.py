@@ -5,9 +5,12 @@ sizes; Alltoall/Allgather shrink toward parity (data movement dominates,
 the paper reports 10-50% there); nothing regresses below ~parity.
 """
 
+import pytest
 
-def bench_tab07_large_speedup(regen):
-    exp = regen("tab07")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     grid = exp.data["grid"]
 
     for (arch, coll, lib), (speedup, _at) in grid.items():
@@ -21,3 +24,14 @@ def bench_tab07_large_speedup(regen):
     # low-contention collectives: modest but present
     a2a = [s for (a, c, l), (s, _) in grid.items() if c == "alltoall"]
     assert all(s < 6.0 for s in a2a)
+
+
+def bench_tab07_large_speedup(regen):
+    _check_shapes(regen("tab07"))
+
+
+@pytest.mark.slow
+def bench_tab07_large_speedup_full():
+    """The same shapes on the paper's full axes (POWER8 at 160 ranks),
+    run serially."""
+    _check_shapes(run_experiment("tab07", quick=False))
