@@ -39,8 +39,8 @@ def main(argv=None) -> int:
 
         return faultsweep.main(argv[1:])
     if argv and argv[0] == "chaos":
-        # Harness chaos soak + journal resume smoke: seeded worker kills,
-        # stalls, and cache attacks, verified bit-identical — see
+        # Harness chaos soak: seeded worker kills, stalls, and cache
+        # attacks, verified bit-identical — see
         # repro.bench.chaossoak.
         from repro.bench import chaossoak
 

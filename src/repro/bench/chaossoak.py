@@ -12,15 +12,10 @@ resilience layer promises:
 * **convergent state**: a follow-up run over the same cache quarantines
   whatever the plan damaged and still reproduces the same bytes.
 
-``--resume-smoke`` exercises the write-ahead journal instead: a
-journalled sweep is run in a subprocess, SIGKILLed at a seeded midpoint,
-resumed in-process, and the resumed results are diffed against an
-uninterrupted run (the journal must replay the completed prefix and be
-retired on success).
-
-Either mode emits one JSON document (injection, respawn, poison, and
-resume counters included) and exits non-zero if any property failed —
-the contract the gated CI chaos jobs consume.
+It emits one JSON document (injection, respawn and poison counters
+included) and exits non-zero if any property failed — the contract the
+gated CI chaos job consumes.  A killed sweep's resume through the cache
+is pinned by ``tests/test_exec_cache.py``'s SIGKILL tests.
 """
 
 from __future__ import annotations
@@ -31,8 +26,6 @@ import multiprocessing
 import os
 import pickle
 import shutil
-import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -42,11 +35,10 @@ from typing import List, Optional
 from repro.exec import ExecContext, use_context
 from repro.exec import chaos
 from repro.exec.chaos import ENV_CHAOS
-from repro.exec.journal import ENV_JOURNAL
-from repro.exec.sched import ENV_HUNG_S, ENV_MAX_RESPAWNS
+from repro.exec.sched import DEFAULT_HUNG_S, StickyPool
 from repro.exec.sweep import sweep
 
-__all__ = ["PLAN_TEMPLATES", "run_soak_case", "run_resume_smoke", "main"]
+__all__ = ["PLAN_TEMPLATES", "run_soak_case", "main"]
 
 #: per-kind chaos plan templates (seed interpolated per case).  ``hang``
 #: pairs a default 30 s stall with a 1.5 s hung-chunk deadline so the
@@ -66,22 +58,6 @@ def _soak_point(x: int) -> tuple:
     for i in range(64):
         acc = (acc * 1103515245 + x + i) % (1 << 31)
     return (x, acc)
-
-
-def _resume_point(x: int):
-    """Soak point that simulates power loss at one env-named point."""
-    kill_at = os.environ.get("_REPRO_RESUME_KILL_AT")
-    if kill_at is not None and x == int(kill_at):
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _soak_point(x)
-
-
-def _resume_child() -> None:
-    """Subprocess body for the resume smoke (dies mid-sweep by design)."""
-    jdir = os.environ["_REPRO_RESUME_JDIR"]
-    n = int(os.environ["_REPRO_RESUME_N"])
-    with use_context(ExecContext(workers=1, journal=jdir)):
-        sweep("chaos.resume", _resume_point, list(range(n)))
 
 
 class _env_overlay:
@@ -120,31 +96,24 @@ def run_soak_case(
     baseline = pickle.dumps([_soak_point(x) for x in points])
     plan = PLAN_TEMPLATES[kind].format(seed=seed)
     cache_dir = tmp / f"cache-{kind}-{seed}"
-    journal_dir = tmp / f"journal-{kind}-{seed}"
     sweep_kind = f"chaos.soak.{kind}"
     before = {p.pid for p in multiprocessing.active_children()}
     t0 = time.monotonic()
-    with _env_overlay(
-        **{
-            ENV_CHAOS: plan,
-            ENV_HUNG_S: "1.5" if kind == "hang" else None,
-            # A generous respawn budget keeps supervision (not the
-            # broken-pool salvage floor) as the path under test.
-            ENV_MAX_RESPAWNS: "64",
-        }
-    ):
-        ctx = ExecContext(
-            workers=workers, cache=cache_dir, journal=journal_dir
-        )
+    with _env_overlay(**{ENV_CHAOS: plan}):
+        ctx = ExecContext(workers=workers, cache=cache_dir)
         # Hand the context an explicit pool: on a host whose usable-CPU
         # count would pick inline dispatch, worker-scoped chaos (kill,
         # stall) would never even fire.
-        pooled = False
         try:
-            from repro.exec.sched import StickyPool
-
-            ctx.adopt_sched_pool(StickyPool(max(workers, 2)))
-            pooled = True
+            ctx.adopt_sched_pool(
+                StickyPool(
+                    workers,
+                    hung_s=1.5 if kind == "hang" else DEFAULT_HUNG_S,
+                    # A generous respawn budget keeps supervision (not the
+                    # broken-pool salvage floor) as the path under test.
+                    max_respawns=64,
+                )
+            )
         except Exception:
             pass  # fork-restricted host: the case still runs inline
         with use_context(ctx):
@@ -166,7 +135,9 @@ def run_soak_case(
         "plan": plan,
         "points": npoints,
         "workers": workers,
-        "pooled": pooled,
+        # what ran, not what was adopted: only dispatched chunks prove
+        # the worker-scoped attacks had a pool to land on
+        "pooled": ctx.stats.sched_chunks > 0,
         "wall_s": round(time.monotonic() - t0, 3),
         "bit_identical": chaos_identical,
         "converged": converged,
@@ -176,67 +147,12 @@ def run_soak_case(
         "hung_kills": ctx.stats.sched_hung_kills,
         "sandbox_rescues": ctx.stats.sandbox_rescues,
         "poisoned": ctx.stats.poisoned,
-        "journal_replayed": ctx.stats.journal_replayed,
         "breaker_state": ctx.stats.breaker_state,
         "cache_quarantined": max(
             ctx.stats.cache_quarantined, ctx2.stats.cache_quarantined
         ),
         "recomputed_on_converge": ctx2.stats.points_run,
         "ok": bool(chaos_identical and converged and not leaked),
-    }
-
-
-def run_resume_smoke(seed: int, npoints: int, tmp: Path) -> dict:
-    """Journal smoke: run, SIGKILL at a seeded midpoint, resume, diff."""
-    import random
-
-    points = list(range(npoints))
-    baseline = pickle.dumps([_soak_point(x) for x in points])
-    kill_at = random.Random(f"resume/{seed}").randrange(1, npoints - 1)
-    jdir = tmp / f"journal-resume-{seed}"
-    src_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    env["_REPRO_RESUME_JDIR"] = str(jdir)
-    env["_REPRO_RESUME_N"] = str(npoints)
-    env["_REPRO_RESUME_KILL_AT"] = str(kill_at)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root, env.get("PYTHONPATH", "")]
-    ).rstrip(os.pathsep)
-    env.pop(ENV_CHAOS, None)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.bench.chaossoak import _resume_child; _resume_child()",
-        ],
-        env=env,
-        capture_output=True,
-        timeout=300,
-    )
-    died_by_kill = proc.returncode == -signal.SIGKILL
-    journal_left = len(list(jdir.glob("*.wal"))) if jdir.is_dir() else 0
-    with _env_overlay(**{ENV_JOURNAL: None}):
-        with use_context(ExecContext(workers=1, journal=jdir)) as ctx:
-            resumed = sweep("chaos.resume", _soak_point, points)
-    identical = pickle.dumps(resumed) == baseline
-    retired = len(list(jdir.glob("*.wal"))) == 0 if jdir.is_dir() else True
-    return {
-        "seed": seed,
-        "points": npoints,
-        "kill_at": kill_at,
-        "child_sigkilled": died_by_kill,
-        "journal_left_by_child": journal_left,
-        "journal_replayed": ctx.stats.journal_replayed,
-        "recomputed": ctx.stats.points_run,
-        "bit_identical": identical,
-        "journal_retired": retired,
-        "ok": bool(
-            died_by_kill
-            and journal_left == 1
-            and ctx.stats.journal_replayed >= 1
-            and identical
-            and retired
-        ),
     }
 
 
@@ -260,13 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--points", type=int, default=12, help="sweep points per case"
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="scheduler workers per case"
-    )
-    parser.add_argument(
-        "--resume-smoke",
-        action="store_true",
-        help="run the journal resume smoke instead of the soak matrix "
-        "(run, SIGKILL at a seeded midpoint, resume, diff)",
+        "--workers",
+        type=int,
+        default=2,
+        help="scheduler workers per case (>= 2)",
     )
     args = parser.parse_args(argv)
 
@@ -279,39 +192,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if args.points < 4:
         parser.error("--points must be >= 4")
+    if args.workers < 2:
+        # a one-worker context dispatches inline, so no worker could be
+        # killed or stalled and every case would pass vacuously
+        parser.error("--workers must be >= 2")
 
     tmp = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     try:
-        if args.resume_smoke:
-            runs = [
-                run_resume_smoke(seed, args.points, tmp) for seed in seeds
-            ]
-            summary = {
-                "mode": "resume-smoke",
-                "runs": runs,
-                "resumes_ok": sum(1 for r in runs if r["ok"]),
-                "ok": all(r["ok"] for r in runs),
-            }
-        else:
-            cases = [
-                run_soak_case(kind, seed, args.points, args.workers, tmp)
-                for kind in kinds
-                for seed in seeds
-            ]
-            summary = {
-                "mode": "soak",
-                "cases": cases,
-                "injections": {
-                    "respawns": sum(c["respawns"] for c in cases),
-                    "hung_kills": sum(c["hung_kills"] for c in cases),
-                    "sandbox_rescues": sum(c["sandbox_rescues"] for c in cases),
-                    "poisoned": sum(c["poisoned"] for c in cases),
-                    "cache_quarantined": sum(
-                        c["cache_quarantined"] for c in cases
-                    ),
-                },
-                "ok": all(c["ok"] for c in cases),
-            }
+        cases = [
+            run_soak_case(kind, seed, args.points, args.workers, tmp)
+            for kind in kinds
+            for seed in seeds
+        ]
+        summary = {
+            "mode": "soak",
+            "cases": cases,
+            "injections": {
+                "respawns": sum(c["respawns"] for c in cases),
+                "hung_kills": sum(c["hung_kills"] for c in cases),
+                "sandbox_rescues": sum(c["sandbox_rescues"] for c in cases),
+                "poisoned": sum(c["poisoned"] for c in cases),
+                "cache_quarantined": sum(
+                    c["cache_quarantined"] for c in cases
+                ),
+            },
+            "ok": all(c["ok"] for c in cases),
+        }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(json.dumps(summary, indent=2))

@@ -71,9 +71,6 @@ def sweep_summary(stats) -> str:
     if quarantined:
         line += f"; {quarantined} quarantined"
     resilience = []
-    replayed = getattr(stats, "journal_replayed", 0)
-    if replayed:
-        resilience.append(f"{replayed} journal-replayed")
     respawns = getattr(stats, "sched_respawns", 0)
     if respawns:
         resilience.append(f"{respawns} respawns")

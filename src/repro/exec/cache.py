@@ -33,7 +33,7 @@ fsync'd, then each is ``os.replace``'d over its target.  No entry becomes
 visible before the disk holds it: a kill mid-publication leaves stray
 ``.tmp-`` files and whole entries, never a truncated envelope, and a kill
 mid-batch loses only what was staged (about a second of computed points,
-which the sweep journal, :mod:`repro.exec.journal`, still records).
+which a rerun recomputes; everything published is served as hits).
 Under an armed chaos plan (:mod:`repro.exec.chaos`) every staged entry
 draws a ``corrupt`` / ``truncate`` / ``tear`` attack, in ``put`` order,
 which lands when the entry is published and which the CRC quarantine

@@ -2,9 +2,9 @@
 
 :mod:`repro.faults` proves the simulated kernel's degraded-mode ladder;
 this module is its twin one layer up: it attacks the execution harness —
-the worker pool, the result cache, the journal's atomic publications —
-so the resilience layer (supervision, respawn, poison accounting, CRC
-quarantine, write-ahead journal) can prove that every sweep still
+the worker pool and the result cache's atomic publications — so the
+resilience layer (supervision, respawn, poison accounting, CRC
+quarantine) can prove that every sweep still
 completes with results bit-identical to a clean serial run.
 
 Same design contract as the fault plans:

@@ -11,10 +11,8 @@ Environment knobs (honoured only where no explicit argument wins):
 * ``REPRO_EXEC_WORKERS`` — pool size; ``1`` (or unset) means serial,
   ``auto`` means one worker per CPU.
 * ``REPRO_CACHE_DIR`` — enables the on-disk cache at that directory for
-  ``run_experiment`` / the CLIs.
-* ``REPRO_SWEEP_JOURNAL`` — directory for the write-ahead sweep journal
-  (:mod:`repro.exec.journal`): every completed point is logged durably, so
-  a killed run resumes instead of restarting.  Unset means no journal.
+  ``run_experiment`` / the CLIs.  The cache is also what resumes a
+  killed sweep: a rerun serves every published point as a hit.
 
 The context also owns the :class:`~repro.exec.sched.CircuitBreaker`: the
 systemic-failure ladder that degrades dispatch ``sched`` → ``serial``
@@ -74,11 +72,9 @@ class SweepStats:
     #: corrupt cache entries currently quarantined (count as of the last
     #: sweep; the cache bounds the directory, see repro.exec.cache)
     cache_quarantined: int = 0
-    #: resilience counters (all zero on healthy runs): points served from
-    #: the write-ahead journal on resume, workers respawned, hung-chunk
-    #: kills, sandboxed one-shot rescues, and points quarantined as
-    #: :class:`~repro.exec.sched.PoisonedPoint`
-    journal_replayed: int = 0
+    #: resilience counters (all zero on healthy runs): workers
+    #: respawned, hung-chunk kills, sandboxed one-shot rescues, and points
+    #: quarantined as :class:`~repro.exec.sched.PoisonedPoint`
     sched_respawns: int = 0
     sched_hung_kills: int = 0
     sandbox_rescues: int = 0
@@ -124,7 +120,6 @@ class SweepStats:
         self.sched_fallbacks += other.sched_fallbacks
         self.cache_puts += other.cache_puts
         self.cache_flushes += other.cache_flushes
-        self.journal_replayed += other.journal_replayed
         self.sched_respawns += other.sched_respawns
         self.sched_hung_kills += other.sched_hung_kills
         self.sandbox_rescues += other.sandbox_rescues
@@ -174,10 +169,9 @@ class ExecContext:
     """One sweep's execution policy plus its accumulated stats.
 
     ``cache`` accepts ``None``/``False`` (off), ``True`` (default
-    directory), a path, or a :class:`ResultCache`; ``journal`` a path,
-    ``False`` (explicitly off), or None (consult ``REPRO_SWEEP_JOURNAL``).
-    The context lazily owns one worker pool shared by every sweep run
-    underneath it; ``use_context`` shuts it down on exit.
+    directory), a path, or a :class:`ResultCache`.  The context lazily
+    owns one worker pool shared by every sweep run underneath it;
+    ``use_context`` shuts it down on exit.
     """
 
     def __init__(
@@ -186,17 +180,20 @@ class ExecContext:
         cache=None,
         journal=None,
     ):
-        from repro.exec.journal import resolve_journal_dir
         from repro.exec.sched import CircuitBreaker
 
+        # Accepted only because e2ebench/workloads.py still passes
+        # journal=False; the result cache resumes killed sweeps.
+        if journal is not None and journal is not False:
+            raise ValueError(
+                "the sweep journal was removed: the result cache resumes "
+                "killed sweeps (pass cache=... instead of journal=...)"
+            )
         self.workers = resolve_workers(workers)
         self.cache = _resolve_cache(cache)
-        #: write-ahead journal directory (None: journalling off)
-        self.journal_dir = resolve_journal_dir(journal)
         self.stats = SweepStats(workers=self.workers)
         self._pool_owner: "ExecContext" = self
         self._sched_pool = None  # None = not created, False = unavailable
-        self._journal = None
         self._breaker = CircuitBreaker()
 
     @property
@@ -206,17 +203,6 @@ class ExecContext:
         if self._pool_owner is not self:
             return self._pool_owner.breaker
         return self._breaker
-
-    def journal(self):
-        """The context's :class:`~repro.exec.journal.SweepJournal`, or
-        ``None`` when journalling is off."""
-        if self.journal_dir is None:
-            return None
-        if self._journal is None:
-            from repro.exec.journal import SweepJournal
-
-            self._journal = SweepJournal(self.journal_dir)
-        return self._journal
 
     def sched_pool(self):
         """The shared :class:`~repro.exec.sched.StickyPool`, or ``None``.
@@ -294,7 +280,7 @@ def use_context(ctx: ExecContext) -> Iterator[ExecContext]:
         ctx.close()
 
 
-def from_env(workers=None, cache=None, journal=None) -> ExecContext:
+def from_env(workers=None, cache=None) -> ExecContext:
     """Build a context from explicit args, the enclosing context, then env.
 
     Used by ``run_experiment`` and the CLIs so that an outer context (e.g.
@@ -309,9 +295,7 @@ def from_env(workers=None, cache=None, journal=None) -> ExecContext:
             cache = parent.cache
         elif os.environ.get(ENV_CACHE_DIR, "").strip():
             cache = ResultCache()
-    if journal is None and parent is not None and parent.journal_dir is not None:
-        journal = parent.journal_dir
-    ctx = ExecContext(workers=workers, cache=cache, journal=journal)
+    ctx = ExecContext(workers=workers, cache=cache)
     if parent is not None and parent.workers == ctx.workers:
         # Nested sweeps (run_experiment under a harness context) share the
         # parent's worker pool rather than paying start-up again.

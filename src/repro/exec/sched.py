@@ -30,8 +30,8 @@ executes on a fresh-or-reset node.
 
 * every worker stamps a shared heartbeat slot before each point and
   reports which point it is on, so the parent distinguishes a *hung*
-  worker (alive, no heartbeat progress for ``REPRO_HUNG_CHUNK_S``
-  seconds while a chunk is in flight) from a *dead* one (``is_alive()``
+  worker (alive, no heartbeat progress for ``hung_s`` seconds, 300 by
+  default, while a chunk is in flight) from a *dead* one (``is_alive()``
   false) — a hung worker is SIGKILLed and treated as lost;
 * results travel over per-worker *lock-free framed pipes* (a length
   prefix per pickled message, non-blocking parent reads): a SIGKILL
@@ -40,14 +40,15 @@ executes on a fresh-or-reset node.
   and every complete frame the dying worker shipped is salvaged;
 * a lost worker is respawned (fresh inbox and result pipe — a kill can
   strand the old queue's read lock or leave a torn frame) with
-  exponential backoff, bounded by ``REPRO_SCHED_RESPAWNS`` total
-  respawns per pool, and its unfinished chunk's points are re-dispatched;
+  exponential backoff, bounded by ``max_respawns`` total respawns per
+  pool (``4 * workers`` by default), and its unfinished chunk's points
+  are re-dispatched;
 * the point a worker was executing when it was lost takes a **poison
-  strike**; at ``REPRO_POISON_STRIKES`` strikes the point is retried once
-  in a sandboxed one-shot subprocess under a tight deadline, and if that
-  also fails it is **quarantined**: its result slot becomes a
-  :class:`PoisonedPoint` and the sweep completes without it instead of
-  failing (the sweep report carries the quarantine);
+  strike**; at ``poison_strikes`` strikes (2 by default) the point is
+  retried once in a sandboxed one-shot subprocess under a tight
+  deadline, and if that also fails it is **quarantined**: its result
+  slot becomes a :class:`PoisonedPoint` and the sweep completes without
+  it instead of failing (the sweep report carries the quarantine);
 * exhausting the respawn budget marks the pool broken and the missing
   points are salvaged in-process, in input order, so a sweep always
   completes.
@@ -80,9 +81,6 @@ __all__ = [
     "build_chunks",
     "point_cost",
     "usable_cpus",
-    "resolve_hung_s",
-    "resolve_max_respawns",
-    "resolve_poison_strikes",
 ]
 
 #: Outstanding-chunk multiple the adaptive chunker targets per worker:
@@ -107,16 +105,12 @@ def usable_cpus() -> int:
 
 
 # --------------------------------------------------------------------------
-# Supervision knobs
+# Supervision defaults
 # --------------------------------------------------------------------------
-
-ENV_HUNG_S = "REPRO_HUNG_CHUNK_S"
-ENV_MAX_RESPAWNS = "REPRO_SCHED_RESPAWNS"
-ENV_POISON_STRIKES = "REPRO_POISON_STRIKES"
 
 #: a worker whose in-flight chunk shows no per-point heartbeat progress
 #: for this long is declared hung and killed; generous by default — no
-#: legitimate sweep point is minutes of wall time — and ``0`` disables.
+#: legitimate sweep point is minutes of wall time — and ``<= 0`` disables.
 DEFAULT_HUNG_S = 300.0
 
 #: worker-loss blames before a point is sandboxed instead of re-pooled
@@ -126,61 +120,12 @@ DEFAULT_POISON_STRIKES = 2
 SANDBOX_DEADLINE_S = 10.0
 
 
-def resolve_hung_s(hung_s: Any = None) -> Optional[float]:
-    """Explicit argument > ``REPRO_HUNG_CHUNK_S`` > 300 s; <= 0 disables."""
-    if hung_s is None:
-        raw = os.environ.get(ENV_HUNG_S, "").strip()
-        if not raw:
-            return DEFAULT_HUNG_S
-        hung_s = raw
-    try:
-        hung_s = float(hung_s)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid hung-chunk timeout {hung_s!r} (set {ENV_HUNG_S} to "
-            f"seconds; 0 disables)"
-        ) from None
-    return hung_s if hung_s > 0 else None
-
-
-def resolve_max_respawns(max_respawns: Any, workers: int) -> int:
-    """Explicit argument > ``REPRO_SCHED_RESPAWNS`` > ``4 * workers``."""
-    if max_respawns is None:
-        raw = os.environ.get(ENV_MAX_RESPAWNS, "").strip()
-        if not raw:
-            return 4 * max(int(workers), 1)
-        max_respawns = raw
-    try:
-        return max(int(max_respawns), 0)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid respawn budget {max_respawns!r} (set {ENV_MAX_RESPAWNS} "
-            f"to an integer)"
-        ) from None
-
-
-def resolve_poison_strikes(strikes: Any = None) -> int:
-    """Explicit argument > ``REPRO_POISON_STRIKES`` > 2 (min 1)."""
-    if strikes is None:
-        raw = os.environ.get(ENV_POISON_STRIKES, "").strip()
-        if not raw:
-            return DEFAULT_POISON_STRIKES
-        strikes = raw
-    try:
-        return max(int(strikes), 1)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"invalid poison-strike count {strikes!r} (set "
-            f"{ENV_POISON_STRIKES} to an integer >= 1)"
-        ) from None
-
-
 @dataclass(frozen=True)
 class PoisonedPoint:
     """A sweep point quarantined by supervision instead of computed.
 
     Occupies the point's result slot so the sweep completes; the sweep
-    layer skips cache/journal writes for it and counts it in the report.
+    layer never caches it and counts it in the report.
     Only ever produced under worker loss (chaos, a genuinely crashing
     point) — default healthy runs never see one.
     """
@@ -565,15 +510,19 @@ class StickyPool:
     module-level :class:`~repro.core.runner.NodePool` warm for it).  All
     failure modes degrade to in-process recomputation of whatever is
     missing — never to a wrong or partial result.
+
+    ``hung_s`` (``<= 0`` disables hung detection), ``max_respawns`` and
+    ``poison_strikes`` tune the supervision described in the module
+    docstring; only tests and the chaos soak move them off the defaults.
     """
 
     def __init__(
         self,
         workers: int,
         start_method: Optional[str] = None,
-        hung_s: Any = None,
-        max_respawns: Any = None,
-        poison_strikes: Any = None,
+        hung_s: float = DEFAULT_HUNG_S,
+        max_respawns: Optional[int] = None,
+        poison_strikes: int = DEFAULT_POISON_STRIKES,
         sandbox_deadline_s: float = SANDBOX_DEADLINE_S,
     ):
         import multiprocessing as mp
@@ -587,9 +536,13 @@ class StickyPool:
         self._mp_ctx = ctx
         self.workers = workers
         self.broken = False
-        self.hung_s = resolve_hung_s(hung_s)
-        self.max_respawns = resolve_max_respawns(max_respawns, workers)
-        self.poison_strikes = resolve_poison_strikes(poison_strikes)
+        #: hung-chunk timeout in seconds (None: detection off)
+        self.hung_s = float(hung_s) if hung_s > 0 else None
+        #: total respawn budget (default ``4 * workers``)
+        self.max_respawns = (
+            4 * workers if max_respawns is None else max(int(max_respawns), 0)
+        )
+        self.poison_strikes = max(int(poison_strikes), 1)
         self.sandbox_deadline_s = float(sandbox_deadline_s)
         #: workers respawned over this pool's lifetime (budget consumed)
         self.respawns = 0

@@ -100,9 +100,9 @@ def sweep(
     handed out biggest first, results streamed back as chunks complete.
     Otherwise (no context, a serial context, a single miss, one usable CPU
     or a tripped circuit breaker) the misses run in a plain in-process
-    loop, in input order.  Either way every computed value is decoded,
-    staged into the cache and journalled through one callback, and the
-    values are bit-identical (``tests/test_sched.py``).
+    loop, in input order.  Either way every computed value is decoded
+    and staged into the cache through one callback, and the values are
+    bit-identical (``tests/test_sched.py``).
 
     Cache writes are group-committed: the sweep runs inside one
     :meth:`~repro.exec.cache.ResultCache.batch` (a sweep nested in another
@@ -111,15 +111,13 @@ def sweep(
     raises — and a long sweep publishes about once a second
     (:data:`~repro.exec.cache.MAX_STAGE_AGE_S`).
 
-    Crash safety: with a journal configured
-    (:attr:`~repro.exec.context.ExecContext.journal_dir`) every computed
-    value is appended to a write-ahead log before the sweep moves on;
-    re-running the same sweep after a kill replays the logged points
-    (including any a kill caught staged but not yet published) —
-    values bit-identical, cache state restored — and only computes the
-    rest.  Points quarantined by the scheduler's poison ladder arrive as
-    :class:`~repro.exec.sched.PoisonedPoint` markers in the result list
-    (never cached, never journalled as done); healthy runs never see one.
+    Crash safety is the cache's: a killed sweep loses at most the points
+    staged since the last publication (about a second's worth), and
+    re-running it serves every published point as a hit — values
+    bit-identical — and computes only the rest.  With the cache off a
+    rerun recomputes the sweep.  Points quarantined by the scheduler's
+    poison ladder arrive as :class:`~repro.exec.sched.PoisonedPoint`
+    markers in the result list (never cached); healthy runs never see one.
     """
     ctx = _context.current()
     cache = ctx.cache if ctx is not None else None
@@ -141,59 +139,22 @@ def sweep(
         miss = list(range(len(points)))
     cache_hits = len(points) - len(miss)
 
-    # Write-ahead journal: fingerprint the *whole* sweep (cache state
-    # varies between attempts; the point list is what identifies it),
-    # replay any points a previous killed run already completed, and
-    # restore them into the cache so a resumed run converges on the same
-    # on-disk state an uninterrupted one would have.
-    jlog = None
-    replayed = 0
-    replay_put: List[Tuple[str, Any]] = []
-    journal = ctx.journal() if ctx is not None else None
-    if journal is not None and miss:
-        if cache is not None:
-            digests = list(keys)
-        else:
-            from repro.exec.keying import digest as _digest
-            from repro.exec.cache import CACHE_VERSION as _SALT
-
-            digests = [
-                _digest(kind, payloads[i] if payloads is not None else pt, _SALT)
-                for i, pt in enumerate(points)
-            ]
-        jlog = journal.open_sweep(kind, digests)
-        if jlog.replayed:
-            still: List[int] = []
-            for i in miss:
-                value = jlog.replayed.get(i, _MISS)
-                if value is _MISS:
-                    still.append(i)
-                    continue
-                results[i] = value
-                replayed += 1
-                if cache is not None:
-                    replay_put.append((keys[i], value))
-            miss = still
-
     run_wall = 0.0
     sim_events = 0
     breaker = ctx.breaker if ctx is not None else None
 
     def on_result(j: int, value: Any) -> None:
         # Pooled points stream back as chunks complete: decode, stage into
-        # the cache's batch and journal each one as it arrives.
+        # the cache's batch as each one arrives.
         nonlocal sim_events
         i = miss[j]
         if isinstance(value, PoisonedPoint):
             # Quarantined, not computed: re-anchor the marker to the
-            # sweep-global index; never cache or journal it as done (a
-            # resume retries the point).
-            value = PoisonedPoint(
+            # sweep-global index; never cache it (a rerun retries the
+            # point).
+            results[i] = PoisonedPoint(
                 index=i, strikes=value.strikes, reason=value.reason
             )
-            results[i] = value
-            if jlog is not None:
-                jlog.record_poison(i, value.reason)
             return
         if decode is not None:
             value = decode(value, i)
@@ -203,60 +164,45 @@ def sweep(
         sim_events += getattr(value, "sim_events", 0) or 0
         if cache is not None:
             cache.put(keys[i], value)
-        if jlog is not None:
-            jlog.record(i, value)
 
-    try:
-        # One group commit for the sweep's writes (nested sweeps join the
-        # outermost): entries are staged as they arrive and published,
-        # durable, when it closes — also when a point raises.
-        with _group_commit(ctx):
-            if replay_put:
-                cache.put_many(replay_put)
-            if miss:
-                miss_points = [points[i] for i in miss]
-                t0 = time.perf_counter()
-                # No pool (serial context, one usable CPU, a tripped breaker)
-                # means the plain loop, in input order.
-                pool = (
-                    ctx.sched_pool()
-                    if ctx is not None and len(miss) > 1 else None
+    # One group commit for the sweep's writes (nested sweeps join the
+    # outermost): entries are staged as they arrive and published,
+    # durable, when it closes — also when a point raises.
+    with _group_commit(ctx):
+        if miss:
+            miss_points = [points[i] for i in miss]
+            t0 = time.perf_counter()
+            # No pool (serial context, one usable CPU, a tripped breaker)
+            # means the plain loop, in input order.
+            pool = (
+                ctx.sched_pool()
+                if ctx is not None and len(miss) > 1 else None
+            )
+            if pool is None:
+                for j, pt in enumerate(miss_points):
+                    on_result(j, runner(pt))
+            else:
+                _, sstats = pool.run(
+                    runner,
+                    miss_points,
+                    costs=[point_cost(p) for p in miss_points],
+                    groups=(
+                        [group_key(p) for p in miss_points]
+                        if group_key is not None else None
+                    ),
+                    on_result=on_result,
                 )
-                if pool is None:
-                    for j, pt in enumerate(miss_points):
-                        on_result(j, runner(pt))
-                else:
-                    _, sstats = pool.run(
-                        runner,
-                        miss_points,
-                        costs=[point_cost(p) for p in miss_points],
-                        groups=(
-                            [group_key(p) for p in miss_points]
-                            if group_key is not None else None
-                        ),
-                        on_result=on_result,
-                    )
-                    ctx.stats.record_sched(sstats)
-                run_wall = time.perf_counter() - t0
-    except BaseException:
-        # The sweep did NOT complete: keep the journal for the resume.
-        if jlog is not None:
-            jlog.close()
-        raise
-    if jlog is not None:
-        jlog.finish()
+                ctx.stats.record_sched(sstats)
+            run_wall = time.perf_counter() - t0
     if ctx is not None:
         ctx.stats.points_total += len(points)
         ctx.stats.points_run += len(miss)
         ctx.stats.cache_hits += cache_hits
-        ctx.stats.journal_replayed += replayed
         ctx.stats.sim_events += sim_events
         ctx.stats.run_wall_s += run_wall
         if breaker is not None:
             ctx.stats.breaker_state = breaker.state
-        ctx.stats.record_kind(
-            kind, len(points), len(miss), cache_hits + replayed
-        )
+        ctx.stats.record_kind(kind, len(points), len(miss), cache_hits)
         if cache is not None:
             ctx.stats.cache_quarantined = max(
                 ctx.stats.cache_quarantined, cache.quarantine_count()

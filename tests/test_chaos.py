@@ -228,3 +228,25 @@ class TestKillSoak:
         assert stats.respawns >= 1, "the seeded plan must actually fire"
         assert not pool.broken
         _assert_no_new_children(before)
+
+
+class TestSoakCli:
+    def test_kill_case_reports_a_pool_that_ran(self, tmp_path):
+        """A kill case must dispatch through the adopted pool and lose
+        (and respawn) at least one worker, so ``pooled`` is a fact."""
+        from repro.bench.chaossoak import run_soak_case
+
+        case = run_soak_case("kill", 3, 8, 2, tmp_path)
+        assert case["pooled"]
+        assert case["respawns"] >= 1
+        assert case["ok"]
+
+    def test_one_worker_is_a_usage_error(self, capsys):
+        """A one-worker context dispatches inline, where no worker could
+        be killed: the soak refuses it instead of passing vacuously."""
+        from repro.bench.chaossoak import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers must be >= 2" in capsys.readouterr().err

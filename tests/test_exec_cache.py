@@ -9,6 +9,7 @@ misses and be recomputed silently.
 
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -337,14 +338,17 @@ from repro.exec import ExecContext, ResultCache, use_context
 from repro.exec.sweep import sweep
 
 mode, root = sys.argv[1], sys.argv[2]
+kill_at, npoints = int(sys.argv[3]), int(sys.argv[4])
 now = [0.0]
 cache_mod._clock = lambda: now[0]
 
 
 def runner(i):
-    if mode == "compute" and i == 6:
+    if mode == "compute" and i == kill_at:
         os.kill(os.getpid(), signal.SIGKILL)
-    now[0] += 0.4  # so the one-second bound publishes points 0-3 mid-sweep
+    # so the one-second bound publishes every fourth point mid-sweep
+    # (0-3, then 4-7, then 8-11)
+    now[0] += 0.4
     return {"i": i, "sq": i * i, "pad": b"x" * (40 * i)}
 
 
@@ -359,9 +363,22 @@ if mode == "publish":
 
     os.replace = replace
 
-with use_context(ExecContext(workers=1, cache=ResultCache(root), journal=False)):
-    sweep("kill-test", runner, list(range(12)))
+with use_context(ExecContext(workers=1, cache=ResultCache(root))):
+    sweep("kill-test", runner, list(range(npoints)))
 """
+
+#: points in the SIGKILLed sweep
+KILL_POINTS = 14
+
+#: seeded compute-kill midpoints, one per seed, drawn in [1, 13)
+_SEEDED_KILLS = [
+    pytest.param(
+        "compute",
+        random.Random(f"resume/{seed}").randrange(1, KILL_POINTS - 1),
+        id=f"compute-seed{seed}",
+    )
+    for seed in (3, 11)
+]
 
 
 class TestGroupCommit:
@@ -540,28 +557,49 @@ class TestGroupCommit:
         fresh.put_many((key, i) for i, key in enumerate(keys))
         assert fresh.get_many(keys) == [(True, i) for i in range(4)]
 
-    @pytest.mark.parametrize("mode", ["compute", "publish"])
-    def test_sigkill_mid_batch_leaves_only_whole_entries(self, tmp_path, mode):
+    @pytest.mark.parametrize(
+        "mode, kill_at",
+        [
+            pytest.param("compute", 6, id="compute"),
+            pytest.param("publish", -1, id="publish"),
+            *_SEEDED_KILLS,
+        ],
+    )
+    def test_sigkill_mid_batch_leaves_only_whole_entries(
+        self, tmp_path, mode, kill_at
+    ):
+        """A sweep SIGKILLed mid-compute or mid-publication leaves only
+        whole entries, and rerunning it over the same cache serves what
+        was published and computes the rest, bit-identical."""
         root = tmp_path / "cache"
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("REPRO_")}
         env["PYTHONPATH"] = REPO_SRC
         proc = subprocess.run(
-            [sys.executable, "-c", _KILL_SCRIPT, mode, str(root)],
+            [sys.executable, "-c", _KILL_SCRIPT, mode, str(root),
+             str(kill_at), str(KILL_POINTS)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == -9, proc.stderr
         visible = _visible(root)
-        # compute: points 0-3 were published before the kill at point 6;
-        # publish: the kill came after two of the four renames.
-        assert len(visible) == (4 if mode == "compute" else 2)
+        # compute: every whole group of four points before the kill was
+        # published; publish: the kill came after two of the four renames.
+        published = 4 * (kill_at // 4) if mode == "compute" else 2
+        assert len(visible) == published
         cache = ResultCache(root)
         for path in visible:
             assert cache.get(path.stem)[0], f"{path.name} fails its CRC"
         assert cache.quarantine_count() == 0
-        expected = [pickle.dumps(_kill_value(i)) for i in range(12)]
-        for _ in range(2):  # recompute the rest, then serve it all warm
-            with use_context(ExecContext(workers=1, cache=root)) as ctx:
-                again = sweep("kill-test", _kill_value, list(range(12)))
-            assert [pickle.dumps(v) for v in again] == expected
-        assert ctx.stats.cache_hits == 12
+        points = list(range(KILL_POINTS))
+        expected = [pickle.dumps(_kill_value(i)) for i in points]
+        # The resume: published points are hits, the rest are recomputed.
+        with use_context(ExecContext(workers=1, cache=root)) as ctx:
+            again = sweep("kill-test", _kill_value, points)
+        assert [pickle.dumps(v) for v in again] == expected
+        assert ctx.stats.cache_hits == published
+        assert ctx.stats.points_run == KILL_POINTS - published
+        # Then the whole sweep is served warm.
+        with use_context(ExecContext(workers=1, cache=root)) as ctx:
+            again = sweep("kill-test", _kill_value, points)
+        assert [pickle.dumps(v) for v in again] == expected
+        assert (ctx.stats.cache_hits, ctx.stats.points_run) == (KILL_POINTS, 0)

@@ -119,7 +119,7 @@ def test_sticky_pool_close_kills_sigterm_ignoring_stragglers():
     failing sweep)."""
     before = _live_pids()
     try:
-        pool = StickyPool(2, hung_s=None)
+        pool = StickyPool(2)
     except Exception as exc:  # pragma: no cover - fork-restricted hosts
         pytest.skip(f"cannot start scheduler workers: {exc}")
     try:

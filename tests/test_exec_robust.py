@@ -1,9 +1,9 @@
 """Harness robustness: checksummed cache entries and context knobs.
 
 The cache must detect (and quarantine, not serve) corrupted entries; an
-execution context resolves its three settings (workers, cache, journal)
-from explicit arguments, then the enclosing context, then the
-environment, and rejects malformed values.
+execution context resolves its settings (workers, cache) from explicit
+arguments, then the enclosing context, then the environment, and rejects
+malformed values.
 """
 
 import os
@@ -14,7 +14,6 @@ import pytest
 
 from repro.exec import context as exec_context
 from repro.exec.cache import CACHE_VERSION, ResultCache
-from repro.exec.journal import ENV_JOURNAL
 
 
 # -- cache: checksum + quarantine -------------------------------------------
@@ -97,36 +96,33 @@ class TestChecksummedCache:
 
 
 class TestContextKnobs:
-    def test_env_resolution(self, monkeypatch, tmp_path):
+    def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(exec_context.ENV_WORKERS, "3")
-        monkeypatch.setenv(ENV_JOURNAL, str(tmp_path))
         ctx = exec_context.ExecContext()
         assert ctx.workers == 3
-        assert ctx.journal_dir == tmp_path
         monkeypatch.setenv(exec_context.ENV_WORKERS, "auto")
         assert exec_context.ExecContext().workers == max(os.cpu_count() or 1, 1)
 
-    def test_explicit_beats_env(self, monkeypatch, tmp_path):
+    def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(exec_context.ENV_WORKERS, "3")
-        monkeypatch.setenv(ENV_JOURNAL, str(tmp_path))
-        ctx = exec_context.ExecContext(workers=2, journal=False)
+        ctx = exec_context.ExecContext(workers=2)
         assert ctx.workers == 2
-        assert ctx.journal_dir is None
 
     def test_bad_values_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             exec_context.ExecContext(workers="many")
+        # journal= survives only as "off"; the result cache resumes sweeps
+        assert exec_context.ExecContext(journal=False).cache is None
+        with pytest.raises(ValueError, match="journal was removed"):
+            exec_context.ExecContext(journal="x")
         monkeypatch.setenv(exec_context.ENV_WORKERS, "lots")
         with pytest.raises(ValueError):
             exec_context.ExecContext()
 
     def test_from_env_inherits_parent(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        parent = exec_context.ExecContext(
-            workers=1, cache=cache, journal=tmp_path / "wal"
-        )
+        parent = exec_context.ExecContext(workers=1, cache=cache)
         with exec_context.use_context(parent):
             child = exec_context.from_env()
         assert child.workers == 1
         assert child.cache is cache
-        assert child.journal_dir == parent.journal_dir

@@ -2,7 +2,7 @@
 
 Every public environment variable the package reads must have a row in
 README.md's knob table, and every row must name a variable the code
-still reads.  Names with a leading underscore (``_REPRO_RESUME_*``) are
+still reads.  Names with a leading underscore (``_REPRO_*``) would be
 private plumbing between a parent process and its own child, not knobs.
 """
 

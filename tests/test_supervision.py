@@ -1,5 +1,5 @@
-"""Supervision layer: hung-chunk detection, randomized worker loss, and
-the circuit breaker's degradation ladder.
+"""Supervision layer: the pool's defaults, hung-chunk detection,
+randomized worker loss, and the circuit breaker's degradation ladder.
 
 The contract under test: worker-level trouble —
 dead workers, hung chunks, repeat-killer points — is absorbed below the
@@ -19,11 +19,9 @@ from repro.exec import chaos
 from repro.exec.chaos import ENV_CHAOS
 from repro.exec.sched import (
     DEFAULT_HUNG_S,
+    DEFAULT_POISON_STRIKES,
     CircuitBreaker,
     StickyPool,
-    resolve_hung_s,
-    resolve_max_respawns,
-    resolve_poison_strikes,
 )
 from repro.exec.sweep import sweep
 
@@ -68,30 +66,32 @@ def _make_pool(**kwargs):
         pytest.skip(f"cannot start scheduler workers: {exc}")
 
 
-# -- knob resolution ----------------------------------------------------------
+# -- supervision defaults -----------------------------------------------------
 
 
-class TestKnobs:
-    def test_hung_s(self, monkeypatch):
-        assert resolve_hung_s(None) == DEFAULT_HUNG_S
-        assert resolve_hung_s(12.5) == 12.5
-        assert resolve_hung_s(0) is None  # <= 0 disables detection
-        monkeypatch.setenv("REPRO_HUNG_CHUNK_S", "7")
-        assert resolve_hung_s(None) == 7.0
-        with pytest.raises(ValueError):
-            resolve_hung_s("soon")
-
-    def test_max_respawns(self, monkeypatch):
-        assert resolve_max_respawns(None, 4) == 16
-        assert resolve_max_respawns(3, 4) == 3
-        monkeypatch.setenv("REPRO_SCHED_RESPAWNS", "9")
-        assert resolve_max_respawns(None, 4) == 9
-
-    def test_poison_strikes(self, monkeypatch):
-        assert resolve_poison_strikes(None) == 2
-        assert resolve_poison_strikes(0) == 1  # floor: one strike minimum
-        monkeypatch.setenv("REPRO_POISON_STRIKES", "5")
-        assert resolve_poison_strikes(None) == 5
+class TestPoolDefaults:
+    def test_constructor_defaults_explicit_values_and_floors(self):
+        pool = _make_pool()
+        try:
+            assert pool.hung_s == DEFAULT_HUNG_S
+            assert pool.max_respawns == 4 * 2  # 4 * workers
+            assert pool.poison_strikes == DEFAULT_POISON_STRIKES == 2
+        finally:
+            pool.close()
+        pool = _make_pool(hung_s=12.5, max_respawns=3, poison_strikes=5)
+        try:
+            assert (pool.hung_s, pool.max_respawns, pool.poison_strikes) == (
+                12.5, 3, 5
+            )
+        finally:
+            pool.close()
+        pool = _make_pool(hung_s=0, max_respawns=-1, poison_strikes=0)
+        try:
+            assert pool.hung_s is None  # <= 0 disables detection
+            assert pool.max_respawns == 0
+            assert pool.poison_strikes == 1  # floor: one strike minimum
+        finally:
+            pool.close()
 
 
 # -- hung-chunk detection -----------------------------------------------------
@@ -102,7 +102,7 @@ class TestHungChunks:
         """A chunk that stalls forever must be detected by heartbeat age
         (the worker is *alive*, just silent), the worker killed, and the
         blamed point rescued in the sandbox — the sweep completes with
-        correct values instead of hanging for REPRO_HUNG_CHUNK_S."""
+        correct values instead of hanging for the default 300 s."""
         points = list(range(4))
         before = _live_pids()
         pool = _make_pool(hung_s=0.75, poison_strikes=1, max_respawns=50)
@@ -173,31 +173,33 @@ class TestRandomizedWorkerLoss:
         battery()
         _assert_no_new_children(before)
 
-    def test_killed_sweep_workers_with_journal_replays_cleanly(
+    def test_killed_sweep_workers_with_cache_rerun_cleanly(
         self, tmp_path, monkeypatch
     ):
-        """Full-stack: a journalled scheduled sweep under a kill plan must
-        finish bit-identical to serial and retire its journal (nothing
-        half-recorded left behind)."""
+        """Full-stack: a cached scheduled sweep under a kill plan must
+        finish bit-identical to serial, and a second pass over the same
+        cache must serve every point (nothing half-published)."""
         points = list(range(10))
         serial = [x * x for x in points]
         before = _live_pids()
         monkeypatch.setenv(ENV_CHAOS, "11:kill@0.3")
-        monkeypatch.setenv("REPRO_SCHED_RESPAWNS", "64")
         chaos.reset_state()
         try:
-            ctx = ExecContext(workers=2, journal=tmp_path)
+            ctx = ExecContext(workers=2, cache=tmp_path)
             # Adopt an explicit pool: a one-usable-CPU host would pick
             # inline dispatch, where worker-scoped chaos never fires.
-            ctx.adopt_sched_pool(_make_pool())
+            ctx.adopt_sched_pool(_make_pool(max_respawns=64))
             with use_context(ctx):
                 results = sweep("supervision-kill", _square, points)
         finally:
             monkeypatch.delenv(ENV_CHAOS, raising=False)
             chaos.reset_state()
         assert pickle.dumps(results) == pickle.dumps(serial)
-        assert list(tmp_path.glob("*.wal")) == []
         assert ctx.stats.poisoned == 0
+        with use_context(ExecContext(workers=1, cache=tmp_path)) as again:
+            rerun = sweep("supervision-kill", _square, points)
+        assert pickle.dumps(rerun) == pickle.dumps(serial)
+        assert again.stats.points_run == 0
         _assert_no_new_children(before)
 
 
