@@ -1,4 +1,4 @@
-"""Supervision layer: the pool's defaults, hung-chunk detection,
+"""Supervision layer: the pool's knobs, hung-chunk detection,
 randomized worker loss, and the circuit breaker's degradation ladder.
 
 The contract under test: worker-level trouble —
@@ -66,32 +66,34 @@ def _make_pool(**kwargs):
         pytest.skip(f"cannot start scheduler workers: {exc}")
 
 
-# -- supervision defaults -----------------------------------------------------
+# -- knob resolution ----------------------------------------------------------
 
 
-class TestPoolDefaults:
-    def test_constructor_defaults_explicit_values_and_floors(self):
-        pool = _make_pool()
-        try:
-            assert pool.hung_s == DEFAULT_HUNG_S
-            assert pool.max_respawns == 4 * 2  # 4 * workers
-            assert pool.poison_strikes == DEFAULT_POISON_STRIKES == 2
-        finally:
-            pool.close()
-        pool = _make_pool(hung_s=12.5, max_respawns=3, poison_strikes=5)
-        try:
-            assert (pool.hung_s, pool.max_respawns, pool.poison_strikes) == (
-                12.5, 3, 5
-            )
-        finally:
-            pool.close()
-        pool = _make_pool(hung_s=0, max_respawns=-1, poison_strikes=0)
-        try:
-            assert pool.hung_s is None  # <= 0 disables detection
-            assert pool.max_respawns == 0
-            assert pool.poison_strikes == 1  # floor: one strike minimum
-        finally:
-            pool.close()
+def _knobs(**kwargs):
+    """Return (hung_s, max_respawns, poison_strikes) as the pool resolved
+    them from its constructor arguments."""
+    pool = _make_pool(**kwargs)
+    try:
+        return pool.hung_s, pool.max_respawns, pool.poison_strikes
+    finally:
+        pool.close()
+
+
+class TestKnobs:
+    def test_hung_s(self):
+        assert _knobs()[0] == DEFAULT_HUNG_S
+        assert _knobs(hung_s=12.5)[0] == 12.5
+        assert _knobs(hung_s=0)[0] is None  # <= 0 disables detection
+
+    def test_max_respawns(self):
+        assert _knobs()[1] == 4 * 2  # 4 * workers
+        assert _knobs(max_respawns=3)[1] == 3
+        assert _knobs(max_respawns=-1)[1] == 0  # floor: no negative budget
+
+    def test_poison_strikes(self):
+        assert _knobs()[2] == DEFAULT_POISON_STRIKES == 2
+        assert _knobs(poison_strikes=5)[2] == 5
+        assert _knobs(poison_strikes=0)[2] == 1  # floor: one strike minimum
 
 
 # -- hung-chunk detection -----------------------------------------------------
