@@ -8,9 +8,12 @@
 * throttle — the model-derived k* agrees with exhaustive simulation.
 """
 
+import pytest
 
-def bench_ablation_bounce(regen):
-    exp = regen("ablation_bounce")
+from repro.bench.figures import run_experiment
+
+
+def _check_bounce(exp):
     gamma = exp.data["gamma"]
     top = max(gamma["with"])
     # with bounce: super-linear; without: at most ~linear queueing
@@ -22,8 +25,7 @@ def bench_ablation_bounce(regen):
     assert ratios["with"] > 1.5
 
 
-def bench_ablation_batch(regen):
-    exp = regen("ablation_batch")
+def _check_batch(exp):
     lat = exp.data["latency"]
     # per-page locking is the worst; the kernel's batching helps
     assert lat[1] > lat[16]
@@ -33,9 +35,38 @@ def bench_ablation_batch(regen):
     assert gain_1_16 > gain_16_64
 
 
-def bench_ablation_throttle(regen):
-    exp = regen("ablation_throttle")
+def _check_throttle(exp):
     model_k, sim_k = exp.data["model_k"], exp.data["sim_k"]
     sim = exp.data["sim"]
     # the model's pick is within 25% of the simulated optimum's latency
     assert sim[model_k] <= 1.25 * sim[sim_k], (model_k, sim_k)
+
+
+def bench_ablation_bounce(regen):
+    _check_bounce(regen("ablation_bounce"))
+
+
+@pytest.mark.slow
+def bench_ablation_bounce_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_bounce(run_experiment("ablation_bounce", quick=False))
+
+
+def bench_ablation_batch(regen):
+    _check_batch(regen("ablation_batch"))
+
+
+@pytest.mark.slow
+def bench_ablation_batch_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_batch(run_experiment("ablation_batch", quick=False))
+
+
+def bench_ablation_throttle(regen):
+    _check_throttle(regen("ablation_throttle"))
+
+
+@pytest.mark.slow
+def bench_ablation_throttle_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_throttle(run_experiment("ablation_throttle", quick=False))

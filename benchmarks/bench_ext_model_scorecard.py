@@ -7,6 +7,11 @@ stays well-bounded — the quantitative backing for Fig 12's "closely
 matches" claim plus an honest bound on where the model is soft.
 """
 
+import pytest
+
+from repro.bench.figures import run_experiment
+
+
 UNCONTENDED = {
     ("scatter", "sequential_write"),
     ("alltoall", "pairwise"),
@@ -20,8 +25,7 @@ UNCONTENDED = {
 }
 
 
-def bench_ext_model_scorecard(regen):
-    exp = regen("ext_model_scorecard")
+def _check_shapes(exp):
     errors = exp.data["errors"]
     means = []
     for key, (mean_err, max_err) in errors.items():
@@ -33,3 +37,13 @@ def bench_ext_model_scorecard(regen):
             assert mean_err < 0.60, (key, mean_err)
         assert max_err < 0.80, (key, max_err)
     assert sum(means) / len(means) < 0.25
+
+
+def bench_ext_model_scorecard(regen):
+    _check_shapes(regen("ext_model_scorecard"))
+
+
+@pytest.mark.slow
+def bench_ext_model_scorecard_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("ext_model_scorecard", quick=False))

@@ -6,9 +6,12 @@ win the large-vector regime by spreading both bandwidth and combine work;
 recursive doubling wins small Allreduce (fewest rounds).
 """
 
+import pytest
 
-def bench_ext_reduce(regen):
-    exp = regen("ext_reduce")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     red = exp.data["reduce"]
     ar = exp.data["allreduce"]
     small, big = min(red), max(red)
@@ -24,3 +27,13 @@ def bench_ext_reduce(regen):
     assert ar[big]["ring"] < ar[big]["rec-dbl"]
     # composing reduce+bcast is never the best extreme at large sizes
     assert ar[big]["ring"] < ar[big]["red+bcast"]
+
+
+def bench_ext_reduce(regen):
+    _check_shapes(regen("ext_reduce"))
+
+
+@pytest.mark.slow
+def bench_ext_reduce_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("ext_reduce", quick=False))

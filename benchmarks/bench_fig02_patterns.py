@@ -5,9 +5,12 @@ degrades badly with reader count; same-buffer vs different-buffers makes
 no difference (the bottleneck is the source *process*, not the buffer).
 """
 
+import pytest
 
-def bench_fig02_patterns(regen):
-    exp = regen("fig02")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     readers = exp.data["readers"]
     sizes = exp.data["sizes"]
     grid = exp.data["grid"]
@@ -25,3 +28,13 @@ def bench_fig02_patterns(regen):
     # the buffer doesn't matter, the source process does
     for n in sizes:
         assert abs(same[n][hi] - diff[n][hi]) < 0.1 * same[n][hi]
+
+
+def bench_fig02_patterns(regen):
+    _check_shapes(regen("fig02"))
+
+
+@pytest.mark.slow
+def bench_fig02_patterns_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig02", quick=False))

@@ -5,9 +5,12 @@ cores, strong bouncing) degrades hardest, Broadwell (few fast cores)
 mildest — the paper's cross-architecture generality claim.
 """
 
+import pytest
 
-def bench_fig03_arch_sweep(regen):
-    exp = regen("fig03")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     big_ratio = {}
     for name, d in exp.data.items():
         readers = d["readers"]
@@ -18,3 +21,13 @@ def bench_fig03_arch_sweep(regen):
         big_ratio[name] = ratio
         assert ratio > 2.5, f"{name} should degrade under one-to-all"
     assert big_ratio["knl"] > big_ratio["broadwell"]
+
+
+def bench_fig03_arch_sweep(regen):
+    _check_shapes(regen("fig03"))
+
+
+@pytest.mark.slow
+def bench_fig03_arch_sweep_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig03", quick=False))

@@ -5,9 +5,12 @@ super-linearly in the reader count; the two-socket machines (Broadwell,
 POWER8) show the inter-socket knee; the fit tracks the samples.
 """
 
+import pytest
 
-def bench_fig05_gamma(regen):
-    exp = regen("fig05")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     for name, d in exp.data.items():
         samples, fit = d["samples"], d["fit"]
         by_pages = {}
@@ -33,3 +36,13 @@ def bench_fig05_gamma(regen):
     assert exp.data["broadwell"]["fit"].spill > 0
     assert exp.data["power8"]["fit"].spill > 0
     assert exp.data["knl"]["fit"].spill == 0
+
+
+def bench_fig05_gamma(regen):
+    _check_shapes(regen("fig05"))
+
+
+@pytest.mark.slow
+def bench_fig05_gamma_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig05", quick=False))

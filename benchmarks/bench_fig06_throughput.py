@@ -6,9 +6,12 @@ the best for large messages) — the observation the throttled designs
 exploit.
 """
 
+import pytest
 
-def bench_fig06_throughput(regen):
-    exp = regen("fig06")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     for name, d in exp.data.items():
         readers, grid = d["readers"], d["grid"]
         big = max(grid)
@@ -25,3 +28,13 @@ def bench_fig06_throughput(regen):
     knl = exp.data["knl"]["grid"]
     top = f"{exp.data['knl']['readers'][-1]}r"
     assert knl[max(knl)][top] < 1.5
+
+
+def bench_fig06_throughput(regen):
+    _check_shapes(regen("fig06"))
+
+
+@pytest.mark.slow
+def bench_fig06_throughput_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig06", quick=False))

@@ -6,9 +6,12 @@ of two, most much closer, and the relative ordering of the algorithms is
 preserved at the large-message end where the model terms dominate.
 """
 
+import pytest
 
-def bench_fig12_model_validation(regen):
-    exp = regen("fig12")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     algs = ("direct_re", "direct_wr", "scatter_a")
     for name, d in exp.data.items():
         grid = d["grid"]
@@ -28,3 +31,13 @@ def bench_fig12_model_validation(regen):
         act_order = sorted(algs, key=lambda a: grid[big][f"act:{a}"])
         mod_order = sorted(algs, key=lambda a: grid[big][f"mod:{a}"])
         assert act_order == mod_order, name
+
+
+def bench_fig12_model_validation(regen):
+    _check_shapes(regen("fig12"))
+
+
+@pytest.mark.slow
+def bench_fig12_model_validation_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig12", quick=False))

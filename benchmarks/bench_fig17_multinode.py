@@ -6,9 +6,12 @@ with node count (paper: 2x/3x/5x); the pipelined extension improves on
 plain two-level.
 """
 
+import pytest
 
-def bench_fig17_multinode(regen):
-    exp = regen("fig17")
+from repro.bench.figures import run_experiment
+
+
+def _check_shapes(exp):
     mids = {}
     for nodes, grid in exp.data["model"].items():
         for eta, pt in grid.items():
@@ -25,3 +28,13 @@ def bench_fig17_multinode(regen):
     sim = exp.data["sim_speedups"]
     assert sim[2] < sim[4] < sim[8]
     assert sim[8] > 1.1
+
+
+def bench_fig17_multinode(regen):
+    _check_shapes(regen("fig17"))
+
+
+@pytest.mark.slow
+def bench_fig17_multinode_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("fig17", quick=False))

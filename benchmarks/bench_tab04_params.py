@@ -5,11 +5,13 @@ uncontended constants (alpha, beta, l, s) to within 2%, and every fitted
 gamma is super-linear (positive quadratic term).
 """
 
+import pytest
+
+from repro.bench.figures import run_experiment
 from repro.machine import get_arch
 
 
-def bench_tab04_params(regen):
-    exp = regen("tab04")
+def _check_shapes(exp):
     fits = exp.data["fits"]
     for name, fa in fits.items():
         truth = get_arch(name).params
@@ -21,3 +23,13 @@ def bench_tab04_params(regen):
         assert superlinear, f"{name}: gamma must be super-linear"
     # POWER8's huge pages: 16x fewer locks per byte than x86
     assert fits["power8"].base.page_size == 16 * fits["knl"].base.page_size
+
+
+def bench_tab04_params(regen):
+    _check_shapes(regen("tab04"))
+
+
+@pytest.mark.slow
+def bench_tab04_params_full():
+    """The same shapes on the paper's full axes, run serially."""
+    _check_shapes(run_experiment("tab04", quick=False))

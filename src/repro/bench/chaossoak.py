@@ -7,12 +7,12 @@ corrupted, truncated, or torn — then verifies the two properties the
 resilience layer promises:
 
 * **bit-identity**: the chaos run's results equal a clean serial run's,
-  byte for byte, whatever mix of respawn, sandbox rescue, or inline
-  salvage the plan happened to force;
+  byte for byte, whatever mix of respawn and in-parent computation
+  (poison-struck or salvaged points) the plan happened to force;
 * **convergent state**: a follow-up run over the same cache quarantines
   whatever the plan damaged and still reproduces the same bytes.
 
-It emits one JSON document (injection, respawn and poison counters
+It emits one JSON document (injection, respawn and fallback counters
 included) and exits non-zero if any property failed — the contract the
 gated CI chaos job consumes.  A killed sweep's resume through the cache
 is pinned by ``tests/test_exec_cache.py``'s SIGKILL tests.
@@ -145,9 +145,8 @@ def run_soak_case(
         "parent_injections": parent_injections,
         "respawns": ctx.stats.sched_respawns,
         "hung_kills": ctx.stats.sched_hung_kills,
-        "sandbox_rescues": ctx.stats.sandbox_rescues,
-        "poisoned": ctx.stats.poisoned,
-        "breaker_state": ctx.stats.breaker_state,
+        "fallback_points": ctx.stats.sched_fallbacks,
+        "pool_broken": ctx.stats.sched_broken,
         "cache_quarantined": max(
             ctx.stats.cache_quarantined, ctx2.stats.cache_quarantined
         ),
@@ -210,8 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "injections": {
                 "respawns": sum(c["respawns"] for c in cases),
                 "hung_kills": sum(c["hung_kills"] for c in cases),
-                "sandbox_rescues": sum(c["sandbox_rescues"] for c in cases),
-                "poisoned": sum(c["poisoned"] for c in cases),
+                "fallback_points": sum(c["fallback_points"] for c in cases),
                 "cache_quarantined": sum(
                     c["cache_quarantined"] for c in cases
                 ),

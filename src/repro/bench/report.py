@@ -77,15 +77,10 @@ def sweep_summary(stats) -> str:
     hung = getattr(stats, "sched_hung_kills", 0)
     if hung:
         resilience.append(f"{hung} hung-killed")
-    rescued = getattr(stats, "sandbox_rescues", 0)
-    if rescued:
-        resilience.append(f"{rescued} sandbox-rescued")
-    poisoned = getattr(stats, "poisoned", 0)
-    if poisoned:
-        resilience.append(f"{poisoned} poisoned")
-    if getattr(stats, "breaker_state", "sched") == "serial":
-        # the pool kept breaking: misses now run in a plain in-process loop
-        resilience.append("breaker=serial")
+    broken = getattr(stats, "sched_broken", "")
+    if broken:
+        # later sweeps in the context run in a plain in-process loop
+        resilience.append(f"pool broken ({broken})")
     if resilience:
         line += "; resilience: " + "/".join(resilience)
     by_kind = getattr(stats, "by_kind", None)

@@ -85,9 +85,9 @@ def run_slice(which: str = "mixed", workers=None, profile: bool = False):
     from repro.exec.sched import (
         Chunk, SchedStats, StickyPool, point_cost, usable_cpus,
     )
-    from repro.exec.sweep import _exec_point, _pool_group_key, _slim_point
+    from repro.exec.sweep import _exec_point, _pool_group_key
 
-    points = [_slim_point(s) for s in slice_specs(which)]
+    points = slice_specs(which)
     size = min(
         resolve_workers(workers if workers is not None else "auto"),
         usable_cpus(),
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers",
         default=None,
-        help="worker count (default: auto = CPU count; plain loop on one CPU)",
+        help="worker count (default: auto = usable CPUs; plain loop on one)",
     )
     parser.add_argument(
         "--profile",

@@ -19,7 +19,7 @@ Quick use::
         results = run_specs(specs)      # pooled, cached, input order
 
 Environment: ``REPRO_EXEC_WORKERS`` (pool size, ``1``=serial,
-``auto``=CPU count), ``REPRO_CACHE_DIR`` (cache directory; enables the
+``auto``=usable CPU count), ``REPRO_CACHE_DIR`` (cache directory; enables the
 cache for ``run_experiment`` and the CLIs).
 """
 

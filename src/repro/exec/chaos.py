@@ -21,8 +21,8 @@ Same design contract as the fault plans:
   bit-identity, and zero leaks.
 * **Injection sites are role-scoped.**  ``kill`` and ``stall`` fire only
   inside scheduler worker processes (:mod:`repro.exec.sched` draws them
-  around each point) — never in the parent, never in the poison-retry
-  sandbox, never in inline salvage, so chaos can always be out-survived.
+  around each point) — never in the parent, which computes poison-struck
+  points and salvages a broken pool's, so chaos can always be out-survived.
   Cache attacks fire wherever :meth:`~repro.exec.cache.ResultCache.put`
   runs.
 
@@ -264,7 +264,7 @@ def plan_from_env() -> Optional[ChaosPlan]:
 # -- per-process armed state -------------------------------------------------
 
 #: (pid, role, raw-env) -> armed state.  Keyed on pid so a fork child
-#: (scheduler worker, poison sandbox) never inherits the parent's call
+#: (a scheduler worker) never inherits the parent's call
 #: counters; keyed on the raw env string so tests flipping REPRO_CHAOS
 #: re-arm immediately.
 _ARMED: Optional[Tuple[int, str, str, Optional[ChaosState]]] = None

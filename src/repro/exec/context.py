@@ -9,15 +9,15 @@ code did.
 Environment knobs (honoured only where no explicit argument wins):
 
 * ``REPRO_EXEC_WORKERS`` — pool size; ``1`` (or unset) means serial,
-  ``auto`` means one worker per CPU.
+  ``auto`` means one worker per usable CPU (affinity-aware).
 * ``REPRO_CACHE_DIR`` — enables the on-disk cache at that directory for
   ``run_experiment`` / the CLIs.  The cache is also what resumes a
   killed sweep: a rerun serves every published point as a hit.
 
-The context also owns the :class:`~repro.exec.sched.CircuitBreaker`: the
-systemic-failure ladder that degrades dispatch ``sched`` → ``serial``
-when the worker pool keeps breaking (worker-level trouble is handled
-below it, by the pool's supervision).
+The context lazily owns one :class:`~repro.exec.sched.StickyPool`.
+Worker-level trouble is handled by the pool's supervision; a pool that
+breaks (its respawn budget spent) or fails to start is not rebuilt, and
+the context's later sweeps run in-process.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
+from repro.exec import sched as _sched
 from repro.exec.cache import ENV_CACHE_DIR, ResultCache
 
 __all__ = [
@@ -73,16 +74,12 @@ class SweepStats:
     #: sweep; the cache bounds the directory, see repro.exec.cache)
     cache_quarantined: int = 0
     #: resilience counters (all zero on healthy runs): workers
-    #: respawned, hung-chunk kills, sandboxed one-shot rescues, and points
-    #: quarantined as :class:`~repro.exec.sched.PoisonedPoint`
+    #: respawned and hung-chunk kills
     sched_respawns: int = 0
     sched_hung_kills: int = 0
-    sandbox_rescues: int = 0
-    poisoned: int = 0
-    #: dispatch layer of the context's circuit breaker: "sched" when
-    #: healthy, "serial" once tripped (see
-    #: :class:`~repro.exec.sched.CircuitBreaker`)
-    breaker_state: str = "sched"
+    #: why the pool broke or failed to start ("" on healthy runs); later
+    #: sweeps in the context run in-process
+    sched_broken: str = ""
     #: per-sweep-kind breakdown: kind -> [points_total, points_run,
     #: cache_hits].  The aggregate counters above fold every kind of work
     #: together (collective points, microbench points, fits), which hides
@@ -104,8 +101,7 @@ class SweepStats:
         self.sched_fallbacks += sstats.fallback_points
         self.sched_respawns += sstats.respawns
         self.sched_hung_kills += sstats.hung_kills
-        self.sandbox_rescues += sstats.sandbox_rescues
-        self.poisoned += sstats.poisoned
+        self.sched_broken = sstats.broken_reason or self.sched_broken
 
     def merge(self, other: "SweepStats") -> None:
         """Fold a child sweep's counters into this one (wall time excluded:
@@ -122,10 +118,7 @@ class SweepStats:
         self.cache_flushes += other.cache_flushes
         self.sched_respawns += other.sched_respawns
         self.sched_hung_kills += other.sched_hung_kills
-        self.sandbox_rescues += other.sandbox_rescues
-        self.poisoned += other.poisoned
-        if other.breaker_state != "sched":
-            self.breaker_state = other.breaker_state
+        self.sched_broken = other.sched_broken or self.sched_broken
         # Quarantine counts are a cache-level census, not per-sweep deltas:
         # contexts sharing one cache must not double-count it.
         self.cache_quarantined = max(
@@ -144,7 +137,7 @@ def resolve_workers(workers: Union[int, str, None]) -> int:
         workers = raw
     if isinstance(workers, str):
         if workers.lower() == "auto":
-            return max(os.cpu_count() or 1, 1)
+            return _sched.usable_cpus()
         try:
             workers = int(workers)
         except ValueError:
@@ -180,8 +173,6 @@ class ExecContext:
         cache=None,
         journal=None,
     ):
-        from repro.exec.sched import CircuitBreaker
-
         # Accepted only because e2ebench/workloads.py still passes
         # journal=False; the result cache resumes killed sweeps.
         if journal is not None and journal is not False:
@@ -194,53 +185,30 @@ class ExecContext:
         self.stats = SweepStats(workers=self.workers)
         self._pool_owner: "ExecContext" = self
         self._sched_pool = None  # None = not created, False = unavailable
-        self._breaker = CircuitBreaker()
-
-    @property
-    def breaker(self):
-        """The dispatch circuit breaker — shared with the pool owner, so
-        nested contexts degrade together with the pool they borrow."""
-        if self._pool_owner is not self:
-            return self._pool_owner.breaker
-        return self._breaker
 
     def sched_pool(self):
         """The shared :class:`~repro.exec.sched.StickyPool`, or ``None``.
 
         ``None`` means sweeps run their misses in a plain in-process
-        loop: serial context, a tripped breaker, a host with one usable
-        CPU (where process fan-out can only lose), or a pool that could
-        not start.
+        loop: serial context, a host with one usable CPU (where process
+        fan-out can only lose), or a pool that broke or could not start —
+        neither is tried again in this context.
         """
         if self._pool_owner is not self:
             return self._pool_owner.sched_pool()
         if self.workers <= 1 or self._sched_pool is False:
             return None
-        if self._sched_pool is not None and self._sched_pool.broken:
-            # A broken pool is a pool-level failure: count it, then retry
-            # with a fresh pool until the breaker says stop.
-            self._sched_pool.close()
-            self._sched_pool = None
-            self._breaker.record_failure()
-        if self._breaker.tripped:
-            if self._sched_pool is not None:
-                self._sched_pool.close()
-            self._sched_pool = False
-            return None
         if self._sched_pool is None:
-            from repro.exec.sched import StickyPool, usable_cpus
-
-            size = min(self.workers, usable_cpus())
-            if size < 2:
-                self._sched_pool = False
-                return None
+            size = min(self.workers, _sched.usable_cpus())
             try:
-                self._sched_pool = StickyPool(size)
-            except Exception:
-                self._breaker.record_failure()
+                self._sched_pool = size >= 2 and _sched.StickyPool(size)
+            except Exception as exc:
+                self.stats.sched_broken = f"pool failed to start: {exc!r}"
                 self._sched_pool = False
-                return None
-        return self._sched_pool
+        elif self._sched_pool.broken:
+            self._sched_pool.close()
+            self._sched_pool = False
+        return self._sched_pool or None
 
     def adopt_sched_pool(self, pool) -> None:
         """Hand the context a caller-built :class:`StickyPool`.

@@ -45,17 +45,17 @@ executes on a fresh-or-reset node.
   are re-dispatched;
 * the point a worker was executing when it was lost takes a **poison
   strike**; at ``poison_strikes`` strikes (2 by default) the point is
-  retried once in a sandboxed one-shot subprocess under a tight
-  deadline, and if that also fails it is **quarantined**: its result
-  slot becomes a :class:`PoisonedPoint` and the sweep completes without
-  it instead of failing (the sweep report carries the quarantine);
-* exhausting the respawn budget marks the pool broken and the missing
-  points are salvaged in-process, in input order, so a sweep always
-  completes.
+  no longer re-dispatched but computed in the parent, as a serial sweep
+  would compute it (counted in ``fallback_points``);
+* exhausting the respawn budget marks the pool broken, records why
+  (``SchedStats.broken_reason``, naming the lost worker's exit code) and
+  computes the missing points in the parent, in input order.
 
-:class:`CircuitBreaker` is the systemic-failure ladder above all of
-this: repeated pool-level breakage degrades the context's dispatch from
-this pool to a plain in-process loop.
+Every worker failure thus ends on one fallback — the parent computing
+the point — so a sweep's result list only ever holds computed values.
+A point that crashes or hangs every process does so in the parent too,
+exactly as in a serial sweep.  A context whose pool broke runs its
+later sweeps in-process (:meth:`~repro.exec.context.ExecContext.sched_pool`).
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ __all__ = [
     "SchedStats",
     "StickyPool",
     "Chunk",
-    "CircuitBreaker",
-    "PoisonedPoint",
     "build_chunks",
     "point_cost",
     "usable_cpus",
@@ -113,55 +111,9 @@ def usable_cpus() -> int:
 #: legitimate sweep point is minutes of wall time — and ``<= 0`` disables.
 DEFAULT_HUNG_S = 300.0
 
-#: worker-loss blames before a point is sandboxed instead of re-pooled
+#: worker-loss blames before a point is computed in the parent instead
+#: of re-dispatched
 DEFAULT_POISON_STRIKES = 2
-
-#: wall-clock budget of the sandboxed one-shot retry of a poisoned point
-SANDBOX_DEADLINE_S = 10.0
-
-
-@dataclass(frozen=True)
-class PoisonedPoint:
-    """A sweep point quarantined by supervision instead of computed.
-
-    Occupies the point's result slot so the sweep completes; the sweep
-    layer never caches it and counts it in the report.
-    Only ever produced under worker loss (chaos, a genuinely crashing
-    point) — default healthy runs never see one.
-    """
-
-    index: int
-    strikes: int
-    reason: str
-
-
-class CircuitBreaker:
-    """Systemic-failure ladder: ``sched`` → ``serial``.
-
-    Worker-level trouble is absorbed by supervision (respawn, poison);
-    the breaker counts *pool-level* failures — a :class:`StickyPool`
-    breaking or refusing to start — and after ``threshold`` of them
-    permanently (for this context) degrades dispatch to a plain
-    in-process loop.  That floor cannot fail systemically, only per-point.
-    """
-
-    def __init__(self, threshold: int = 2):
-        self.threshold = max(int(threshold), 1)
-        self.failures = 0
-
-    @property
-    def tripped(self) -> bool:
-        return self.failures >= self.threshold
-
-    @property
-    def state(self) -> str:
-        return "serial" if self.tripped else "sched"
-
-    def record_failure(self) -> None:
-        self.failures += 1
-
-    def describe(self) -> str:
-        return f"breaker={self.state} (failures={self.failures})"
 
 
 # --------------------------------------------------------------------------
@@ -328,18 +280,15 @@ class SchedStats:
     workers: int = 1
     pooled: bool = False
     chunk_sizes: List[int] = field(default_factory=list)
-    #: points salvaged in-process after the pool broke
+    #: points computed in the parent: poison-struck points, and every
+    #: point still missing when the pool broke
     fallback_points: int = 0
     #: workers respawned after dying or being killed as hung
     respawns: int = 0
     #: workers SIGKILLed by hung-chunk detection
     hung_kills: int = 0
-    #: poisoned points rescued by the sandboxed one-shot retry
-    sandbox_rescues: int = 0
-    #: points quarantined as :class:`PoisonedPoint` (result slot filled
-    #: with the marker, sweep completes without them)
-    poisoned: int = 0
-    poisoned_indices: List[int] = field(default_factory=list)
+    #: why the pool broke during this run ("" when it did not)
+    broken_reason: str = ""
     #: per-chunk timeline records (only when profiling was requested)
     profile: Optional[List[dict]] = None
 
@@ -402,9 +351,9 @@ def _send_frame(fd: int, msg: tuple) -> bool:
 def _chaos_point(cst) -> None:
     """Worker-side chaos draw around one point: kill or stall this worker.
 
-    Only scheduler worker processes draw here — the parent, in-process
-    salvage, and the poison-retry sandbox never do, so chaos is always
-    survivable by the supervision layer above it.
+    Only scheduler worker processes draw here — the parent, which
+    computes poison-struck points and salvages a broken pool's, never
+    does, so chaos is always survivable by the supervision layer above it.
     """
     spec = cst.draw("point")
     if spec is None:
@@ -458,23 +407,6 @@ def _worker_main(wid: int, inbox, out_fd, hb=None, cur=None) -> None:
             return
 
 
-def _sandbox_main(conn, fn, point) -> None:
-    """One-shot sandbox body: compute the point, ship the value, exit."""
-    try:
-        buf = pickle.dumps(fn(point), protocol=pickle.HIGHEST_PROTOCOL)
-        conn.send(("ok", buf))
-    except BaseException as exc:  # noqa: BLE001 - reported to parent
-        try:
-            conn.send(("err", repr(exc)))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
 class _SchedBroken(RuntimeError):
     """Internal: the pool is unrecoverable (triggers in-process salvage)."""
 
@@ -523,7 +455,6 @@ class StickyPool:
         hung_s: float = DEFAULT_HUNG_S,
         max_respawns: Optional[int] = None,
         poison_strikes: int = DEFAULT_POISON_STRIKES,
-        sandbox_deadline_s: float = SANDBOX_DEADLINE_S,
     ):
         import multiprocessing as mp
 
@@ -543,7 +474,6 @@ class StickyPool:
             4 * workers if max_respawns is None else max(int(max_respawns), 0)
         )
         self.poison_strikes = max(int(poison_strikes), 1)
-        self.sandbox_deadline_s = float(sandbox_deadline_s)
         #: workers respawned over this pool's lifetime (budget consumed)
         self.respawns = 0
         self._respawn_attempts = [0] * workers
@@ -738,8 +668,8 @@ class StickyPool:
         (default uniform) are the points' :func:`point_cost` prices and
         ``groups`` their warm-node group keys.  Exceptions raised by
         ``fn`` propagate.  Lost workers are respawned and their points
-        re-dispatched; a broken pool computes the missing points
-        in-process, in input order.
+        re-dispatched; a point out of poison strikes, and every point a
+        broken pool left missing, is computed in-process.
         """
         points = list(points)
         n = len(points)
@@ -781,24 +711,6 @@ class StickyPool:
             if on_result is not None:
                 on_result(i, v)
 
-        def quarantine(i: int, reason: str) -> None:
-            """Last rung of the poison ladder: sandbox once, then mark."""
-            ok, payload = self._one_shot(fn, points[i])
-            if ok:
-                stats.sandbox_rescues += 1
-                fill(i, payload)
-                return
-            stats.poisoned += 1
-            stats.poisoned_indices.append(i)
-            fill(
-                i,
-                PoisonedPoint(
-                    index=i,
-                    strikes=strikes.get(i, 0),
-                    reason=f"{reason}; sandbox retry: {payload}",
-                ),
-            )
-
         def dispatch(wid: int) -> None:
             ch = router.next_for(wid)
             if ch is None:
@@ -837,9 +749,10 @@ class StickyPool:
                     if i == blamed:
                         strikes[i] = strikes.get(i, 0) + 1
                         if strikes[i] >= self.poison_strikes:
-                            quarantine(
-                                i, f"{why} x{strikes[i]} (worker {wid})"
-                            )
+                            # Out of strikes: the parent computes it, as a
+                            # serial sweep would.
+                            fill(i, fn(points[i]))
+                            stats.fallback_points += 1
                             continue
                     redo.append(i)
             if self.respawns >= self.max_respawns:
@@ -856,7 +769,9 @@ class StickyPool:
             for wid in range(self.workers):
                 p = self._procs[wid]
                 if not p.is_alive():
-                    on_worker_lost(wid, "worker died")
+                    on_worker_lost(
+                        wid, f"worker {wid} died (exitcode {p.exitcode})"
+                    )
                     continue
                 ent = in_flight.get(wid)
                 if ent is None or self.hung_s is None:
@@ -871,7 +786,7 @@ class StickyPool:
                     except Exception:
                         pass
                     p.join(timeout=2.0)
-                    on_worker_lost(wid, "hung chunk killed")
+                    on_worker_lost(wid, f"worker {wid} hung, killed")
 
         try:
             for wid in range(self.workers):
@@ -922,52 +837,9 @@ class StickyPool:
                         continue
                     in_flight.pop(wid, None)
                     raise exc
-        except _SchedBroken:
+        except _SchedBroken as exc:
+            stats.broken_reason = str(exc)
             self.broken = True
             self.close()
             _salvage(fn, points, results, got, on_result, stats)
         return results, stats
-
-    def _one_shot(self, fn, point) -> Tuple[bool, Any]:
-        """Sandboxed single-point retry under a tight deadline.
-
-        Runs ``fn(point)`` in a fresh subprocess (no scheduler worker
-        state, no chaos role — worker-scoped chaos cannot follow it
-        here) and returns ``(True, value)`` or ``(False, reason)``.
-        """
-        recv = None
-        try:
-            recv, send = self._mp_ctx.Pipe(duplex=False)
-            p = self._mp_ctx.Process(
-                target=_sandbox_main,
-                args=(send, fn, point),
-                daemon=True,
-                name="repro-sched-sandbox",
-            )
-            p.start()
-            send.close()
-            p.join(timeout=self.sandbox_deadline_s)
-            if p.is_alive():
-                try:
-                    p.kill()
-                except Exception:
-                    pass
-                p.join(timeout=2.0)
-                return False, f"deadline {self.sandbox_deadline_s:g}s exceeded"
-            try:
-                if recv.poll(0):
-                    tag, payload = recv.recv()
-                    if tag == "ok":
-                        return True, pickle.loads(payload)
-                    return False, str(payload)
-            except EOFError:
-                pass  # died with the pipe open but nothing written
-            return False, f"sandbox exited {p.exitcode} without a result"
-        except Exception as exc:
-            return False, f"sandbox unavailable: {exc!r}"
-        finally:
-            if recv is not None:
-                try:
-                    recv.close()
-                except Exception:
-                    pass

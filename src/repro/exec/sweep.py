@@ -13,7 +13,9 @@ entry points:
 Each checks the active :class:`~repro.exec.context.ExecContext`'s cache
 first, computes the misses (on the context's worker pool,
 :mod:`repro.exec.sched`, or in a plain in-process loop), stores the
-computed values back, and returns results in input order.  The
+computed values back, and returns results in input order.  A pool
+worker runs exactly what the plain loop runs — the same points, collective
+points as their own specs — and ships back the full values.  The
 determinism contract — enforced by ``tests/test_exec_differential.py``
 — is that the returned values are *bit-identical* whether a point was
 computed serially, in a pool worker, or served from a warm cache: every
@@ -27,7 +29,6 @@ import inspect
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import (
     Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -36,7 +37,7 @@ from repro.core.runner import CollectiveResult, CollectiveSpec
 from repro.core.runner import run_collective as _run_collective_fresh
 from repro.core.runner import run_collective_pooled as _run_collective_pooled
 from repro.exec import context as _context
-from repro.exec.sched import PoisonedPoint, point_cost
+from repro.exec.sched import point_cost
 
 __all__ = [
     "sweep",
@@ -74,19 +75,13 @@ def sweep(
     kind: str,
     runner: Callable[[Any], Any],
     points: Sequence[Any],
-    payloads: Optional[Sequence[Any]] = None,
-    decode: Optional[Callable[[Any, int], Any]] = None,
     group_key: Optional[Callable[[Any], Any]] = None,
 ) -> List[Any]:
     """Run ``runner`` over ``points`` under the active context.
 
-    ``payloads`` (defaults to the points themselves) are what gets
-    fingerprinted for the cache key; ``runner`` must be a picklable
-    top-level callable for the pool path.  ``decode(raw, i)`` inflates a
-    slimmed cross-process record back into the full value for point ``i``
-    — applied *before* ``cache.put``, so the on-disk cache always stores
-    full values and stays byte-compatible with entries written by older
-    code under the same ``CACHE_VERSION``.
+    Each point is fingerprinted for its cache key and is exactly what
+    ``runner`` receives, in the parent or in a pool worker; ``runner``
+    must be a picklable top-level callable for the pool path.
 
     ``group_key`` marks points that share a warm-node pool key: the pool
     runs same-keyed points on one worker back to back, so a leased node is
@@ -99,10 +94,10 @@ def sweep(
     (:mod:`repro.exec.sched`) — groups priced by :func:`point_cost` and
     handed out biggest first, results streamed back as chunks complete.
     Otherwise (no context, a serial context, a single miss, one usable CPU
-    or a tripped circuit breaker) the misses run in a plain in-process
-    loop, in input order.  Either way every computed value is decoded
-    and staged into the cache through one callback, and the values are
-    bit-identical (``tests/test_sched.py``).
+    or a pool that broke earlier in the context) the misses run in a
+    plain in-process loop, in input order.  Either way every computed
+    value is staged into the cache through one callback, and the values
+    are bit-identical (``tests/test_sched.py``).
 
     Cache writes are group-committed: the sweep runs inside one
     :meth:`~repro.exec.cache.ResultCache.batch` (a sweep nested in another
@@ -115,9 +110,9 @@ def sweep(
     staged since the last publication (about a second's worth), and
     re-running it serves every published point as a hit — values
     bit-identical — and computes only the rest.  With the cache off a
-    rerun recomputes the sweep.  Points quarantined by the scheduler's
-    poison ladder arrive as :class:`~repro.exec.sched.PoisonedPoint`
-    markers in the result list (never cached); healthy runs never see one.
+    rerun recomputes the sweep.  Every slot of the returned list holds a
+    computed value: a point the pool cannot finish is computed in the
+    parent, as a serial sweep would (:mod:`repro.exec.sched`).
     """
     ctx = _context.current()
     cache = ctx.cache if ctx is not None else None
@@ -127,9 +122,7 @@ def sweep(
     miss: List[int] = []
     if cache is not None:
         for i, pt in enumerate(points):
-            keys[i] = cache.key_for(
-                kind, payloads[i] if payloads is not None else pt
-            )
+            keys[i] = cache.key_for(kind, pt)
         for i, (hit, value) in enumerate(cache.get_many(keys)):
             if hit:
                 results[i] = value
@@ -141,23 +134,12 @@ def sweep(
 
     run_wall = 0.0
     sim_events = 0
-    breaker = ctx.breaker if ctx is not None else None
 
     def on_result(j: int, value: Any) -> None:
-        # Pooled points stream back as chunks complete: decode, stage into
-        # the cache's batch as each one arrives.
+        # Pooled points stream back as chunks complete: stage each into
+        # the cache's batch as it arrives.
         nonlocal sim_events
         i = miss[j]
-        if isinstance(value, PoisonedPoint):
-            # Quarantined, not computed: re-anchor the marker to the
-            # sweep-global index; never cache it (a rerun retries the
-            # point).
-            results[i] = PoisonedPoint(
-                index=i, strikes=value.strikes, reason=value.reason
-            )
-            return
-        if decode is not None:
-            value = decode(value, i)
         results[i] = value
         # Collective results report how many simulator events the point
         # cost; cache hits replay none, so only misses count.
@@ -172,7 +154,7 @@ def sweep(
         if miss:
             miss_points = [points[i] for i in miss]
             t0 = time.perf_counter()
-            # No pool (serial context, one usable CPU, a tripped breaker)
+            # No pool (serial context, one usable CPU, a broken pool)
             # means the plain loop, in input order.
             pool = (
                 ctx.sched_pool()
@@ -200,8 +182,6 @@ def sweep(
         ctx.stats.cache_hits += cache_hits
         ctx.stats.sim_events += sim_events
         ctx.stats.run_wall_s += run_wall
-        if breaker is not None:
-            ctx.stats.breaker_state = breaker.state
         ctx.stats.record_kind(kind, len(points), len(miss), cache_hits)
         if cache is not None:
             ctx.stats.cache_quarantined = max(
@@ -225,201 +205,31 @@ def _compute_collective(spec: CollectiveSpec, warm: bool) -> CollectiveResult:
     return _run_collective_fresh(spec)
 
 
-@lru_cache(maxsize=8)
-def _preset_arch(name: str):
-    """Per-process preset architecture (workers rebuild each name once)."""
-    from repro.machine import get_arch
+def _exec_point(spec: CollectiveSpec) -> CollectiveResult:
+    """The sweep runner, in the parent and in pool workers alike.
 
-    return get_arch(name)
-
-
-@dataclass(frozen=True)
-class _CollectivePoint:
-    """Slim picklable stand-in for a :class:`CollectiveSpec`.
-
-    ``arch`` is the preset *name* whenever the spec's arch is value-equal
-    to that preset, so a thousand-point sweep doesn't re-ship the full
-    parameter/topology tables per point; workers rebuild (and memoize) the
-    preset locally.  A customised arch still travels whole.
+    It looks ``_compute_collective`` up at call time, so a patch made
+    before a pool forks reaches its workers.  Fault plans are run-scoped
+    state outside the warm-pool key, so faulted points build fresh nodes.
     """
-
-    collective: str
-    algorithm: str
-    arch: Any  # str preset name, or a full Architecture
-    procs: int
-    eta: int
-    root: int
-    in_place: bool
-    params: Tuple[Tuple[str, Any], ...]
-    verify: bool
-    counts: Any
-    faults: Any
-    warm: bool
-    #: transport lane (registry-resolved); rides along so group keys can
-    #: separate lanes without re-resolving the registry on the worker side
-    lane: str = "cma"
+    return _compute_collective(spec, spec.faults is None)
 
 
-@dataclass
-class _SlimResult:
-    """A :class:`CollectiveResult` minus its spec (the parent re-attaches
-    the original spec object, so results don't round-trip arch tables)."""
-
-    latency_us: float
-    per_rank_us: List[float]
-    ctrl_messages: int
-    cma_reads: int
-    cma_writes: int
-    sim_events: int
-    trace_by_phase: dict
-    fallbacks: int = 0
-    retries: int = 0
-    faults_injected: int = 0
-    xpmem_reads: int = 0
-    xpmem_writes: int = 0
-    xpmem_attaches: int = 0
-    xpmem_page_faults: int = 0
-
-
-#: id(arch) -> (arch, preset-name-or-None).  The full-dataclass equality
-#: check against the preset is expensive enough to show up per point on
-#: thousand-point sweeps, and specs overwhelmingly share one arch object
-#: — memoise the verdict by identity.  The strong reference pins the
-#: object so its id cannot be recycled; bounded, cleared when full.
-_ARCH_TOKENS: dict = {}
-
-
-def _arch_token(arch: Any) -> Optional[str]:
-    ent = _ARCH_TOKENS.get(id(arch))
-    if ent is not None and ent[0] is arch:
-        return ent[1]
-    token = None
-    name = getattr(arch, "name", None)
-    if isinstance(name, str):
-        try:
-            if _preset_arch(name) == arch:
-                token = name
-        except KeyError:
-            pass
-    if len(_ARCH_TOKENS) > 64:
-        _ARCH_TOKENS.clear()
-    _ARCH_TOKENS[id(arch)] = (arch, token)
-    return token
-
-
-def _slim_point(spec: CollectiveSpec) -> _CollectivePoint:
-    arch = spec.arch
-    token = _arch_token(arch)
-    if token is not None:
-        arch = token
-    return _CollectivePoint(
-        collective=spec.collective,
-        algorithm=spec.algorithm,
-        arch=arch,
-        procs=spec.procs,
-        eta=spec.eta,
-        root=spec.root,
-        in_place=spec.in_place,
-        params=tuple(sorted(spec.params.items())),
-        verify=spec.verify,
-        counts=spec.counts,
-        faults=spec.faults,
-        # Fault plans are run-scoped state outside the warm-pool key, so
-        # faulted points always build fresh nodes (the runner enforces it
-        # too; clearing the flag here keeps group_key honest as well).
-        warm=spec.faults is None,
-        lane=spec.lane,
-    )
-
-
-def _exec_point(pt: _CollectivePoint) -> _SlimResult:
-    """Worker-side execution: rebuild the spec, run it, return it slim."""
-    arch = _preset_arch(pt.arch) if isinstance(pt.arch, str) else pt.arch
-    spec = CollectiveSpec(
-        collective=pt.collective,
-        algorithm=pt.algorithm,
-        arch=arch,
-        procs=pt.procs,
-        eta=pt.eta,
-        root=pt.root,
-        in_place=pt.in_place,
-        params=dict(pt.params),
-        verify=pt.verify,
-        counts=pt.counts,
-        faults=pt.faults,
-    )
-    r = _compute_collective(spec, pt.warm)
-    return _SlimResult(
-        latency_us=r.latency_us,
-        per_rank_us=r.per_rank_us,
-        ctrl_messages=r.ctrl_messages,
-        cma_reads=r.cma_reads,
-        cma_writes=r.cma_writes,
-        sim_events=r.sim_events,
-        trace_by_phase=r.trace_by_phase,
-        fallbacks=r.fallbacks,
-        retries=r.retries,
-        faults_injected=r.faults_injected,
-        xpmem_reads=r.xpmem_reads,
-        xpmem_writes=r.xpmem_writes,
-        xpmem_attaches=r.xpmem_attaches,
-        xpmem_page_faults=r.xpmem_page_faults,
-    )
-
-
-def _pool_group_key(
-    pt: _CollectivePoint,
-) -> Tuple[str, int, bool, bool, str]:
+def _pool_group_key(spec: CollectiveSpec) -> Tuple[str, int, bool, bool, str]:
     """Warm-node pool key of a point (:class:`~repro.core.runner.NodePool`
-    keys nodes on exactly this tuple), stringly ordered for sorting, plus
-    warmness and the transport lane: warm points sort ahead of cold ones
-    (``not pt.warm``) instead of interleaving with them, so a chunk's
-    leased node never alternates between pooled reuse and fresh builds,
-    and same-lane points land adjacently, so a leased node's xpmem attach
-    state is never interleaved across lanes within a worker chunk (each
-    point still resets the node either way)."""
-    arch = pt.arch
-    name = arch if isinstance(arch, str) else str(getattr(arch, "name", ""))
-    return (name, pt.procs, pt.verify, not pt.warm, pt.lane)
-
-
-def _inflate_result(raw: Any, spec: CollectiveSpec) -> CollectiveResult:
-    if isinstance(raw, CollectiveResult):  # a patched runner returned it whole
-        return raw
-    return CollectiveResult(
-        spec=spec,
-        latency_us=raw.latency_us,
-        per_rank_us=raw.per_rank_us,
-        ctrl_messages=raw.ctrl_messages,
-        cma_reads=raw.cma_reads,
-        cma_writes=raw.cma_writes,
-        sim_events=raw.sim_events,
-        trace_by_phase=raw.trace_by_phase,
-        fallbacks=getattr(raw, "fallbacks", 0),
-        retries=getattr(raw, "retries", 0),
-        faults_injected=getattr(raw, "faults_injected", 0),
-        xpmem_reads=getattr(raw, "xpmem_reads", 0),
-        xpmem_writes=getattr(raw, "xpmem_writes", 0),
-        xpmem_attaches=getattr(raw, "xpmem_attaches", 0),
-        xpmem_page_faults=getattr(raw, "xpmem_page_faults", 0),
-    )
+    keys nodes on ``(arch name, procs, verify)``), plus whether it is
+    faulted and its transport lane: faulted (cold) points sort apart from
+    warm ones instead of interleaving with them, so a chunk's leased node
+    never alternates between pooled reuse and fresh builds, and same-lane
+    points land adjacently (each point still resets the node either way)."""
+    name = str(getattr(spec.arch, "name", ""))
+    return (name, spec.procs, spec.verify, spec.faults is not None, spec.lane)
 
 
 def run_specs(specs: Iterable[CollectiveSpec]) -> List[CollectiveResult]:
-    """Run every spec, pooled and cached per the active context.
-
-    Cache keys fingerprint the *specs* (unchanged from PR 1 — warm cache
-    entries stay valid); only the cross-process transport is slimmed.
-    """
-    specs = list(specs)
-    points = [_slim_point(s) for s in specs]
+    """Run every spec, pooled and cached per the active context."""
     return sweep(
-        "collective",
-        _exec_point,
-        points,
-        payloads=specs,
-        decode=lambda raw, i: _inflate_result(raw, specs[i]),
-        group_key=_pool_group_key,
+        "collective", _exec_point, list(specs), group_key=_pool_group_key
     )
 
 

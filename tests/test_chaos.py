@@ -204,8 +204,9 @@ def _assert_no_new_children(before, deadline_s=10.0):
 class TestKillSoak:
     def test_scheduled_run_survives_seeded_worker_kills(self, armed):
         """Workers are SIGKILLed by the plan mid-sweep; supervision
-        (respawn + poison ladder + sandbox) must still deliver results
-        bit-identical to a serial run, with no leaked processes."""
+        (respawn + in-parent compute of poison-struck points) must still
+        deliver results bit-identical to a serial run, with no leaked
+        processes."""
         from repro.exec.sched import StickyPool
 
         points = list(range(8))

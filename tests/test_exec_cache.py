@@ -205,27 +205,25 @@ class TestLaneKeying:
         assert cache.key_for("collective", a) != cache.key_for("collective", b)
 
     def test_pool_group_key_separates_lanes(self):
-        from repro.exec.sweep import _pool_group_key, _slim_point
+        from repro.exec.sweep import _pool_group_key
 
-        ga = _pool_group_key(_slim_point(self._spec("parallel_read")))
-        gb = _pool_group_key(_slim_point(self._spec("xpmem_read")))
+        ga = _pool_group_key(self._spec("parallel_read"))
+        gb = _pool_group_key(self._spec("xpmem_read"))
         assert ga != gb
         assert ga[:-1] == gb[:-1]  # only the lane component differs
 
     def test_pool_group_key_separates_warm_from_cold(self):
         # Cold (faulted) points must not interleave with warm ones inside
-        # a chunk: the key carries ``not warm`` so warm sorts first, cold
+        # a chunk: the key carries "has faults" so warm sorts first, cold
         # second.
-        from repro.exec.sweep import _pool_group_key, _slim_point
+        from repro.exec.sweep import _pool_group_key
         from repro.faults import parse_plan
 
         plan = parse_plan("1:eintr@0.1")
-        warm = _pool_group_key(_slim_point(self._spec("parallel_read")))
-        cold = _pool_group_key(
-            _slim_point(self._spec("parallel_read", faults=plan))
-        )
+        warm = _pool_group_key(self._spec("parallel_read"))
+        cold = _pool_group_key(self._spec("parallel_read", faults=plan))
         assert warm != cold
-        assert warm[-2] is False and cold[-2] is True  # not pt.warm
+        assert warm[-2] is False and cold[-2] is True  # spec has faults
         assert warm[:-2] == cold[:-2] and warm[-1] == cold[-1]
         assert sorted([warm, cold])[0] is warm  # warm sorts ahead
 

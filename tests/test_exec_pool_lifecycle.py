@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.bench.report import sweep_summary
 from repro.exec import ExecContext, use_context
 from repro.exec.sched import StickyPool
 from repro.exec.sweep import sweep
@@ -109,7 +110,11 @@ def test_broken_pool_mid_sweep_falls_back_to_serial_results(monkeypatch):
         "fallback must return the exact serial results, in input order"
     )
     assert ctx.stats.sched_fallbacks >= 1
-    assert ctx.stats.poisoned == 0
+    # The break is named, with the lost worker's exit code, in the report.
+    assert "(exitcode 1)" in ctx.stats.sched_broken
+    assert "pool broken (respawn budget exhausted (1/1) after worker" in (
+        sweep_summary(ctx.stats)
+    )
     _assert_no_new_children(before)
 
 

@@ -6,7 +6,6 @@ arguments, then the enclosing context, then the environment, and rejects
 malformed values.
 """
 
-import os
 import pickle
 import zlib
 
@@ -14,6 +13,7 @@ import pytest
 
 from repro.exec import context as exec_context
 from repro.exec.cache import CACHE_VERSION, ResultCache
+from repro.exec.sched import usable_cpus
 
 
 # -- cache: checksum + quarantine -------------------------------------------
@@ -101,7 +101,8 @@ class TestContextKnobs:
         ctx = exec_context.ExecContext()
         assert ctx.workers == 3
         monkeypatch.setenv(exec_context.ENV_WORKERS, "auto")
-        assert exec_context.ExecContext().workers == max(os.cpu_count() or 1, 1)
+        # one worker per CPU this process may run on (affinity-aware)
+        assert exec_context.ExecContext().workers == usable_cpus()
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(exec_context.ENV_WORKERS, "3")

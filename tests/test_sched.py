@@ -13,7 +13,8 @@ Three layers, mirroring DESIGN.md §5:
   idle worker takes the next-biggest group, and chunks respect the price
   target and ``MAX_CHUNK``.
 * **Robustness**: worker death salvages in-process with identical
-  results; point exceptions propagate without poisoning the pool.
+  results, a point that keeps killing workers is computed in the parent,
+  and point exceptions propagate without poisoning the pool.
 """
 
 import itertools
@@ -35,7 +36,6 @@ from repro.core.runner import CollectiveSpec, run_collective
 from repro.exec import ExecContext, ResultCache, use_context
 from repro.exec.sched import (
     MAX_CHUNK,
-    PoisonedPoint,
     StickyPool,
     _Router,
     build_chunks,
@@ -44,7 +44,6 @@ from repro.exec.sched import (
 from repro.exec.sweep import (
     _exec_point,
     _pool_group_key,
-    _slim_point,
     run_specs,
     sweep,
 )
@@ -73,20 +72,17 @@ def _raise_on_neg(x):
 
 def _exit_in_worker(x):
     """Kill the hosting process — but only when it isn't the test parent
-    (inline salvage must be able to run this very function safely).
-    Also kills the poison sandbox, which is not the parent either."""
+    (inline salvage must be able to run this very function safely)."""
     if str(os.getpid()) != os.environ.get("SCHED_TEST_PARENT_PID", ""):
         os._exit(23)
     return x * 3
 
 
 def _exit_in_sched_worker(x):
-    """Kill scheduler worker processes only: the poison-retry sandbox
-    (named ``repro-sched-sandbox``) and the parent run it fine."""
+    """Kill scheduler worker processes only: the parent runs it fine."""
     import multiprocessing as mp
 
-    if mp.current_process().name.startswith("repro-sched-") and \
-            "sandbox" not in mp.current_process().name:
+    if mp.current_process().name.startswith("repro-sched-"):
         os._exit(23)
     return x * 3
 
@@ -178,8 +174,7 @@ class TestBitIdentity:
 
     def test_sticky_pool_matches_serial(self):
         """Actual multi-process dispatch returns exactly the serial values."""
-        specs = _fig07_slice_specs()
-        points = [_slim_point(s) for s in specs]
+        points = _fig07_slice_specs()
         serial = [_exec_point(p) for p in points]
         costs = [point_cost(p) for p in points]
         groups = [_pool_group_key(p) for p in points]
@@ -351,10 +346,10 @@ class TestCostModel:
     def test_bigger_messages_cost_more(self):
         arch = get_arch("knl")
         costs = [
-            point_cost(_slim_point(
+            point_cost(
                 CollectiveSpec("scatter", "parallel_read", arch,
-                               procs=12, eta=eta),
-            ))
+                               procs=12, eta=eta)
+            )
             for eta in (4 * 1024, 64 * 1024, 1024 * 1024)
         ]
         assert costs == sorted(costs) and costs[0] < costs[-1]
@@ -383,10 +378,17 @@ class TestSchedRobustness:
         assert results == [3, 6, 9, 12]
         assert stats.fallback_points >= 1
         assert pool.broken
+        # The break names its cause: the spent budget and the lost
+        # worker's exit code.
+        assert stats.broken_reason.startswith(
+            "respawn budget exhausted (1/1) after worker"
+        )
+        assert "(exitcode 23)" in stats.broken_reason
 
     def test_repeat_killer_points_are_quarantined(self, monkeypatch):
-        """A point that keeps killing workers (and the sandbox) becomes a
-        PoisonedPoint; the sweep completes and the pool stays usable."""
+        """A point that keeps killing workers is computed in the parent
+        once out of strikes, as a serial sweep would compute it; the sweep
+        completes with every value and the pool stays usable."""
         monkeypatch.setenv("SCHED_TEST_PARENT_PID", str(os.getpid()))
         pool = _make_pool(2, max_respawns=50, poison_strikes=2)
         try:
@@ -394,9 +396,9 @@ class TestSchedRobustness:
                 _exit_in_worker, [1, 2, 3, 4], costs=[1.0] * 4
             )
             assert not pool.broken
-            assert all(isinstance(r, PoisonedPoint) for r in results)
-            assert stats.poisoned == 4
-            assert sorted(stats.poisoned_indices) == [0, 1, 2, 3]
+            assert results == [3, 6, 9, 12]
+            assert stats.fallback_points == 4
+            assert stats.broken_reason == ""
             assert stats.respawns >= 4
             # The pool survived the quarantine: a healthy run still works.
             healthy, _ = pool.run(_double, [5, 6], costs=[1.0] * 2)
@@ -405,8 +407,8 @@ class TestSchedRobustness:
         assert healthy == [10, 12]
 
     def test_sandbox_rescues_worker_killer(self):
-        """A point that only kills *scheduler workers* is rescued by the
-        sandboxed one-shot retry — full results, zero quarantines."""
+        """A point that only kills *scheduler workers* is computed in the
+        parent after its one strike — full results, the pool unbroken."""
         pool = _make_pool(2, max_respawns=50, poison_strikes=1)
         try:
             results, stats = pool.run(
@@ -415,9 +417,36 @@ class TestSchedRobustness:
         finally:
             pool.close()
         assert results == [3, 6, 9, 12]
-        assert stats.sandbox_rescues >= 1
-        assert stats.poisoned == 0
+        assert stats.fallback_points >= 1
         assert not pool.broken
+
+    def test_worker_killer_point_keeps_artifact_whole(self, monkeypatch):
+        """One collective point that kills every process but the parent:
+        out of strikes, it is computed in the parent, and the pooled
+        artifact renders exactly as a serial one.  (A quarantine marker
+        in its slot once crashed rendering on a missing ``latency_us``.)"""
+        parent = os.getpid()
+        real = sweep_mod._compute_collective
+
+        def killer(spec, warm):
+            if os.getpid() != parent and spec.arch.name == "knl" and \
+                    spec.algorithm == "parallel_read" and \
+                    spec.eta == 256 * 1024:
+                os._exit(23)
+            return real(spec, warm)
+
+        with use_context(ExecContext(workers=1)):
+            serial = run_experiment("fig07", quick=True)
+        # Patched before the pool forks, so its workers inherit it.
+        monkeypatch.setattr(sweep_mod, "_compute_collective", killer)
+        ctx = ExecContext(workers=2)
+        ctx.adopt_sched_pool(_make_pool(2, max_respawns=50))
+        with use_context(ctx):
+            pooled = run_experiment("fig07", quick=True)
+        assert [t.render() for t in pooled.tables] == [
+            t.render() for t in serial.tables
+        ]
+        assert ctx.stats.sched_fallbacks >= 1
 
     def test_point_exception_propagates_and_pool_survives(self):
         pool = _make_pool(2)

@@ -1,10 +1,11 @@
 """Supervision layer: the pool's knobs, hung-chunk detection,
-randomized worker loss, and the circuit breaker's degradation ladder.
+randomized worker loss, and the context's fall back to serial dispatch.
 
 The contract under test: worker-level trouble —
 dead workers, hung chunks, repeat-killer points — is absorbed below the
-sweep (respawn, poison ladder, sandbox), and *pool-level* trouble
-degrades dispatch sched → serial without ever changing results.
+sweep (respawn, and the parent computing a point out of poison strikes),
+and a pool that breaks or cannot start leaves its context running later
+sweeps in-process, without ever changing results.
 """
 
 import multiprocessing
@@ -17,12 +18,8 @@ import pytest
 from repro.exec import ExecContext, use_context
 from repro.exec import chaos
 from repro.exec.chaos import ENV_CHAOS
-from repro.exec.sched import (
-    DEFAULT_HUNG_S,
-    DEFAULT_POISON_STRIKES,
-    CircuitBreaker,
-    StickyPool,
-)
+import repro.exec.sched as sched_mod
+from repro.exec.sched import DEFAULT_HUNG_S, DEFAULT_POISON_STRIKES, StickyPool
 from repro.exec.sweep import sweep
 
 
@@ -36,11 +33,17 @@ def _square(x):
 
 def _stall_in_sched_worker(x):
     """Hang forever — but only inside a scheduler worker process; the
-    sandbox and inline salvage (different process names) compute fine."""
-    name = multiprocessing.current_process().name
-    if name.startswith("repro-sched-") and "sandbox" not in name:
+    parent computes it fine."""
+    if multiprocessing.current_process().name.startswith("repro-sched-"):
         time.sleep(600)
     return x * 3
+
+
+def _exit_in_sched_worker(x):
+    """Kill scheduler worker processes only: the parent computes it."""
+    if multiprocessing.current_process().name.startswith("repro-sched-"):
+        os._exit(5)
+    return x * x
 
 
 def _live_pids():
@@ -103,7 +106,7 @@ class TestHungChunks:
     def test_hung_worker_is_killed_and_point_rescued(self):
         """A chunk that stalls forever must be detected by heartbeat age
         (the worker is *alive*, just silent), the worker killed, and the
-        blamed point rescued in the sandbox — the sweep completes with
+        blamed point computed in the parent — the sweep completes with
         correct values instead of hanging for the default 300 s."""
         points = list(range(4))
         before = _live_pids()
@@ -118,8 +121,7 @@ class TestHungChunks:
             pool.close()
         assert results == [x * 3 for x in points]
         assert stats.hung_kills >= 1
-        assert stats.sandbox_rescues >= 1
-        assert stats.poisoned == 0
+        assert stats.fallback_points >= 1
         assert wall < 60.0, f"hung detection took {wall:.1f}s"
         _assert_no_new_children(before)
 
@@ -142,8 +144,8 @@ class TestRandomizedWorkerLoss:
     def test_seeded_kill_storms_keep_bit_identity(self):
         """Property-style battery: across randomized chaos seeds and sweep
         sizes, SIGKILLed workers mid-chunk must never change results —
-        whatever mix of respawn, salvage, sandbox rescue, or inline
-        fallback each seed happens to exercise."""
+        whatever mix of respawn, in-parent compute, or broken-pool
+        salvage each seed happens to exercise."""
         hypothesis = pytest.importorskip("hypothesis")
         from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -197,7 +199,7 @@ class TestRandomizedWorkerLoss:
             monkeypatch.delenv(ENV_CHAOS, raising=False)
             chaos.reset_state()
         assert pickle.dumps(results) == pickle.dumps(serial)
-        assert ctx.stats.poisoned == 0
+        assert ctx.stats.sched_broken == ""
         with use_context(ExecContext(workers=1, cache=tmp_path)) as again:
             rerun = sweep("supervision-kill", _square, points)
         assert pickle.dumps(rerun) == pickle.dumps(serial)
@@ -205,41 +207,60 @@ class TestRandomizedWorkerLoss:
         _assert_no_new_children(before)
 
 
-# -- circuit breaker ----------------------------------------------------------
+# -- pool breakage: the context turns serial -----------------------------------
 
 
 class TestCircuitBreaker:
-    def test_degradation_ladder(self):
-        b = CircuitBreaker(threshold=2)
-        assert b.state == "sched" and not b.tripped
-        b.record_failure()
-        assert b.state == "sched" and not b.tripped
-        b.record_failure()
-        assert b.state == "serial" and b.tripped
-        assert "serial" in b.describe()
-        b.record_failure()
-        assert b.state == "serial"  # the floor: nothing below serial
+    """A pool that breaks or cannot start is not rebuilt: the context's
+    later sweeps run in a plain in-process loop."""
 
-    def test_tripped_breaker_stops_sched_pool_creation(self):
+    def test_degradation_ladder(self):
+        """sched → serial, one way: once the adopted pool has broken, the
+        context hands out no pool again."""
+        ctx = ExecContext(workers=2)
+        pool = _make_pool()
+        ctx.adopt_sched_pool(pool)
+        try:
+            assert ctx.sched_pool() is pool
+            pool.broken = True
+            assert ctx.sched_pool() is None
+            assert ctx.sched_pool() is None  # the floor: nothing rebuilds
+        finally:
+            ctx.close()
+
+    def test_tripped_breaker_stops_sched_pool_creation(self, monkeypatch):
+        """A pool that fails to start is tried once, and its cause kept."""
+        attempts = []
+
+        def unstartable(workers):
+            attempts.append(workers)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(sched_mod, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(sched_mod, "StickyPool", unstartable)
         ctx = ExecContext(workers=2)
         try:
-            ctx.breaker.record_failure()
-            ctx.breaker.record_failure()
-            assert ctx.breaker.state == "serial"
+            assert ctx.sched_pool() is None
             assert ctx.sched_pool() is None
         finally:
             ctx.close()
+        assert attempts == [2]
+        assert "fork refused" in ctx.stats.sched_broken
 
     def test_serial_breaker_forces_inline_sweep(self):
+        """A sweep that breaks the pool still returns serial values, and
+        the context's next sweep runs in the plain loop."""
         ctx = ExecContext(workers=2)
-        for _ in range(2):
-            ctx.breaker.record_failure()
-        assert ctx.breaker.state == "serial"
+        ctx.adopt_sched_pool(_make_pool(max_respawns=0))
         try:
             with use_context(ctx):
+                first = sweep("breaker-break", _exit_in_sched_worker,
+                              list(range(6)))
+                pooled = ctx.stats.sched_points
                 results = sweep("breaker-serial", _square, list(range(6)))
         finally:
             ctx.close()
-        assert results == [x * x for x in range(6)]
-        assert ctx.stats.breaker_state == "serial"
-        assert ctx.stats.sched_chunks == 0  # the plain loop, not the scheduler
+        assert first == results == [x * x for x in range(6)]
+        assert "respawn budget exhausted (0/0)" in ctx.stats.sched_broken
+        assert "(exitcode 5)" in ctx.stats.sched_broken
+        assert ctx.stats.sched_points == pooled  # the plain loop ran it
