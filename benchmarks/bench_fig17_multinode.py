@@ -6,10 +6,6 @@ with node count (paper: 2x/3x/5x); the pipelined extension improves on
 plain two-level.
 """
 
-import pytest
-
-from repro.bench.figures import run_experiment
-
 
 def _check_shapes(exp):
     mids = {}
@@ -32,9 +28,3 @@ def _check_shapes(exp):
 
 def bench_fig17_multinode(regen):
     _check_shapes(regen("fig17"))
-
-
-@pytest.mark.slow
-def bench_fig17_multinode_full():
-    """The same shapes on the paper's full axes, run serially."""
-    _check_shapes(run_experiment("fig17", quick=False))

@@ -1,9 +1,5 @@
 """Table III — isolating CMA steps by iovec games (T1 <= T2 <= T3 <= T4)."""
 
-import pytest
-
-from repro.bench.figures import run_experiment
-
 
 def _check_shapes(exp):
     steps = exp.data["steps"]
@@ -18,9 +14,3 @@ def _check_shapes(exp):
 
 def bench_tab03_steps(regen):
     _check_shapes(regen("tab03"))
-
-
-@pytest.mark.slow
-def bench_tab03_steps_full():
-    """The same shapes on the paper's full axes, run serially."""
-    _check_shapes(run_experiment("tab03", quick=False))

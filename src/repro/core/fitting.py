@@ -11,12 +11,13 @@ The pipeline mirrors the paper exactly:
    mm lock's always-on wait and hold counters, which equal the traced
    'lock' + 'pin' span total bit for bit, so the sweep runs untraced on
    the engine's convoy fast path.
-3. Fit ``gamma(c) = 1 + g1*(c-1) + g2*(c-1)^2`` with
-   ``scipy.optimize.curve_fit``, optionally with the socket-spill knee.
-   The paper cites Marquardt's Levenberg-Marquardt method; the
-   coefficients here are bounded to be non-negative, and ``curve_fit``
-   with ``bounds`` runs the Trust Region Reflective (TRF) solver
-   instead.
+3. Fit ``gamma(c) = 1 + g1*(c-1) + g2*(c-1)^2``, optionally with the
+   socket-spill knee. The paper cites Marquardt's Levenberg-Marquardt
+   method; the coefficients here are bounded to be non-negative, so the
+   fit runs the Trust Region Reflective (TRF) solver instead. The solver
+   at the end of this module is a NumPy transcription of the path
+   SciPy's ``optimize.curve_fit`` takes for this bounded fit, so the
+   coefficients are bit-identical to it without importing SciPy.
 
 Because the simulator's contention is *emergent* (queueing on a bounced
 lock, nothing closed-form), the fit is a real inference step: tests check
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
+from numpy.linalg import norm
 
 from repro.bench import microbench
 from repro.exec import context as _context
@@ -205,7 +206,6 @@ def _fit_gamma_fresh(
             return 1.0 + g1 * x + g2 * x * x
 
         p0 = (1.0, 0.05)
-        bounds = ([0.0, 0.0], [np.inf, np.inf])
     else:
 
         def f(c, g1, g2, spill):
@@ -214,9 +214,8 @@ def _fit_gamma_fresh(
             return 1.0 + g1 * x + g2 * x * x + spill * over * over
 
         p0 = (1.0, 0.05, 0.01)
-        bounds = ([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf])
 
-    popt, _ = curve_fit(f, c, y, p0=p0, bounds=bounds, maxfev=20_000)
+    popt = _curve_fit_trf(f, c, y, p0)
     resid = float(np.sqrt(np.mean((f(c, *popt) - y) ** 2)))
     if knee is None:
         return GammaFit(g1=popt[0], g2=popt[1], residual=resid)
@@ -296,3 +295,406 @@ def _fit_architecture_fresh(
     return FittedArchitecture(
         arch_name=arch.name, base=base, gamma=gamma, samples=samples
     )
+
+
+# -- bounded TRF least squares -------------------------------------------------
+#
+# A transcription of the one path SciPy 1.17.1 takes for ``curve_fit(f, x, y,
+# p0, bounds=(0, inf), maxfev=20_000)``: ``least_squares(method="trf",
+# jac="2-point", x_scale=1.0, loss="linear", tr_solver="exact")`` and then
+# ``trf_bounds``, with the helpers of ``optimize._lsq.common`` and
+# ``optimize._numdiff`` it calls. Every float operation is kept in SciPy's
+# order, and so is every matrix layout, because a matrix-vector product
+# rounds differently on a C- and on an F-ordered copy of the same matrix.
+# Factors of ``x_scale == 1`` are dropped: multiplying by 1.0 is exact.
+# Branches the fit never reaches raise instead of being ported.
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_EPS = np.finfo(float).eps
+#: ``curve_fit``'s ``maxfev`` as called here, and ``least_squares``' default
+#: ``ftol``, ``xtol`` and ``gtol``
+_MAX_NFEV = 20_000
+_TOL = 1e-8
+
+
+def _curve_fit_trf(f, xdata, ydata, p0):
+    """``popt`` of ``curve_fit`` with every parameter bounded to [0, inf)."""
+    x0 = np.atleast_1d(p0).astype(float)
+    lb, ub = np.zeros(x0.size), np.full(x0.size, np.inf)
+
+    def fun(p):
+        return np.atleast_1d(f(xdata, *p) - ydata)
+
+    x0 = _make_strictly_feasible(x0, lb, ub, rstep=1e-10)
+    f0 = fun(x0)
+    if not np.all(np.isfinite(f0)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    x, status = _trf_bounds(fun, x0, f0, lb, ub)
+    if status <= 0:
+        raise RuntimeError(
+            "Optimal parameters not found: The maximum number of function "
+            "evaluations is exceeded."
+        )
+    return x
+
+
+def _jac_2point(fun, x0, f0, lb, ub):
+    """Forward differences, with ``approx_derivative``'s step and bounds."""
+    sign_x0 = (x0 >= 0).astype(float) * 2 - 1
+    h = _EPS**0.5 * sign_x0 * np.maximum(1.0, np.abs(x0))
+    # _adjust_scheme_to_bounds, one-sided scheme with one step
+    lower_dist = x0 - lb
+    upper_dist = ub - x0
+    x = x0 + h
+    violated = (x < lb) | (x > ub)
+    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
+    h_adj = h.copy()
+    h_adj[violated & fitting] *= -1
+    forward = (upper_dist >= lower_dist) & ~fitting
+    h_adj[forward] = upper_dist[forward]
+    backward = (upper_dist < lower_dist) & ~fitting
+    h_adj[backward] = -lower_dist[backward]
+    # _dense_difference builds the transpose row by row
+    J_t = np.empty((x0.size, f0.size))
+    for i in range(x0.size):
+        x1 = np.copy(x0)
+        x1[i] = x0[i] + h_adj[i]
+        J_t[i] = (fun(x1) - f0) / ((x0[i] + h_adj[i]) - x0[i])
+    return J_t.T
+
+
+def _trf_bounds(fun, x0, f0, lb, ub):
+    x = x0.copy()
+    f = f0
+    nfev = 1
+    J = _jac_2point(fun, x0, f0, lb, ub)
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+
+    v, dv = _cl_scaling_vector(x, g, lb, ub)
+    Delta = norm(x0 / v**0.5)
+    if Delta == 0:
+        Delta = 1.0
+
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
+    alpha = 0.0  # Levenberg-Marquardt parameter
+    status = None
+    while True:
+        v, dv = _cl_scaling_vector(x, g, lb, ub)
+        g_norm = norm(g * v, ord=np.inf)
+        if g_norm < _TOL:
+            status = 1
+        if status is not None or nfev == _MAX_NFEV:
+            break
+
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        # numpy returns C-ordered factors where LAPACK's are F-ordered
+        U, s, VT = np.linalg.svd(J_augmented, full_matrices=False)
+        V = np.ascontiguousarray(VT.T)
+        uf = np.ascontiguousarray(U.T).dot(f_augmented)
+
+        theta = max(0.995, 1 - g_norm)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < _MAX_NFEV:
+            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
+            p = d * p_h
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta
+            )
+            x_new = _make_strictly_feasible(x + step, lb, ub, rstep=0)
+            f_new = fun(x_new)
+            nfev += 1
+            if not np.all(np.isfinite(f_new)):
+                raise ValueError("Residuals are not finite at a trial point.")
+            step_h_norm = norm(step_h)
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            Delta_new, ratio = _update_tr_radius(
+                Delta, actual_reduction, predicted_reduction,
+                step_h_norm, step_h_norm > 0.95 * Delta,
+            )
+            status = _check_termination(
+                actual_reduction, cost, norm(step), norm(x), ratio
+            )
+            if status is not None:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = _jac_2point(fun, x, f, lb, ub)
+            g = J.T.dot(f)
+    return x, (0 if status is None else status)
+
+
+def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+
+    alpha_upper = norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and initial_alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    else:
+        alpha = initial_alpha
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= Delta / norm(p)
+    return p, alpha
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """The best of the trust-region, reflected and Cauchy steps."""
+    if np.all((x + p >= lb) & (x + p <= ub)):
+        return p, p_h, -_evaluate_quadratic(J_h, g_h, p_h, diag_h)
+
+    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
+    r_h = np.copy(p_h)
+    r_h[hits.astype(bool)] *= -1
+    r = d * r_h
+    p *= p_stride
+    p_h *= p_stride
+    x_on_bound = x + p
+
+    _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
+    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l, r_stride_u = 0, -1
+    if r_stride_l <= r_stride_u:
+        a, b, c = _build_quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic_1d(
+            a, b, r_stride_l, r_stride_u, c=c
+        )
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    else:
+        r_value = np.inf
+
+    p *= theta
+    p_h *= theta
+    p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
+
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / norm(ag_h)
+    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _build_quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag, ag_h, -ag_value
+
+
+def _intersect_trust_region(x, s, Delta):
+    a = np.dot(s, s)
+    if a == 0:
+        raise ValueError("`s` is zero.")
+    b = np.dot(x, s)
+    c = np.dot(x, x) - Delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    d = np.sqrt(b * b - a * c)
+    q = -(b + math.copysign(d, b))
+    t1 = q / a
+    t2 = c / q
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _build_quadratic_1d(J, g, s, diag, s0=None):
+    v = J.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_quadratic_1d(a, b, lb, ub, c=0):
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _evaluate_quadratic(J, g, s, diag):
+    Js = J.dot(s)
+    q = np.dot(Js, Js)
+    q += np.dot(s * diag, s)
+    return 0.5 * q + np.dot(s, g)
+
+
+def _step_size_to_bound(x, s, lb, ub):
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum(
+            (lb - x)[non_zero] / s_non_zero, (ub - x)[non_zero] / s_non_zero
+        )
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+
+
+def _find_active_constraints(x, lb, ub, rtol):
+    active = np.zeros_like(x, dtype=int)
+    if rtol == 0:
+        active[x <= lb] = -1
+        active[x >= ub] = 1
+        return active
+    lower_dist = x - lb
+    upper_dist = ub - x
+    lower_threshold = rtol * np.maximum(1, np.abs(lb))
+    upper_threshold = rtol * np.maximum(1, np.abs(ub))
+    active[
+        np.isfinite(lb) & (lower_dist <= np.minimum(upper_dist, lower_threshold))
+    ] = -1
+    active[
+        np.isfinite(ub) & (upper_dist <= np.minimum(lower_dist, upper_threshold))
+    ] = 1
+    return active
+
+
+def _make_strictly_feasible(x, lb, ub, rstep):
+    x_new = x.copy()
+    active = _find_active_constraints(x, lb, ub, rstep)
+    lower_mask = np.equal(active, -1)
+    upper_mask = np.equal(active, 1)
+    if rstep == 0:
+        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
+        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
+    else:
+        x_new[lower_mask] = lb[lower_mask] + rstep * np.maximum(
+            1, np.abs(lb[lower_mask])
+        )
+        x_new[upper_mask] = ub[upper_mask] - rstep * np.maximum(
+            1, np.abs(ub[upper_mask])
+        )
+    tight = (x_new < lb) | (x_new > ub)
+    x_new[tight] = 0.5 * (lb[tight] + ub[tight])
+    return x_new
+
+
+def _cl_scaling_vector(x, g, lb, ub):
+    """Coleman-Li scaling vector ``v`` and its derivative ``dv``."""
+    v = np.ones_like(x)
+    dv = np.zeros_like(x)
+    mask = (g < 0) & np.isfinite(ub)
+    v[mask] = ub[mask] - x[mask]
+    dv[mask] = -1
+    mask = (g > 0) & np.isfinite(lb)
+    v[mask] = x[mask] - lb[mask]
+    dv[mask] = 1
+    return v, dv
+
+
+def _update_tr_radius(Delta, actual_reduction, predicted_reduction,
+                      step_norm, bound_hit):
+    if predicted_reduction > 0:
+        ratio = actual_reduction / predicted_reduction
+    elif predicted_reduction == actual_reduction == 0:
+        ratio = 1
+    else:
+        ratio = 0
+    if ratio < 0.25:
+        Delta = 0.25 * step_norm
+    elif ratio > 0.75 and bound_hit:
+        Delta *= 2.0
+    return Delta, ratio
+
+
+def _check_termination(dF, F, dx_norm, x_norm, ratio):
+    ftol_satisfied = dF < _TOL * F and ratio > 0.25
+    xtol_satisfied = dx_norm < _TOL * (_TOL + x_norm)
+    if ftol_satisfied and xtol_satisfied:
+        return 4
+    if ftol_satisfied:
+        return 2
+    if xtol_satisfied:
+        return 3
+    return None

@@ -1,9 +1,21 @@
 """Tests for the Table III / Table IV / Fig 5 parameter-fitting pipeline."""
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core import fitting
+from repro.core.tuning import Tuner
 from repro.machine import get_arch, make_generic
+
+HERE = Path(__file__).resolve().parent
+REPO_SRC = str(HERE.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +163,92 @@ class TestFullPipeline:
         assert set(row) == {"alpha", "beta", "l", "s", "gamma(c)"}
         assert "us" in row["alpha"]
         assert "GBps" in row["beta"]
+
+
+class TestTrfPort:
+    """The γ fit is a NumPy port of SciPy's bounded ``curve_fit`` path; its
+    answers must be the same floats, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["knl", "broadwell", "power8"])
+    def test_calibrated_params_unchanged(self, name):
+        """``repr(params)`` keys every calibrated point's digest, so the
+        fitted floats (np.float64) must print exactly as the committed
+        capture, which was taken with ``curve_fit`` itself."""
+        golden = json.loads((HERE / "golden" / "calibrated_params.json").read_text())
+        assert repr(Tuner.calibrated(get_arch(name)).arch.params) == golden[name]
+
+    def test_differential_against_curve_fit(self, monkeypatch):
+        """Random sample sets, with and without a knee; many end with a
+        coefficient on its bound of 0, where the reflective step runs."""
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def reference(f, c, y, p0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", optimize.OptimizeWarning)
+                popt, _ = optimize.curve_fit(
+                    f, c, y, p0=p0, bounds=([0.0] * len(p0), [np.inf] * len(p0)),
+                    maxfev=20_000,
+                )
+            return popt
+
+        rng = np.random.default_rng(20171)
+        on_bound = interior = 0
+        for _ in range(150):
+            knee = None if rng.random() < 0.5 else int(rng.integers(4, 20))
+            top = int(rng.integers(3, 80))
+            readers = sorted(
+                {1, 2, 4, top} | {int(v) for v in rng.integers(1, top + 1, size=5)}
+            )
+            truth = fitting.GammaFit(
+                g1=rng.choice([0.0, -0.3, rng.uniform(-1.0, 3.0)]),
+                g2=rng.choice([0.0, -0.01, rng.uniform(-0.05, 0.5)]),
+                spill=rng.uniform(-0.2, 0.5),
+                knee=knee if knee is not None else 10**9,
+            )
+            noise = rng.choice([0.0, 1e-3, 0.05, 0.3])
+            samples = [
+                fitting.GammaSample(
+                    pages=pages, readers=c,
+                    gamma=truth(c) * (1.0 + noise * rng.standard_normal()),
+                )
+                for pages in (10, 50) for c in readers
+            ]
+            got = fitting._fit_gamma_fresh(samples, knee)
+            with monkeypatch.context() as m:
+                m.setattr(fitting, "_curve_fit_trf", reference)
+                want = fitting._fit_gamma_fresh(samples, knee)
+            # repr tells every float64 apart, -0.0 from 0.0 included
+            assert repr(got) == repr(want), (samples, knee)
+            assert got.residual == want.residual
+            coeffs = (got.g1, got.g2) + ((got.spill,) if knee is not None else ())
+            if min(coeffs) < 1e-9:
+                on_bound += 1
+            else:
+                interior += 1
+        assert on_bound >= 20 and interior >= 20
+
+    def test_calibration_never_imports_scipy(self):
+        """Fresh interpreter, every warning an error: importing the figure
+        module and calibrating a preset must not load SciPy, and an exactly
+        determined fit (as many samples as coefficients) must not warn that
+        its covariance is unknown, as ``curve_fit`` did."""
+        code = """
+import sys, warnings
+warnings.simplefilter("error")
+import repro.bench.figures
+from repro.core import fitting
+from repro.core.tuning import Tuner
+from repro.machine import get_arch, make_generic
+Tuner.calibrated(get_arch("knl"))
+fitting.fit_architecture(
+    make_generic(sockets=1, cores_per_socket=17, default_procs=17),
+    page_counts=(16,), reader_counts=(1, 4),
+)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
