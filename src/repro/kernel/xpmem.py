@@ -16,7 +16,9 @@ moves, it does not vanish:
 3. **fault-in** — the first touch of each window page takes the *owner's*
    mm lock briefly (one-page hold) to populate the attacher's page table.
    A cold One-to-all therefore still convoys on the root's mm lock — just
-   once per page per attacher instead of once per batch per call;
+   once per page per attacher instead of once per batch per call.
+   Which pages each pair has faulted is kept as merged page runs
+   (:class:`PageRuns`), so the state grows with runs, not pages;
 4. **copy** — ``t_xpmem_copy + nbytes * beta``, mm-lock-free.
 
 This is exactly the regime split Huang et al. exploit (PAPERS.md,
@@ -43,6 +45,7 @@ and hold on the owner's mm lock (see
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.kernel.address_space import copy_iov_bytes
@@ -67,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cma import CMAKernel
     from repro.sim.engine import SimProcess
 
-__all__ = ["XpmemSegment", "XpmemKernel"]
+__all__ = ["PageRuns", "XpmemSegment", "XpmemKernel"]
 
 #: errno raised per injected errno-kind fault (mirrors faults.KIND_ERRNO;
 #: kept local so the kernel layer never imports repro.faults — circular
@@ -82,6 +85,40 @@ _INJECT_ERRNO = {
 
 #: first segid handed out (recognisably XPMEM-ish in hex dumps)
 _SEGID_BASE = 0x5E60_0000
+
+
+class PageRuns:
+    """A set of page indices kept as sorted, disjoint, merged ``[lo, hi)`` runs.
+
+    ``bounds`` is flat — ``[lo0, hi0, lo1, hi1, ...]``, strictly increasing,
+    so touching runs are always joined — which lets both queries find
+    their first run by bisection: state and work are O(runs), not O(pages).
+    """
+
+    __slots__ = ("bounds",)
+
+    def __init__(self) -> None:
+        self.bounds: list[int] = []
+
+    def missing(self, lo: int, hi: int) -> int:
+        """How many pages of ``[lo, hi)`` (``lo < hi``) are not yet in the set."""
+        b = self.bounds
+        i = bisect_right(b, lo) & ~1
+        covered = 0
+        while i < len(b) and b[i] < hi:
+            covered += min(hi, b[i + 1]) - max(lo, b[i])
+            i += 2
+        return hi - lo - covered
+
+    def add(self, lo: int, hi: int) -> None:
+        """Merge ``[lo, hi)`` (``lo < hi``) in, joining every run it overlaps
+        or touches."""
+        b = self.bounds
+        i = bisect_left(b, lo) & ~1
+        j = (bisect_right(b, hi) + 1) & ~1
+        if i < j:
+            lo, hi = min(lo, b[i]), max(hi, b[j - 1])
+        b[i:j] = (lo, hi)
 
 
 class XpmemSegment:
@@ -106,6 +143,10 @@ class XpmemKernel:
     steady-state cost model — but it shares the CMA kernel's address
     spaces, mm locks, sockets, permission set and fault state, so the two
     lanes see one consistent node.
+
+    Fault-in state is kept per (owner, attacher) pair as :class:`PageRuns`
+    — merged page runs, not one entry per page — because a copy only ever
+    needs how many of its pages are new.
     """
 
     def __init__(self, cma: "CMAKernel"):
@@ -117,8 +158,8 @@ class XpmemKernel:
         self._segid_counter = itertools.count(_SEGID_BASE)
         #: (owner_pid, attacher_pid) pairs whose map cost has been charged
         self._mapped: set[tuple[int, int]] = set()
-        #: per mapped pair, the set of global page indices faulted in
-        self._faulted: dict[tuple[int, int], set[int]] = {}
+        #: per mapped pair, the global page indices faulted in, as page runs
+        self._faulted: dict[tuple[int, int], PageRuns] = {}
         self.attaches = 0
         self.maps_charged = 0
         self.page_faults = 0
@@ -224,7 +265,7 @@ class XpmemKernel:
             # the lookup, then the map: two delays, one resumption
             yield DelayChain(t_fix, t_map)
             self._mapped.add(pair)
-            self._faulted[pair] = set()
+            self._faulted[pair] = PageRuns()
             self.maps_charged += 1
         else:
             yield Delay(t_fix)
@@ -267,7 +308,8 @@ class XpmemKernel:
         window is a shared mapping, so no translation is modelled).  The
         copy itself never touches the owner's mm lock; only first-touch
         pages do, one one-page hold each — so a cold window still convoys,
-        a warm one is a pure delay.  All checks precede any charged time,
+        a warm one is a pure delay.  The new pages are counted against the
+        pair's page runs, and the copy's page range is merged in after.  All checks precede any charged time,
         identically in both paths (``partial`` faults cannot fire here:
         a mapped-window memcpy has no short-count failure mode).
         """
@@ -304,8 +346,8 @@ class XpmemKernel:
         ps = p.page_size
         first = remote[0] // ps
         last = (remote[0] + ncopy - 1) // ps
-        fset = self._faulted[pair]
-        newp = [pg for pg in range(first, last + 1) if pg not in fset]
+        faulted = self._faulted[pair]
+        nnew = faulted.missing(first, last + 1)
         beta = self.cma.copy_beta(caller, seg.owner_pid)
         copy_time = p.t_xpmem_copy + ncopy * beta
         if scale != 1.0:
@@ -313,30 +355,30 @@ class XpmemKernel:
         mm = self.cma.mm_lock(seg.owner_pid)
         self.copy_us += copy_time
 
-        if newp and self.cma.sim.use_pin_convoy:
+        if nnew and self.cma.sim.use_pin_convoy:
             # Fused cold-copy fast path: the per-page fault-in convoy with
             # the pin-free copy riding as the convoy's tail — one command,
             # same timeline as the unfused loop + trailing Delay
             # (copy_time > 0 always: t_xpmem_copy is a positive constant).
             yield FaultConvoy(
-                mm.mutex, mm.hold_time, [(1, 0.0)] * len(newp),
-                mm=mm, npages=len(newp), memo=mm._hold_memo,
+                mm.mutex, mm.hold_time, [(1, 0.0)] * nnew,
+                mm=mm, npages=nnew, memo=mm._hold_memo,
                 tail_dt=copy_time,
             )
         else:
             # Unfused reference path (and the warm steady state, where
             # there is nothing to fault and the copy is one Delay — the
             # mm lock is never touched).
-            for _pg in newp:
+            for _ in range(nnew):
                 yield Acquire(mm.mutex)
                 yield HoldRelease(mm.mutex, mm.hold_time(1, caller))
                 mm.pages_pinned += 1
             yield Delay(copy_time)
 
-        if newp:
-            fset.update(newp)
-            self.page_faults += len(newp)
-            mm.pages_faulted += len(newp)
+        if nnew:
+            faulted.add(first, last + 1)
+            self.page_faults += nnew
+            mm.pages_faulted += nnew
         if self.cma.verify:
             caller_space = self.cma.manager.get(caller.pid)
             if write:
