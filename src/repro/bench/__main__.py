@@ -32,12 +32,6 @@ def main(argv=None) -> int:
         from repro.bench import schedprof
 
         return schedprof.main(argv[1:])
-    if argv and argv[0] == "faults":
-        # Degraded-mode fault matrix: latency + fallback/retry counters
-        # under injected kernel faults — see repro.bench.faultsweep.
-        from repro.bench import faultsweep
-
-        return faultsweep.main(argv[1:])
     if argv and argv[0] == "chaos":
         # Harness chaos soak: seeded worker kills, stalls, and cache
         # attacks, verified bit-identical — see

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core import patterns
 from repro.core.common import Blocks
@@ -48,11 +48,6 @@ class CollectiveSpec:
     #: per-rank block sizes for the V-variants: a vector for scatterv/
     #: gatherv, a p x p matrix for alltoallv; defaults to eta everywhere
     counts: Optional[list[int]] = None
-    #: armed deterministic fault plan (:class:`repro.faults.FaultPlan`),
-    #: or None — the default, bit-identical to the pre-fault runner.
-    #: A frozen dataclass of primitives, so it pickles to pool workers
-    #: and fingerprints into cache keys like every other spec field.
-    faults: Optional[Any] = None
     #: transport lane, resolved from the registry (never passed in).  An
     #: ``init=False`` field so :func:`repro.exec.keying.canonical` picks
     #: it up: cache keys and sweep group keys must separate lanes even
@@ -99,13 +94,6 @@ class CollectiveSpec:
                 raise ValueError("counts must be non-negative")
         elif self.counts is not None:
             raise ValueError(f"{self.collective} does not take counts")
-        if self.faults is not None:
-            from repro.faults import FaultPlan
-
-            if not isinstance(self.faults, FaultPlan):
-                raise ValueError(
-                    f"faults must be a repro.faults.FaultPlan, got {self.faults!r}"
-                )
 
 
 @dataclass
@@ -122,12 +110,10 @@ class CollectiveResult:
     #: simulated µs per kernel phase, summed over ranks
     #: (:meth:`repro.mpi.communicator.Node.phase_times`)
     trace_by_phase: dict[str, float] = field(default_factory=dict)
-    #: degraded-mode counters — all zero on fault-free runs:
-    #: CMA→shm fallback transfers completed by the resilient MPI layer
+    #: always 0: the runner sets none of these three.  Kept only because
+    #: e2ebench's digest reads them and its refs hash them as 0.
     fallbacks: int = 0
-    #: CMA calls re-issued (EINTR) or resumed from an offset (short count)
     retries: int = 0
-    #: faults the armed plan actually injected, across all kinds
     faults_injected: int = 0
     #: mapped-window lane counters — all zero for non-xpmem algorithms
     xpmem_reads: int = 0
@@ -191,11 +177,6 @@ def _execute(spec: CollectiveSpec, fn, node: Node, comm: Comm) -> CollectiveResu
         cma_writes=node.cma.writes,
         sim_events=node.sim.events_processed,
         trace_by_phase=node.phase_times(),
-        fallbacks=comm.fallbacks,
-        retries=comm.retries,
-        faults_injected=(
-            node.fault_state.total_injected if node.fault_state is not None else 0
-        ),
         xpmem_reads=node.xpmem.reads,
         xpmem_writes=node.xpmem.writes,
         xpmem_attaches=node.xpmem.attaches,
@@ -210,7 +191,7 @@ def run_collective(spec: CollectiveSpec) -> CollectiveResult:
     rank ends up with violate MPI semantics (only when ``spec.verify``).
     """
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, faults=spec.faults)
+    node = Node(spec.arch, verify=spec.verify)
     comm = Comm(node, spec.procs)
     return _execute(spec, fn, node, comm)
 
@@ -303,11 +284,6 @@ def run_collective_pooled(
     """
     if pool is None:
         pool = _DEFAULT_POOL
-    if spec.faults is not None:
-        # Fault plans are run-scoped (armed per Node construction) and the
-        # pool key doesn't include them; warm reuse is the fault-free hot
-        # path, so faulted specs always take the fresh-node route.
-        return run_collective(spec)
     fn = _validated_algorithm(spec)
     node, comm = pool.node_for(spec.arch, spec.procs, spec.verify)
     result = _execute(spec, fn, node, comm)

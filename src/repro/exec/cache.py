@@ -73,7 +73,8 @@ __all__ = [
 #: + CollectiveResult mapped-window counters.
 #: v4: no ``trace`` spec field; every result carries its phase times.
 #: v5: no node-wide shm eager pool (POWER8 at 160 ranks no longer queues).
-CACHE_VERSION = "repro-exec-v5"
+#: v6: no ``faults`` spec field (kernel fault injection is gone).
+CACHE_VERSION = "repro-exec-v6"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

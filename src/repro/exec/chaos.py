@@ -1,13 +1,13 @@
 """Seeded, deterministic chaos injection for the *harness* itself.
 
-:mod:`repro.faults` proves the simulated kernel's degraded-mode ladder;
-this module is its twin one layer up: it attacks the execution harness —
-the worker pool and the result cache's atomic publications — so the
-resilience layer (supervision, respawn, poison accounting, CRC
-quarantine) can prove that every sweep still
-completes with results bit-identical to a clean serial run.
+This module attacks the execution harness — the worker pool and the
+result cache's atomic publications — so the resilience layer
+(supervision, respawn, poison accounting, CRC quarantine) can prove
+that every sweep still completes with results bit-identical to a clean
+serial run.  The simulated kernel has no fault model; only the harness
+is attacked.
 
-Same design contract as the fault plans:
+Design contract:
 
 * **Off by default, zero-cost when off.**  Nothing draws unless
   ``REPRO_CHAOS`` is set (or a plan is armed explicitly); default runs
@@ -178,8 +178,8 @@ class ChaosState:
         key = (i, op)
         rng = self._rngs.get(key)
         if rng is None:
-            # String seeding — deterministic across processes and
-            # PYTHONHASHSEED values, like the fault plans.
+            # String seeding goes through SHA-512 — deterministic across
+            # processes and PYTHONHASHSEED values (tuples would not be).
             rng = random.Random(f"{self.plan.seed}/{i}/{op}/{self.role}")
             self._rngs[key] = rng
         return rng

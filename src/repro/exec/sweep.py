@@ -34,7 +34,6 @@ from typing import (
 )
 
 from repro.core.runner import CollectiveResult, CollectiveSpec
-from repro.core.runner import run_collective as _run_collective_fresh
 from repro.core.runner import run_collective_pooled as _run_collective_pooled
 from repro.exec import context as _context
 from repro.exec.sched import point_cost
@@ -196,34 +195,30 @@ def sweep(
 def _compute_collective(spec: CollectiveSpec, warm: bool) -> CollectiveResult:
     """The one place a sweep point's simulation actually runs.
 
-    ``warm`` selects the warm-node pool (bit-identical, skips per-point
-    node construction; every fault-free point is warm); tests patch this
-    symbol to count executions.
+    Every point runs on the warm-node pool (bit-identical to a fresh
+    node, minus the construction), so ``warm`` is always True and unread;
+    it stays because e2ebench's tests patch and call this symbol with two
+    arguments, as the repo's tests do to count executions.
     """
-    if warm:
-        return _run_collective_pooled(spec)
-    return _run_collective_fresh(spec)
+    return _run_collective_pooled(spec)
 
 
 def _exec_point(spec: CollectiveSpec) -> CollectiveResult:
     """The sweep runner, in the parent and in pool workers alike.
 
     It looks ``_compute_collective`` up at call time, so a patch made
-    before a pool forks reaches its workers.  Fault plans are run-scoped
-    state outside the warm-pool key, so faulted points build fresh nodes.
+    before a pool forks reaches its workers.
     """
-    return _compute_collective(spec, spec.faults is None)
+    return _compute_collective(spec, True)
 
 
-def _pool_group_key(spec: CollectiveSpec) -> Tuple[str, int, bool, bool, str]:
+def _pool_group_key(spec: CollectiveSpec) -> Tuple[str, int, bool, str]:
     """Warm-node pool key of a point (:class:`~repro.core.runner.NodePool`
-    keys nodes on ``(arch name, procs, verify)``), plus whether it is
-    faulted and its transport lane: faulted (cold) points sort apart from
-    warm ones instead of interleaving with them, so a chunk's leased node
-    never alternates between pooled reuse and fresh builds, and same-lane
-    points land adjacently (each point still resets the node either way)."""
+    keys nodes on ``(arch name, procs, verify)``), plus its transport
+    lane, so same-lane points land adjacently (each point still resets
+    the node either way)."""
     name = str(getattr(spec.arch, "name", ""))
-    return (name, spec.procs, spec.verify, spec.faults is not None, spec.lane)
+    return (name, spec.procs, spec.verify, spec.lane)
 
 
 def run_specs(specs: Iterable[CollectiveSpec]) -> List[CollectiveResult]:

@@ -474,24 +474,9 @@ def iov_pages(iov: Iterable[tuple[int, int]], page_size: int) -> int:
     return total
 
 
-def _iov_skip(iov: list[tuple[int, int]], skip: int) -> list[tuple[int, int]]:
-    """``iov`` without its first ``skip`` bytes: where a short count resumes."""
-    if not skip:
-        return iov
-    out = []
-    for addr, n in iov:
-        if skip >= n:
-            skip -= n
-            continue
-        out.append((addr + skip, n - skip))
-        skip = 0
-    return out
-
-
-def _iov_pieces(local, remote, skip: int, nbytes: int) -> list:
+def _iov_pieces(local, remote, nbytes: int) -> list:
     """Aligned ``(local_addr, remote_addr, n)`` pieces of two iovec lists,
-    covering ``nbytes`` of their byte streams after the first ``skip``."""
-    local, remote = _iov_skip(local, skip), _iov_skip(remote, skip)
+    covering the first ``nbytes`` of their byte streams."""
     out = []
     i = j = loff = roff = 0
     while nbytes > 0:
@@ -542,7 +527,7 @@ def copy_iov_bytes(
         total = nbytes
     if total <= 0:
         return 0
-    pieces = _iov_pieces(src_iov, dst_iov, 0, total)
+    pieces = _iov_pieces(src_iov, dst_iov, total)
     got = []
     k = left = 0
     for sa, _, n in pieces:

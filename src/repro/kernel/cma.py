@@ -32,14 +32,14 @@ calls that share it share its exact floats.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Sequence
 
 from repro.kernel.address_space import (
     AddressSpaceManager,
     copy_iov_bytes,
     iov_pages,
 )
-from repro.kernel.errors import CMAError, EFAULT, EINTR, EINVAL, EPERM, ESRCH
+from repro.kernel.errors import CMAError, EINVAL, EPERM
 from repro.kernel.pagelock import MMLock
 from repro.sim.engine import (
     Acquire,
@@ -50,7 +50,6 @@ from repro.sim.engine import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults import FaultState
     from repro.machine.params import ModelParams
     from repro.sim.engine import SimProcess, Simulator
 
@@ -61,11 +60,6 @@ IOV_MAX = 1024
 
 Iovec = Sequence[tuple[int, int]]
 
-#: errno raised per injected errno-kind fault (mirrors faults.KIND_ERRNO;
-#: kept local so the kernel layer never imports repro.faults, which would
-#: be circular through the package __init__).
-_INJECT_ERRNO = {"eperm": EPERM, "esrch": ESRCH, "efault": EFAULT, "eintr": EINTR}
-
 
 def iovec_total(iov: Iovec) -> int:
     """Sum of iovec lengths (validates non-negative lengths)."""
@@ -75,28 +69,6 @@ def iovec_total(iov: Iovec) -> int:
             raise CMAError(EINVAL, f"negative iovec length {ln}")
         total += ln
     return total
-
-
-def _page_prefix_bytes(iov: Iovec, page_size: int, max_pages: int) -> int:
-    """Bytes of ``iov`` covered by its first ``max_pages`` pages."""
-    pages = 0
-    nbytes = 0
-    for addr, ln in iov:
-        if ln == 0:
-            continue
-        first = addr // page_size
-        span = (addr + ln - 1) // page_size - first + 1
-        if pages + span <= max_pages:
-            pages += span
-            nbytes += ln
-            if pages == max_pages:
-                break
-            continue
-        # the budget runs out inside this entry: cut at the page boundary
-        take = max_pages - pages
-        nbytes += (first + take) * page_size - addr
-        break
-    return nbytes
 
 
 def _pin_plan(
@@ -124,24 +96,6 @@ def _pin_plan(
     return tuple(batches), copy
 
 
-def _truncate_at_page_boundary(
-    remote_iov: Iovec, page_size: int, npages: int, ncopy: int, frac: float
-) -> tuple[int, int]:
-    """Short-transfer point: keep a whole-page prefix of the remote iovec.
-
-    Mirrors the real ``process_vm_rw``: when pinning faults midway, the
-    bytes already copied — whole pages at the front of the remote iovec —
-    are returned as a short count, never an error.  Returns the truncated
-    ``(npages, ncopy)``; a no-op when the local side already bounds the
-    copy short of the chosen boundary.
-    """
-    keep = max(1, min(npages - 1, int(npages * frac)))
-    prefix = _page_prefix_bytes(remote_iov, page_size, keep)
-    if 0 < prefix < ncopy:
-        return keep, prefix
-    return npages, ncopy
-
-
 class CMAKernel:
     """Node-wide CMA engine: one mm lock per process.
 
@@ -166,9 +120,6 @@ class CMAKernel:
         self._sockets: dict[int, int] = {}
         #: pids the permission check rejects (tests ptrace-style denial)
         self.denied_pids: set[int] = set()
-        #: armed fault-injection state, or None (the default: no faults,
-        #: bit-identical to the pre-fault kernel) — see :meth:`set_faults`
-        self.faults: Optional["FaultState"] = None
         self.reads = 0
         self.writes = 0
         self.syscall_us = 0.0
@@ -177,8 +128,8 @@ class CMAKernel:
         #: pin-batch plans by ``(npages, ncopy, beta)`` (see
         #: :func:`_pin_plan`); cleared on reset, so it holds one run's shapes
         self._plans: dict = {}
-        #: the syscall-entry + access-check record of an unscaled call;
-        #: the engine never mutates a command, so every call yields it
+        #: the syscall-entry + access-check record; the engine never
+        #: mutates a command, so every call yields this one
         self._entry = DelayChain(params.alpha_syscall, params.alpha_check)
 
     def register(self, pid: int, socket: int = 0) -> None:
@@ -188,37 +139,17 @@ class CMAKernel:
         sockets pay the ``inter_socket_beta`` bandwidth penalty.
         """
         self.manager.create(pid)
-        mm = MMLock(self.sim, pid, self.params)
-        if self.faults is not None:
-            mm.hold_scale = self.faults.scale(pid)
-        self._mm_locks[pid] = mm
+        self._mm_locks[pid] = MMLock(self.sim, pid, self.params)
         self._sockets[pid] = socket
-
-    def set_faults(self, state: Optional["FaultState"]) -> None:
-        """Arm (or disarm) fault injection for this kernel.
-
-        Straggler slowdowns apply to a pid's mm-lock hold time too (its
-        page operations are slow from every contender's point of view),
-        so the per-lock scale is pushed down here; it stays constant for
-        the run, which keeps ``hold_time`` pure in (pages, contention
-        profile) and the PinConvoy memo contract intact.
-        """
-        self.faults = state
-        for pid, mm in self._mm_locks.items():
-            mm.hold_scale = 1.0 if state is None else state.scale(pid)
 
     def reset(self) -> None:
         """Reset per-run state while keeping pid registrations.
 
         A warm node re-registers the same pids in the same order, so the
         address spaces and mm locks survive (their *contents* are reset);
-        only counters and the denial set go back to zero.  Fault state is
-        disarmed (mm hold scales return to 1.0): a plan is per-run state,
-        so the owner must re-arm via :meth:`set_faults` after the reset
-        (``Node.reset`` does).
+        only counters and the denial set go back to zero.
         """
         self.denied_pids.clear()
-        self.faults = None
         self.reads = 0
         self.writes = 0
         self.syscall_us = 0.0
@@ -310,16 +241,15 @@ class CMAKernel:
         ride fused :class:`~repro.sim.engine.DelayChain` /
         :class:`~repro.sim.engine.HoldRelease` records (by default the
         whole pin loop rides one :class:`~repro.sim.engine.PinConvoy`).
-        An ESRCH/EPERM/injected errno therefore surfaces after the whole
-        entry+check time, ``alpha_syscall + alpha_check``.  Each phase's
-        charged time is added to its counter as it is scheduled.
+        An ESRCH/EPERM therefore surfaces after the whole entry+check
+        time, ``alpha_syscall + alpha_check``.  Each phase's charged time
+        is added to its counter as it is scheduled.
 
-        What never changes between calls is built once per kernel: an
-        unscaled call yields the kernel's one entry+check record, and the
-        batch plan comes from the per-kernel memo keyed by the transfer's
-        shape ``(npages, ncopy, beta)``, looked up after a partial fault
-        has truncated the transfer (a straggler's scale is already folded
-        into ``beta``).  Both pin loops read the same plan tuple.
+        What never changes between calls is built once per kernel: every
+        call yields the kernel's one entry+check record, and the batch
+        plan comes from the per-kernel memo keyed by the transfer's shape
+        ``(npages, ncopy, beta)``.  Both pin loops read the same plan
+        tuple.
         """
         p = self.params
 
@@ -330,45 +260,17 @@ class CMAKernel:
         local_total = iovec_total(local_iov)
         remote_total = iovec_total(remote_iov)
 
-        # --- fault-injection draw (fs None ⇒ zero-cost, bit-identical) ---
-        fault = None
-        scale = 1.0
-        fs = self.faults
-        if fs is not None:
-            if remote_iov:
-                fault = fs.draw(
-                    "writev" if write else "readv",
-                    pid,
-                    caller.pid,
-                    pages=iov_pages(remote_iov, p.page_size),
-                )
-            scale = fs.scale(caller.pid)
-
         # --- 1+2. syscall entry, then permission check if a remote iovec
         # is present (one fused record) ---
-        t_sys = p.alpha_syscall if scale == 1.0 else p.alpha_syscall * scale
-        self.syscall_us += t_sys
+        self.syscall_us += p.alpha_syscall
         if not remote_iov:
-            yield Delay(t_sys)
+            yield Delay(p.alpha_syscall)
             return 0
-        if scale == 1.0:
-            self.check_us += p.alpha_check
-            yield self._entry
-        else:
-            t_check = p.alpha_check * scale
-            self.check_us += t_check
-            yield DelayChain(t_sys, t_check)
+        self.check_us += p.alpha_check
+        yield self._entry
         remote_space = self.manager.get(pid)  # raises ESRCH
         if pid in self.denied_pids:
             raise CMAError(EPERM, f"ptrace access to pid {pid} denied")
-        if fault is not None and fault.kind in _INJECT_ERRNO:
-            # Same position as the natural ESRCH/EPERM above: after the
-            # fused entry+check time.
-            raise CMAError(
-                _INJECT_ERRNO[fault.kind],
-                f"injected {fault.kind} at "
-                f"{'writev' if write else 'readv'}(pid={pid})",
-            )
 
         if remote_total == 0:
             return 0
@@ -382,13 +284,7 @@ class CMAKernel:
         # record — or, by default, the whole loop rides one PinConvoy.
         npages = iov_pages(remote_iov, remote_space.page_size)
         ncopy = min(local_total, remote_total)
-        if fault is not None and fault.kind == "partial":
-            npages, ncopy = _truncate_at_page_boundary(
-                remote_iov, p.page_size, npages, ncopy, fault.resolved_factor
-            )
         beta = self.copy_beta(caller, pid)
-        if scale != 1.0:
-            beta *= scale
         mm = self._mm_locks[pid]
         # The batch plan, shared by every call of the same shape (both pin
         # loops below read the same tuple); hold_time is evaluated at each

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 __all__ = [
     "KernelError", "CMAError",
-    "EPERM", "ENOENT", "ESRCH", "EINTR", "EINVAL", "EFAULT",
+    "EPERM", "ENOENT", "ESRCH", "EINVAL", "EFAULT",
 ]
 
 EPERM = 1
 ENOENT = 2
 ESRCH = 3
-EINTR = 4
 EFAULT = 14
 EINVAL = 22
 
@@ -18,7 +17,6 @@ _ERRNO_NAMES = {
     EPERM: "EPERM",
     ENOENT: "ENOENT",
     ESRCH: "ESRCH",
-    EINTR: "EINTR",
     EFAULT: "EFAULT",
     EINVAL: "EINVAL",
 }

@@ -54,11 +54,6 @@ class KnemKernel:
         """Owner declares a region; returns the cookie (costs t_cookie)."""
         # validate the region resolves in the owner's space
         self.cma.manager.get(owner.pid).resolve(addr, nbytes)
-        fs = self.cma.faults
-        if fs is not None:
-            # op "declare": ioctl-style setup can fail like the syscalls
-            # (the data path inherits the CMA sites via delegation).
-            fs.raise_if("declare", owner.pid, owner.pid)
         yield Delay(self.cma.params.t_cookie)
         cookie = next(self._cookies)
         self._regions[cookie] = KnemRegion(cookie, owner.pid, addr, nbytes)

@@ -51,11 +51,6 @@ class LimicKernel:
     def tx_init(self, owner: "SimProcess", addr: int, nbytes: int) -> Generator:
         """Create a descriptor for an owner's buffer (costs t_limic_setup)."""
         self.cma.manager.get(owner.pid).resolve(addr, nbytes)
-        fs = self.cma.faults
-        if fs is not None:
-            # op "tx": descriptor creation can fail like the syscalls
-            # (the data path inherits the CMA sites via delegation).
-            fs.raise_if("tx", owner.pid, owner.pid)
         yield Delay(self.cma.params.t_limic_setup)
         txid = next(self._txids)
         self._txs[txid] = LimicTx(txid, owner.pid, addr, nbytes)

@@ -40,7 +40,7 @@ class MMLock:
     """mm (page-table) lock of one simulated process."""
 
     __slots__ = ("pid", "params", "mutex", "pages_pinned", "pages_faulted",
-                 "hold_scale", "_hold_memo")
+                 "_hold_memo")
 
     def __init__(
         self,
@@ -55,16 +55,9 @@ class MMLock:
         #: mapped-window fault-ins (which pin one page each)
         self.pages_pinned = 0
         self.pages_faulted = 0
-        #: straggler slowdown of this mm's owner (fault injection): page
-        #: operations on a slow core take longer for *every* contender.
-        #: Constant for a whole run (set when a FaultPlan is armed, reset
-        #: to 1.0 by :meth:`reset`), so :meth:`hold_time` stays pure in
-        #: (batch_pages, contention profile) and the memo contract holds.
-        self.hold_scale = 1.0
         #: engine-side hold-time memo, keyed (batch_pages, c_same, c_other).
         #: Valid because :meth:`hold_time` is a pure function of exactly
-        #: that triple (``params`` are fixed at construction and
-        #: ``hold_scale`` per run); passed to
+        #: that triple (``params`` are fixed at construction); passed to
         #: :class:`~repro.sim.engine.PinConvoy` so steady convoys replace
         #: the Python call with a dict hit returning the identical float.
         self._hold_memo: dict = {}
@@ -74,7 +67,6 @@ class MMLock:
         self.mutex.reset()
         self.pages_pinned = 0
         self.pages_faulted = 0
-        self.hold_scale = 1.0
         self._hold_memo.clear()
 
     def hold_time(self, batch_pages: int, caller: "SimProcess") -> float:
@@ -88,7 +80,4 @@ class MMLock:
         # the caller itself is a contender (it holds the lock); exclude it
         c_same = max(c_same - 1, 0)
         bounce = p.kappa_intra * c_same + p.kappa_inter * c_other
-        hold = (batch_pages + bounce) * p.l_page
-        if self.hold_scale != 1.0:  # straggler-owner fault injection
-            hold *= self.hold_scale
-        return hold
+        return (batch_pages + bounce) * p.l_page

@@ -49,15 +49,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.kernel.address_space import copy_iov_bytes
-from repro.kernel.errors import (
-    CMAError,
-    EFAULT,
-    EINTR,
-    EINVAL,
-    ENOENT,
-    EPERM,
-    ESRCH,
-)
+from repro.kernel.errors import CMAError, EFAULT, EINVAL, ENOENT, EPERM
 from repro.sim.engine import (
     Acquire,
     Delay,
@@ -71,17 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import SimProcess
 
 __all__ = ["PageRuns", "XpmemSegment", "XpmemKernel"]
-
-#: errno raised per injected errno-kind fault (mirrors faults.KIND_ERRNO;
-#: kept local so the kernel layer never imports repro.faults — circular
-#: through the package __init__ — same idiom as cma._INJECT_ERRNO).
-_INJECT_ERRNO = {
-    "eperm": EPERM,
-    "enoent": ENOENT,
-    "esrch": ESRCH,
-    "efault": EFAULT,
-    "eintr": EINTR,
-}
 
 #: first segid handed out (recognisably XPMEM-ish in hex dumps)
 _SEGID_BASE = 0x5E60_0000
@@ -141,7 +122,7 @@ class XpmemKernel:
     Unlike :class:`~repro.kernel.knem.KnemKernel` it does **not** delegate
     its data path to ``process_vm_rw`` — the whole point is a different
     steady-state cost model — but it shares the CMA kernel's address
-    spaces, mm locks, sockets, permission set and fault state, so the two
+    spaces, mm locks, sockets and permission set, so the two
     lanes see one consistent node.
 
     Fault-in state is kept per (owner, attacher) pair as :class:`PageRuns`
@@ -212,15 +193,9 @@ class XpmemKernel:
             return existing
         # validate the region resolves in the owner's space (EFAULT)
         self.cma.manager.get(owner.pid).resolve(addr, nbytes)
-        fs = self.cma.faults
-        scale = 1.0
-        if fs is not None:
-            fs.raise_if("make", owner.pid, owner.pid)
-            scale = fs.scale(owner.pid)
         p = self.cma.params
-        t_make = p.t_xpmem_make if scale == 1.0 else p.t_xpmem_make * scale
-        self.make_us += t_make
-        yield Delay(t_make)
+        self.make_us += p.t_xpmem_make
+        yield Delay(p.t_xpmem_make)
         ps = p.page_size
         npages = (addr + nbytes - 1) // ps - addr // ps + 1
         segid = next(self._segid_counter)
@@ -234,7 +209,7 @@ class XpmemKernel:
         The first attach of a pair charges the proportional map cost
         ``t_xpmem_attach + npages * t_xpmem_page``; later attaches of the
         same (owner, attacher) pair cost the fixed lookup only.  All
-        checks (stale segid, dead owner, denial, injected errnos) precede
+        checks (stale segid, dead owner, denial) precede
         any charged time.
         """
         seg = self._segids.get(segid)
@@ -243,24 +218,12 @@ class XpmemKernel:
         self.cma.manager.get(seg.owner_pid)  # raises ESRCH
         if seg.owner_pid in self.cma.denied_pids:
             raise CMAError(EPERM, f"xpmem access to pid {seg.owner_pid} denied")
-        fs = self.cma.faults
-        scale = 1.0
-        if fs is not None:
-            fault = fs.draw("attach", seg.owner_pid, caller.pid)
-            if fault is not None and fault.kind in _INJECT_ERRNO:
-                raise CMAError(
-                    _INJECT_ERRNO[fault.kind],
-                    f"injected {fault.kind} at attach(segid={segid:#x})",
-                )
-            scale = fs.scale(caller.pid)
         p = self.cma.params
         pair = (seg.owner_pid, caller.pid)
-        t_fix = p.t_xpmem_attach if scale == 1.0 else p.t_xpmem_attach * scale
+        t_fix = p.t_xpmem_attach
         self.attach_us += t_fix
         if pair not in self._mapped:
             t_map = seg.npages * p.t_xpmem_page
-            if scale != 1.0:
-                t_map *= scale
             self.map_us += t_map
             # the lookup, then the map: two delays, one resumption
             yield DelayChain(t_fix, t_map)
@@ -309,9 +272,8 @@ class XpmemKernel:
         copy itself never touches the owner's mm lock; only first-touch
         pages do, one one-page hold each — so a cold window still convoys,
         a warm one is a pure delay.  The new pages are counted against the
-        pair's page runs, and the copy's page range is merged in after.  All checks precede any charged time,
-        identically in both paths (``partial`` faults cannot fire here:
-        a mapped-window memcpy has no short-count failure mode).
+        pair's page runs, and the copy's page range is merged in after.
+        All checks precede any charged time, identically in both paths.
         """
         if local[1] < 0 or remote[1] < 0:
             raise CMAError(EINVAL, "negative transfer length")
@@ -322,16 +284,6 @@ class XpmemKernel:
         if pair not in self._mapped:
             raise CMAError(EINVAL, f"segid {segid:#x} not attached")
         owner_space = self.cma.manager.get(seg.owner_pid)  # raises ESRCH
-        fs = self.cma.faults
-        scale = 1.0
-        if fs is not None:
-            fault = fs.draw("xcopy", seg.owner_pid, caller.pid)
-            if fault is not None and fault.kind in _INJECT_ERRNO:
-                raise CMAError(
-                    _INJECT_ERRNO[fault.kind],
-                    f"injected {fault.kind} at xcopy(segid={segid:#x})",
-                )
-            scale = fs.scale(caller.pid)
         ncopy = min(local[1], remote[1])
         if ncopy == 0:
             return 0
@@ -350,8 +302,6 @@ class XpmemKernel:
         nnew = faulted.missing(first, last + 1)
         beta = self.cma.copy_beta(caller, seg.owner_pid)
         copy_time = p.t_xpmem_copy + ncopy * beta
-        if scale != 1.0:
-            copy_time *= scale
         mm = self.cma.mm_lock(seg.owner_pid)
         self.copy_us += copy_time
 

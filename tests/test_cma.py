@@ -15,7 +15,6 @@ from repro.kernel import (
 )
 from repro.kernel.cma import IOV_MAX
 from repro.kernel.errors import EINVAL, EPERM, ESRCH
-from repro.faults import FaultPlan, FaultSpec
 from repro.machine import make_generic
 from repro.sim import PinConvoy, Simulator
 
@@ -266,18 +265,11 @@ class TestPinPlanMemo:
     the memoized plan is exactly what the per-call loop built."""
 
     @pytest.mark.parametrize("pin_batch", [4, 16])
-    @pytest.mark.parametrize("straggle", [1.0, 2.5])
-    def test_memo_matches_loop(self, pin_batch, straggle):
+    def test_memo_matches_loop(self, pin_batch):
         arch = make_generic(sockets=2, cores_per_socket=2, pin_batch=pin_batch)
         params = arch.params
         ps = params.page_size
         sim, cma, procs, _ = make_node(4, arch=arch, verify=False)
-        if straggle != 1.0:
-            cma.set_faults(
-                FaultPlan(
-                    seed=0, specs=(FaultSpec("straggler", factor=straggle),)
-                ).arm()
-            )
         owner = procs[0]
         same = next(p for p in procs[1:] if p.socket == owner.socket)
         other = next(p for p in procs if p.socket != owner.socket)
@@ -286,8 +278,6 @@ class TestPinPlanMemo:
             beta = params.beta
             if caller.socket != owner.socket:
                 beta *= params.inter_socket_beta
-            if straggle != 1.0:
-                beta *= straggle
             for npages in (1, 15, 16, 17, 100, 257):
                 span = npages * ps
                 remote = space.allocate(span)
@@ -339,48 +329,6 @@ class TestPinPlanMemo:
         assert len(cma._plans) == 1
         (plan,) = cma._plans.values()
         assert all(cmd.batches is plan[0] for cmd in seen)
-
-    def test_partial_faults_match_unfused_reference(self):
-        def run(**sim_kw):
-            arch = make_generic(sockets=2, cores_per_socket=2, pin_batch=4)
-            sim, cma, procs, _ = make_node(4, arch=arch, verify=False, **sim_kw)
-            cma.set_faults(FaultPlan(seed=3, specs=(
-                FaultSpec("partial", prob=0.5),
-                FaultSpec("straggler", factor=1.5, pid=procs[2].pid),
-            )).arm())
-            sizes = (3 * 4096, 17 * 4096 + 5, 64 * 4096, 9 * 4096 - 1)
-            owner = cma.manager.get(procs[0].pid)
-            remotes = [owner.allocate(n) for n in sizes]
-
-            def reader(me):
-                got = []
-                for _ in range(3):
-                    for n, remote in zip(sizes, remotes):
-                        local = cma.manager.get(me.pid).allocate(n)
-                        got.append((yield from cma.read_simple(
-                            me, procs[0].pid, local.iov(), remote.iov()
-                        )))
-                        got.append(sim.now)
-                return got
-
-            ps = [run_proc(sim, reader(p), p) for p in procs[1:]]
-            sim.run_all(ps)
-            mm = cma._mm_locks[procs[0].pid]
-            return (
-                [p.result for p in ps],
-                cma.phase_times(),
-                cma._plans,
-                cma.faults.counts(),
-                (mm.pages_pinned, mm.mutex.acquisitions,
-                 mm.mutex.total_wait_us, mm.mutex.total_hold_us),
-            )
-
-        fused = run()
-        oracle = run(use_pin_convoy=False)
-        assert fused == oracle
-        assert fused[3].get("partial", 0) > 0
-        # a truncated call keys the memo by its shortened page count
-        assert any(k[0] not in (3, 18, 64, 9) for k in fused[2])
 
 
 def one_to_all_latency(readers, nbytes, arch=None, same_buffer=True):

@@ -1,9 +1,7 @@
 """Every errno in the simulated kernel is real, raisable, and named right.
 
 The simulated ``process_vm_readv``/``writev`` must fail with the same
-errno values (and spellings) the real kernel uses; EINTR — which only
-ever comes from the signal machinery — is raisable through fault
-injection.  The ``traced`` cases also check that the node's phase
+errno values (and spellings) the real kernel uses.  The ``traced`` cases also check that the node's phase
 counters account for every simulated microsecond the failing call (and
 any set-up before it) charged.
 """
@@ -12,11 +10,9 @@ import errno as std_errno
 
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec
 from repro.kernel.errors import (
     CMAError,
     EFAULT,
-    EINTR,
     EINVAL,
     ENOENT,
     EPERM,
@@ -29,7 +25,6 @@ ALL_ERRNOS = {
     "EPERM": EPERM,
     "ENOENT": ENOENT,
     "ESRCH": ESRCH,
-    "EINTR": EINTR,
     "EFAULT": EFAULT,
     "EINVAL": EINVAL,
 }
@@ -45,8 +40,8 @@ def test_cmaerror_message_carries_the_name():
         assert f"[{name}]" in str(CMAError(value, "x")), name
 
 
-def _node(faults=None):
-    node = Node(make_generic(sockets=1, cores_per_socket=4), faults=faults)
+def _node():
+    node = Node(make_generic(sockets=1, cores_per_socket=4))
     comm = Comm(node, 2)
     return node, comm
 
@@ -148,29 +143,10 @@ class TestSyscallErrnos:
 
         _run_expecting(node, comm, body, EFAULT, counted)
 
-    @pytest.mark.parametrize("kind", ["eperm", "esrch", "efault", "eintr"])
-    def test_injected_errnos(self, counted, kind):
-        """EINTR has no natural simulated source — injection covers it, and
-        the other kinds must surface the identical errno the natural path
-        uses."""
-        plan = FaultPlan(seed=0, specs=(FaultSpec(kind, calls=(0,)),))
-        node, comm = _node(faults=plan)
-        a = comm.allocate(0, 4096)
-        b = comm.allocate(1, 4096)
-
-        def body(ctx):
-            # call the kernel directly: the resilient Comm layer would
-            # swallow the error, and here the raw errno is the assertion
-            yield from node.cma.process_vm_readv(
-                ctx.proc, comm.pid_of(1), [a.iov()], [b.iov()]
-            )
-
-        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()], counted)
-
 
 @pytest.mark.parametrize("counted", [False, True], ids=["fast", "traced"])
 class TestXpmemErrnos:
-    """The mapped-window lane's errnos: natural triggers + injection
+    """The mapped-window lane's errnos, from their natural triggers
     (xpmem validates *before* charging any time)."""
 
     def test_einval_nonpositive_segment(self, counted):
@@ -285,70 +261,13 @@ class TestXpmemErrnos:
 
         _run_expecting(node, comm, body, EFAULT, counted)
 
-    @pytest.mark.parametrize("op", ["make", "attach", "xcopy"])
-    @pytest.mark.parametrize(
-        "kind", ["eperm", "enoent", "esrch", "efault", "eintr"]
-    )
-    def test_injected_errnos(self, counted, op, kind):
-        """Every xpmem errno kind is raisable at every xpmem injection site,
-        with the stdlib errno value."""
-        plan = FaultPlan(seed=0, specs=(FaultSpec(kind, op=op, calls=(0,)),))
-        node, comm = _node(faults=plan)
-        a = comm.allocate(0, 4096)
 
-        def body(ctx):
-            segid = yield from node.xpmem.make_segid(ctx.proc, a.addr, 4096)
-            yield from node.xpmem.attach(ctx.proc, segid)
-            yield from node.xpmem.copy_from(
-                ctx.proc, segid, (0, 64), (a.addr, 64)
-            )
-
-        _run_expecting(node, comm, body, ALL_ERRNOS[kind.upper()], counted)
-
-
-def test_empty_armed_plan_is_bit_identical_on_the_xpmem_lane():
-    """Arming a plan with no specs must not perturb an xpmem collective by
-    a single event or nanosecond — the same guarantee the CMA lane has."""
-    from repro.core.runner import CollectiveSpec, run_collective
-    from repro.machine import get_arch
-
-    def run(faults):
-        spec = CollectiveSpec(
-            "scatter", "xpmem_read", get_arch("knl"), procs=6, eta=65536,
-            verify=False, faults=faults,
-        )
-        r = run_collective(spec)
-        return (
-            r.latency_us,
-            tuple(r.per_rank_us),
-            r.ctrl_messages,
-            r.sim_events,
-            r.xpmem_reads,
-            r.xpmem_writes,
-            r.xpmem_attaches,
-            r.xpmem_page_faults,
-            r.fallbacks,
-            r.retries,
-            r.faults_injected,
-        )
-
-    assert run(None) == run(FaultPlan(seed=7, specs=()))
-
-
-@pytest.mark.parametrize(
-    "cause",
-    ["esrch", "eperm", "injected-eperm", "injected-esrch", "injected-efault",
-     "injected-eintr"],
-)
+@pytest.mark.parametrize("cause", ["esrch", "eperm"])
 def test_errno_surfaces_after_entry_and_check(cause):
-    """The one error timing of ``process_vm_readv``: ESRCH, EPERM and
-    injected errnos raise once the syscall entry and the access check
-    have both been charged, at ``t0 + alpha_syscall + alpha_check``."""
-    plan = None
-    if cause.startswith("injected-"):
-        kind = cause.split("-", 1)[1]
-        plan = FaultPlan(seed=0, specs=(FaultSpec(kind, calls=(0,)),))
-    node, comm = _node(faults=plan)
+    """The one error timing of ``process_vm_readv``: ESRCH and EPERM
+    raise once the syscall entry and the access check have both been
+    charged, at ``t0 + alpha_syscall + alpha_check``."""
+    node, comm = _node()
     a = comm.allocate(0, 4096)
     b = comm.allocate(1, 4096)
     pid = comm.pid_of(1)
@@ -370,7 +289,7 @@ def test_errno_surfaces_after_entry_and_check(cause):
 
     node.sim.run_all([comm.spawn_rank(0, rank0)])
     p = node.params
-    assert seen["errno"] == ALL_ERRNOS[cause.split("-")[-1].upper()]
+    assert seen["errno"] == ALL_ERRNOS[cause.upper()]
     assert seen["t"] == seen["t0"] + p.alpha_syscall + p.alpha_check
     assert node.phase_times() == {
         "syscall": p.alpha_syscall, "check": p.alpha_check,

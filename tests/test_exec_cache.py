@@ -183,12 +183,12 @@ class TestLaneKeying:
     ``lane`` field is the backstop.
     """
 
-    def _spec(self, algorithm, faults=None):
+    def _spec(self, algorithm):
         from repro.machine import get_arch
 
         return CollectiveSpec(
             "scatter", algorithm, get_arch("knl"), procs=8, eta=4096,
-            verify=False, faults=faults,
+            verify=False,
         )
 
     def test_lane_resolved_from_registry(self):
@@ -211,21 +211,6 @@ class TestLaneKeying:
         gb = _pool_group_key(self._spec("xpmem_read"))
         assert ga != gb
         assert ga[:-1] == gb[:-1]  # only the lane component differs
-
-    def test_pool_group_key_separates_warm_from_cold(self):
-        # Cold (faulted) points must not interleave with warm ones inside
-        # a chunk: the key carries "has faults" so warm sorts first, cold
-        # second.
-        from repro.exec.sweep import _pool_group_key
-        from repro.faults import parse_plan
-
-        plan = parse_plan("1:eintr@0.1")
-        warm = _pool_group_key(self._spec("parallel_read"))
-        cold = _pool_group_key(self._spec("parallel_read", faults=plan))
-        assert warm != cold
-        assert warm[-2] is False and cold[-2] is True  # spec has faults
-        assert warm[:-2] == cold[:-2] and warm[-1] == cold[-1]
-        assert sorted([warm, cold])[0] is warm  # warm sorts ahead
 
     def test_cache_version_bumped_past_pre_lane_salt(self):
         from repro.exec.cache import CACHE_VERSION

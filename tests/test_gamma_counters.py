@@ -37,12 +37,11 @@ SPANS = json.loads(
 )["lock_pin_spans"]
 
 
-def _lock_pin(arch, readers, pages, iters=3, hold_scale=1.0, sim_kw=None):
+def _lock_pin(arch, readers, pages, iters=3, sim_kw=None):
     """The lock_pin_per_page workload, on the engine mode ``sim_kw``."""
     node = Node(arch, verify=False, sim=Simulator(**(sim_kw or {})))
     comm = Comm(node, readers + 1)
     mm = node.cma.mm_lock(comm.pid_of(0))
-    mm.hold_scale = hold_scale
     n = pages * arch.params.page_size
     srcs = [comm.allocate(0, n, f"src{i}") for i in range(readers)]
     dsts = [comm.allocate(r + 1, n, "dst") for r in range(readers)]
@@ -59,9 +58,8 @@ def _lock_pin(arch, readers, pages, iters=3, hold_scale=1.0, sim_kw=None):
     return total / (readers * iters * pages), node.sim
 
 
-def _unfused_lock_pin_per_page(arch, readers, pages, hold_scale=1.0):
-    return _lock_pin(arch, readers, pages, hold_scale=hold_scale,
-                     sim_kw={"use_pin_convoy": False})[0]
+def _unfused_lock_pin_per_page(arch, readers, pages):
+    return _lock_pin(arch, readers, pages, sim_kw={"use_pin_convoy": False})[0]
 
 
 def _default_readers(arch):
@@ -119,17 +117,6 @@ def test_pin_batch_sweep_matches_spans(pin_batch):
     _assert_counter_equals_spans(
         arch, [(1, 64), (16, 64)], f"knl-batch{pin_batch}"
     )
-
-
-def test_straggler_owner_matches_spans():
-    """A slow owner scales every hold (``MMLock.hold_scale``)."""
-    arch = get_arch("broadwell")
-    for readers in (1, 6):
-        got, _ = _lock_pin(arch, readers, 50, hold_scale=1.7)
-        ref = _unfused_lock_pin_per_page(arch, readers, 50, hold_scale=1.7)
-        assert got == ref == SPANS[f"broadwell-hold1.7/{readers}/50"]
-        plain, _ = _lock_pin(arch, readers, 50)
-        assert got != plain
 
 
 def test_counter_path_runs_untraced_and_collapses():

@@ -5,16 +5,15 @@ The oracle is the exchange as the pt2pt baselines used to express it: a
 then joined.  ``p2p_sendrecv`` runs a rendezvous exchange inside the
 rank's own generator and never delivers the CTS, so it must reproduce
 every rank's finish time, the final clock, the control-message and CMA
-read counts, the fault ladder's counters and every received byte
-exactly; it may only process fewer engine records.
+read counts and every received byte exactly; it may only process fewer engine records.
 
 Covered: pairwise schedules at power-of-two and other ``p`` (``to ==
 frm`` and ``to != frm``), rings (at ``p = 2`` left == right and both tags
 are equal), random per-step permutations, sizes around
 ``RNDV_THRESHOLD``, seeded per-step skews whose values are sums of the
 control latency's halves (so arrivals tie at exactly equal floats) or
-zero-length delays (which reorder same-time records only), verify on and
-off, and fault plans that reach :meth:`Comm.robust_rw`'s shm fallback.
+zero-length delays (which reorder same-time records only), and verify
+on and off.
 
 Why exact equality holds: a rank's send buffer is read again only after
 the FIN of its previous read, so no two readers ever meet on one mm lock
@@ -34,7 +33,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec
 from repro.machine import get_arch, make_generic
 from repro.mpi import Comm, Node, RNDV_THRESHOLD
 from repro.mpi.pt2pt import p2p_recv, p2p_send, p2p_sendrecv
@@ -92,7 +90,6 @@ def run(
     *,
     arch=None,
     verify=True,
-    faults=None,
     threshold=RNDV_THRESHOLD,
     skews=None,
     ring_tags=False,
@@ -100,7 +97,7 @@ def run(
     """Run one schedule of exchanges; return everything the oracle pins."""
     p = len(schedule[0])
     arch = arch or get_arch("broadwell")
-    node = Node(arch, verify=verify, faults=faults)
+    node = Node(arch, verify=verify)
     comm = Comm(node, p)
     steps = len(schedule)
     sbufs = [comm.allocate(r, max(p * nbytes, 1), "s") for r in range(p)]
@@ -132,7 +129,6 @@ def run(
         "now": sim.now,
         "ctrl_messages": comm.shm.ctrl_messages,
         "cma_reads": node.cma.reads,
-        "ladder": (comm.fallbacks, comm.retries),
         "bytes": [buf.data.tobytes() for buf in rbufs] if verify else None,
         "events": sim.events_processed,
     }
@@ -199,28 +195,3 @@ def test_two_socket_generic_machine_matches_spawned_pair():
     arch = make_generic(sockets=2, cores_per_socket=3, t_ctrl=1.0)
     skews = [[0.5 * (r % 3) for _ in range(5)] for r in range(6)]
     assert_same(pairwise(6), 40_000, arch=arch, skews=skews)
-
-
-PLANS = {
-    "partial": FaultPlan(seed=5, specs=(FaultSpec("partial", prob=0.5),)),
-    "eperm": FaultPlan(seed=1, specs=(FaultSpec("eperm", prob=0.3),)),
-    "eintr": FaultPlan(
-        seed=2, specs=(FaultSpec("eintr", prob=0.6),), max_attempts=2
-    ),
-    "straggler": FaultPlan(
-        seed=0, specs=(FaultSpec("straggler", pid=20_001, factor=3.0),)
-    ),
-}
-
-
-@pytest.mark.parametrize("verify", [True, False])
-@pytest.mark.parametrize("plan", sorted(PLANS))
-def test_fault_plans_match_spawned_pair(plan, verify):
-    want, _ = assert_same(
-        pairwise(6), 5 * 4096 + 100, faults=PLANS[plan], verify=verify
-    )
-    fallbacks, retries = want["ladder"]
-    if plan in ("eperm", "eintr"):
-        assert fallbacks > 0  # robust_rw's shm fallback ran
-    if plan == "partial":
-        assert retries > 0

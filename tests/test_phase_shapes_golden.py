@@ -94,8 +94,7 @@ def _run_workload(collective, algorithm, arch, verify, repeats,
                           arch=get_arch(arch), procs=6, eta=180_000,
                           verify=verify)
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, faults=spec.faults,
-                sim=Simulator())
+    node = Node(spec.arch, verify=spec.verify, sim=Simulator())
     comm = Comm(node, spec.procs)
     snaps = []
     for rep in range(repeats):

@@ -29,7 +29,6 @@ except ImportError:  # pragma: no cover - hypothesis ships in the test image
     HAVE_HYPOTHESIS = False
 
 from repro.core.runner import CollectiveSpec, _execute, _validated_algorithm
-from repro.faults import FaultPlan
 from repro.machine import get_arch
 from repro.mpi.communicator import Comm, Node
 from repro.sim import Simulator
@@ -86,8 +85,7 @@ def _run_workload(spec_args, sim_kw, repeats, interloper=None, phases=False):
     plus the final engine/lock state."""
     spec = CollectiveSpec(**spec_args)
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, faults=spec.faults,
-                sim=Simulator(**sim_kw))
+    node = Node(spec.arch, verify=spec.verify, sim=Simulator(**sim_kw))
     comm = Comm(node, spec.procs)
     snaps = []
     for rep in range(repeats):
@@ -144,17 +142,6 @@ def test_four_mode_battery(arch, phases, collective, algorithm, repeats):
         dict(collective=collective, algorithm=algorithm,
              arch=get_arch(arch), procs=6, eta=180_000),
         repeats, phases=phases,
-    )
-
-
-def test_armed_but_empty_fault_plan_forces_fallback():
-    """An armed plan — even one injecting nothing — routes every transfer
-    through the resilient retry/fallback ladder; all modes must agree."""
-    _assert_modes_identical(
-        dict(collective="allgather", algorithm="ring_source_read",
-             arch=get_arch("generic"), procs=6, eta=180_000,
-             faults=FaultPlan(seed=7)),
-        2,
     )
 
 

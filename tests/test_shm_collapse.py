@@ -6,8 +6,8 @@ every run and the receiver folds the rest of the ping-pong into one
 absolute wake-up.  The per-chunk loop stays in the code as the oracle:
 these tests reach it by switching ``collapse`` off on one transport
 instance and require every output field the end-to-end digest covers to
-be identical, on fault-free runs, under fault plans whose fallbacks add
-sender flows, and for concurrent flows driven straight at the transport.
+be identical, on whole collectives and for concurrent flows driven
+straight at the transport.
 """
 
 import itertools
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.p2p_colls import FORCE_EAGER
 from repro.core.runner import CollectiveSpec, _execute, _validated_algorithm
-from repro.faults import FaultPlan, FaultSpec
 from repro.kernel import AddressSpaceManager
 from repro.machine import get_arch
 from repro.mpi import Comm, Node
@@ -49,7 +48,7 @@ ETAS = [8192, 8193, 20_000, 1 << 20]
 def run(spec, collapse):
     """Run ``spec`` on a fresh node, collapsed or on the per-chunk oracle."""
     fn = _validated_algorithm(spec)
-    node = Node(spec.arch, verify=spec.verify, faults=spec.faults)
+    node = Node(spec.arch, verify=spec.verify)
     comm = Comm(node, spec.procs)
     comm.shm.collapse = collapse
     return _execute(spec, fn, node, comm), comm
@@ -73,59 +72,30 @@ def dense_and_large(alg, p, eta):
     """The O(p^2)-message 1 MiB cases at p >= 28: the per-chunk oracle
     alone takes seconds each, so they run on one architecture at p=28."""
     return (
-        alg in ("ring_p2p", "pairwise_shm", "ring_source_read", "pairwise")
+        alg in ("ring_p2p", "pairwise_shm")
         and eta == 1 << 20 and p >= 28
     )
 
 
-#: CMA designs whose EPERM fallbacks move the rest over shm trains, run
-#: under a plan whose fallback helpers add sender flows
-FAULT_ALGORITHMS = [
-    ("scatter", "parallel_read", {}, True),
-    ("gather", "parallel_write", {}, True),
-    ("bcast", "direct_read", {}, True),
-    ("allgather", "ring_source_read", {}, False),
-    ("alltoall", "pairwise", {}, False),
-]
-FAULT_PLAN = FaultPlan(
-    seed=5, specs=(FaultSpec("eperm", prob=0.3), FaultSpec("partial", prob=0.35))
-)
-
 CASES = [
-    pytest.param(
-        coll, alg, params, rooted, arch, p, None, id=f"{coll}-{alg}-{arch}-p{p}"
-    )
+    pytest.param(coll, alg, params, rooted, arch, p, id=f"{coll}-{alg}-{arch}-p{p}")
     for (coll, alg, params, rooted), arch, p in itertools.product(
         ALGORITHMS, ARCHS, PROCS
     )
-] + [
-    pytest.param(
-        coll, alg, params, rooted, arch, p, FAULT_PLAN,
-        id=f"{coll}-{alg}-{arch}-p{p}-faults",
-    )
-    for (coll, alg, params, rooted), arch, p in itertools.product(
-        FAULT_ALGORITHMS, ["knl", "power8"], [7, 32]
-    )
 ]
 
 
-@pytest.mark.parametrize("coll,alg,params,rooted,arch,p,faults", CASES)
-def test_collapsed_matches_per_chunk(coll, alg, params, rooted, arch, p, faults):
-    fallbacks = 0
+@pytest.mark.parametrize("coll,alg,params,rooted,arch,p", CASES)
+def test_collapsed_matches_per_chunk(coll, alg, params, rooted, arch, p):
     for eta, verify in itertools.product(ETAS, (False, True)):
         if dense_and_large(alg, p, eta) and (arch != "knl" or p != 28):
             continue
         for root in (0, p - 1) if rooted else (0,):
             spec = CollectiveSpec(
                 coll, alg, get_arch(arch), procs=p, eta=eta, root=root,
-                verify=verify, params=params, faults=faults,
+                verify=verify, params=params,
             )
-            res = assert_matches_oracle(
-                spec, f"eta={eta} root={root} verify={verify}"
-            )
-            fallbacks += res.fallbacks
-    if faults is not None:
-        assert fallbacks > 0
+            assert_matches_oracle(spec, f"eta={eta} root={root} verify={verify}")
 
 
 def test_collapsed_matches_per_chunk_at_160_ranks():
